@@ -165,7 +165,11 @@ class AdaptOutcome:
 
 
 class Adapter:
-    """Base adapter: owns working parameters, a pretrained snapshot, a latency model."""
+    """Base adapter: owns working parameters, a pretrained snapshot, a latency model.
+
+    Subclasses rebind ``params`` and any auxiliary state to new objects and
+    never write into the existing ones; ``clone_adapter`` relies on this.
+    """
 
     name = "base"
 
@@ -453,5 +457,14 @@ def latency_of(adapter: Adapter, batch: Batch, timing: str = SIMULATED) -> float
 
 
 def clone_adapter(adapter: Adapter) -> Adapter:
-    """Independent deep copy, used for counterfactual what-if steps."""
-    return copy.deepcopy(adapter)
+    """Throwaway copy for counterfactual what-if steps; the original is untouched.
+
+    The copy is shallow except for the latency rng, whose draws advance it in
+    place.  Sharing everything else is safe because adapters rebind, never
+    mutate in place, their parameters and auxiliary state: ``adapt`` on the
+    copy replaces the copy's attributes and leaves the original's objects as
+    they were.
+    """
+    ghost = copy.copy(adapter)
+    ghost._latency_rng = copy.deepcopy(adapter._latency_rng)
+    return ghost

@@ -1,8 +1,10 @@
 """Command-line front end: declarative configs, eta sweeps, trace replay.
 
 Configs are flat ``key=value`` text with dotted keys ('#' starts a comment).
-All outputs are deterministic under simulated timing: runs are executed and
-written in sorted order and floats are serialized via their exact repr.
+All outputs are deterministic under simulated timing: runs execute seed by
+seed, each seed's stream composed once and shared by all of that seed's runs,
+and are then written in sorted order with floats serialized via their exact
+repr.
 
 Exit codes: 0 success, 2 usage/config error, 1 runtime failure.
 """
@@ -10,6 +12,7 @@ Exit codes: 0 success, 2 usage/config error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -42,6 +45,7 @@ from .stream import (
     CorruptionSpec,
     ScenarioSpec,
     SourceSpec,
+    StreamSegment,
     TrainSpec,
     compose_stream,
     default_corruption_suite,
@@ -123,17 +127,29 @@ def _parse_latency(cfg: dict[str, str]) -> adapters_mod.LatencyModel | None:
     kind = cfg.get("adapter.latency.kind")
     if kind in (None, "", "default"):
         return None
+
+    def seconds(name: str, default: float) -> float:
+        key = f"adapter.latency.{name}"
+        value = _parse_typed(cfg, key, float, default)
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {cfg[key]!r}")
+        return value
+
     if kind == "constant":
-        return adapters_mod.Constant(_parse_typed(cfg, "adapter.latency.seconds", float, 1.0))
+        value = seconds("seconds", 1.0)
+        if value <= 0:
+            raw = cfg["adapter.latency.seconds"]
+            raise ConfigError(f"adapter.latency.seconds: must be positive, got {raw!r}")
+        return adapters_mod.Constant(value)
     if kind == "per_sample":
         return adapters_mod.PerSample(
-            per_sample=_parse_typed(cfg, "adapter.latency.per_sample", float, 0.0),
-            base=_parse_typed(cfg, "adapter.latency.base", float, 0.0),
+            per_sample=seconds("per_sample", 0.0),
+            base=seconds("base", 0.0),
         )
     if kind == "stochastic":
         return adapters_mod.Stochastic(
-            mean=_parse_typed(cfg, "adapter.latency.mean", float, 1.0),
-            jitter=_parse_typed(cfg, "adapter.latency.jitter", float, 0.0),
+            mean=seconds("mean", 1.0),
+            jitter=seconds("jitter", 0.0),
             seed=_parse_typed(cfg, "adapter.latency.seed", int, 0),
         )
     raise ConfigError(f"adapter.latency.kind: unknown kind {kind!r}")
@@ -305,13 +321,11 @@ def _eta_label(eta: float) -> str:
 
 
 def execute_run(
-    exp: ExperimentConfig, adapter_name: str, protocol: str, seed: int,
-    clock: StreamClock | None = None,
+    exp: ExperimentConfig, segments: list[StreamSegment], adapter_name: str,
+    protocol: str, seed: int, clock: StreamClock,
 ) -> RunReport:
-    """One deterministic run; everything derives from the config and seed."""
-    clock = clock or exp.clock
+    """One deterministic run on the stream composed for ``seed``."""
     adapter = _make_adapter(exp, adapter_name)
-    segments = compose_stream(exp.scenario, exp.source, exp.samples_per_domain, seed=seed)
     cfg = replace(exp.protocol_cfg, protocol=protocol, seed=seed)
     num_classes = exp.source.num_classes if protocol == SINGLE_MODEL else None
     report = run_segments(
@@ -321,6 +335,19 @@ def execute_run(
     report.run_id = f"{prefix}{adapter_name}-{_scenario_label(exp)}-{protocol}-eta{_eta_label(clock.eta)}-seed{seed}"
     report.scenario = _scenario_label(exp)
     return report
+
+
+def _execute_seed(
+    exp: ExperimentConfig, seed: int, plan: list[tuple[str, str, StreamClock]]
+) -> list[RunReport]:
+    """Every planned (adapter, protocol, clock) run of one seed on one shared stream.
+
+    The stream is released on return, so a caller looping over seeds holds at
+    most one composed stream at a time.
+    """
+    segments = compose_stream(exp.scenario, exp.source, exp.samples_per_domain, seed=seed)
+    return [execute_run(exp, segments, adapter_name, protocol, seed, clock)
+            for adapter_name, protocol, clock in plan]
 
 
 def _emit(exp: ExperimentConfig, reports: list[RunReport], deltas: list[dict],
@@ -343,11 +370,9 @@ def replace_schedule(report: RunReport) -> RunReport:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config_text(Path(args.config).read_text())
     exp = build_experiment(cfg, out_override=args.out, seeds_override=_seeds_arg(args))
-    reports: list[RunReport] = []
-    for adapter_name in sorted(exp.adapter_names):
-        for protocol in exp.protocols:
-            for seed in sorted(exp.seeds):
-                reports.append(execute_run(exp, adapter_name, protocol, seed))
+    plan = [(adapter_name, protocol, exp.clock)
+            for adapter_name in sorted(exp.adapter_names) for protocol in exp.protocols]
+    reports = [r for seed in sorted(exp.seeds) for r in _execute_seed(exp, seed, plan)]
     reports.sort(key=lambda r: (r.adapter, r.protocol, r.eta, r.seed))
     deltas = _collect_deltas(reports)
     _emit(exp, reports, deltas, args.emit_schedule)
@@ -384,12 +409,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise ConfigError(f"eta values must be in (0, 1], got {eta}")
-    reports: list[RunReport] = []
-    for eta in sorted(etas):
-        clock = StreamClock(base_rate=exp.clock.base_rate, eta=eta)
-        for adapter_name in sorted(exp.adapter_names):
-            for seed in sorted(exp.seeds):
-                reports.append(execute_run(exp, adapter_name, ONLINE, seed, clock=clock))
+    plan = [(adapter_name, ONLINE, StreamClock(base_rate=exp.clock.base_rate, eta=eta))
+            for eta in sorted(etas) for adapter_name in sorted(exp.adapter_names)]
+    reports = [r for seed in sorted(exp.seeds) for r in _execute_seed(exp, seed, plan)]
     reports.sort(key=lambda r: (r.eta, r.adapter, r.seed))
     _emit(exp, reports, [], args.emit_schedule)
     _write_sweep_csv(exp.out_dir / "sweep.csv", reports)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 ADAPT = "adapt"
 SKIP = "skip"
@@ -40,16 +39,23 @@ def effective_stream_interval(base_rate: float, eta: float) -> float:
 def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     """Stream ticks one adaptation consumes: ceil(elapsed / interval), min 1.
 
-    The ratio is taken in exact rational arithmetic so boundary cases (an
+    The ratio is taken in exact integer arithmetic so boundary cases (an
     elapsed time of exactly k intervals) never fall on the wrong side of the
-    ceiling through float rounding.
+    ceiling through float rounding.  ``elapsed <= interval`` is an exact float
+    comparison, so the common one-tick case needs no division at all.
     """
-    if effective_interval <= 0:
-        raise ValueError("effective_interval must be positive")
-    if elapsed <= 0:
-        raise ValueError("elapsed must be positive")
-    c = math.ceil(Fraction(elapsed) / Fraction(effective_interval))
-    return max(int(c), 1)
+    if not math.isfinite(effective_interval) or effective_interval <= 0:
+        raise ValueError(
+            f"effective_interval must be positive and finite, got {effective_interval}"
+        )
+    if not math.isfinite(elapsed) or elapsed <= 0:
+        raise ValueError(f"elapsed must be positive and finite, got {elapsed}")
+    if elapsed <= effective_interval:
+        return 1
+    en, ed = elapsed.as_integer_ratio()
+    inum, iden = effective_interval.as_integer_ratio()
+    # elapsed / interval = (en * iden) / (ed * inum); ceil via floor of the negation.
+    return -(-(en * iden) // (ed * inum))
 
 
 def schedule_decision(t: int, busy_until: int) -> str:

@@ -2,14 +2,14 @@
 
 The deployable model is a per-feature normalizer (running mean/variance plus
 an affine scale and shift) feeding a linear softmax head.  Everything that
-adapts at test time mutates some subset of these fields, so they live in one
+adapts at test time rebinds some subset of these fields, so they live in one
 container with strict shape and finiteness checks.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,11 +17,18 @@ import numpy as np
 VAR_FLOOR = 1e-8
 
 _VECTOR_FIELDS = ("mu", "var", "gamma", "beta")
+_FIELD_NAMES = (*_VECTOR_FIELDS, "W", "b")
 
 
 @dataclass(eq=False)
 class ModelParams:
-    """Full classifier state: normalizer statistics, affine pair, linear head."""
+    """Full classifier state: normalizer statistics, affine pair, linear head.
+
+    Shapes, finiteness and positive variances are checked at the trust
+    boundaries: on construction, and on every ``blend_parameters`` result,
+    which is how an adapter's output enters a run.  ``copy()`` does not
+    re-check, so a copy an adapter edits is unchecked until it is blended.
+    """
 
     mu: np.ndarray      # (d,) per-feature running mean
     var: np.ndarray     # (d,) per-feature running variance, strictly positive
@@ -31,8 +38,8 @@ class ModelParams:
     b: np.ndarray       # (K,) class bias
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
+        for name in _FIELD_NAMES:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         self.validate()
 
     def validate(self) -> None:
@@ -45,9 +52,9 @@ class ModelParams:
             raise ValueError(f"W must have shape (K, {d}), got {self.W.shape}")
         if self.b.shape != (self.W.shape[0],):
             raise ValueError(f"b must have shape ({self.W.shape[0]},), got {self.b.shape}")
-        for f in fields(self):
-            if not np.all(np.isfinite(getattr(self, f.name))):
-                raise ValueError(f"{f.name} contains non-finite values")
+        for name in _FIELD_NAMES:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite values")
         if np.any(self.var <= 0.0):
             raise ValueError("var must be strictly positive elementwise")
 
@@ -60,28 +67,22 @@ class ModelParams:
         return self.W.shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            mu=self.mu.copy(),
-            var=self.var.copy(),
-            gamma=self.gamma.copy(),
-            beta=self.beta.copy(),
-            W=self.W.copy(),
-            b=self.b.copy(),
-        )
+        """Independent arrays with the same values; skips ``validate()``."""
+        clone = object.__new__(ModelParams)
+        clone.__dict__.update({name: getattr(self, name).copy() for name in _FIELD_NAMES})
+        return clone
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     """Exact (bitwise value) equality over every field."""
-    return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
-    )
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _FIELD_NAMES)
 
 
 def params_fingerprint(params: ModelParams) -> str:
     """SHA-256 over the raw bytes of all fields; equal iff params are bit-equal."""
     h = hashlib.sha256()
-    for f in fields(params):
-        arr = np.ascontiguousarray(getattr(params, f.name))
+    for name in _FIELD_NAMES:
+        arr = np.ascontiguousarray(getattr(params, name))
         h.update(arr.tobytes())
     return h.hexdigest()
 
@@ -127,20 +128,24 @@ def blend_parameters(theta: ModelParams, theta_hat: ModelParams, alpha: float) -
 
     alpha=0 adopts the adapted parameters wholesale; alpha=1 keeps the current
     ones.  Both endpoints return exact copies so the blend is bit-faithful at
-    the extremes.  Variances are clamped to VAR_FLOOR afterwards.
+    the extremes.  Variances are clamped to VAR_FLOOR afterwards.  The result
+    is always validated: this is where an adapter's output is checked.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    for f in fields(theta):
-        if getattr(theta, f.name).shape != getattr(theta_hat, f.name).shape:
-            raise ValueError(f"shape mismatch in field {f.name}")
+    for name in _FIELD_NAMES:
+        if getattr(theta, name).shape != getattr(theta_hat, name).shape:
+            raise ValueError(f"shape mismatch in field {name}")
     if alpha == 0.0:
-        return theta_hat.copy()
-    if alpha == 1.0:
-        return theta.copy()
-    blended = {
-        f.name: alpha * getattr(theta, f.name) + (1.0 - alpha) * getattr(theta_hat, f.name)
-        for f in fields(theta)
-    }
-    blended["var"] = np.maximum(blended["var"], VAR_FLOOR)
-    return ModelParams(**blended)
+        out = theta_hat.copy()
+    elif alpha == 1.0:
+        out = theta.copy()
+    else:
+        blended = {
+            name: alpha * getattr(theta, name) + (1.0 - alpha) * getattr(theta_hat, name)
+            for name in _FIELD_NAMES
+        }
+        blended["var"] = np.maximum(blended["var"], VAR_FLOOR)
+        return ModelParams(**blended)  # validated on construction
+    out.validate()
+    return out

@@ -184,12 +184,13 @@ def _run_protocol(
                     interval = clock.effective_interval
                     outcome = adapter.adapt(batch)
                     cost = outcome.cost
+                c = relative_adaptation_speed(interval, cost)
+                # The blend validates the adapter's output.
+                theta_next = blend_parameters(prev, outcome.theta_hat, cfg.alpha)
             except Exception as exc:
                 raise ProtocolError(
                     f"adapter {adapter.name!r} failed at step {t}: {exc}"
                 ) from exc
-            c = relative_adaptation_speed(interval, cost)
-            theta_next = blend_parameters(prev, outcome.theta_hat, cfg.alpha)
             adapter.set_params(theta_next)
             state.version += 1
             if cfg.fallback_visibility == IMMEDIATE:

@@ -185,7 +185,13 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
 
 
 def adapted_only_error(trace: Sequence[TraceRecord]) -> float:
-    """Error if every step were adapted; the eta -> 0 limit of a replay."""
+    """Pooled error if every step were adapted.
+
+    A replay slow enough to adapt every step has the same per-domain errors,
+    but its ``avg_error`` is the unweighted mean of the domain rates.  The two
+    agree only when all domains have the same size, and then only up to float
+    rounding in the last bits.
+    """
     total = sum(r.batch_size for r in trace)
     correct = sum(r.correct_adapted for r in trace)
     return (total - correct) / total

@@ -187,6 +187,24 @@ def test_malformed_numeric_config_values_exit_2(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--seeds", "zero") == 2
 
 
+@pytest.mark.parametrize(
+    "lines,key",
+    [
+        ("adapter.latency.seconds=inf\n", "adapter.latency.seconds"),
+        ("adapter.latency.seconds=0\n", "adapter.latency.seconds"),
+        ("adapter.latency.seconds=-3\n", "adapter.latency.seconds"),
+        ("adapter.latency.kind=per_sample\nadapter.latency.base=nan\n", "adapter.latency.base"),
+        ("adapter.latency.kind=stochastic\nadapter.latency.jitter=-inf\n", "adapter.latency.jitter"),
+    ],
+)
+def test_bad_latency_config_exits_2_naming_the_key(tmp_path, capsys, lines, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG + lines)
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_missing_file_exits_2(tmp_path):
     assert run_cli("replay", "--trace", str(tmp_path / "none.csv")) == 2
 

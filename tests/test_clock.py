@@ -39,7 +39,17 @@ def test_relative_adaptation_speed_examples(interval, elapsed, expected):
     assert relative_adaptation_speed(interval, elapsed) == expected
 
 
-@pytest.mark.parametrize("interval,elapsed", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "interval,elapsed",
+    [
+        (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+        # Non-finite: an infinite interval would otherwise pass the one-tick fast path.
+        (INF, 1.0), (1.0, INF), (NAN, 1.0), (1.0, NAN), (-INF, 1.0), (1.0, -INF),
+    ],
+)
 def test_relative_adaptation_speed_rejects_nonpositive(interval, elapsed):
     with pytest.raises(ValueError):
         relative_adaptation_speed(interval, elapsed)

@@ -211,6 +211,20 @@ def test_adapter_failure_aborts_with_step_index():
         run_offline(stream, FailingAdapter(params, fail_at=3), params, OFF)
 
 
+@pytest.mark.parametrize(
+    "adapter_kwargs,cause",
+    [
+        (dict(step=float("nan")), "beta contains non-finite values"),  # blend validation
+        (dict(latency=Constant(float("inf"))), "elapsed must be positive and finite"),
+    ],
+)
+def test_invalid_adapter_output_aborts_naming_adapter_and_step(adapter_kwargs, cause):
+    params = tiny_params()
+    stream = tiny_stream(4)
+    with pytest.raises(ProtocolError, match=f"adapter 'beta_shift' failed at step 0: {cause}"):
+        run_offline(stream, BetaShiftAdapter(params, **adapter_kwargs), params, OFF)
+
+
 def test_runner_protocol_field_is_validated():
     params = tiny_params()
     stream = tiny_stream(2)

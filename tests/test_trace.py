@@ -5,10 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from streamgate.adapters import Constant, EntropyMinAdapter
+from streamgate.adapters import (
+    ADAPTERS,
+    Constant,
+    EntropyMinAdapter,
+    Stochastic,
+    clone_adapter,
+    make_adapter,
+)
 from streamgate.clock import StreamClock
-from streamgate.protocol import ProtocolConfig, run_online
-from streamgate.report import ACTION_ADAPTED
+from streamgate.model import params_equal
+from streamgate.protocol import ProtocolConfig, run_online, run_segments
+from streamgate.report import ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK
+from streamgate.stream import CorruptionSpec, ScenarioSpec, compose_stream
 from streamgate.trace import (
     TRACE_COLUMNS,
     TraceFormatError,
@@ -168,3 +177,61 @@ def test_per_domain_grouping_in_replay():
     assert report.per_domain[0].error_rate == pytest.approx(0.5)
     # Domain 1: step 2 adapted (all correct), step 3 skipped (fallback all correct).
     assert report.per_domain[1].error_rate == pytest.approx(0.0)
+
+
+# --------------------------------------------------------------------------
+# Trace collection never perturbs the live run
+# --------------------------------------------------------------------------
+
+AUX_STATE = ("last_pseudo_labels", "last_admitted")
+
+
+def two_domain_stream(spec):
+    scenario = ScenarioSpec(
+        mode="continual",
+        domain_order=(CorruptionSpec("mean_shift", 5, seed=0),
+                      CorruptionSpec("gaussian_noise", 5, seed=0)),
+        batch_size=16,
+    )
+    return compose_stream(scenario, spec, 160, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name,latency",
+    [(name, Constant(2.5)) for name in sorted(ADAPTERS)]
+    + [("pseudo_label", Stochastic(2.0, 1.5, seed=3))],
+)
+def test_trace_collection_leaves_the_run_unchanged(name, latency, mini_pretrained, mini_spec):
+    segments = two_domain_stream(mini_spec)
+    cfg = ProtocolConfig(protocol="online", seed=0)
+    plain = run_segments(segments, make_adapter(name, mini_pretrained, latency=latency),
+                         mini_pretrained, cfg)
+    trace = []
+    traced = run_segments(segments, make_adapter(name, mini_pretrained, latency=latency),
+                          mini_pretrained, cfg, trace_out=trace)
+    assert len(trace) == len(segments[0].batches)
+    assert any(r.action == ACTION_SKIPPED_FALLBACK for r in plain.schedule)  # ghosts ran
+    assert traced.schedule == plain.schedule
+    assert traced.fingerprints == plain.fingerprints
+    assert traced.per_domain == plain.per_domain
+
+
+@pytest.mark.parametrize("name", sorted(ADAPTERS))
+def test_ghost_adapt_leaves_the_live_adapter_untouched(name, mini_pretrained, mini_spec):
+    first, second = two_domain_stream(mini_spec)[0].batches[:2]
+    latency = Stochastic(2.0, 1.5, seed=3)
+    adapter = make_adapter(name, mini_pretrained, latency=latency)
+    twin = make_adapter(name, mini_pretrained, latency=latency)
+    adapter.adapt(first)
+    twin.adapt(first)
+    params = adapter.params
+    aux = {key: getattr(adapter, key) for key in AUX_STATE if hasattr(adapter, key)}
+
+    clone_adapter(adapter).adapt(second)
+
+    assert adapter.params is params
+    assert params_equal(adapter.params, twin.params)
+    for key, value in aux.items():
+        assert getattr(adapter, key) is value
+        assert np.array_equal(value, getattr(twin, key))
+    assert adapter.sample_cost(second.size) == twin.sample_cost(second.size)

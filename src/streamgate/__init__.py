@@ -20,16 +20,10 @@ from .adapters import (
     RejectionEntropyAdapter,
     SourceAdapter,
     Stochastic,
-    latency_of,
     make_adapter,
     sample_latency,
 )
-from .clock import (
-    StreamClock,
-    effective_stream_interval,
-    relative_adaptation_speed,
-    schedule_decision,
-)
+from .clock import StreamClock, effective_stream_interval, relative_adaptation_speed
 from .model import (
     ModelParams,
     blend_parameters,
@@ -47,10 +41,8 @@ from .protocol import (
     FixedModulo,
     ProtocolConfig,
     ProtocolError,
-    run_offline,
-    run_online,
     run_segments,
-    run_single_model,
+    run_stream,
 )
 from .report import (
     DomainReport,
@@ -60,7 +52,6 @@ from .report import (
     delta,
     error_rate,
     mean_c,
-    merge_reports,
     per_category_error,
 )
 from .stream import (

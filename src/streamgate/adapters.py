@@ -10,7 +10,6 @@ model so a stream scheduler can charge it a deterministic per-batch cost.
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,24 +435,6 @@ def sync_barrier() -> None:
     CPU array math here is synchronous, so this is a hook rather than a wait;
     it marks where a device-backed implementation must drain its queue.
     """
-
-
-def latency_of(adapter: Adapter, batch: Batch, timing: str = SIMULATED) -> float:
-    """Elapsed seconds charged for adapting one batch.
-
-    Simulated timing draws from the adapter's latency model.  Measured timing
-    wall-clocks an actual adapt() call between barriers, so it advances the
-    adapter's state.
-    """
-    if timing == SIMULATED:
-        return adapter.sample_cost(batch.size)
-    if timing == MEASURED:
-        sync_barrier()
-        start = time.perf_counter()
-        adapter.adapt(batch)
-        sync_barrier()
-        return max(time.perf_counter() - start, _COST_FLOOR)
-    raise ValueError(f"unknown timing mode {timing!r}")
 
 
 def clone_adapter(adapter: Adapter) -> Adapter:

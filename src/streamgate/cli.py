@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage/config error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -20,6 +21,7 @@ from pathlib import Path
 
 from . import adapters as adapters_mod
 from .clock import StreamClock
+from .model import ModelParams
 from .protocol import (
     OFFLINE,
     ONLINE,
@@ -59,6 +61,20 @@ DEFAULT_ETA_GRID = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
 PROTOCOLS = (OFFLINE, ONLINE, SINGLE_MODEL)
 
 
+# Every key build_experiment reads.
+CONFIG_KEYS = frozenset({
+    "source.classes", "source.dim", "source.separation", "source.samples_per_class",
+    "source.seed", "pretrain.learning_rate", "pretrain.iterations", "pretrain.seed",
+    "stream.batch_size", "stream.samples_per_domain", "scenario.mode", "scenario.domains",
+    "scenario.severity", "scenario.append_clean", "adapter.name", "adapter.learning_rate",
+    "adapter.entropy_threshold", "adapter.prior_weight", "adapter.latency.kind",
+    "adapter.latency.seconds", "adapter.latency.per_sample", "adapter.latency.base",
+    "adapter.latency.mean", "adapter.latency.jitter", "adapter.latency.seed",
+    "protocol.mode", "protocol.schedule", "protocol.alpha", "protocol.visibility",
+    "protocol.timing", "clock.rate", "clock.eta", "seeds", "out", "run.id",
+})
+
+
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
@@ -75,10 +91,6 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
-
-
-def _get(cfg: dict[str, str], key: str, default: str | None = None) -> str | None:
-    return cfg.get(key, default)
 
 
 def _parse_typed(cfg: dict[str, str], key: str, kind, default):
@@ -142,10 +154,14 @@ def _parse_latency(cfg: dict[str, str]) -> adapters_mod.LatencyModel | None:
             raise ConfigError(f"adapter.latency.seconds: must be positive, got {raw!r}")
         return adapters_mod.Constant(value)
     if kind == "per_sample":
-        return adapters_mod.PerSample(
-            per_sample=seconds("per_sample", 0.0),
-            base=seconds("base", 0.0),
-        )
+        per_sample, base = seconds("per_sample", 0.0), seconds("base", 0.0)
+        # per_sample >= 0 makes a one-sample batch the cheapest one.
+        if per_sample < 0 or per_sample + base <= 0:
+            raise ConfigError(
+                "adapter.latency.per_sample: per_sample must be >= 0 and "
+                f"per_sample + base positive, got {per_sample!r} and {base!r}"
+            )
+        return adapters_mod.PerSample(per_sample=per_sample, base=base)
     if kind == "stochastic":
         return adapters_mod.Stochastic(
             mean=seconds("mean", 1.0),
@@ -188,14 +204,8 @@ class ExperimentConfig:
 
 def build_experiment(cfg: dict[str, str], out_override: str | None = None,
                      seeds_override: list[int] | None = None) -> ExperimentConfig:
-    known_prefixes = (
-        "run.", "source.", "pretrain.", "stream.", "scenario.", "adapter.",
-        "protocol.", "clock.",
-    )
     for key in cfg:
-        if key in ("out", "seeds"):
-            continue
-        if not key.startswith(known_prefixes):
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
 
     try:
@@ -211,7 +221,7 @@ def build_experiment(cfg: dict[str, str], out_override: str | None = None,
             iterations=_parse_typed(cfg, "pretrain.iterations", int, 300),
             seed=_parse_typed(cfg, "pretrain.seed", int, 0),
         )
-        mode = _get(cfg, "scenario.mode", EPISODIC)
+        mode = cfg.get("scenario.mode", EPISODIC)
         if mode not in (EPISODIC, CONTINUAL):
             raise ConfigError(f"scenario.mode: unknown mode {mode!r}")
         scenario = ScenarioSpec(
@@ -225,13 +235,13 @@ def build_experiment(cfg: dict[str, str], out_override: str | None = None,
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    adapter_names = _parse_list(_get(cfg, "adapter.name", "source"))
+    adapter_names = _parse_list(cfg.get("adapter.name", "source"))
     for name in adapter_names:
         if name not in adapters_mod.ADAPTERS:
             known = ", ".join(sorted(adapters_mod.ADAPTERS))
             raise ConfigError(f"adapter.name: unknown adapter {name!r} (known: {known})")
 
-    protocols = _parse_list(_get(cfg, "protocol.mode", ONLINE))
+    protocols = _parse_list(cfg.get("protocol.mode", ONLINE))
     for proto in protocols:
         if proto not in PROTOCOLS:
             raise ConfigError(f"protocol.mode: unknown protocol {proto!r}")
@@ -241,8 +251,8 @@ def build_experiment(cfg: dict[str, str], out_override: str | None = None,
             protocol=protocols[0],
             schedule_mode=_parse_schedule(cfg),
             alpha=_parse_typed(cfg, "protocol.alpha", float, 0.0),
-            fallback_visibility=_get(cfg, "protocol.visibility", "immediate"),
-            timing=_get(cfg, "protocol.timing", "simulated"),
+            fallback_visibility=cfg.get("protocol.visibility", "immediate"),
+            timing=cfg.get("protocol.timing", "simulated"),
             seed=0,
         )
         clock = StreamClock(
@@ -256,13 +266,13 @@ def build_experiment(cfg: dict[str, str], out_override: str | None = None,
         seeds = seeds_override
     else:
         try:
-            seeds = [int(s) for s in _parse_list(_get(cfg, "seeds", "0"))]
+            seeds = [int(s) for s in _parse_list(cfg.get("seeds", "0"))]
         except ValueError as exc:
             raise ConfigError(f"seeds: {exc}") from None
     if not seeds:
         raise ConfigError("seeds: need at least one seed")
 
-    out_dir = Path(os.environ.get("STREAMGATE_OUT") or out_override or _get(cfg, "out", "results"))
+    out_dir = Path(os.environ.get("STREAMGATE_OUT") or out_override or cfg.get("out", "results"))
 
     hyper = {
         "learning_rate": _parse_typed(cfg, "adapter.learning_rate", float, None),
@@ -282,23 +292,18 @@ def build_experiment(cfg: dict[str, str], out_override: str | None = None,
         clock=clock,
         seeds=seeds,
         out_dir=out_dir,
-        run_prefix=_get(cfg, "run.id", ""),
+        run_prefix=cfg.get("run.id", ""),
     )
 
 
-_PRETRAIN_CACHE: dict[tuple[SourceSpec, TrainSpec], "object"] = {}
-
-
-def _pretrained_for(exp: ExperimentConfig):
-    key = (exp.source, exp.train)
-    if key not in _PRETRAIN_CACHE:
-        features, labels = make_source_dataset(exp.source)
-        _PRETRAIN_CACHE[key] = pretrain_source_model(features, labels, exp.train)
-    return _PRETRAIN_CACHE[key]
+@functools.cache
+def _pretrained(source: SourceSpec, train: TrainSpec) -> ModelParams:
+    features, labels = make_source_dataset(source)
+    return pretrain_source_model(features, labels, train)
 
 
 def _make_adapter(exp: ExperimentConfig, name: str) -> adapters_mod.Adapter:
-    pretrained = _pretrained_for(exp)
+    pretrained = _pretrained(exp.source, exp.train)
     kwargs: dict = {}
     if exp.adapter_latency is not None:
         kwargs["latency"] = exp.adapter_latency
@@ -354,17 +359,13 @@ def _emit(exp: ExperimentConfig, reports: list[RunReport], deltas: list[dict],
           emit_schedule: bool) -> None:
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(exp.out_dir / "results.csv", reports)
-    light = []
-    for r in reports:
-        keep = r if emit_schedule else replace_schedule(r)
-        light.append(keep)
-        if emit_schedule and r.schedule is not None:
-            write_schedule_csv(exp.out_dir / f"schedule_{r.run_id}.csv", r.schedule)
-    write_summary_json(exp.out_dir / "summary.json", light, deltas)
-
-
-def replace_schedule(report: RunReport) -> RunReport:
-    return replace(report, schedule=None)
+    if emit_schedule:
+        for r in reports:
+            if r.schedule is not None:
+                write_schedule_csv(exp.out_dir / f"schedule_{r.run_id}.csv", r.schedule)
+    else:
+        reports = [replace(r, schedule=None) for r in reports]
+    write_summary_json(exp.out_dir / "summary.json", reports, deltas)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -446,7 +447,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     out_dir = Path(os.environ.get("STREAMGATE_OUT") or args.out or "results")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "results.csv", [report])
-    write_summary_json(out_dir / "summary.json", [replace_schedule(report)])
+    write_summary_json(out_dir / "summary.json", [replace(report, schedule=None)])
     if args.emit_schedule and report.schedule is not None:
         write_schedule_csv(out_dir / f"schedule_{report.run_id}.csv", report.schedule)
     print(f"replayed {len(records)} steps: error {format_percent(report.avg_error)} "

@@ -1,12 +1,10 @@
-"""Stream pacing: the constant-rate clock and the relative-speed ceiling."""
+"""Stream pacing: the constant-rate clock, the relative-speed ceiling, and the
+busy-window rule that simulation and trace replay share."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-ADAPT = "adapt"
-SKIP = "skip"
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,38 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     return -(-(en * iden) // (ed * inum))
 
 
-def schedule_decision(t: int, busy_until: int) -> str:
-    """Adapt iff the worker is free: the busy window [i, i+k) is half-open."""
-    if t < 0 or busy_until < 0:
-        raise ValueError("t and busy_until must be non-negative")
-    return ADAPT if t >= busy_until else SKIP
+class Worker:
+    """The stream's single adaptation worker: the busy-window rule.
+
+    A step adapts iff the worker is free, ``t >= busy_until``, so the busy
+    window [t, t + C) is half-open.  An adaptation started at step t whose
+    cost spans C = relative_adaptation_speed(interval, elapsed) ticks keeps
+    the worker busy until t + C: the next C - 1 steps fall back.
+    """
+
+    __slots__ = ("busy_until",)
+
+    def __init__(self) -> None:
+        self.busy_until = 0
+
+    def free(self, t: int) -> bool:
+        return t >= self.busy_until
+
+    def occupy(self, t: int, interval: float, elapsed: float) -> int:
+        """Charge an adaptation started at step t; returns its C."""
+        c = relative_adaptation_speed(interval, elapsed)
+        self.busy_until = t + c
+        return c
+
+    def step(self, t: int, interval: float, elapsed: float) -> int:
+        """``free`` then ``occupy`` in one call, for a cost known in advance.
+
+        Returns C if step t adapts and 0 if it falls inside a busy window.
+        Replay steps cost a few microseconds each, so this inlines the two
+        methods rather than calling them.
+        """
+        if t < self.busy_until:
+            return 0
+        c = relative_adaptation_speed(interval, elapsed)
+        self.busy_until = t + c
+        return c

@@ -131,37 +131,44 @@ def aggregate(per_domain: Sequence[DomainReport]) -> tuple[float, float | None, 
     return avg_error, overall_c, n_adapted / n_batches
 
 
-def merge_reports(reports: Sequence[RunReport]) -> RunReport:
-    """Concatenate per-domain results of runs that share all metadata."""
-    if not reports:
-        raise ValueError("no reports to merge")
-    head = reports[0]
-    for r in reports[1:]:
-        meta = (r.protocol, r.adapter, r.eta, r.seed)
-        if meta != (head.protocol, head.adapter, head.eta, head.seed):
-            raise ValueError("cannot merge reports with different run metadata")
-    per_domain = [d for r in reports for d in r.per_domain]
+def run_report(
+    schedule: list[ScheduleRecord],
+    domains: Sequence[tuple[int, int]],
+    *,
+    protocol: str,
+    adapter: str,
+    eta: float,
+    seed: int,
+    scenario: str = "",
+    fingerprints: list[str] | None = None,
+    notes: Sequence[str] = (),
+) -> RunReport:
+    """Collapse a run's step records into contiguous per-domain rows and its report.
+
+    ``domains`` holds (domain_id, index of the row's first record) for each
+    row in order; a row ends where the next one starts.  A caller splits rows
+    wherever the domain changes and at every segment boundary.
+    """
+    ends = [start for _, start in domains[1:]] + [len(schedule)]
+    per_domain = [
+        domain_report(domain_id, schedule[start:end])
+        for (domain_id, start), end in zip(domains, ends)
+    ]
     avg_error, overall_c, adapted_fraction = aggregate(per_domain)
-    schedules = None
-    if all(r.schedule is not None for r in reports):
-        schedules = [rec for r in reports for rec in r.schedule]
-    fingerprints = None
-    if all(r.fingerprints is not None for r in reports):
-        fingerprints = [fp for r in reports for fp in r.fingerprints]
     return RunReport(
-        run_id=head.run_id,
-        protocol=head.protocol,
-        scenario=head.scenario,
-        adapter=head.adapter,
-        eta=head.eta,
-        seed=head.seed,
+        run_id="",
+        protocol=protocol,
+        scenario=scenario,
+        adapter=adapter,
+        eta=eta,
+        seed=seed,
         per_domain=per_domain,
         avg_error=avg_error,
         mean_c=overall_c,
         adapted_fraction=adapted_fraction,
-        schedule=schedules,
+        schedule=schedule,
         fingerprints=fingerprints,
-        notes=[n for r in reports for n in r.notes],
+        notes=list(notes),
     )
 
 
@@ -216,11 +223,6 @@ def write_results_csv(path: str | Path, reports: Sequence[RunReport]) -> None:
                 ])
 
 
-def read_results_csv(path: str | Path) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def write_schedule_csv(path: str | Path, schedule: Sequence[ScheduleRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -236,14 +238,6 @@ def report_to_dict(report: RunReport) -> dict:
     return asdict(report)
 
 
-def report_from_dict(data: dict) -> RunReport:
-    data = dict(data)
-    data["per_domain"] = [DomainReport(**d) for d in data["per_domain"]]
-    if data.get("schedule") is not None:
-        data["schedule"] = [ScheduleRecord(**r) for r in data["schedule"]]
-    return RunReport(**data)
-
-
 def write_summary_json(
     path: str | Path, reports: Sequence[RunReport], deltas: Sequence[dict] | None = None
 ) -> None:
@@ -253,9 +247,3 @@ def write_summary_json(
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_summary_json(path: str | Path) -> tuple[list[RunReport], list[dict]]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return [report_from_dict(r) for r in payload["runs"]], payload.get("deltas", [])

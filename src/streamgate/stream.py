@@ -9,14 +9,12 @@ scenarios.  Every generator is a pure function of its spec and seed.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
-from .model import VAR_FLOOR, ModelParams, predict
+from .model import VAR_FLOOR, ModelParams
 
 EPISODIC = "episodic"
 CONTINUAL = "continual"
@@ -160,14 +158,16 @@ class TrainingError(RuntimeError):
     """Source-model training diverged."""
 
 
-def class_means(spec: SourceSpec) -> np.ndarray:
+def class_means(spec: SourceSpec, rng: np.random.Generator | None = None) -> np.ndarray:
     """Class-mean matrix (K, d), deterministic under the spec seed.
 
     Means are isotropic Gaussian with per-coordinate std separation/sqrt(d),
     i.e. the expected squared norm of a mean vector is separation**2.  This
-    keeps the difficulty of the task independent of the dimension.
+    keeps the difficulty of the task independent of the dimension.  They are
+    the first draws of ``rng``, by default a fresh generator on the spec seed.
     """
-    rng = np.random.default_rng(spec.seed)
+    if rng is None:
+        rng = np.random.default_rng(spec.seed)
     std = spec.class_separation / np.sqrt(spec.dim)
     return rng.normal(0.0, std, size=(spec.num_classes, spec.dim))
 
@@ -175,8 +175,7 @@ def class_means(spec: SourceSpec) -> np.ndarray:
 def make_source_dataset(spec: SourceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Labeled source sample set: unit-variance clusters around class means."""
     rng = np.random.default_rng(spec.seed)
-    std = spec.class_separation / np.sqrt(spec.dim)
-    means = rng.normal(0.0, std, size=(spec.num_classes, spec.dim))
+    means = class_means(spec, rng)
     n = spec.num_classes * spec.samples_per_class
     labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
     features = means[labels] + rng.standard_normal((n, spec.dim))
@@ -255,12 +254,6 @@ def apply_corruption(features: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
             masked[:, idx] = 0.0
         return masked
     raise ValueError(f"unknown corruption kind {spec.kind!r}")
-
-
-def rotation_matrix(spec: CorruptionSpec, dim: int) -> np.ndarray:
-    """The orthogonal matrix a rotation corruption would apply (for oracles)."""
-    rng = np.random.default_rng([spec.seed, CORRUPTION_KINDS.index(spec.kind), spec.severity])
-    return expm((spec.base_strength * spec.severity) * _rotation_generator(dim, rng))
 
 
 def _domain_key(corruption: CorruptionSpec | None) -> list[int]:
@@ -375,50 +368,3 @@ def default_scenario(
         batch_size=batch_size,
         append_clean=append_clean,
     )
-
-
-def nearest_mean_error(means: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    """Error of the nearest-class-mean rule; reference oracle for the task."""
-    d2 = ((features[:, None, :] - means[None, :, :]) ** 2).sum(axis=-1)
-    return float((d2.argmin(axis=1) != labels).mean())
-
-
-def model_error(params: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
-    yhat, _ = predict(params, features)
-    return float((yhat != labels).mean())
-
-
-def save_dataset(path: str | Path, features: np.ndarray, labels: np.ndarray,
-                 domain_ids: np.ndarray | None = None) -> None:
-    """Write a labeled sample set as CSV: feature_0..feature_{d-1},label,domain_id."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if domain_ids is None:
-        domain_ids = np.zeros(len(labels), dtype=int)
-    header = [f"feature_{j}" for j in range(features.shape[1])] + ["label", "domain_id"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for x, y, dom in zip(features, labels, domain_ids):
-            writer.writerow([repr(float(v)) for v in x] + [int(y), int(dom)])
-
-
-def load_dataset(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a dataset written by save_dataset; floats round-trip exactly."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 2
-        feats, labels, domains = [], [], []
-        for row in reader:
-            feats.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
-            domains.append(int(row[dim + 1]))
-    return np.asarray(feats), np.asarray(labels), np.asarray(domains)
-
-
-def permuted(scenario: ScenarioSpec, order: list[int]) -> ScenarioSpec:
-    """Scenario with its domain order permuted (continual order studies)."""
-    if sorted(order) != list(range(len(scenario.domain_order))):
-        raise ValueError("order must be a permutation of the domain indices")
-    return replace(scenario, domain_order=tuple(scenario.domain_order[i] for i in order))

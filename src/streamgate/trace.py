@@ -3,28 +3,22 @@
 A trace row records, for every stream step, the seconds an adaptation step
 spent (or would have spent) on that batch and how many predictions would be
 correct under adaptation versus under the fallback snapshot.  Replaying walks
-the busy-window schedule implied by a chosen clock and totals the matching
-correctness column, so error rates at any stream speed come out of one
-recording with no model reruns.
+the schedule that the busy-window rule of ``clock.Worker`` (the rule the
+simulated online protocol applies) gives under a chosen clock and totals the
+matching correctness column, so error rates at any stream speed come out of
+one recording with no model reruns.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .clock import StreamClock, relative_adaptation_speed
-from .report import (
-    ACTION_ADAPTED,
-    ACTION_SKIPPED_FALLBACK,
-    DomainReport,
-    RunReport,
-    ScheduleRecord,
-    aggregate,
-    domain_report,
-)
+from .clock import StreamClock, Worker
+from .report import ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK, RunReport, ScheduleRecord, run_report
 
 TRACE_COLUMNS = ["step", "latency", "correct_adapted", "correct_fallback", "domain_id", "batch_size"]
 
@@ -49,8 +43,8 @@ class TraceRecord:
     batch_size: int
 
     def __post_init__(self) -> None:
-        if self.latency <= 0:
-            raise ValueError("latency must be positive")
+        if not 0 < self.latency < math.inf:
+            raise ValueError(f"latency must be positive and finite, got {self.latency}")
         if not 0 <= self.correct_adapted <= self.batch_size:
             raise ValueError("correct_adapted must be within [0, batch_size]")
         if not 0 <= self.correct_fallback <= self.batch_size:
@@ -131,13 +125,17 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
         raise TraceFormatError("trace contains no records")
     _check_contiguous(trace)
     interval = clock.effective_interval
-    busy_until = 0
+    step = Worker().step
     version = 0
     records: list[ScheduleRecord] = []
+    domains: list[tuple[int, int]] = []
+    current_domain = None
     for rec in trace:
-        if rec.step >= busy_until:
-            c = relative_adaptation_speed(interval, rec.latency)
-            busy_until = rec.step + c
+        if rec.domain_id != current_domain:
+            current_domain = rec.domain_id
+            domains.append((current_domain, rec.step))
+        c = step(rec.step, interval, rec.latency)
+        if c:
             version += 1
             records.append(
                 ScheduleRecord(
@@ -160,27 +158,9 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
                     batch_size=rec.batch_size,
                 )
             )
-
-    per_domain: list[DomainReport] = []
-    start = 0
-    for i in range(1, len(trace) + 1):
-        if i == len(trace) or trace[i].domain_id != trace[start].domain_id:
-            per_domain.append(domain_report(trace[start].domain_id, records[start:i]))
-            start = i
-    avg_error, overall_c, adapted_fraction = aggregate(per_domain)
-    return RunReport(
-        run_id="",
-        protocol="online",
-        scenario="replay",
-        adapter="trace",
-        eta=clock.eta,
-        seed=0,
-        per_domain=per_domain,
-        avg_error=avg_error,
-        mean_c=overall_c,
-        adapted_fraction=adapted_fraction,
-        schedule=records,
-        notes=[FALLBACK_APPROXIMATION_NOTE],
+    return run_report(
+        records, domains, protocol="online", adapter="trace", eta=clock.eta, seed=0,
+        scenario="replay", notes=[FALLBACK_APPROXIMATION_NOTE],
     )
 
 

@@ -1,12 +1,13 @@
-"""Test doubles: adapters with controlled behavior for protocol tests."""
+"""Test doubles: adapters with controlled behavior for protocol tests, and oracles."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from streamgate.adapters import AdaptOutcome, Adapter, Constant, LatencyModel
 from streamgate.model import ModelParams, predict
-from streamgate.stream import Batch
+from streamgate.stream import CORRUPTION_KINDS, Batch, CorruptionSpec, _rotation_generator
 
 
 def tiny_params(dim: int = 4, num_classes: int = 3, seed: int = 0) -> ModelParams:
@@ -108,3 +109,20 @@ class FailingAdapter(Adapter):
         theta = self.params.copy()
         y_hat, _ = predict(theta, batch.features)
         return AdaptOutcome(batch.features, theta, y_hat, cost=None)
+
+
+def nearest_mean_error(means: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
+    """Error of the nearest-class-mean rule; reference oracle for the task."""
+    d2 = ((features[:, None, :] - means[None, :, :]) ** 2).sum(axis=-1)
+    return float((d2.argmin(axis=1) != labels).mean())
+
+
+def model_error(params: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
+    yhat, _ = predict(params, features)
+    return float((yhat != labels).mean())
+
+
+def rotation_matrix(spec: CorruptionSpec, dim: int) -> np.ndarray:
+    """The orthogonal matrix a rotation corruption applies, drawn as it draws it."""
+    rng = np.random.default_rng([spec.seed, CORRUPTION_KINDS.index(spec.kind), spec.severity])
+    return expm((spec.base_strength * spec.severity) * _rotation_generator(dim, rng))

@@ -17,10 +17,8 @@ from streamgate.model import params_fingerprint
 from streamgate.protocol import (
     FixedModulo,
     ProtocolConfig,
-    run_offline,
-    run_online,
     run_segments,
-    run_single_model,
+    run_stream,
 )
 from streamgate.report import ACTION_ADAPTED
 from streamgate.stream import (
@@ -73,10 +71,10 @@ def test_criterion_1_offline_recovery(mini_spec, mini_pretrained):
             # re-tick the concatenated stream for a single-run comparison
             stream = [replace(b, t=i) for i, b in enumerate(stream)]
             preds_off, preds_mod = [], []
-            off = run_offline(stream, make_adapter(name, mini_pretrained), mini_pretrained,
+            off = run_stream(stream, make_adapter(name, mini_pretrained), mini_pretrained,
                               ProtocolConfig(protocol="offline", seed=seed),
                               predictions_out=preds_off)
-            mod = run_online(stream, make_adapter(name, mini_pretrained), mini_pretrained,
+            mod = run_stream(stream, make_adapter(name, mini_pretrained), mini_pretrained,
                              ProtocolConfig(protocol="online", schedule_mode=FixedModulo(1),
                                             seed=seed),
                              predictions_out=preds_mod)
@@ -92,7 +90,7 @@ def test_criterion_2_skip_fraction_exactness(k):
     for n in (10, 64, 1000):
         stream = tiny_stream(n, batch_size=2, dim=2, num_classes=2, seed=1)
         adapter = FixedErrorAdapter(params, latency=Constant(float(k)), error_rate=0.0)
-        report = run_online(stream, adapter, params,
+        report = run_stream(stream, adapter, params,
                             ProtocolConfig(protocol="online", seed=0))
         adapted = sum(r.action == ACTION_ADAPTED for r in report.schedule)
         assert adapted == -(-n // k), (n, k)
@@ -185,7 +183,7 @@ def test_criterion_5_single_model_mixture(mini_spec, mini_pretrained):
     stream = tiny_stream(n_batches, batch_size=batch_size, dim=4,
                          num_classes=num_classes, seed=4)
     adapter = FixedErrorAdapter(params, latency=Constant(2.0), error_rate=0.2)
-    report = run_single_model(stream, adapter, params,
+    report = run_stream(stream, adapter, params,
                               ProtocolConfig(protocol="single_model", seed=9),
                               num_classes=num_classes)
     total = n_batches * batch_size
@@ -266,7 +264,7 @@ def test_criterion_8_episodic_and_continual_semantics(source_spec, pretrained):
     independent = []
     for segment in segments:
         fresh = make_adapter("entropy_min", pretrained, latency=Constant(3.0))
-        independent.append(run_online(segment.batches, fresh, pretrained, cfg))
+        independent.append(run_stream(segment.batches, fresh, pretrained, cfg))
     assert merged.per_domain == [d for r in independent for d in r.per_domain]
     assert merged.schedule == [rec for r in independent for rec in r.schedule]
 
@@ -293,7 +291,7 @@ def test_criterion_9_trace_replay_closure(source_spec, pretrained):
     cfg = ProtocolConfig(protocol="online", seed=1)
     trace = []
     adapter = make_adapter("entropy_min", pretrained, latency=Constant(3.0))
-    original = run_online(stream, adapter, pretrained, cfg, trace_out=trace)
+    original = run_stream(stream, adapter, pretrained, cfg, trace_out=trace)
 
     replayed = replay_online(trace, StreamClock())
     assert replayed.avg_error == original.avg_error

@@ -17,7 +17,6 @@ from streamgate.adapters import (
     Stochastic,
     cross_entropy_gradient,
     entropy_gradient,
-    latency_of,
     make_adapter,
     mean_prediction_entropy,
     per_sample_entropy,
@@ -368,16 +367,6 @@ def test_outcome_invariants(name, mini_pretrained, mini_spec):
 def test_make_adapter_rejects_unknown_name(mini_pretrained):
     with pytest.raises(ValueError, match="unknown adapter"):
         make_adapter("diffusion", mini_pretrained)
-
-
-def test_latency_of_simulated_and_measured(mini_pretrained, mini_spec):
-    adapter = SourceAdapter(mini_pretrained, latency=Constant(2.5))
-    batch = domain_batch(mini_spec, None)
-    assert latency_of(adapter, batch, "simulated") == 2.5
-    measured = latency_of(adapter, batch, "measured")
-    assert measured > 0
-    with pytest.raises(ValueError):
-        latency_of(adapter, batch, "profiled")
 
 
 def test_default_latency_profile_by_adapter(mini_pretrained):

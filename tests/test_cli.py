@@ -45,8 +45,10 @@ def test_parse_config_text_basics():
 
 
 def test_build_experiment_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        build_experiment({"sourc.classes": "10"})
+    # A known prefix is not enough: a mistyped key would otherwise be ignored.
+    for key in ("sourc.classes", "adapter.latncy.kind", "clock.etaa", "run.name"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_experiment({key: "constant"})
 
 
 def test_build_experiment_rejects_unknown_adapter():
@@ -195,6 +197,10 @@ def test_malformed_numeric_config_values_exit_2(tmp_path, capsys):
         ("adapter.latency.seconds=-3\n", "adapter.latency.seconds"),
         ("adapter.latency.kind=per_sample\nadapter.latency.base=nan\n", "adapter.latency.base"),
         ("adapter.latency.kind=stochastic\nadapter.latency.jitter=-inf\n", "adapter.latency.jitter"),
+        # per_sample and base both default to 0: every step would cost nothing.
+        ("adapter.latency.kind=per_sample\n", "adapter.latency.per_sample"),
+        ("adapter.latency.kind=per_sample\nadapter.latency.per_sample=-1\n"
+         "adapter.latency.base=40\n", "adapter.latency.per_sample"),
     ],
 )
 def test_bad_latency_config_exits_2_naming_the_key(tmp_path, capsys, lines, key):
@@ -209,7 +215,13 @@ def test_replay_missing_file_exits_2(tmp_path):
     assert run_cli("replay", "--trace", str(tmp_path / "none.csv")) == 2
 
 
-def test_replay_malformed_trace_exits_2(tmp_path):
+def test_replay_malformed_trace_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("step,latency\n")
     assert run_cli("replay", "--trace", str(path)) == 2
+    header = "step,latency,correct_adapted,correct_fallback,domain_id,batch_size\n"
+    for latency in ("nan", "inf"):
+        path.write_text(header + "0,1.0,5,3,0,10\n" + f"1,{latency},5,3,0,10\n")
+        capsys.readouterr()
+        assert run_cli("replay", "--trace", str(path)) == 2
+        assert f"{path}:3: latency must be positive and finite" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Relative-speed ceiling, stream intervals, and the schedule decision rule."""
+"""Relative-speed ceiling, stream intervals, and the busy-window rule."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamgate.clock import (
-    ADAPT,
-    SKIP,
     StreamClock,
+    Worker,
     effective_stream_interval,
     relative_adaptation_speed,
-    schedule_decision,
 )
 
 
@@ -90,14 +88,17 @@ def test_effective_stream_interval_rejects_bad_eta(eta):
 
 
 def test_schedule_decision_boundaries():
-    assert schedule_decision(0, 0) == ADAPT
-    assert schedule_decision(1, 3) == SKIP
-    assert schedule_decision(3, 3) == ADAPT  # busy window is half-open
-
-
-def test_schedule_decision_rejects_negative():
-    with pytest.raises(ValueError):
-        schedule_decision(-1, 0)
+    worker = Worker()
+    assert worker.free(0)
+    assert worker.occupy(0, 1.0, 3.0) == 3  # busy over [0, 3)
+    assert not worker.free(1)
+    assert not worker.free(2)
+    assert worker.free(3)  # busy window is half-open
+    # step() is free-then-occupy in one call: 0 inside the window, else C.
+    assert worker.step(2, 1.0, 1.0) == 0
+    assert worker.step(3, 1.0, 2.0) == 2
+    assert worker.step(4, 1.0, 1.0) == 0
+    assert worker.step(5, 1.0, 1.0) == 1
 
 
 def test_stream_clock_interval_identity():

@@ -9,16 +9,14 @@ import pytest
 
 from streamgate.adapters import Constant, EntropyMinAdapter, SourceAdapter, Stochastic
 from streamgate.clock import StreamClock
-from streamgate.model import params_equal
+from streamgate.model import params_equal, params_fingerprint
 from streamgate.protocol import (
     BusyWindow,
     FixedModulo,
     ProtocolConfig,
     ProtocolError,
-    run_offline,
-    run_online,
     run_segments,
-    run_single_model,
+    run_stream,
 )
 from streamgate.report import ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK, ACTION_SKIPPED_RANDOM
 from streamgate.stream import StreamSegment
@@ -37,7 +35,7 @@ def test_busy_window_hand_schedule():
     params = tiny_params()
     stream = tiny_stream(6)
     adapter = SourceAdapter(params, latency=Constant(3.0))
-    report = run_online(stream, adapter, params, ON)
+    report = run_stream(stream, adapter, params, ON)
     assert adapted_steps(report) == [0, 3]
     skipped = [r.step for r in report.schedule if r.action == ACTION_SKIPPED_FALLBACK]
     assert skipped == [1, 2, 4, 5]
@@ -49,10 +47,10 @@ def test_fast_adapter_recovers_offline_protocol():
     params = tiny_params()
     stream = tiny_stream(12)
     preds_on, preds_off = [], []
-    on = run_online(stream, SourceAdapter(params, latency=Constant(0.8)), params, ON,
+    on = run_stream(stream, SourceAdapter(params, latency=Constant(0.8)), params, ON,
                     predictions_out=preds_on)
-    off = run_offline(stream, SourceAdapter(params, latency=Constant(0.8)), params, OFF,
-                      predictions_out=preds_off)
+    off = run_stream(stream, SourceAdapter(params, latency=Constant(0.8)), params, OFF,
+                     predictions_out=preds_off)
     assert replace(on, protocol="offline") == off
     assert all(np.array_equal(a, b) for a, b in zip(preds_on, preds_off))
 
@@ -61,7 +59,7 @@ def test_fixed_modulo_two_adapts_even_steps():
     params = tiny_params()
     stream = tiny_stream(10)
     cfg = replace(ON, schedule_mode=FixedModulo(2))
-    report = run_online(stream, SourceAdapter(params, latency=Constant(5.0)), params, cfg)
+    report = run_stream(stream, SourceAdapter(params, latency=Constant(5.0)), params, cfg)
     assert adapted_steps(report) == [0, 2, 4, 6, 8]
     assert sum(r.action == ACTION_ADAPTED for r in report.schedule) == 5
 
@@ -71,10 +69,10 @@ def test_fixed_modulo_one_is_bit_identical_to_offline(latency):
     params = tiny_params(seed=3)
     stream = tiny_stream(15, seed=5)
     p_off, p_mod = [], []
-    off = run_offline(stream, EntropyMinAdapter(params, latency=latency, learning_rate=0.3),
-                      params, replace(OFF, seed=7), predictions_out=p_off)
+    off = run_stream(stream, EntropyMinAdapter(params, latency=latency, learning_rate=0.3),
+                     params, replace(OFF, seed=7), predictions_out=p_off)
     cfg = replace(ON, schedule_mode=FixedModulo(1), seed=7)
-    mod = run_online(stream, EntropyMinAdapter(params, latency=latency, learning_rate=0.3),
+    mod = run_stream(stream, EntropyMinAdapter(params, latency=latency, learning_rate=0.3),
                      params, cfg, predictions_out=p_mod)
     assert replace(mod, protocol="offline") == off
     assert len(p_off) == len(p_mod)
@@ -84,7 +82,7 @@ def test_fixed_modulo_one_is_bit_identical_to_offline(latency):
 @pytest.mark.parametrize("n,k", [(10, 3), (64, 12), (100, 1)])
 def test_skip_count_is_ceiling_of_n_over_k(n, k):
     params = tiny_params()
-    report = run_online(tiny_stream(n), SourceAdapter(params, latency=Constant(float(k))),
+    report = run_stream(tiny_stream(n), SourceAdapter(params, latency=Constant(float(k))),
                         params, ON)
     assert sum(r.action == ACTION_ADAPTED for r in report.schedule) == -(-n // k)
 
@@ -92,8 +90,8 @@ def test_skip_count_is_ceiling_of_n_over_k(n, k):
 def test_busy_window_equals_fixed_modulo_for_constant_cost():
     params = tiny_params()
     stream = tiny_stream(12)
-    busy = run_online(stream, SourceAdapter(params, latency=Constant(3.0)), params, ON)
-    fixed = run_online(stream, SourceAdapter(params, latency=Constant(3.0)), params,
+    busy = run_stream(stream, SourceAdapter(params, latency=Constant(3.0)), params, ON)
+    fixed = run_stream(stream, SourceAdapter(params, latency=Constant(3.0)), params,
                        replace(ON, schedule_mode=FixedModulo(3)))
     assert adapted_steps(busy) == adapted_steps(fixed)
 
@@ -103,7 +101,7 @@ def test_adapted_fraction_monotone_in_eta():
     stream = tiny_stream(24)
     fractions = []
     for eta in (1.0, 0.5, 0.25):
-        report = run_online(stream, SourceAdapter(params, latency=Constant(3.0)), params, ON,
+        report = run_stream(stream, SourceAdapter(params, latency=Constant(3.0)), params, ON,
                             clock=StreamClock(eta=eta))
         fractions.append(report.adapted_fraction)
     assert fractions == sorted(fractions)
@@ -114,7 +112,7 @@ def test_runs_are_deterministic():
     params = tiny_params(seed=2)
     stream = tiny_stream(20, seed=8)
     reports = [
-        run_online(stream, EntropyMinAdapter(params, latency=Stochastic(2.0, 1.0, seed=1)),
+        run_stream(stream, EntropyMinAdapter(params, latency=Stochastic(2.0, 1.0, seed=1)),
                    params, replace(ON, seed=3))
         for _ in range(2)
     ]
@@ -125,10 +123,10 @@ def test_single_model_skips_are_random_and_seeded():
     params = tiny_params()
     stream = tiny_stream(9)
     cfg = ProtocolConfig(protocol="single_model", seed=11)
-    a = run_single_model(stream, SourceAdapter(params, latency=Constant(3.0)), params, cfg,
-                         num_classes=3)
-    b = run_single_model(stream, SourceAdapter(params, latency=Constant(3.0)), params, cfg,
-                         num_classes=3)
+    a = run_stream(stream, SourceAdapter(params, latency=Constant(3.0)), params, cfg,
+                   num_classes=3)
+    b = run_stream(stream, SourceAdapter(params, latency=Constant(3.0)), params, cfg,
+                   num_classes=3)
     assert a == b
     actions = {r.step: r.action for r in a.schedule}
     assert actions[0] == ACTION_ADAPTED
@@ -138,9 +136,9 @@ def test_single_model_skips_are_random_and_seeded():
 def test_single_model_with_fast_adapter_equals_online():
     params = tiny_params()
     stream = tiny_stream(10)
-    single = run_single_model(stream, SourceAdapter(params, latency=Constant(1.0)), params,
-                              ProtocolConfig(protocol="single_model", seed=0), num_classes=3)
-    online = run_online(stream, SourceAdapter(params, latency=Constant(1.0)), params, ON)
+    single = run_stream(stream, SourceAdapter(params, latency=Constant(1.0)), params,
+                        ProtocolConfig(protocol="single_model", seed=0), num_classes=3)
+    online = run_stream(stream, SourceAdapter(params, latency=Constant(1.0)), params, ON)
     assert replace(single, protocol="online") == online
 
 
@@ -149,8 +147,8 @@ def test_single_model_slow_adapter_approaches_chance():
     params = tiny_params(dim=4, num_classes=num_classes, seed=6)
     stream = tiny_stream(80, batch_size=25, num_classes=num_classes, seed=7)
     cfg = ProtocolConfig(protocol="single_model", seed=5)
-    report = run_single_model(stream, PerfectAdapter(params, latency=Constant(1e6)), params,
-                              cfg, num_classes=num_classes)
+    report = run_stream(stream, PerfectAdapter(params, latency=Constant(1e6)), params,
+                        cfg, num_classes=num_classes)
     assert sum(r.action == ACTION_ADAPTED for r in report.schedule) == 1
     skipped = [r for r in report.schedule if r.action == ACTION_SKIPPED_RANDOM]
     n = sum(r.batch_size for r in skipped)
@@ -164,8 +162,8 @@ def test_immediate_vs_delayed_fallback_visibility():
     params = tiny_params(seed=4)
     stream = tiny_stream(6, seed=9)
     adapter = lambda: BetaShiftAdapter(params, latency=Constant(3.0))
-    imm = run_online(stream, adapter(), params, replace(ON, fallback_visibility="immediate"))
-    dly = run_online(stream, adapter(), params, replace(ON, fallback_visibility="delayed"))
+    imm = run_stream(stream, adapter(), params, replace(ON, fallback_visibility="immediate"))
+    dly = run_stream(stream, adapter(), params, replace(ON, fallback_visibility="delayed"))
     # Adapted at {0, 3}; versions seen by skipped steps differ by one snapshot.
     assert [r.params_version for r in imm.schedule] == [1, 1, 1, 2, 2, 2]
     assert [r.params_version for r in dly.schedule] == [1, 0, 0, 2, 1, 1]
@@ -178,7 +176,7 @@ def test_alpha_one_preserves_parameters():
     params = tiny_params(seed=1)
     stream = tiny_stream(8, seed=2)
     adapter = BetaShiftAdapter(params, latency=Constant(1.0))
-    run_offline(stream, adapter, params, replace(OFF, alpha=1.0))
+    run_stream(stream, adapter, params, replace(OFF, alpha=1.0))
     assert params_equal(adapter.params, params)
 
 
@@ -186,14 +184,14 @@ def test_alpha_half_blends_parameters():
     params = tiny_params(seed=1)
     stream = tiny_stream(1)
     adapter = BetaShiftAdapter(params, latency=Constant(1.0), step=4.0)
-    run_offline(stream, adapter, params, replace(OFF, alpha=0.5))
+    run_stream(stream, adapter, params, replace(OFF, alpha=0.5))
     assert np.allclose(adapter.params.beta, params.beta + 2.0)
 
 
 def test_empty_stream_rejected():
     params = tiny_params()
     with pytest.raises(ValueError, match="empty"):
-        run_offline([], SourceAdapter(params), params, OFF)
+        run_stream([], SourceAdapter(params), params, OFF)
 
 
 def test_non_contiguous_ticks_rejected():
@@ -201,14 +199,16 @@ def test_non_contiguous_ticks_rejected():
     stream = tiny_stream(4)
     stream[2] = replace(stream[2], t=5)
     with pytest.raises(ValueError, match="contiguous"):
-        run_offline(stream, SourceAdapter(params), params, OFF)
+        run_stream(stream, SourceAdapter(params), params, OFF)
+    with pytest.raises(ValueError, match="non-negative"):
+        replace(stream[0], t=-1)  # a negative tick never reaches the busy-window rule
 
 
 def test_adapter_failure_aborts_with_step_index():
     params = tiny_params()
     stream = tiny_stream(8)
     with pytest.raises(ProtocolError, match="step 3"):
-        run_offline(stream, FailingAdapter(params, fail_at=3), params, OFF)
+        run_stream(stream, FailingAdapter(params, fail_at=3), params, OFF)
 
 
 @pytest.mark.parametrize(
@@ -222,19 +222,15 @@ def test_invalid_adapter_output_aborts_naming_adapter_and_step(adapter_kwargs, c
     params = tiny_params()
     stream = tiny_stream(4)
     with pytest.raises(ProtocolError, match=f"adapter 'beta_shift' failed at step 0: {cause}"):
-        run_offline(stream, BetaShiftAdapter(params, **adapter_kwargs), params, OFF)
+        run_stream(stream, BetaShiftAdapter(params, **adapter_kwargs), params, OFF)
 
 
 def test_runner_protocol_field_is_validated():
     params = tiny_params()
     stream = tiny_stream(2)
     with pytest.raises(ValueError):
-        run_offline(stream, SourceAdapter(params), params, ON)
-    with pytest.raises(ValueError):
-        run_online(stream, SourceAdapter(params), params, OFF)
-    with pytest.raises(ValueError):
-        run_single_model(stream, SourceAdapter(params), params,
-                         ProtocolConfig(protocol="single_model"), num_classes=1)
+        run_stream(stream, SourceAdapter(params), params,
+                   ProtocolConfig(protocol="single_model"), num_classes=1)
 
 
 def test_schedule_mode_validation():
@@ -251,16 +247,32 @@ def test_run_segments_resets_between_episodic_domains():
     adapter = EntropyMinAdapter(params, latency=Constant(1.0), learning_rate=0.4)
     merged = run_segments([seg_a, seg_b], adapter, params, OFF)
 
-    fresh_a = run_offline(seg_a.batches,
-                          EntropyMinAdapter(params, latency=Constant(1.0), learning_rate=0.4),
-                          params, OFF)
-    fresh_b = run_offline(seg_b.batches,
-                          EntropyMinAdapter(params, latency=Constant(1.0), learning_rate=0.4),
-                          params, OFF)
+    fresh_a = run_stream(seg_a.batches,
+                         EntropyMinAdapter(params, latency=Constant(1.0), learning_rate=0.4),
+                         params, OFF)
+    fresh_b = run_stream(seg_b.batches,
+                         EntropyMinAdapter(params, latency=Constant(1.0), learning_rate=0.4),
+                         params, OFF)
     assert merged.per_domain == fresh_a.per_domain + fresh_b.per_domain
     assert merged.avg_error == pytest.approx(
         (fresh_a.avg_error + fresh_b.avg_error) / 2
     )
+
+
+def test_segment_without_reset_continues_from_current_parameters():
+    params = tiny_params(seed=3)
+    seg_a = StreamSegment(reset=True, batches=tiny_stream(5, seed=1, domain_id=0))
+    seg_b = StreamSegment(reset=False, batches=tiny_stream(5, seed=2, domain_id=1))
+    adapter = EntropyMinAdapter(params, latency=Constant(1.0), learning_rate=0.5)
+    report = run_segments([seg_a, seg_b], adapter, params, OFF)
+    assert report.fingerprints[0] == params_fingerprint(params)
+    assert report.fingerprints[1] != params_fingerprint(params)
+
+    # The second segment picks up exactly where one uninterrupted run leaves off.
+    first = EntropyMinAdapter(params, latency=Constant(1.0), learning_rate=0.5)
+    run_stream(seg_a.batches, first, params, OFF)
+    assert report.fingerprints[1] == params_fingerprint(first.params)
+    assert [d.domain_id for d in report.per_domain] == [0, 1]
 
 
 def test_offline_source_adapter_equals_direct_evaluation(source_spec, pretrained):
@@ -288,8 +300,8 @@ def test_total_rejection_matches_source_run_at_forward_cost(mini_pretrained):
     gated = RejectionEntropyAdapter(mini_pretrained, entropy_threshold=1e-9,
                                     latency=Constant(3.0), latency_reject=Constant(1.0))
     ungated = SourceAdapter(mini_pretrained, latency=Constant(1.0))
-    a = run_online(stream, gated, mini_pretrained, ON)
-    b = run_online(stream, ungated, mini_pretrained, ON)
+    a = run_stream(stream, gated, mini_pretrained, ON)
+    b = run_stream(stream, ungated, mini_pretrained, ON)
     assert a.adapted_fraction == b.adapted_fraction == 1.0  # every cost is one tick
     assert [r.error_count for r in a.schedule] == [r.error_count for r in b.schedule]
     assert a.mean_c == b.mean_c == 1.0
@@ -320,7 +332,7 @@ def test_busy_window_spanning_whole_domains_reports_zero_adaptation():
     stream = (tiny_stream(4, seed=1, domain_id=0)
               + [replace(b, t=b.t + 4) for b in tiny_stream(4, seed=2, domain_id=1)]
               + [replace(b, t=b.t + 8) for b in tiny_stream(4, seed=3, domain_id=2)])
-    report = run_online(stream, SourceAdapter(params, latency=Constant(100.0)), params, ON)
+    report = run_stream(stream, SourceAdapter(params, latency=Constant(100.0)), params, ON)
     assert [d.n_adapted for d in report.per_domain] == [1, 0, 0]
     assert report.per_domain[1].mean_c is None
     assert report.mean_c == 100.0
@@ -331,5 +343,5 @@ def test_measured_timing_runs_and_stays_positive():
     params = tiny_params()
     stream = tiny_stream(6)
     cfg = replace(ON, timing="measured")
-    report = run_online(stream, SourceAdapter(params, latency=Constant(9.0)), params, cfg)
+    report = run_stream(stream, SourceAdapter(params, latency=Constant(9.0)), params, cfg)
     assert all(r.c_value >= 1 for r in report.schedule if r.action == ACTION_ADAPTED)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -19,16 +20,34 @@ from streamgate.report import (
     delta,
     error_rate,
     mean_c,
-    merge_reports,
     per_category_error,
-    read_results_csv,
-    report_from_dict,
     report_to_dict,
+    run_report,
     write_results_csv,
     write_schedule_csv,
     write_summary_json,
-    read_summary_json,
 )
+
+
+# Readers for the round-trip tests; the package itself only writes these files.
+
+def read_results_csv(path) -> list[dict[str, str]]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def report_from_dict(data: dict) -> RunReport:
+    data = dict(data)
+    data["per_domain"] = [DomainReport(**d) for d in data["per_domain"]]
+    if data.get("schedule") is not None:
+        data["schedule"] = [ScheduleRecord(**r) for r in data["schedule"]]
+    return RunReport(**data)
+
+
+def read_summary_json(path) -> tuple[list[RunReport], list[dict]]:
+    with open(path) as fh:
+        payload = json.load(fh)
+    return [report_from_dict(r) for r in payload["runs"]], payload.get("deltas", [])
 
 
 def rec(step, action=ACTION_ADAPTED, c=1, errors=0, size=10, version=1):
@@ -129,17 +148,23 @@ def test_schedule_record_validation():
         ScheduleRecord(0, "paused", 1, 1, 0, 10)
 
 
-def test_merge_reports_concatenates_domains():
-    a, b = sample_report(), sample_report()
-    b.per_domain = [DomainReport(2, 10, 10, 0.6, 1.0)]
-    merged = merge_reports([a, b])
-    assert [d.domain_id for d in merged.per_domain] == [0, 1, 2]
-    assert merged.avg_error == pytest.approx((0.2 + 0.4 + 0.6) / 3)
-
-
-def test_merge_rejects_mismatched_metadata():
-    with pytest.raises(ValueError):
-        merge_reports([sample_report(seed=0), sample_report(seed=1)])
+def test_run_report_rows_follow_the_given_domain_starts():
+    # Domain 0, then domain 1, then domain 1 again behind a segment boundary.
+    schedule = [rec(0, errors=2), rec(1, ACTION_SKIPPED_FALLBACK, errors=4),
+                rec(2, c=3, errors=1), rec(3, ACTION_SKIPPED_FALLBACK, errors=5),
+                rec(0, c=2, errors=0), rec(1, ACTION_SKIPPED_FALLBACK, errors=10)]
+    report = run_report(schedule, [(0, 0), (1, 2), (1, 4)], protocol="online",
+                        adapter="x", eta=0.5, seed=3, fingerprints=["a", "b", "c"])
+    assert [d.domain_id for d in report.per_domain] == [0, 1, 1]
+    assert [d.n_batches for d in report.per_domain] == [2, 2, 2]
+    assert [d.error_rate for d in report.per_domain] == [6 / 20, 6 / 20, 10 / 20]
+    assert [d.mean_c for d in report.per_domain] == [1.0, 3.0, 2.0]
+    assert report.avg_error == pytest.approx(1.1 / 3)
+    assert report.mean_c == 2.0
+    assert report.adapted_fraction == 3 / 6
+    assert report.schedule is schedule
+    assert (report.protocol, report.adapter, report.eta, report.seed) == ("online", "x", 0.5, 3)
+    assert report.fingerprints == ["a", "b", "c"] and report.notes == []
 
 
 def test_results_csv_columns_and_round_trip(tmp_path):

@@ -15,7 +15,7 @@ from streamgate.adapters import (
 )
 from streamgate.clock import StreamClock
 from streamgate.model import params_equal
-from streamgate.protocol import ProtocolConfig, run_online, run_segments
+from streamgate.protocol import ProtocolConfig, run_segments, run_stream
 from streamgate.report import ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK
 from streamgate.stream import CorruptionSpec, ScenarioSpec, compose_stream
 from streamgate.trace import (
@@ -67,9 +67,10 @@ def test_parse_rejects_header_only(tmp_path):
 
 def test_parse_reports_line_numbers_for_malformed_rows(tmp_path):
     path = tmp_path / "t.csv"
-    write_raw(path, ["0,1.0,5,3,0,10", "1,not-a-number,5,3,0,10"])
-    with pytest.raises(TraceFormatError, match=":3:"):
-        parse_trace(path)
+    for latency in ("not-a-number", "nan", "inf", "-inf", "0"):
+        write_raw(path, ["0,1.0,5,3,0,10", f"1,{latency},5,3,0,10"])
+        with pytest.raises(TraceFormatError, match=":3:"):
+            parse_trace(path)
 
 
 def test_parse_rejects_non_contiguous_steps(tmp_path):
@@ -152,7 +153,7 @@ def test_replay_of_simulated_run_reproduces_error_exactly():
     trace = []
     cfg = ProtocolConfig(protocol="online", seed=2)
     adapter = EntropyMinAdapter(params, latency=Constant(2.5), learning_rate=0.3)
-    original = run_online(stream, adapter, params, cfg, trace_out=trace)
+    original = run_stream(stream, adapter, params, cfg, trace_out=trace)
     replayed = replay_online(trace, StreamClock())
     assert replayed.avg_error == original.avg_error
     assert replayed.adapted_fraction == original.adapted_fraction

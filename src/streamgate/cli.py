@@ -1,10 +1,12 @@
 """Command-line front end: declarative configs, eta sweeps, trace replay.
 
-Configs are flat ``key=value`` text with dotted keys ('#' starts a comment).
-All outputs are deterministic under simulated timing: runs execute seed by
-seed, each seed's stream composed once and shared by all of that seed's runs,
-and are then written in sorted order with floats serialized via their exact
-repr.
+Configs are flat ``key=value`` text ('#' starts a comment).  ``SCHEMA`` defines
+each key once: the object it sets, the field, and the value parser.  A key left
+out or left empty keeps the object's own default, and a rejected value is
+reported under its key.  ``run`` and ``sweep`` share one path: build, construct
+each adapter once, then run seed by seed on one composed stream per seed.
+Outputs are deterministic under simulated timing: rows are written in sorted
+order with floats serialized via their exact repr.
 
 Exit codes: 0 success, 2 usage/config error, 1 runtime failure.
 """
@@ -12,14 +14,19 @@ Exit codes: 0 success, 2 usage/config error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import functools
-import math
+import inspect
 import os
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import adapters as adapters_mod
+from .adapters import MEASURED, Constant, PerSample, Stochastic
 from .clock import StreamClock
 from .model import ModelParams
 from .protocol import (
@@ -40,39 +47,18 @@ from .report import (
     write_summary_json,
 )
 from .stream import (
-    CONTINUAL,
-    CORRUPTION_KINDS,
     DEFAULT_SAMPLES_PER_DOMAIN,
-    EPISODIC,
     CorruptionSpec,
     ScenarioSpec,
     SourceSpec,
     StreamSegment,
     TrainSpec,
     compose_stream,
-    default_corruption_suite,
+    default_scenario,
     make_source_dataset,
     pretrain_source_model,
 )
 from .trace import TraceFormatError, parse_trace, replay_online
-
-DEFAULT_ETA_GRID = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
-
-PROTOCOLS = (OFFLINE, ONLINE, SINGLE_MODEL)
-
-
-# Every key build_experiment reads.
-CONFIG_KEYS = frozenset({
-    "source.classes", "source.dim", "source.separation", "source.samples_per_class",
-    "source.seed", "pretrain.learning_rate", "pretrain.iterations", "pretrain.seed",
-    "stream.batch_size", "stream.samples_per_domain", "scenario.mode", "scenario.domains",
-    "scenario.severity", "scenario.append_clean", "adapter.name", "adapter.learning_rate",
-    "adapter.entropy_threshold", "adapter.prior_weight", "adapter.latency.kind",
-    "adapter.latency.seconds", "adapter.latency.per_sample", "adapter.latency.base",
-    "adapter.latency.mean", "adapter.latency.jitter", "adapter.latency.seed",
-    "protocol.mode", "protocol.schedule", "protocol.alpha", "protocol.visibility",
-    "protocol.timing", "clock.rate", "clock.eta", "seeds", "out", "run.id",
-})
 
 
 class ConfigError(ValueError):
@@ -93,94 +79,147 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _parse_typed(cfg: dict[str, str], key: str, kind, default):
-    raw = cfg.get(key)
-    if raw is None or raw == "":
-        return default
+@contextlib.contextmanager
+def _named(name: str):
+    """Report a ValueError raised in the block as a ConfigError naming ``name``."""
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
-def _parse_list(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
+def _number(raw: str) -> float:
+    """A finite float, written as a decimal or as an exact fraction such as 1/16."""
+    try:
+        return float(Fraction(raw))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"cannot parse {raw!r} as a finite number") from None
 
 
-def _parse_domains(cfg: dict[str, str]) -> tuple[CorruptionSpec, ...]:
-    raw = cfg.get("scenario.domains", "default")
-    severity = _parse_typed(cfg, "scenario.severity", int, 5)
-    if raw == "default":
-        return default_corruption_suite(severity)
-    specs = []
-    for token in _parse_list(raw):
-        parts = token.split(":")
-        kind = parts[0]
-        if kind not in CORRUPTION_KINDS:
-            raise ConfigError(f"scenario.domains: unknown corruption kind {kind!r}")
-        try:
-            sev = int(parts[1]) if len(parts) > 1 else severity
-            seed = int(parts[2]) if len(parts) > 2 else 0
-            specs.append(CorruptionSpec(kind=kind, severity=sev, seed=seed))
-        except ValueError as exc:
-            raise ConfigError(f"scenario.domains: {token!r}: {exc}") from None
-    if not specs:
-        raise ConfigError("scenario.domains: no domains given")
-    return tuple(specs)
+def _positive(raw: str) -> float:
+    value = _number(raw)
+    if value <= 0:
+        raise ValueError(f"must be positive, got {raw!r}")
+    return value
 
 
-def _parse_latency(cfg: dict[str, str]) -> adapters_mod.LatencyModel | None:
-    kind = cfg.get("adapter.latency.kind")
-    if kind in (None, "", "default"):
-        return None
-
-    def seconds(name: str, default: float) -> float:
-        key = f"adapter.latency.{name}"
-        value = _parse_typed(cfg, key, float, default)
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {cfg[key]!r}")
-        return value
-
-    if kind == "constant":
-        value = seconds("seconds", 1.0)
-        if value <= 0:
-            raw = cfg["adapter.latency.seconds"]
-            raise ConfigError(f"adapter.latency.seconds: must be positive, got {raw!r}")
-        return adapters_mod.Constant(value)
-    if kind == "per_sample":
-        per_sample, base = seconds("per_sample", 0.0), seconds("base", 0.0)
-        # per_sample >= 0 makes a one-sample batch the cheapest one.
-        if per_sample < 0 or per_sample + base <= 0:
-            raise ConfigError(
-                "adapter.latency.per_sample: per_sample must be >= 0 and "
-                f"per_sample + base positive, got {per_sample!r} and {base!r}"
-            )
-        return adapters_mod.PerSample(per_sample=per_sample, base=base)
-    if kind == "stochastic":
-        return adapters_mod.Stochastic(
-            mean=seconds("mean", 1.0),
-            jitter=seconds("jitter", 0.0),
-            seed=_parse_typed(cfg, "adapter.latency.seed", int, 0),
-        )
-    raise ConfigError(f"adapter.latency.kind: unknown kind {kind!r}")
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"cannot parse {raw!r} as a boolean")
 
 
-def _parse_schedule(cfg: dict[str, str]) -> BusyWindow | FixedModulo:
-    raw = cfg.get("protocol.schedule", "busy_window")
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"unknown value {raw!r} (known: {', '.join(options)})")
+        return raw
+    return parse
+
+
+def _list(item: Callable[[str], object] = str) -> Callable[[str], tuple]:
+    """Parser of a comma list of ``item`` values; duplicate values are rejected."""
+    def parse(raw: str) -> tuple:
+        values = tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"expected one or more distinct entries, got {raw!r}")
+        return values
+    return parse
+
+
+def _schedule(raw: str) -> BusyWindow | FixedModulo:
     if raw == "busy_window":
         return BusyWindow()
     if raw.startswith("modulo:"):
-        try:
-            return FixedModulo(int(raw.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ConfigError(f"protocol.schedule: {exc}") from None
-    raise ConfigError(f"protocol.schedule: unknown schedule {raw!r}")
+        return FixedModulo(int(raw.split(":", 1)[1]))
+    raise ValueError(f"unknown schedule {raw!r}")
+
+
+def _scenario(domains: tuple[str, ...] = ("default",), **kwargs) -> ScenarioSpec:
+    """``default_scenario(**kwargs)`` ordered by ``kind[:severity[:seed]]`` domain tokens."""
+    spec = default_scenario(**kwargs)
+    if domains == ("default",):
+        return spec
+    # A token without a severity takes the suite's, which scenario.severity sets.
+    severity = spec.domain_order[0].severity
+    order = []
+    for token in domains:
+        kind, *numbers = token.split(":")
+        given = dict(zip(("severity", "seed"), map(int, numbers)))
+        order.append(CorruptionSpec(kind, **{"severity": severity, **given}))
+    return replace(spec, domain_order=tuple(order))
+
+
+_LATENCY_MODELS = {"constant": Constant, "per_sample": PerSample, "stochastic": Stochastic}
+# Latency fields without a default of their own.
+_LATENCY_DEFAULTS = {"seconds": 1.0, "per_sample": 0.0, "mean": 1.0, "jitter": 0.0}
+
+
+def _latency(kind: str = "default", **values) -> adapters_mod.LatencyModel | None:
+    """The ``kind`` latency model from the fields it takes; "default" keeps each adapter's own."""
+    if kind == "default":
+        return None
+    model = _LATENCY_MODELS[kind]
+    takes = inspect.signature(model).parameters
+    latency = model(**{k: v for k, v in {**_LATENCY_DEFAULTS, **values}.items() if k in takes})
+    # per_sample >= 0 makes a one-sample batch the cheapest one.
+    if isinstance(latency, PerSample) and (latency.per_sample < 0
+                                           or latency.per_sample + latency.base <= 0):
+        raise ValueError(f"{_KEY_OF['latency', 'per_sample']} must be >= 0 and per_sample + base "
+                         f"positive, got {latency.per_sample!r} and {latency.base!r}")
+    return latency
+
+
+# Targets named as ExperimentConfig names them.
+_SPECS = {"source": SourceSpec, "train": TrainSpec, "scenario": _scenario,
+          "protocol_cfg": ProtocolConfig, "clock": StreamClock}
+# "hyper" collects adapter keywords and "run" collects ExperimentConfig fields.
+_TARGETS = {**_SPECS, "latency": _latency, "hyper": dict, "run": dict}
+
+# key -> (target, field, parser), applied in this order: a latency kind comes
+# after the fields it builds its model from.
+SCHEMA: dict[str, tuple[str, str, Callable[[str], object]]] = {
+    "source.classes": ("source", "num_classes", int),
+    "source.dim": ("source", "dim", int),
+    "source.separation": ("source", "class_separation", _number),
+    "source.samples_per_class": ("source", "samples_per_class", int),
+    "source.seed": ("source", "seed", int),
+    "pretrain.learning_rate": ("train", "learning_rate", _number),
+    "pretrain.iterations": ("train", "iterations", int),
+    "pretrain.seed": ("train", "seed", int),
+    "stream.batch_size": ("scenario", "batch_size", int),
+    "stream.samples_per_domain": ("run", "samples_per_domain", int),
+    "scenario.mode": ("scenario", "mode", str),
+    "scenario.severity": ("scenario", "severity", int),
+    "scenario.domains": ("scenario", "domains", _list()),
+    "scenario.append_clean": ("scenario", "append_clean", _bool),
+    "adapter.name": ("run", "adapters", _list(_choice(*adapters_mod.ADAPTERS))),
+    "adapter.learning_rate": ("hyper", "learning_rate", _number),
+    "adapter.entropy_threshold": ("hyper", "entropy_threshold", _number),
+    "adapter.prior_weight": ("hyper", "prior_weight", _number),
+    "adapter.latency.seconds": ("latency", "seconds", _positive),
+    "adapter.latency.per_sample": ("latency", "per_sample", _number),
+    "adapter.latency.base": ("latency", "base", _number),
+    "adapter.latency.mean": ("latency", "mean", _positive),
+    "adapter.latency.jitter": ("latency", "jitter", _number),
+    "adapter.latency.seed": ("latency", "seed", int),
+    "adapter.latency.kind": ("latency", "kind", _choice("default", *_LATENCY_MODELS)),
+    "protocol.mode": ("run", "protocols", _list(_choice(OFFLINE, ONLINE, SINGLE_MODEL))),
+    "protocol.schedule": ("protocol_cfg", "schedule_mode", _schedule),
+    "protocol.alpha": ("protocol_cfg", "alpha", _number),
+    "protocol.visibility": ("protocol_cfg", "fallback_visibility", str),
+    "protocol.timing": ("protocol_cfg", "timing", str),
+    "clock.rate": ("clock", "base_rate", _number),
+    "clock.eta": ("clock", "eta", _number),
+    "seeds": ("run", "stream_seeds", _list(int)),
+    "out": ("run", "out_dir", Path),
+    "run.id": ("run", "run_prefix", str),
+}
+
+CONFIG_KEYS = frozenset(SCHEMA)
+_KEY_OF = {(target, field): key for key, (target, field, _) in SCHEMA.items()}
 
 
 @dataclass
@@ -190,110 +229,48 @@ class ExperimentConfig:
     source: SourceSpec
     train: TrainSpec
     scenario: ScenarioSpec
-    samples_per_domain: int
-    adapter_names: list[str]
-    adapter_latency: adapters_mod.LatencyModel | None
-    adapter_hyper: dict[str, float | None]
-    protocols: list[str]
     protocol_cfg: ProtocolConfig  # template; per-run protocol/seed filled in
     clock: StreamClock
-    seeds: list[int]
-    out_dir: Path
-    run_prefix: str
+    adapters: dict[str, dict]     # adapter name -> constructor keywords
+    protocols: tuple[str, ...] = (ONLINE,)
+    stream_seeds: tuple[int, ...] = (0,)
+    samples_per_domain: int = DEFAULT_SAMPLES_PER_DOMAIN
+    out_dir: Path = Path("results")
+    run_prefix: str = ""
 
 
-def build_experiment(cfg: dict[str, str], out_override: str | None = None,
-                     seeds_override: list[int] | None = None) -> ExperimentConfig:
+def build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
+    """The experiment a parsed config describes; raises ConfigError naming the key."""
     for key in cfg:
-        if key not in CONFIG_KEYS:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
+    fields: dict[str, dict] = {target: {} for target in _TARGETS}
+    built = {target: make() for target, make in _TARGETS.items()}
+    for key, (target, field, parse) in SCHEMA.items():
+        if not cfg.get(key):
+            continue
+        with _named(key):
+            fields[target][field] = parse(cfg[key])
+            built[target] = _TARGETS[target](**fields[target])
 
-    try:
-        source = SourceSpec(
-            num_classes=_parse_typed(cfg, "source.classes", int, 10),
-            dim=_parse_typed(cfg, "source.dim", int, 32),
-            class_separation=_parse_typed(cfg, "source.separation", float, 3.0),
-            samples_per_class=_parse_typed(cfg, "source.samples_per_class", int, 500),
-            seed=_parse_typed(cfg, "source.seed", int, 0),
-        )
-        train = TrainSpec(
-            learning_rate=_parse_typed(cfg, "pretrain.learning_rate", float, 0.5),
-            iterations=_parse_typed(cfg, "pretrain.iterations", int, 300),
-            seed=_parse_typed(cfg, "pretrain.seed", int, 0),
-        )
-        mode = cfg.get("scenario.mode", EPISODIC)
-        if mode not in (EPISODIC, CONTINUAL):
-            raise ConfigError(f"scenario.mode: unknown mode {mode!r}")
-        scenario = ScenarioSpec(
-            mode=mode,
-            domain_order=_parse_domains(cfg),
-            batch_size=_parse_typed(cfg, "stream.batch_size", int, 64),
-            append_clean=_parse_typed(cfg, "scenario.append_clean", bool, False),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    adapter_names = _parse_list(cfg.get("adapter.name", "source"))
-    for name in adapter_names:
-        if name not in adapters_mod.ADAPTERS:
-            known = ", ".join(sorted(adapters_mod.ADAPTERS))
-            raise ConfigError(f"adapter.name: unknown adapter {name!r} (known: {known})")
-
-    protocols = _parse_list(cfg.get("protocol.mode", ONLINE))
-    for proto in protocols:
-        if proto not in PROTOCOLS:
-            raise ConfigError(f"protocol.mode: unknown protocol {proto!r}")
-
-    try:
-        protocol_cfg = ProtocolConfig(
-            protocol=protocols[0],
-            schedule_mode=_parse_schedule(cfg),
-            alpha=_parse_typed(cfg, "protocol.alpha", float, 0.0),
-            fallback_visibility=cfg.get("protocol.visibility", "immediate"),
-            timing=cfg.get("protocol.timing", "simulated"),
-            seed=0,
-        )
-        clock = StreamClock(
-            base_rate=_parse_typed(cfg, "clock.rate", float, 1.0),
-            eta=_parse_typed(cfg, "clock.eta", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    if seeds_override is not None:
-        seeds = seeds_override
-    else:
-        try:
-            seeds = [int(s) for s in _parse_list(cfg.get("seeds", "0"))]
-        except ValueError as exc:
-            raise ConfigError(f"seeds: {exc}") from None
-    if not seeds:
-        raise ConfigError("seeds: need at least one seed")
-
-    out_dir = Path(os.environ.get("STREAMGATE_OUT") or out_override or cfg.get("out", "results"))
-
-    hyper = {
-        "learning_rate": _parse_typed(cfg, "adapter.learning_rate", float, None),
-        "entropy_threshold": _parse_typed(cfg, "adapter.entropy_threshold", float, None),
-        "prior_weight": _parse_typed(cfg, "adapter.prior_weight", float, None),
-    }
-    return ExperimentConfig(
-        source=source,
-        train=train,
-        scenario=scenario,
-        samples_per_domain=_parse_typed(cfg, "stream.samples_per_domain", int, DEFAULT_SAMPLES_PER_DOMAIN),
-        adapter_names=adapter_names,
-        adapter_latency=_parse_latency(cfg),
-        adapter_hyper=hyper,
-        protocols=protocols,
-        protocol_cfg=protocol_cfg,
-        clock=clock,
-        seeds=seeds,
-        out_dir=out_dir,
-        run_prefix=cfg.get("run.id", ""),
-    )
+    latency, run = built["latency"], fields["run"]
+    # Each keyword goes to the chosen adapters whose constructor takes it.
+    offered = {**fields["hyper"], **({"latency": latency} if latency else {})}
+    adapters = {}
+    for name in run.pop("adapters", (adapters_mod.SourceAdapter.name,)):
+        takes = inspect.signature(adapters_mod.ADAPTERS[name]).parameters
+        adapters[name] = {f: v for f, v in offered.items() if f in takes}
+    for field in fields["hyper"]:
+        if not any(field in kwargs for kwargs in adapters.values()):
+            raise ConfigError(f"{_KEY_OF['hyper', field]}: no chosen adapter takes it")
+    exp = ExperimentConfig(**{t: built[t] for t in _SPECS}, adapters=adapters, **run)
+    if exp.samples_per_domain < exp.scenario.batch_size:
+        raise ConfigError(f"{_KEY_OF['run', 'samples_per_domain']}: {exp.samples_per_domain} "
+                          f"samples do not cover one batch of {exp.scenario.batch_size}")
+    if exp.protocol_cfg.timing == MEASURED and "base_rate" in fields["clock"]:
+        raise ConfigError(f"{_KEY_OF['clock', 'base_rate']}: has no effect under measured "
+                          "timing, whose interval is the measured forward pass")
+    return exp
 
 
 @functools.cache
@@ -302,43 +279,22 @@ def _pretrained(source: SourceSpec, train: TrainSpec) -> ModelParams:
     return pretrain_source_model(features, labels, train)
 
 
-def _make_adapter(exp: ExperimentConfig, name: str) -> adapters_mod.Adapter:
-    pretrained = _pretrained(exp.source, exp.train)
-    kwargs: dict = {}
-    if exp.adapter_latency is not None:
-        kwargs["latency"] = exp.adapter_latency
-    if name in ("entropy_min", "pseudo_label", "rejection_entropy"):
-        kwargs["learning_rate"] = exp.adapter_hyper["learning_rate"]
-    if name == "rejection_entropy":
-        kwargs["entropy_threshold"] = exp.adapter_hyper["entropy_threshold"]
-    if name == "norm_stat":
-        kwargs["prior_weight"] = exp.adapter_hyper["prior_weight"]
-    return adapters_mod.make_adapter(name, pretrained, **kwargs)
-
-
-def _scenario_label(exp: ExperimentConfig) -> str:
-    n = len(exp.scenario.domain_order) + (1 if exp.scenario.append_clean else 0)
-    return f"{exp.scenario.mode}-{n}"
-
-
-def _eta_label(eta: float) -> str:
-    return format(eta, "g")
-
-
 def execute_run(
     exp: ExperimentConfig, segments: list[StreamSegment], adapter_name: str,
     protocol: str, seed: int, clock: StreamClock,
 ) -> RunReport:
     """One deterministic run on the stream composed for ``seed``."""
-    adapter = _make_adapter(exp, adapter_name)
+    adapter = adapters_mod.make_adapter(
+        adapter_name, _pretrained(exp.source, exp.train), **exp.adapters[adapter_name])
     cfg = replace(exp.protocol_cfg, protocol=protocol, seed=seed)
     num_classes = exp.source.num_classes if protocol == SINGLE_MODEL else None
     report = run_segments(
         segments, adapter, adapter.pretrained, cfg, clock, num_classes=num_classes
     )
+    n_domains = len(exp.scenario.domain_order) + (1 if exp.scenario.append_clean else 0)
+    report.scenario = f"{exp.scenario.mode}-{n_domains}"
     prefix = f"{exp.run_prefix}-" if exp.run_prefix else ""
-    report.run_id = f"{prefix}{adapter_name}-{_scenario_label(exp)}-{protocol}-eta{_eta_label(clock.eta)}-seed{seed}"
-    report.scenario = _scenario_label(exp)
+    report.run_id = f"{prefix}{adapter_name}-{report.scenario}-{protocol}-eta{clock.eta:g}-seed{seed}"
     return report
 
 
@@ -355,28 +311,44 @@ def _execute_seed(
             for adapter_name, protocol, clock in plan]
 
 
-def _emit(exp: ExperimentConfig, reports: list[RunReport], deltas: list[dict],
-          emit_schedule: bool) -> None:
+def _execute(
+    args: argparse.Namespace,
+    plan: Callable[[ExperimentConfig], list[tuple[str, str, StreamClock]]],
+    sort_key: Callable[[RunReport], tuple],
+    deltas: Callable[[list[RunReport]], list[dict]],
+) -> tuple[ExperimentConfig, list[RunReport]]:
+    """Build the experiment, run ``plan(exp)`` for every seed and write the sorted reports."""
+    cfg = parse_config_text(Path(args.config).read_text())
+    cfg.update({key: value for key, value in vars(args).items() if key in SCHEMA and value})
+    exp = build_experiment(cfg)
+    runs = plan(exp)
+    pretrained = _pretrained(exp.source, exp.train)
+    # Construct each chosen adapter once, so that a value it rejects fails before any run.
+    for name, kwargs in exp.adapters.items():
+        with _named(", ".join(_KEY_OF[k] for k in _KEY_OF if k[0] == "hyper" and k[1] in kwargs)):
+            adapters_mod.make_adapter(name, pretrained, **kwargs)
+    reports = [r for seed in sorted(exp.stream_seeds) for r in _execute_seed(exp, seed, runs)]
+    reports.sort(key=sort_key)
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(exp.out_dir / "results.csv", reports)
-    if emit_schedule:
+    if args.emit_schedule:
         for r in reports:
             if r.schedule is not None:
                 write_schedule_csv(exp.out_dir / f"schedule_{r.run_id}.csv", r.schedule)
     else:
         reports = [replace(r, schedule=None) for r in reports]
-    write_summary_json(exp.out_dir / "summary.json", reports, deltas)
+    write_summary_json(exp.out_dir / "summary.json", reports, deltas(reports))
+    return exp, reports
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = parse_config_text(Path(args.config).read_text())
-    exp = build_experiment(cfg, out_override=args.out, seeds_override=_seeds_arg(args))
-    plan = [(adapter_name, protocol, exp.clock)
-            for adapter_name in sorted(exp.adapter_names) for protocol in exp.protocols]
-    reports = [r for seed in sorted(exp.seeds) for r in _execute_seed(exp, seed, plan)]
-    reports.sort(key=lambda r: (r.adapter, r.protocol, r.eta, r.seed))
-    deltas = _collect_deltas(reports)
-    _emit(exp, reports, deltas, args.emit_schedule)
+    exp, reports = _execute(
+        args,
+        lambda exp: [(adapter_name, protocol, exp.clock)
+                     for adapter_name in sorted(exp.adapters) for protocol in exp.protocols],
+        lambda r: (r.adapter, r.protocol, r.eta, r.seed),
+        _collect_deltas,
+    )
     for r in reports:
         print(f"{r.run_id}: error {format_percent(r.avg_error)} "
               f"adapted {format_percent(r.adapted_fraction)}")
@@ -404,25 +376,20 @@ def _collect_deltas(reports: list[RunReport]) -> list[dict]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = parse_config_text(Path(args.config).read_text())
-    exp = build_experiment(cfg, out_override=args.out, seeds_override=_seeds_arg(args))
-    etas = args.eta_values or list(DEFAULT_ETA_GRID)
-    for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError(f"eta values must be in (0, 1], got {eta}")
-    plan = [(adapter_name, ONLINE, StreamClock(base_rate=exp.clock.base_rate, eta=eta))
-            for eta in sorted(etas) for adapter_name in sorted(exp.adapter_names)]
-    reports = [r for seed in sorted(exp.seeds) for r in _execute_seed(exp, seed, plan)]
-    reports.sort(key=lambda r: (r.eta, r.adapter, r.seed))
-    _emit(exp, reports, [], args.emit_schedule)
+    def plan(exp: ExperimentConfig) -> list[tuple[str, str, StreamClock]]:
+        with _named("--eta-values"):
+            clocks = [replace(exp.clock, eta=eta)
+                      for eta in sorted(_list(_number)(args.eta_values))]
+        return [(adapter_name, ONLINE, clock)
+                for clock in clocks for adapter_name in sorted(exp.adapters)]
+
+    exp, reports = _execute(args, plan, lambda r: (r.eta, r.adapter, r.seed), lambda _: [])
     _write_sweep_csv(exp.out_dir / "sweep.csv", reports)
     print(f"wrote {len(reports)} sweep runs to {exp.out_dir}")
     return 0
 
 
 def _write_sweep_csv(path: Path, reports: list[RunReport]) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eta", "adapter", "seed", "avg_error", "adapted_fraction", "mean_c"])
@@ -434,17 +401,18 @@ def _write_sweep_csv(path: Path, reports: list[RunReport]) -> None:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    with _named("--interval"):
+        clock = StreamClock(base_rate=1.0 / _positive(args.interval))
+    with _named("--eta"):
+        clock = replace(clock, eta=_number(args.eta))
     records = parse_trace(args.trace, fallback_error_rate=args.fallback_error_rate)
-    eta = args.eta if args.eta is not None else 1.0
-    interval = args.interval if args.interval is not None else 1.0
-    clock = StreamClock(base_rate=1.0 / interval, eta=eta)
     report = replay_online(records, clock)
     if args.fallback_error_rate is not None:
         report.notes.append(
             f"constant fallback error rate {args.fallback_error_rate} substituted for missing values"
         )
-    report.run_id = f"replay-{Path(args.trace).stem}-eta{_eta_label(eta)}"
-    out_dir = Path(os.environ.get("STREAMGATE_OUT") or args.out or "results")
+    report.run_id = f"replay-{Path(args.trace).stem}-eta{clock.eta:g}"
+    out_dir = Path(args.out or ExperimentConfig.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "results.csv", [report])
     write_summary_json(out_dir / "summary.json", [replace(report, schedule=None)])
@@ -455,15 +423,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seeds_arg(args: argparse.Namespace) -> list[int] | None:
-    if args.seeds is None:
-        return None
-    try:
-        return [int(s) for s in _parse_list(args.seeds)]
-    except ValueError as exc:
-        raise ConfigError(f"--seeds: {exc}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamgate",
@@ -471,26 +430,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute the configured runs")
-    run.add_argument("--config", required=True, help="path to a key=value config file")
-    run.add_argument("--out", default=None, help="output directory (STREAMGATE_OUT overrides)")
-    run.add_argument("--seeds", default=None, help="comma-separated seed list override")
-    run.add_argument("--emit-schedule", action="store_true", help="write per-step schedule CSVs")
-    run.set_defaults(func=cmd_run)
-
-    sweep = sub.add_parser("sweep", help="sweep the stream-speed factor eta")
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--seeds", default=None)
-    sweep.add_argument("--eta-values", default=None, type=_eta_list,
-                       help="comma-separated eta grid (default 1/16,1/8,1/4,1/2,1)")
-    sweep.add_argument("--emit-schedule", action="store_true")
-    sweep.set_defaults(func=cmd_sweep)
+    for name, func, text in (("run", cmd_run, "execute the configured runs"),
+                             ("sweep", cmd_sweep, "sweep the stream-speed factor eta")):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--config", required=True, help="path to a key=value config file")
+        cmd.add_argument("--out", default=None, help="output directory (STREAMGATE_OUT overrides)")
+        cmd.add_argument("--seeds", default=None, help="comma-separated seed list override")
+        cmd.add_argument("--emit-schedule", action="store_true", help="write per-step schedule CSVs")
+        cmd.set_defaults(func=func)
+    sub.choices["sweep"].add_argument("--eta-values", default="1/16,1/8,1/4,1/2,1",
+                                      help="comma-separated eta grid (default %(default)s)")
 
     rep = sub.add_parser("replay", help="replay a recorded trace under a chosen clock")
     rep.add_argument("--trace", required=True, help="path to a trace CSV")
-    rep.add_argument("--interval", default=None, type=float, help="base seconds per batch (default 1)")
-    rep.add_argument("--eta", default=None, type=float, help="stream-speed factor in (0, 1]")
+    rep.add_argument("--interval", default="1", help="base seconds per batch (default 1)")
+    rep.add_argument("--eta", default="1", help="stream-speed factor in (0, 1] (default 1)")
     rep.add_argument("--out", default=None)
     rep.add_argument("--fallback-error-rate", default=None, type=float,
                      help="substitute a constant fallback error rate for missing values")
@@ -499,15 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _eta_list(raw: str) -> list[float]:
-    from fractions import Fraction
-
-    return [float(Fraction(v.strip())) for v in raw.split(",") if v.strip()]
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.out = os.environ.get("STREAMGATE_OUT") or args.out
     try:
         return args.func(args)
     except (ConfigError, TraceFormatError, FileNotFoundError) as exc:

@@ -15,23 +15,24 @@ class StreamClock:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
+        # Also rejects NaN and inf rates, and rates so small the interval overflows.
+        rate = self.eta * self.base_rate
+        if not (rate > 0.0 and 0.0 < 1.0 / rate < math.inf):
+            raise ValueError(
+                "base_rate must give a positive, finite interval 1 / (eta * base_rate), "
+                f"got base_rate={self.base_rate!r} at eta={self.eta!r}"
+            )
 
     @property
     def effective_interval(self) -> float:
-        return effective_stream_interval(self.base_rate, self.eta)
+        return 1.0 / (self.eta * self.base_rate)
 
 
 def effective_stream_interval(base_rate: float, eta: float) -> float:
     """Seconds per revealed batch: 1 / (eta * base_rate)."""
-    if base_rate <= 0:
-        raise ValueError("base_rate must be positive")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must be in (0, 1]")
-    return 1.0 / (eta * base_rate)
+    return StreamClock(base_rate, eta).effective_interval
 
 
 def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:

@@ -129,6 +129,8 @@ def _run(
     schedule: list[ScheduleRecord] = []
     domains: list[tuple[int, int]] = []
     fingerprints: list[str] = []
+    # One generator per run, so each domain's busy steps draw fresh predictions.
+    rng = np.random.default_rng(cfg.seed)
 
     for segment in segments:
         stream = segment.batches
@@ -139,7 +141,6 @@ def _run(
             adapter.reset()
             adapter.set_params(initial.copy())
         worker = Worker()
-        rng = np.random.default_rng(cfg.seed)
         fallback, version, fallback_version = adapter.params, 0, 0
         current_domain: int | None = None
 

@@ -211,6 +211,68 @@ def test_bad_latency_config_exits_2_naming_the_key(tmp_path, capsys, lines, key)
     assert not (tmp_path / "out").exists()
 
 
+def _write_replay_trace(path):
+    write_trace(path, [
+        TraceRecord(step=i, latency=4.0, correct_adapted=10, correct_fallback=5,
+                    domain_id=0, batch_size=10)
+        for i in range(8)
+    ])
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv,lines,name",
+    [
+        (["run"], "adapter.name=source\nadapter.learning_rate=0.5\n", "adapter.learning_rate"),
+        (["run"], "adapter.name=norm_stat\nadapter.prior_weight=2\n", "adapter.prior_weight"),
+        (["run"], "stream.samples_per_domain=10\n", "stream.samples_per_domain"),
+        (["run"], "source.classes=1\n", "source.classes"),
+        (["run"], "adapter.latency.kind=stochastic\nadapter.latency.mean=-5\n",
+         "adapter.latency.mean"),
+        (["run"], "adapter.name=source,source\n", "adapter.name"),
+        (["run"], "seeds=0,0\n", "seeds"),
+        (["run"], "clock.rate=2\nprotocol.timing=measured\n", "clock.rate"),
+        (["run"], "clock.rate=nan\n", "clock.rate"),
+        (["run"], "clock.eta=1/0\n", "clock.eta"),
+        (["run", "--seeds", "0,0"], "", "seeds"),
+        (["sweep", "--eta-values", "2"], "", "--eta-values"),
+        (["sweep", "--eta-values", "1/2,0.5"], "", "--eta-values"),
+        (["replay", "--eta", "2"], None, "--eta"),
+        (["replay", "--interval", "0"], None, "--interval"),
+        (["replay", "--interval", "nan"], None, "--interval"),
+    ],
+)
+def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, lines, name):
+    if lines is None:
+        source = ["--trace", str(_write_replay_trace(tmp_path / "trace.csv"))]
+    else:
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG + lines)
+        source = ["--config", str(path)]
+    out = tmp_path / "out"
+    assert run_cli(argv[0], *source, "--out", str(out), *argv[1:]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fractions_and_empty_values_are_accepted(tmp_path):
+    # An empty value means unset, so the defaults apply.
+    exp = build_experiment({"clock.eta": "1/16", "protocol.mode": "", "adapter.name": ""})
+    assert exp.clock.eta == 1 / 16
+    assert exp.protocols == ("online",)
+    assert exp.adapters == {"source": {}}
+    # Each hyperparameter goes only to the adapters whose constructor takes it.
+    exp = build_experiment({"adapter.name": "norm_stat,rejection_entropy",
+                            "adapter.learning_rate": "0.2", "adapter.prior_weight": "1/2"})
+    assert exp.adapters == {"norm_stat": {"prior_weight": 0.5},
+                            "rejection_entropy": {"learning_rate": 0.2}}
+    trace = _write_replay_trace(tmp_path / "trace.csv")
+    out = tmp_path / "replay_out"
+    assert run_cli("replay", "--trace", str(trace), "--out", str(out), "--eta", "1/4") == 0
+    run = json.loads((out / "summary.json").read_text())["runs"][0]
+    assert run["eta"] == 0.25 and run["adapted_fraction"] == 1.0
+
+
 def test_replay_missing_file_exits_2(tmp_path):
     assert run_cli("replay", "--trace", str(tmp_path / "none.csv")) == 2
 

@@ -107,7 +107,14 @@ def test_stream_clock_interval_identity():
     assert StreamClock().effective_interval == 1.0
 
 
-@pytest.mark.parametrize("kwargs", [dict(base_rate=0.0), dict(eta=0.0), dict(eta=1.2)])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(base_rate=0.0), dict(eta=0.0), dict(eta=1.2),
+        # Each would give a NaN, zero or infinite interval.
+        dict(base_rate=NAN), dict(base_rate=INF), dict(base_rate=1e-320),
+    ],
+)
 def test_stream_clock_validation(kwargs):
     with pytest.raises(ValueError):
         StreamClock(**kwargs)

@@ -20,7 +20,14 @@ from streamgate.protocol import (
 )
 from streamgate.report import ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK, ACTION_SKIPPED_RANDOM
 from streamgate.stream import StreamSegment
-from doubles import BetaShiftAdapter, FailingAdapter, PerfectAdapter, tiny_params, tiny_stream
+from doubles import (
+    BetaShiftAdapter,
+    FailingAdapter,
+    FixedErrorAdapter,
+    PerfectAdapter,
+    tiny_params,
+    tiny_stream,
+)
 
 OFF = ProtocolConfig(protocol="offline", seed=0)
 ON = ProtocolConfig(protocol="online", seed=0)
@@ -131,6 +138,21 @@ def test_single_model_skips_are_random_and_seeded():
     actions = {r.step: r.action for r in a.schedule}
     assert actions[0] == ACTION_ADAPTED
     assert actions[1] == ACTION_SKIPPED_RANDOM
+
+
+def test_single_model_random_sequence_continues_across_segments():
+    # One generator per run: a second domain's busy steps must not replay the
+    # first domain's random predictions.
+    params = tiny_params()
+    batches = tiny_stream(12, batch_size=8)
+    segments = [StreamSegment(reset=True, batches=batches) for _ in range(2)]
+    adapter = FixedErrorAdapter(params, latency=Constant(3.0))
+    report = run_segments(segments, adapter, params,
+                          ProtocolConfig(protocol="single_model", seed=9), num_classes=3)
+    errors = [r.error_count if r.action == ACTION_SKIPPED_RANDOM else None
+              for r in report.schedule]
+    assert errors[:12].count(None) == 4  # adapted at 0, 3, 6, 9 in each segment
+    assert errors[:12] != errors[12:]
 
 
 def test_single_model_with_fast_adapter_equals_online():

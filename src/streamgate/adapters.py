@@ -17,6 +17,7 @@ import numpy as np
 from .model import (
     VAR_FLOOR,
     ModelParams,
+    _log_softmax,
     log_probabilities,
     normalized_features,
     predict,
@@ -105,7 +106,7 @@ def entropy_gradient(
     a row subset.
     """
     u = normalized_features(params, features)
-    logp = log_probabilities(params, features)
+    logp = _log_softmax(params, u)
     p = np.exp(logp)
     h = -(p * logp).sum(axis=1)
     g_logits = -p * (logp + h[:, None])
@@ -129,7 +130,7 @@ def cross_entropy_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of mean cross-entropy to fixed labels w.r.t. (gamma, beta)."""
     u = normalized_features(params, features)
-    logp = log_probabilities(params, features)
+    logp = _log_softmax(params, u)
     p = np.exp(logp)
     p[np.arange(len(labels)), labels] -= 1.0
     gz = p @ params.W / len(labels)
@@ -138,7 +139,7 @@ def cross_entropy_gradient(
 
 def _check_finite(name: str, *arrays: np.ndarray) -> None:
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise FloatingPointError(f"non-finite gradient in {name}")
 
 
@@ -168,6 +169,8 @@ class Adapter:
 
     Subclasses rebind ``params`` and any auxiliary state to new objects and
     never write into the existing ones; ``clone_adapter`` relies on this.
+    Assigning a ``ModelParams`` field writes into that parameter set, so a
+    step assigns fields only on ``self.params.copy()``, never on ``self.params``.
     """
 
     name = "base"

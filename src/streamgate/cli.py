@@ -103,6 +103,13 @@ def _positive(raw: str) -> float:
     return value
 
 
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def _bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes"):
         return True
@@ -147,6 +154,8 @@ def _scenario(domains: tuple[str, ...] = ("default",), **kwargs) -> ScenarioSpec
     order = []
     for token in domains:
         kind, *numbers = token.split(":")
+        if len(numbers) > 2:
+            raise ValueError(f"domain token {token!r} has more than three ':' parts")
         given = dict(zip(("severity", "seed"), map(int, numbers)))
         order.append(CorruptionSpec(kind, **{"severity": severity, **given}))
     return replace(spec, domain_order=tuple(order))
@@ -169,6 +178,10 @@ def _latency(kind: str = "default", **values) -> adapters_mod.LatencyModel | Non
                                            or latency.per_sample + latency.base <= 0):
         raise ValueError(f"{_KEY_OF['latency', 'per_sample']} must be >= 0 and per_sample + base "
                          f"positive, got {latency.per_sample!r} and {latency.base!r}")
+    # jitter < mean keeps every draw positive, so sample_latency never clamps one.
+    if isinstance(latency, Stochastic) and not 0 <= latency.jitter < latency.mean:
+        raise ValueError(f"{_KEY_OF['latency', 'jitter']} must be in [0, mean), "
+                         f"got {latency.jitter!r} with mean {latency.mean!r}")
     return latency
 
 
@@ -185,10 +198,10 @@ SCHEMA: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "source.dim": ("source", "dim", int),
     "source.separation": ("source", "class_separation", _number),
     "source.samples_per_class": ("source", "samples_per_class", int),
-    "source.seed": ("source", "seed", int),
+    "source.seed": ("source", "seed", _seed),
     "pretrain.learning_rate": ("train", "learning_rate", _number),
     "pretrain.iterations": ("train", "iterations", int),
-    "pretrain.seed": ("train", "seed", int),
+    "pretrain.seed": ("train", "seed", _seed),
     "stream.batch_size": ("scenario", "batch_size", int),
     "stream.samples_per_domain": ("run", "samples_per_domain", int),
     "scenario.mode": ("scenario", "mode", str),
@@ -204,7 +217,7 @@ SCHEMA: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "adapter.latency.base": ("latency", "base", _number),
     "adapter.latency.mean": ("latency", "mean", _positive),
     "adapter.latency.jitter": ("latency", "jitter", _number),
-    "adapter.latency.seed": ("latency", "seed", int),
+    "adapter.latency.seed": ("latency", "seed", _seed),
     "adapter.latency.kind": ("latency", "kind", _choice("default", *_LATENCY_MODELS)),
     "protocol.mode": ("run", "protocols", _list(_choice(OFFLINE, ONLINE, SINGLE_MODEL))),
     "protocol.schedule": ("protocol_cfg", "schedule_mode", _schedule),
@@ -213,7 +226,7 @@ SCHEMA: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "protocol.timing": ("protocol_cfg", "timing", str),
     "clock.rate": ("clock", "base_rate", _number),
     "clock.eta": ("clock", "eta", _number),
-    "seeds": ("run", "stream_seeds", _list(int)),
+    "seeds": ("run", "stream_seeds", _list(_seed)),
     "out": ("run", "out_dir", Path),
     "run.id": ("run", "run_prefix", str),
 }
@@ -325,7 +338,9 @@ def _execute(
     pretrained = _pretrained(exp.source, exp.train)
     # Construct each chosen adapter once, so that a value it rejects fails before any run.
     for name, kwargs in exp.adapters.items():
-        with _named(", ".join(_KEY_OF[k] for k in _KEY_OF if k[0] == "hyper" and k[1] in kwargs)):
+        keys = [_KEY_OF["latency", "kind"] if field == "latency" else _KEY_OF["hyper", field]
+                for field in kwargs]
+        with _named(", ".join(keys) or _KEY_OF["run", "adapters"]):
             adapters_mod.make_adapter(name, pretrained, **kwargs)
     reports = [r for seed in sorted(exp.stream_seeds) for r in _execute_seed(exp, seed, runs)]
     reports.sort(key=sort_key)

@@ -1,9 +1,10 @@
 """Classifier parameter state and the shared forward-pass / blending math.
 
 The deployable model is a per-feature normalizer (running mean/variance plus
-an affine scale and shift) feeding a linear softmax head.  Everything that
-adapts at test time rebinds some subset of these fields, so they live in one
-container with strict shape and finiteness checks.
+an affine scale and shift) feeding a linear softmax head.  A parameter set is
+one float64 vector ``mu, var, gamma, beta, W`` (row-major), ``b`` with the six
+fields as views into it: copying, checking, blending, comparing and hashing are
+one array operation each, and assigning a field is a shape-checked write.
 """
 
 from __future__ import annotations
@@ -16,18 +17,26 @@ import numpy as np
 # Variances are divided into the normalizer; keep them bounded away from zero.
 VAR_FLOOR = 1e-8
 
-_VECTOR_FIELDS = ("mu", "var", "gamma", "beta")
-_FIELD_NAMES = (*_VECTOR_FIELDS, "W", "b")
+_FIELD_NAMES = ("mu", "var", "gamma", "beta", "W", "b")
 
 
-@dataclass(eq=False)
+def _bind(params: "ModelParams", flat: np.ndarray, k: int, d: int) -> "ModelParams":
+    """Set ``flat`` and the six fields as views into it, in one ``__dict__`` update."""
+    w = (4 + k) * d
+    params.__dict__.update(flat=flat, mu=flat[:d], var=flat[d:2 * d], gamma=flat[2 * d:3 * d],
+                           beta=flat[3 * d:4 * d], W=flat[4 * d:w].reshape(k, d), b=flat[w:])
+    return params
+
+
+@dataclass(eq=False, init=False)
 class ModelParams:
     """Full classifier state: normalizer statistics, affine pair, linear head.
 
-    Shapes, finiteness and positive variances are checked at the trust
-    boundaries: on construction, and on every ``blend_parameters`` result,
-    which is how an adapter's output enters a run.  ``copy()`` does not
-    re-check, so a copy an adapter edits is unchecked until it is blended.
+    The fields are views into one vector, ``flat``.  Assigning a field writes
+    into ``flat`` (so assign only on a ``copy()`` you own) and raises
+    ``ValueError`` naming the field unless the value has the field's shape.
+    Finiteness and ``var > 0`` are checked on construction and on every
+    ``blend_parameters`` result; ``copy()`` does not re-check.
     """
 
     mu: np.ndarray      # (d,) per-feature running mean
@@ -37,25 +46,36 @@ class ModelParams:
     W: np.ndarray       # (K, d) class weight matrix
     b: np.ndarray       # (K,) class bias
 
-    def __post_init__(self) -> None:
-        for name in _FIELD_NAMES:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        self.validate()
-
-    def validate(self) -> None:
-        d = self.mu.shape[0] if self.mu.ndim == 1 else -1
-        for name in _VECTOR_FIELDS:
-            arr = getattr(self, name)
+    def __init__(self, mu, var, gamma, beta, W, b) -> None:
+        arrays = [np.asarray(a, dtype=np.float64) for a in (mu, var, gamma, beta, W, b)]
+        d = arrays[0].shape[0] if arrays[0].ndim == 1 else -1
+        for name, arr in zip(_FIELD_NAMES[:4], arrays):
             if arr.shape != (d,):
                 raise ValueError(f"{name} must have shape ({d},), got {arr.shape}")
-        if self.W.ndim != 2 or self.W.shape[1] != d:
-            raise ValueError(f"W must have shape (K, {d}), got {self.W.shape}")
-        if self.b.shape != (self.W.shape[0],):
-            raise ValueError(f"b must have shape ({self.W.shape[0]},), got {self.b.shape}")
-        for name in _FIELD_NAMES:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite values")
-        if np.any(self.var <= 0.0):
+        W, b = arrays[4:]
+        if W.ndim != 2 or W.shape[1] != d:
+            raise ValueError(f"W must have shape (K, {d}), got {W.shape}")
+        if b.shape != (W.shape[0],):
+            raise ValueError(f"b must have shape ({W.shape[0]},), got {b.shape}")
+        _bind(self, np.concatenate([a.ravel() for a in arrays]), *W.shape)
+        self.validate()
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in _FIELD_NAMES:
+            raise AttributeError(f"cannot set {name!r}: only the six fields are assignable")
+        value, view = np.asarray(value, dtype=np.float64), self.__dict__[name]
+        if value.shape != view.shape:
+            raise ValueError(f"{name} must have shape {view.shape}, got {value.shape}")
+        view[...] = value
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild the views on a new vector
+        return ModelParams, tuple(getattr(self, name) for name in _FIELD_NAMES)
+
+    def validate(self) -> None:
+        if not np.isfinite(self.flat).all():
+            bad = next(n for n in _FIELD_NAMES if not np.isfinite(getattr(self, n)).all())
+            raise ValueError(f"{bad} contains non-finite values")
+        if not (self.var > 0.0).all():
             raise ValueError("var must be strictly positive elementwise")
 
     @property
@@ -67,85 +87,65 @@ class ModelParams:
         return self.W.shape[0]
 
     def copy(self) -> "ModelParams":
-        """Independent arrays with the same values; skips ``validate()``."""
-        clone = object.__new__(ModelParams)
-        clone.__dict__.update({name: getattr(self, name).copy() for name in _FIELD_NAMES})
-        return clone
+        """An independent vector with the same values; skips ``validate()``."""
+        return _bind(object.__new__(ModelParams), self.flat.copy(), *self.W.shape)
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     """Exact (bitwise value) equality over every field."""
-    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _FIELD_NAMES)
+    return a.W.shape == b.W.shape and np.array_equal(a.flat, b.flat)
 
 
 def params_fingerprint(params: ModelParams) -> str:
     """SHA-256 over the raw bytes of all fields; equal iff params are bit-equal."""
-    h = hashlib.sha256()
-    for name in _FIELD_NAMES:
-        arr = np.ascontiguousarray(getattr(params, name))
-        h.update(arr.tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(params.flat.tobytes()).hexdigest()
 
 
 def normalized_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """u = (x - mu) / sqrt(var), the pre-affine normalized features."""
+    """u = (x - mu) / sqrt(var) for a finite (B, d) batch; ValueError otherwise."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != params.dim:
+        raise ValueError(f"features must have shape (B, {params.dim}), got {features.shape}")
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite values")
     return (features - params.mu) / np.sqrt(params.var)
 
 
-def log_probabilities(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of the classifier logits.
-
-    Computed via the log-sum-exp shift so extreme logits underflow to
-    probability zero instead of producing NaNs downstream.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.dim:
-        raise ValueError(
-            f"features must have shape (B, {params.dim}), got {features.shape}"
-        )
-    if not np.all(np.isfinite(features)):
-        raise ValueError("features contain non-finite values")
-    z = params.gamma * normalized_features(params, features) + params.beta
-    logits = z @ params.W.T + params.b
+def _log_softmax(params: ModelParams, u: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of the logits of normalized features ``u``, shifted by the
+    row max so extreme logits underflow to probability zero instead of NaN."""
+    logits = (params.gamma * u + params.beta) @ params.W.T + params.b
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def predict(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass: (labels, class probabilities).
+def log_probabilities(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of the classifier logits of a (B, d) feature batch."""
+    return _log_softmax(params, normalized_features(params, features))
 
-    Ties in the argmax resolve to the lowest class index, which keeps label
-    sequences reproducible across platforms.
-    """
-    logp = log_probabilities(params, features)
-    probs = np.exp(logp)
-    labels = np.argmax(probs, axis=1)
-    return labels, probs
+
+def predict(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward pass: (labels, class probabilities).  Argmax ties resolve to the
+    lowest class index, which keeps label sequences reproducible across platforms."""
+    probs = np.exp(log_probabilities(params, features))
+    return probs.argmax(axis=1), probs
 
 
 def blend_parameters(theta: ModelParams, theta_hat: ModelParams, alpha: float) -> ModelParams:
-    """Elementwise convex combination alpha * theta + (1 - alpha) * theta_hat.
-
-    alpha=0 adopts the adapted parameters wholesale; alpha=1 keeps the current
-    ones.  Both endpoints return exact copies so the blend is bit-faithful at
-    the extremes.  Variances are clamped to VAR_FLOOR afterwards.  The result
-    is always validated: this is where an adapter's output is checked.
-    """
+    """Elementwise alpha * theta + (1 - alpha) * theta_hat; alpha 0 and 1 give exact
+    copies.  Variances are clamped to VAR_FLOOR, and the result is always validated:
+    this is where an adapter's output is checked."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    for name in _FIELD_NAMES:
-        if getattr(theta, name).shape != getattr(theta_hat, name).shape:
-            raise ValueError(f"shape mismatch in field {name}")
+    if theta.W.shape != theta_hat.W.shape:  # (K, d): equal vector lengths are not enough
+        raise ValueError(f"shape mismatch: (K, d) {theta.W.shape} vs {theta_hat.W.shape}")
     if alpha == 0.0:
         out = theta_hat.copy()
     elif alpha == 1.0:
         out = theta.copy()
     else:
-        blended = {
-            name: alpha * getattr(theta, name) + (1.0 - alpha) * getattr(theta_hat, name)
-            for name in _FIELD_NAMES
-        }
-        blended["var"] = np.maximum(blended["var"], VAR_FLOOR)
-        return ModelParams(**blended)  # validated on construction
+        out = _bind(object.__new__(ModelParams),
+                    alpha * theta.flat + (1.0 - alpha) * theta_hat.flat, *theta.W.shape)
+        np.maximum(out.var, VAR_FLOOR, out=out.var)
     out.validate()
     return out

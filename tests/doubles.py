@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 from scipy.linalg import expm
 
 from streamgate.adapters import AdaptOutcome, Adapter, Constant, LatencyModel
-from streamgate.model import ModelParams, predict
+from streamgate.model import VAR_FLOOR, ModelParams, predict
 from streamgate.stream import CORRUPTION_KINDS, Batch, CorruptionSpec, _rotation_generator
+
+
+FIELDS = ("mu", "var", "gamma", "beta", "W", "b")
 
 
 def tiny_params(dim: int = 4, num_classes: int = 3, seed: int = 0) -> ModelParams:
@@ -126,3 +131,27 @@ def rotation_matrix(spec: CorruptionSpec, dim: int) -> np.ndarray:
     """The orthogonal matrix a rotation corruption applies, drawn as it draws it."""
     rng = np.random.default_rng([spec.seed, CORRUPTION_KINDS.index(spec.kind), spec.severity])
     return expm((spec.base_strength * spec.severity) * _rotation_generator(dim, rng))
+
+
+# Per-field references for the flat-vector parameter operations in streamgate.model.
+
+def reference_params_equal(a: ModelParams, b: ModelParams) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in FIELDS)
+
+
+def reference_params_fingerprint(params: ModelParams) -> str:
+    h = hashlib.sha256()
+    for name in FIELDS:
+        h.update(np.ascontiguousarray(getattr(params, name)).tobytes())
+    return h.hexdigest()
+
+
+def reference_blend_parameters(theta: ModelParams, theta_hat: ModelParams,
+                               alpha: float) -> ModelParams:
+    if alpha in (0.0, 1.0):
+        kept = theta_hat if alpha == 0.0 else theta
+        return ModelParams(**{name: getattr(kept, name).copy() for name in FIELDS})
+    blended = {name: alpha * getattr(theta, name) + (1.0 - alpha) * getattr(theta_hat, name)
+               for name in FIELDS}
+    blended["var"] = np.maximum(blended["var"], VAR_FLOOR)
+    return ModelParams(**blended)

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from streamgate import adapters as adapters_mod
 from streamgate.cli import main, parse_config_text, build_experiment, ConfigError
 from streamgate.trace import TraceRecord, write_trace
 
@@ -240,6 +241,18 @@ def _write_replay_trace(path):
         (["replay", "--eta", "2"], None, "--eta"),
         (["replay", "--interval", "0"], None, "--interval"),
         (["replay", "--interval", "nan"], None, "--interval"),
+        (["run"], "seeds=-1\n", "seeds"),
+        (["run", "--seeds", "-1"], "", "seeds"),
+        (["run"], "source.seed=-1\n", "source.seed"),
+        (["run"], "pretrain.seed=-1\n", "pretrain.seed"),
+        (["run"], "adapter.latency.kind=stochastic\nadapter.latency.seed=-1\n",
+         "adapter.latency.seed"),
+        # jitter >= mean would let a draw reach zero, which sample_latency clamps to 1e-9 s.
+        (["run"], "adapter.latency.kind=stochastic\nadapter.latency.mean=1\n"
+         "adapter.latency.jitter=5\n", "adapter.latency.jitter"),
+        (["run"], "adapter.latency.kind=stochastic\nadapter.latency.jitter=-0.5\n",
+         "adapter.latency.jitter"),
+        (["run"], "scenario.domains=mean_shift:5:0:9\n", "scenario.domains"),
     ],
 )
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, lines, name):
@@ -253,6 +266,22 @@ def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, lines, name):
     assert run_cli(argv[0], *source, "--out", str(out), *argv[1:]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rejected_adapter_construction_names_a_key(tmp_path, capsys, monkeypatch):
+    def reject(*args, **kwargs):
+        raise ValueError("rejected")
+
+    monkeypatch.setattr(adapters_mod, "make_adapter", reject)
+    path = tmp_path / "exp.cfg"
+    # No hyperparameter and no latency model: the adapter name is the only key left.
+    path.write_text(BASE_CONFIG + "adapter.latency.kind=\n")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+    assert "error: adapter.name: rejected" in capsys.readouterr().err
+    path.write_text(BASE_CONFIG)
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+    assert "error: adapter.latency.kind: rejected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fractions_and_empty_values_are_accepted(tmp_path):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from streamgate.model import (
     VAR_FLOOR,
@@ -14,7 +17,13 @@ from streamgate.model import (
     params_fingerprint,
     predict,
 )
-from doubles import tiny_params
+from doubles import (
+    FIELDS,
+    reference_blend_parameters,
+    reference_params_equal,
+    reference_params_fingerprint,
+    tiny_params,
+)
 
 
 def flat_params(dim=3, num_classes=4, **overrides):
@@ -144,3 +153,99 @@ def test_fingerprint_tracks_bit_equality():
     assert params_fingerprint(a) == params_fingerprint(b)
     b.gamma[0] = np.nextafter(b.gamma[0], 2.0)
     assert params_fingerprint(a) != params_fingerprint(b)
+
+
+@given(
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    dim=st.integers(min_value=1, max_value=6),
+    num_classes=st.integers(min_value=2, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+    below_floor=st.booleans(),
+)
+@example(alpha=0.5, dim=3, num_classes=2, seed=0, below_floor=True)
+def test_flat_operations_match_the_per_field_reference(alpha, dim, num_classes, seed, below_floor):
+    theta = tiny_params(dim, num_classes, seed=seed)
+    theta_hat = tiny_params(dim, num_classes, seed=seed + 1)
+    if below_floor:
+        # Every convex combination of these is below VAR_FLOOR, so 0 < alpha < 1 clamps.
+        rng = np.random.default_rng(seed)
+        theta.var = rng.uniform(1e-12, 1e-9, size=dim)
+        theta_hat.var = rng.uniform(1e-12, 1e-9, size=dim)
+    out = blend_parameters(theta, theta_hat, alpha)
+    ref = reference_blend_parameters(theta, theta_hat, alpha)
+    for name in FIELDS:
+        assert getattr(out, name).tobytes() == getattr(ref, name).tobytes(), name
+    if below_floor and 0.0 < alpha < 1.0:
+        assert np.all(out.var == VAR_FLOOR)
+    for params in (theta, theta_hat, out):
+        assert params_fingerprint(params) == reference_params_fingerprint(params)
+    for a, b in ((out, ref), (theta, theta_hat), (out, theta), (out, theta_hat)):
+        assert params_equal(a, b) == reference_params_equal(a, b)
+
+
+def test_params_equal_compares_shapes_not_only_the_vector():
+    # (d, K) = (2, 2) and (1, 5) both give a 14-float vector.
+    a = flat_params(dim=2, num_classes=2)
+    b = flat_params(dim=1, num_classes=5)
+    assert a.flat.shape == b.flat.shape
+    b.flat[:] = a.flat
+    assert not params_equal(a, b)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        blend_parameters(a, b, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", FIELDS)
+def test_validate_names_the_non_finite_field(name, bad):
+    params = tiny_params(seed=10)
+    getattr(params, name).reshape(-1)[-1] = bad  # writes through the view
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+        params.validate()
+    fields = {f: getattr(params, f) for f in FIELDS}
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+        ModelParams(**fields)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "one_longer", "broadcastable"])
+@pytest.mark.parametrize("name", FIELDS)
+def test_assigning_a_wrong_shape_raises_naming_the_field(name, kind):
+    params = tiny_params(dim=4, num_classes=3, seed=11)
+    shape = getattr(params, name).shape
+    value = {"scalar": 1.0,
+             "one_longer": np.ones(np.prod(shape) + 1),
+             "broadcastable": np.ones((1, *shape))}[kind]
+    with pytest.raises(ValueError, match=f"^{name} must have shape"):
+        setattr(params, name, value)
+    assert params_equal(params, tiny_params(dim=4, num_classes=3, seed=11))
+
+
+def test_only_the_six_fields_are_assignable():
+    params = tiny_params()
+    for name in ("flat", "gama"):  # the vector itself, and a mistyped field
+        with pytest.raises(AttributeError, match=f"cannot set '{name}'"):
+            setattr(params, name, 1.0)
+
+
+def test_assigning_a_field_on_a_copy_leaves_the_original_unchanged():
+    params = tiny_params(seed=12)
+    before = params.flat.copy()
+    clone = params.copy()
+    for name in FIELDS:
+        setattr(clone, name, getattr(clone, name) + 1.0)
+    assert np.array_equal(params.flat, before)
+    assert np.array_equal(clone.flat, before + 1.0)
+    assert all(np.shares_memory(getattr(clone, name), clone.flat) for name in FIELDS)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda p: pickle.loads(pickle.dumps(p))])
+def test_copy_module_and_pickle_give_independent_flat_params(duplicate):
+    params = tiny_params(seed=13)
+    before = params.flat.copy()
+    dup = duplicate(params)
+    assert params_equal(dup, params)
+    dup.beta = dup.beta + 1.0
+    assert np.array_equal(params.flat, before)
+    assert np.array_equal(dup.beta, params.beta + 1.0)
+    # The fields are views into dup's own vector, so the flat fingerprint sees the edit.
+    assert params_fingerprint(dup) == reference_params_fingerprint(dup)

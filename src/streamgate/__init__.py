@@ -23,7 +23,7 @@ from .adapters import (
     make_adapter,
     sample_latency,
 )
-from .clock import StreamClock, effective_stream_interval, relative_adaptation_speed
+from .clock import StreamClock, relative_adaptation_speed
 from .model import (
     ModelParams,
     blend_parameters,

@@ -113,8 +113,7 @@ def entropy_gradient(
     if mask is not None:
         g_logits = g_logits[mask]
         u = u[mask]
-    gz = g_logits @ params.W / len(g_logits)
-    return (gz * u).sum(axis=0), gz.sum(axis=0)
+    return _affine_gradient(g_logits, u, params.W)
 
 
 def pseudo_label_cross_entropy(
@@ -133,14 +132,15 @@ def cross_entropy_gradient(
     logp = _log_softmax(params, u)
     p = np.exp(logp)
     p[np.arange(len(labels)), labels] -= 1.0
-    gz = p @ params.W / len(labels)
+    return _affine_gradient(p, u, params.W)
+
+
+def _affine_gradient(
+    g_logits: np.ndarray, u: np.ndarray, W: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean per-logit gradients chained through W and z = gamma * u + beta."""
+    gz = g_logits @ W / len(g_logits)
     return (gz * u).sum(axis=0), gz.sum(axis=0)
-
-
-def _check_finite(name: str, *arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise FloatingPointError(f"non-finite gradient in {name}")
 
 
 # --------------------------------------------------------------------------
@@ -192,9 +192,6 @@ class Adapter:
 
     def sample_cost(self, batch_size: int) -> float:
         return sample_latency(self.latency, batch_size, self._latency_rng)
-
-    def set_params(self, params: ModelParams) -> None:
-        self.params = params
 
     def reset(self) -> None:
         """Restore the exact pretrained state and clear auxiliary state."""
@@ -268,10 +265,8 @@ class NormStatAdapter(Adapter):
         return AdaptOutcome(batch.features, theta, y_hat, cost=None, note=note)
 
 
-class EntropyMinAdapter(Adapter):
-    """One descent step on (gamma, beta) against mean prediction entropy."""
-
-    name = "entropy_min"
+class _DescentAdapter(Adapter):
+    """One gradient-descent step on the normalizer's affine pair (gamma, beta)."""
 
     def __init__(
         self,
@@ -284,9 +279,10 @@ class EntropyMinAdapter(Adapter):
         super().__init__(pretrained, latency)
         self.learning_rate = learning_rate
 
-    def _adapt(self, batch: Batch) -> AdaptOutcome:
-        g_gamma, g_beta = entropy_gradient(self.params, batch.features)
-        _check_finite(self.name, g_gamma, g_beta)
+    def _descend(self, batch: Batch, g_gamma: np.ndarray, g_beta: np.ndarray) -> AdaptOutcome:
+        """Step a copy of the parameters down the gradient and predict with it."""
+        if not (np.isfinite(g_gamma).all() and np.isfinite(g_beta).all()):
+            raise FloatingPointError(f"non-finite gradient in {self.name}")
         theta = self.params.copy()
         theta.gamma = theta.gamma - self.learning_rate * g_gamma
         theta.beta = theta.beta - self.learning_rate * g_beta
@@ -294,22 +290,20 @@ class EntropyMinAdapter(Adapter):
         return AdaptOutcome(batch.features, theta, y_hat, cost=None)
 
 
-class PseudoLabelAdapter(Adapter):
+class EntropyMinAdapter(_DescentAdapter):
+    """One descent step on (gamma, beta) against mean prediction entropy."""
+
+    name = "entropy_min"
+
+    def _adapt(self, batch: Batch) -> AdaptOutcome:
+        return self._descend(batch, *entropy_gradient(self.params, batch.features))
+
+
+class PseudoLabelAdapter(_DescentAdapter):
     """Self-training: one (gamma, beta) step on cross-entropy to own argmax labels."""
 
     name = "pseudo_label"
-
-    def __init__(
-        self,
-        pretrained: ModelParams,
-        latency: LatencyModel = Constant(3.0),
-        learning_rate: float = 0.1,
-    ):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        super().__init__(pretrained, latency)
-        self.learning_rate = learning_rate
-        self.last_pseudo_labels: np.ndarray | None = None
+    last_pseudo_labels: np.ndarray | None = None
 
     def _reset_state(self) -> None:
         self.last_pseudo_labels = None
@@ -317,16 +311,11 @@ class PseudoLabelAdapter(Adapter):
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         pseudo, _ = predict(self.params, batch.features)
         self.last_pseudo_labels = pseudo
-        g_gamma, g_beta = cross_entropy_gradient(self.params, batch.features, pseudo)
-        _check_finite(self.name, g_gamma, g_beta)
-        theta = self.params.copy()
-        theta.gamma = theta.gamma - self.learning_rate * g_gamma
-        theta.beta = theta.beta - self.learning_rate * g_beta
-        y_hat, _ = predict(theta, batch.features)
-        return AdaptOutcome(batch.features, theta, y_hat, cost=None)
+        return self._descend(
+            batch, *cross_entropy_gradient(self.params, batch.features, pseudo))
 
 
-class RejectionEntropyAdapter(Adapter):
+class RejectionEntropyAdapter(_DescentAdapter):
     """Entropy descent restricted to confidently-predicted samples.
 
     Samples with forward-pass entropy above the threshold are excluded from
@@ -345,11 +334,8 @@ class RejectionEntropyAdapter(Adapter):
         learning_rate: float = 0.1,
         entropy_threshold: float | None = None,
     ):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        super().__init__(pretrained, latency)
+        super().__init__(pretrained, latency, learning_rate)
         self.latency_reject = latency_reject
-        self.learning_rate = learning_rate
         if entropy_threshold is None:
             entropy_threshold = 0.4 * np.log(pretrained.num_classes)
         if entropy_threshold <= 0:
@@ -369,13 +355,8 @@ class RejectionEntropyAdapter(Adapter):
             cost = sample_latency(self.latency_reject, batch.size, self._latency_rng)
             return AdaptOutcome(batch.features, theta, y_hat, cost=cost,
                                 note="all samples rejected: no update")
-        g_gamma, g_beta = entropy_gradient(self.params, batch.features, mask=admitted)
-        _check_finite(self.name, g_gamma, g_beta)
-        theta = self.params.copy()
-        theta.gamma = theta.gamma - self.learning_rate * g_gamma
-        theta.beta = theta.beta - self.learning_rate * g_beta
-        y_hat, _ = predict(theta, batch.features)
-        return AdaptOutcome(batch.features, theta, y_hat, cost=None)
+        return self._descend(
+            batch, *entropy_gradient(self.params, batch.features, mask=admitted))
 
 
 class InputRestoreAdapter(Adapter):
@@ -407,7 +388,7 @@ class InputRestoreAdapter(Adapter):
 
 
 # --------------------------------------------------------------------------
-# Registry and timing helpers
+# Registry and throwaway copies
 # --------------------------------------------------------------------------
 
 ADAPTERS: dict[str, type[Adapter]] = {
@@ -430,14 +411,6 @@ def make_adapter(name: str, pretrained: ModelParams, **kwargs) -> Adapter:
         raise ValueError(f"unknown adapter {name!r} (known: {known})")
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
     return ADAPTERS[name](pretrained, **kwargs)
-
-
-def sync_barrier() -> None:
-    """Synchronization point surrounding measured timing sections.
-
-    CPU array math here is synchronous, so this is a hook rather than a wait;
-    it marks where a device-backed implementation must drain its queue.
-    """
 
 
 def clone_adapter(adapter: Adapter) -> Adapter:

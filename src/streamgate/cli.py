@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import inspect
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -43,6 +44,7 @@ from .report import (
     delta,
     format_percent,
     write_results_csv,
+    write_rows,
     write_schedule_csv,
     write_summary_json,
 )
@@ -182,6 +184,9 @@ def _latency(kind: str = "default", **values) -> adapters_mod.LatencyModel | Non
     if isinstance(latency, Stochastic) and not 0 <= latency.jitter < latency.mean:
         raise ValueError(f"{_KEY_OF['latency', 'jitter']} must be in [0, mean), "
                          f"got {latency.jitter!r} with mean {latency.mean!r}")
+    untaken = [_KEY_OF["latency", field] for field in values if field not in takes]
+    if untaken:
+        raise ValueError(f"the {kind} latency model does not take {', '.join(untaken)}")
     return latency
 
 
@@ -267,6 +272,10 @@ def build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
             built[target] = _TARGETS[target](**fields[target])
 
     latency, run = built["latency"], fields["run"]
+    unused = [_KEY_OF["latency", field] for field in fields["latency"] if field != "kind"]
+    if unused and latency is None:
+        raise ConfigError(f"{', '.join(unused)}: unused unless "
+                          f"{_KEY_OF['latency', 'kind']} names a latency model")
     # Each keyword goes to the chosen adapters whose constructor takes it.
     offered = {**fields["hyper"], **({"latency": latency} if latency else {})}
     adapters = {}
@@ -344,16 +353,21 @@ def _execute(
             adapters_mod.make_adapter(name, pretrained, **kwargs)
     reports = [r for seed in sorted(exp.stream_seeds) for r in _execute_seed(exp, seed, runs)]
     reports.sort(key=sort_key)
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(exp.out_dir / "results.csv", reports)
-    if args.emit_schedule:
-        for r in reports:
-            if r.schedule is not None:
-                write_schedule_csv(exp.out_dir / f"schedule_{r.run_id}.csv", r.schedule)
-    else:
-        reports = [replace(r, schedule=None) for r in reports]
-    write_summary_json(exp.out_dir / "summary.json", reports, deltas(reports))
+    _write_outputs(exp.out_dir, reports, deltas(reports), args.emit_schedule)
     return exp, reports
+
+
+def _write_outputs(
+    out_dir: Path, reports: list[RunReport], deltas: list[dict] | None, emit_schedule: bool
+) -> None:
+    """results.csv, summary.json, which never holds a schedule, and any schedule CSVs."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_results_csv(out_dir / "results.csv", reports)
+    write_summary_json(out_dir / "summary.json",
+                       [replace(r, schedule=None) for r in reports], deltas)
+    if emit_schedule:
+        for r in reports:
+            write_schedule_csv(out_dir / f"schedule_{r.run_id}.csv", r.schedule)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -405,19 +419,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _write_sweep_csv(path: Path, reports: list[RunReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eta", "adapter", "seed", "avg_error", "adapted_fraction", "mean_c"])
-        for r in reports:
-            writer.writerow([
-                repr(r.eta), r.adapter, r.seed, repr(r.avg_error),
-                repr(r.adapted_fraction), "" if r.mean_c is None else repr(r.mean_c),
-            ])
+    columns = ["eta", "adapter", "seed", "avg_error", "adapted_fraction", "mean_c"]
+    write_rows(path, columns, map(attrgetter(*columns), reports))
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     with _named("--interval"):
-        clock = StreamClock(base_rate=1.0 / _positive(args.interval))
+        interval = _positive(args.interval)
+        # 1 / (1 / L) can round below L; step the rate down until it does not.
+        rate = 1.0 / interval
+        while 1.0 / rate < interval:
+            rate = math.nextafter(rate, 0.0)
+        clock = StreamClock(base_rate=rate)
     with _named("--eta"):
         clock = replace(clock, eta=_number(args.eta))
     records = parse_trace(args.trace, fallback_error_rate=args.fallback_error_rate)
@@ -427,12 +440,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             f"constant fallback error rate {args.fallback_error_rate} substituted for missing values"
         )
     report.run_id = f"replay-{Path(args.trace).stem}-eta{clock.eta:g}"
-    out_dir = Path(args.out or ExperimentConfig.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(out_dir / "results.csv", [report])
-    write_summary_json(out_dir / "summary.json", [replace(report, schedule=None)])
-    if args.emit_schedule and report.schedule is not None:
-        write_schedule_csv(out_dir / f"schedule_{report.run_id}.csv", report.schedule)
+    _write_outputs(Path(args.out or ExperimentConfig.out_dir), [report], None, args.emit_schedule)
     print(f"replayed {len(records)} steps: error {format_percent(report.avg_error)} "
           f"adapted {format_percent(report.adapted_fraction)}")
     return 0

@@ -1,10 +1,11 @@
-"""Stream pacing: the constant-rate clock, the relative-speed ceiling, and the
-busy-window rule that simulation and trace replay share."""
+"""Stream pacing: the constant-rate clock, the tick rule, the relative-speed
+ceiling, and the busy-window rule that simulation and trace replay share."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,11 @@ class StreamClock:
         return 1.0 / (self.eta * self.base_rate)
 
 
-def effective_stream_interval(base_rate: float, eta: float) -> float:
-    """Seconds per revealed batch: 1 / (eta * base_rate)."""
-    return StreamClock(base_rate, eta).effective_interval
+def check_ticks(ticks: Iterable[int], error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless the ticks run 0, 1, 2, ... in order."""
+    for i, t in enumerate(ticks):
+        if t != i:
+            raise error(f"ticks must be contiguous from 0; got {t} at position {i}")
 
 
 def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
@@ -76,19 +79,6 @@ class Worker:
 
     def occupy(self, t: int, interval: float, elapsed: float) -> int:
         """Charge an adaptation started at step t; returns its C."""
-        c = relative_adaptation_speed(interval, elapsed)
-        self.busy_until = t + c
-        return c
-
-    def step(self, t: int, interval: float, elapsed: float) -> int:
-        """``free`` then ``occupy`` in one call, for a cost known in advance.
-
-        Returns C if step t adapts and 0 if it falls inside a busy window.
-        Replay steps cost a few microseconds each, so this inlines the two
-        methods rather than calling them.
-        """
-        if t < self.busy_until:
-            return 0
         c = relative_adaptation_speed(interval, elapsed)
         self.busy_until = t + c
         return c

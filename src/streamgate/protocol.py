@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import MEASURED, SIMULATED, Adapter, clone_adapter, sync_barrier
-from .clock import StreamClock, Worker
+from .adapters import MEASURED, SIMULATED, Adapter, clone_adapter
+from .clock import StreamClock, Worker, check_ticks
 from .model import ModelParams, blend_parameters, params_fingerprint, predict
 from .report import (
     ACTION_ADAPTED,
@@ -90,22 +90,11 @@ class ProtocolConfig:
             raise ValueError(f"unknown timing mode {self.timing!r}")
 
 
-def _validate_stream(stream: Sequence[Batch]) -> None:
-    if not stream:
-        raise ValueError("stream is empty")
-    for i, batch in enumerate(stream):
-        if batch.t != i:
-            raise ValueError(f"stream ticks must be contiguous from 0; got t={batch.t} at index {i}")
-
-
-def _measured_interval(params: ModelParams, batch: Batch, eta: float) -> float:
-    """Per-step re-measurement of the base model's forward time, scaled by eta."""
-    sync_barrier()
+def _timed(fn, *args):
+    """``fn(*args)`` and the seconds it took, floored so that no cost is zero."""
     start = time.perf_counter()
-    predict(params, batch.features)
-    sync_barrier()
-    forward = max(time.perf_counter() - start, 1e-9)
-    return forward / eta
+    result = fn(*args)
+    return result, max(time.perf_counter() - start, 1e-9)
 
 
 def _run(
@@ -134,12 +123,14 @@ def _run(
 
     for segment in segments:
         stream = segment.batches
-        _validate_stream(stream)
+        if not stream:
+            raise ValueError("stream is empty")
+        check_ticks(batch.t for batch in stream)
         if initial.dim != stream[0].features.shape[1]:
             raise ValueError("initial parameters do not match the stream's feature dimension")
         if segment.reset:
             adapter.reset()
-            adapter.set_params(initial.copy())
+            adapter.params = initial.copy()
         worker = Worker()
         fallback, version, fallback_version = adapter.params, 0, 0
         current_domain: int | None = None
@@ -166,12 +157,10 @@ def _run(
                 prev = adapter.params
                 try:
                     if cfg.timing == MEASURED:
-                        interval = _measured_interval(prev, batch, clock.eta)
-                        sync_barrier()
-                        start = time.perf_counter()
-                        outcome = adapter.adapt(batch)
-                        sync_barrier()
-                        cost = max(time.perf_counter() - start, 1e-9)
+                        # The base model's forward time, re-measured at every step.
+                        _, forward = _timed(predict, prev, batch.features)
+                        interval = forward / clock.eta
+                        outcome, cost = _timed(adapter.adapt, batch)
                     else:
                         interval = clock.effective_interval
                         outcome = adapter.adapt(batch)
@@ -183,7 +172,7 @@ def _run(
                     raise ProtocolError(
                         f"adapter {adapter.name!r} failed at step {t}: {exc}"
                     ) from exc
-                adapter.set_params(theta_next)
+                adapter.params = theta_next
                 version += 1
                 if cfg.fallback_visibility == IMMEDIATE:
                     fallback, fallback_version = theta_next, version
@@ -256,7 +245,7 @@ def run_stream(
     ``num_classes``, the strictest stand-in for a deployment that can only
     host the adapting model itself.
     """
-    adapter.set_params(initial.copy())
+    adapter.params = initial.copy()
     return _run([StreamSegment(reset=False, batches=stream)], adapter, initial, cfg, clock,
                 num_classes, predictions_out, trace_out)
 

@@ -6,6 +6,7 @@ import csv
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -99,13 +100,12 @@ def domain_report(domain_id: int, records: Sequence[ScheduleRecord]) -> DomainRe
         raise ValueError("domain has no schedule records")
     total = sum(r.batch_size for r in records)
     errors = sum(r.error_count for r in records)
-    adapted = [r for r in records if r.action == ACTION_ADAPTED]
     return DomainReport(
         domain_id=domain_id,
         n_batches=len(records),
-        n_adapted=len(adapted),
+        n_adapted=sum(r.action == ACTION_ADAPTED for r in records),
         error_rate=errors / total,
-        mean_c=float(np.mean([r.c_value for r in adapted])) if adapted else None,
+        mean_c=mean_c(records),
     )
 
 
@@ -208,30 +208,26 @@ def format_percent(fraction: float) -> str:
     return f"{100.0 * fraction:.1f}%"
 
 
-def write_results_csv(path: str | Path, reports: Sequence[RunReport]) -> None:
-    """One row per (run, domain), in the fixed public column order."""
+def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV file: the header, then one line per row, each value through ``_fmt``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in reports:
-            for d in r.per_domain:
-                writer.writerow([
-                    r.run_id, r.protocol, r.scenario, r.adapter,
-                    _fmt(d.domain_id), _fmt(r.eta), _fmt(r.seed),
-                    _fmt(d.n_batches), _fmt(d.n_adapted), _fmt(d.mean_c),
-                    _fmt(d.error_rate),
-                ])
+        writer.writerow(columns)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def write_results_csv(path: str | Path, reports: Sequence[RunReport]) -> None:
+    """One row per (run, domain), in the fixed public column order."""
+    write_rows(path, RESULT_COLUMNS, (
+        (r.run_id, r.protocol, r.scenario, r.adapter, d.domain_id, r.eta, r.seed,
+         d.n_batches, d.n_adapted, d.mean_c, d.error_rate)
+        for r in reports for d in r.per_domain
+    ))
 
 
 def write_schedule_csv(path: str | Path, schedule: Sequence[ScheduleRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEDULE_COLUMNS)
-        for rec in schedule:
-            writer.writerow([
-                rec.step, rec.action, _fmt(rec.c_value), rec.params_version,
-                rec.error_count, rec.batch_size,
-            ])
+    """One row per step; the columns are the record's fields."""
+    write_rows(path, SCHEDULE_COLUMNS, map(attrgetter(*SCHEDULE_COLUMNS), schedule))
 
 
 def report_to_dict(report: RunReport) -> dict:

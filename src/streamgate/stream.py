@@ -126,10 +126,6 @@ class ScenarioSpec:
         if self.append_clean and self.mode != CONTINUAL:
             raise ValueError("append_clean is only valid in continual mode")
 
-    @property
-    def reset_between_domains(self) -> bool:
-        return self.mode == EPISODIC
-
 
 @dataclass
 class StreamSegment:

@@ -2,23 +2,35 @@
 
 A trace row records, for every stream step, the seconds an adaptation step
 spent (or would have spent) on that batch and how many predictions would be
-correct under adaptation versus under the fallback snapshot.  Replaying walks
-the schedule that the busy-window rule of ``clock.Worker`` (the rule the
-simulated online protocol applies) gives under a chosen clock and totals the
-matching correctness column, so error rates at any stream speed come out of
-one recording with no model reruns.
+correct under adaptation versus under the fallback snapshot.  Replaying takes
+the same walk as the simulated online protocol's run loop: at each step it
+asks ``clock.Worker`` whether the worker is free and, if so, charges the
+recorded latency through ``Worker.occupy``.  It then totals the matching
+correctness column, so error rates at any stream speed come out of one
+recording with no model reruns.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
-from .clock import StreamClock, Worker
-from .report import ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK, RunReport, ScheduleRecord, run_report
+import numpy as np
+
+from .clock import StreamClock, Worker, check_ticks
+from .report import (
+    ACTION_ADAPTED,
+    ACTION_SKIPPED_FALLBACK,
+    RunReport,
+    ScheduleRecord,
+    run_report,
+    write_rows,
+)
 
 TRACE_COLUMNS = ["step", "latency", "correct_adapted", "correct_fallback", "domain_id", "batch_size"]
 
@@ -49,12 +61,6 @@ class TraceRecord:
             raise ValueError("correct_adapted must be within [0, batch_size]")
         if not 0 <= self.correct_fallback <= self.batch_size:
             raise ValueError("correct_fallback must be within [0, batch_size]")
-
-
-def _check_contiguous(records: Sequence[TraceRecord]) -> None:
-    for i, rec in enumerate(records):
-        if rec.step != i:
-            raise TraceFormatError(f"steps must be contiguous from 0; got step {rec.step} at row {i}")
 
 
 def parse_trace(path: str | Path, fallback_error_rate: float | None = None) -> list[TraceRecord]:
@@ -98,19 +104,12 @@ def parse_trace(path: str | Path, fallback_error_rate: float | None = None) -> l
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
     if not records:
         raise TraceFormatError(f"{path}: trace contains no records")
-    _check_contiguous(records)
+    check_ticks((rec.step for rec in records), TraceFormatError)
     return records
 
 
 def write_trace(path: str | Path, records: Sequence[TraceRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.step, repr(rec.latency), rec.correct_adapted,
-                rec.correct_fallback, rec.domain_id, rec.batch_size,
-            ])
+    write_rows(path, TRACE_COLUMNS, map(attrgetter(*TRACE_COLUMNS), records))
 
 
 def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock()) -> RunReport:
@@ -123,9 +122,9 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
     """
     if not trace:
         raise TraceFormatError("trace contains no records")
-    _check_contiguous(trace)
+    check_ticks((rec.step for rec in trace), TraceFormatError)
     interval = clock.effective_interval
-    step = Worker().step
+    worker = Worker()
     version = 0
     records: list[ScheduleRecord] = []
     domains: list[tuple[int, int]] = []
@@ -134,30 +133,22 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
         if rec.domain_id != current_domain:
             current_domain = rec.domain_id
             domains.append((current_domain, rec.step))
-        c = step(rec.step, interval, rec.latency)
-        if c:
+        if worker.free(rec.step):
+            c = worker.occupy(rec.step, interval, rec.latency)
             version += 1
-            records.append(
-                ScheduleRecord(
-                    step=rec.step,
-                    action=ACTION_ADAPTED,
-                    c_value=c,
-                    params_version=version,
-                    error_count=rec.batch_size - rec.correct_adapted,
-                    batch_size=rec.batch_size,
-                )
-            )
+            action, correct = ACTION_ADAPTED, rec.correct_adapted
         else:
-            records.append(
-                ScheduleRecord(
-                    step=rec.step,
-                    action=ACTION_SKIPPED_FALLBACK,
-                    c_value=None,
-                    params_version=version,
-                    error_count=rec.batch_size - rec.correct_fallback,
-                    batch_size=rec.batch_size,
-                )
+            c, action, correct = None, ACTION_SKIPPED_FALLBACK, rec.correct_fallback
+        records.append(
+            ScheduleRecord(
+                step=rec.step,
+                action=action,
+                c_value=c,
+                params_version=version,
+                error_count=rec.batch_size - correct,
+                batch_size=rec.batch_size,
             )
+        )
     return run_report(
         records, domains, protocol="online", adapter="trace", eta=clock.eta, seed=0,
         scenario="replay", notes=[FALLBACK_APPROXIMATION_NOTE],
@@ -165,13 +156,15 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
 
 
 def adapted_only_error(trace: Sequence[TraceRecord]) -> float:
-    """Pooled error if every step were adapted.
+    """The ``avg_error`` of a replay at any clock under which every step adapts.
 
-    A replay slow enough to adapt every step has the same per-domain errors,
-    but its ``avg_error`` is the unweighted mean of the domain rates.  The two
-    agree only when all domains have the same size, and then only up to float
-    rounding in the last bits.
+    That is the unweighted mean, over each run of consecutive steps in one
+    domain, of the error rate under adaptation: the rows and the arithmetic of
+    ``replay_online``, so the two agree bit for bit.
     """
-    total = sum(r.batch_size for r in trace)
-    correct = sum(r.correct_adapted for r in trace)
-    return (total - correct) / total
+    rates = []
+    for _, rows in itertools.groupby(trace, key=attrgetter("domain_id")):
+        rows = list(rows)
+        total = sum(r.batch_size for r in rows)
+        rates.append((total - sum(r.correct_adapted for r in rows)) / total)
+    return float(np.mean(rates))

@@ -105,6 +105,14 @@ def test_emit_schedule_writes_per_run_ledgers(config_path, tmp_path):
     assert header == "step,action,c_value,params_version,error_count,batch_size"
 
 
+def test_summary_json_is_the_same_with_or_without_emit_schedule(config_path, tmp_path):
+    outs = [tmp_path / "plain", tmp_path / "emit"]
+    for out, flags in zip(outs, [(), ("--emit-schedule",)]):
+        assert run_cli("run", "--config", str(config_path), "--out", str(out),
+                       "--seeds", "0", *flags) == 0
+    assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+
+
 def test_sweep_grid_arity_and_order(config_path, tmp_path):
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--config", str(config_path), "--out", str(out),
@@ -153,6 +161,21 @@ def test_replay_command(tmp_path):
                    "--eta", "0.25") == 0
     slow = json.loads((out_slow / "summary.json").read_text())["runs"][0]
     assert slow["adapted_fraction"] == 1.0  # interval quadrupled, C=1
+
+
+def test_replay_interval_is_never_rounded_down(tmp_path, capsys):
+    # 1 / (1 / L) < L for this L; a step costing exactly the interval takes one tick.
+    latency = 7.565469048855985
+    assert 1.0 / (1.0 / latency) < latency
+    trace_path = tmp_path / "trace.csv"
+    write_trace(trace_path, [
+        TraceRecord(step=i, latency=latency, correct_adapted=10, correct_fallback=5,
+                    domain_id=0, batch_size=10)
+        for i in range(4)
+    ])
+    assert run_cli("replay", "--trace", str(trace_path), "--out", str(tmp_path / "out"),
+                   "--interval", repr(latency)) == 0
+    assert "adapted 100.0%" in capsys.readouterr().out
 
 
 def test_single_model_and_continual_modes(tmp_path):
@@ -253,6 +276,10 @@ def _write_replay_trace(path):
         (["run"], "adapter.latency.kind=stochastic\nadapter.latency.jitter=-0.5\n",
          "adapter.latency.jitter"),
         (["run"], "scenario.domains=mean_shift:5:0:9\n", "scenario.domains"),
+        # A latency field needs a latency kind that takes it.
+        (["run"], "adapter.latency.kind=\n", "adapter.latency.seconds"),
+        (["run"], "adapter.latency.kind=default\n", "adapter.latency.seconds"),
+        (["run"], "adapter.latency.mean=5\n", "adapter.latency.mean"),
     ],
 )
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, lines, name):
@@ -275,7 +302,7 @@ def test_rejected_adapter_construction_names_a_key(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(adapters_mod, "make_adapter", reject)
     path = tmp_path / "exp.cfg"
     # No hyperparameter and no latency model: the adapter name is the only key left.
-    path.write_text(BASE_CONFIG + "adapter.latency.kind=\n")
+    path.write_text(BASE_CONFIG + "adapter.latency.kind=\nadapter.latency.seconds=\n")
     assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == 2
     assert "error: adapter.name: rejected" in capsys.readouterr().err
     path.write_text(BASE_CONFIG)

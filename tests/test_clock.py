@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from streamgate.clock import (
     StreamClock,
     Worker,
-    effective_stream_interval,
     relative_adaptation_speed,
 )
 
@@ -72,11 +71,11 @@ def test_ceiling_exact_on_integer_ratios(k, q):
     [(1.0, 1.0, 1.0), (1.0, 1 / 16, 16.0), (4.0, 0.5, 0.5)],
 )
 def test_effective_stream_interval(rate, eta, expected):
-    assert effective_stream_interval(rate, eta) == pytest.approx(expected)
+    assert StreamClock(rate, eta).effective_interval == pytest.approx(expected)
 
 
 def test_slow_stream_restores_full_adaptation():
-    interval = effective_stream_interval(1.0, 0.25)
+    interval = StreamClock(1.0, 0.25).effective_interval
     assert interval == 4.0
     assert relative_adaptation_speed(interval, 3.5) == 1
 
@@ -84,7 +83,7 @@ def test_slow_stream_restores_full_adaptation():
 @pytest.mark.parametrize("eta", [0.0, -0.5, 1.5])
 def test_effective_stream_interval_rejects_bad_eta(eta):
     with pytest.raises(ValueError):
-        effective_stream_interval(1.0, eta)
+        StreamClock(1.0, eta).effective_interval
 
 
 def test_schedule_decision_boundaries():
@@ -94,11 +93,6 @@ def test_schedule_decision_boundaries():
     assert not worker.free(1)
     assert not worker.free(2)
     assert worker.free(3)  # busy window is half-open
-    # step() is free-then-occupy in one call: 0 inside the window, else C.
-    assert worker.step(2, 1.0, 1.0) == 0
-    assert worker.step(3, 1.0, 2.0) == 2
-    assert worker.step(4, 1.0, 1.0) == 0
-    assert worker.step(5, 1.0, 1.0) == 1
 
 
 def test_stream_clock_interval_identity():

@@ -199,8 +199,6 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         ScenarioSpec(mode=EPISODIC, domain_order=(CorruptionSpec("mean_shift", 1),),
                      append_clean=True)
-    assert three_domain_scenario(EPISODIC).reset_between_domains
-    assert not three_domain_scenario(CONTINUAL).reset_between_domains
 
 
 def test_default_suite_is_15_domains_at_severity_5():

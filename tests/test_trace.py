@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamgate.adapters import (
     ADAPTERS,
@@ -109,6 +110,29 @@ def test_replay_fast_latencies_recover_adapted_only_error():
     assert report.adapted_fraction == 1.0
     assert report.avg_error == pytest.approx(adapted_only_error(trace))
     assert report.avg_error == pytest.approx(1 - (8 + 7 + 6) / 30)
+
+
+@pytest.mark.filterwarnings("ignore:domains have unequal sizes")
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 9), st.integers(1, 20), st.floats(0.0, 1.0),
+                  st.floats(1e-6, 1.0)),
+        min_size=1, max_size=6,
+    ),
+    st.floats(1 / 64, 1.0),
+)
+def test_adapted_only_error_is_the_all_adapted_replay_error(domains, eta):
+    # Domains of unequal lengths and batch sizes, every latency within one interval.
+    rows = [
+        (latency, round(batch_size * accuracy), 0, domain_id, batch_size)
+        for domain_id, (n_steps, batch_size, accuracy, latency) in enumerate(domains)
+        for _ in range(n_steps)
+    ]
+    trace = make_trace(rows)
+    report = replay_online(trace, StreamClock(eta=eta))
+    assert report.adapted_fraction == 1.0
+    assert adapted_only_error(trace) == report.avg_error
 
 
 def test_replay_hand_schedule_constant_three():

@@ -75,6 +75,20 @@ def sample_latency(
     return float(value)
 
 
+def latency_range(model: LatencyModel, smallest: int, largest: int) -> tuple[float, float]:
+    """The least and greatest cost ``sample_latency`` can draw for batch sizes
+    from ``smallest`` to ``largest``: a draw is monotone in the batch size and
+    in the jitter, so the ends of each bound it."""
+    if isinstance(model, Constant):
+        return model.seconds, model.seconds
+    if isinstance(model, PerSample):
+        ends = sorted(model.per_sample * b + model.base for b in (smallest, largest))
+        return ends[0], ends[1]
+    if isinstance(model, Stochastic):
+        return max(model.mean - model.jitter, _COST_FLOOR), model.mean + model.jitter
+    raise TypeError(f"unknown latency model {model!r}")
+
+
 # --------------------------------------------------------------------------
 # Shared losses and gradients on the affine normalizer pair
 # --------------------------------------------------------------------------
@@ -192,6 +206,11 @@ class Adapter:
 
     def sample_cost(self, batch_size: int) -> float:
         return sample_latency(self.latency, batch_size, self._latency_rng)
+
+    def cost_range(self, smallest: int, largest: int) -> tuple[float, float]:
+        """The least and greatest cost a step on a batch of ``smallest`` to
+        ``largest`` samples can draw."""
+        return latency_range(self.latency, smallest, largest)
 
     def reset(self) -> None:
         """Restore the exact pretrained state and clear auxiliary state."""
@@ -345,6 +364,13 @@ class RejectionEntropyAdapter(_DescentAdapter):
 
     def _reset_state(self) -> None:
         self.last_admitted = None
+
+    def cost_range(self, smallest: int, largest: int) -> tuple[float, float]:
+        """Spans both models: a step pays the update's cost or the rejection's."""
+        (lo, hi), (lo_reject, hi_reject) = (
+            latency_range(model, smallest, largest)
+            for model in (self.latency, self.latency_reject))
+        return min(lo, lo_reject), max(hi, hi_reject)
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         admitted = per_sample_entropy(self.params, batch.features) <= self.entropy_threshold

@@ -5,8 +5,11 @@ each key once: the object it sets, the field, and the value parser.  A key left
 out or left empty keeps the object's own default, and a rejected value is
 reported under its key.  ``run`` and ``sweep`` share one path: build, construct
 each adapter once, then run seed by seed on one composed stream per seed.
-Outputs are deterministic under simulated timing: rows are written in sorted
-order with floats serialized via their exact repr.
+Under simulated timing a clock reaches a run only through each step's relative
+adaptation speed C, so each seed computes every schedule class once (see
+``_schedule_class``) and gives the class's other runs relabelled copies of
+that report.  Outputs are deterministic under simulated timing: rows are
+written in sorted order with floats serialized via their exact repr.
 
 Exit codes: 0 success, 2 usage/config error, 1 runtime failure.
 """
@@ -28,7 +31,7 @@ from typing import Callable
 
 from . import adapters as adapters_mod
 from .adapters import MEASURED, Constant, PerSample, Stochastic
-from .clock import StreamClock
+from .clock import StreamClock, constant_c
 from .model import ModelParams
 from .protocol import (
     OFFLINE,
@@ -315,22 +318,71 @@ def execute_run(
     )
     n_domains = len(exp.scenario.domain_order) + (1 if exp.scenario.append_clean else 0)
     report.scenario = f"{exp.scenario.mode}-{n_domains}"
-    prefix = f"{exp.run_prefix}-" if exp.run_prefix else ""
-    report.run_id = f"{prefix}{adapter_name}-{report.scenario}-{protocol}-eta{clock.eta:g}-seed{seed}"
+    report.run_id = _run_id(exp, report)
     return report
 
 
+def _run_id(exp: ExperimentConfig, r: RunReport) -> str:
+    prefix = f"{exp.run_prefix}-" if exp.run_prefix else ""
+    return f"{prefix}{r.adapter}-{r.scenario}-{r.protocol}-eta{r.eta:g}-seed{r.seed}"
+
+
+def _schedule_class(
+    cfg: ProtocolConfig, adapter: adapters_mod.Adapter, protocol: str, clock: StreamClock,
+    batch_sizes: tuple[int, int],
+) -> tuple[str, int, str] | None:
+    """The key (adapter, C, protocol) shared by the runs equal to this one in all but
+    their labels, or None when the run may have no equal.
+
+    Under simulated timing the clock reaches a run only through each step's C.
+    When every cost the adapter can draw on the stream's smallest to largest
+    batch spans the same C, the run depends on the clock through that C alone.
+    Every protocol under which every step adapts (offline, the busy window at
+    C == 1, and modulo:1) then gives one run, keyed as offline.
+    """
+    if cfg.timing == MEASURED:
+        return None
+    c = constant_c(clock.effective_interval, *adapter.cost_range(*batch_sizes))
+    if c is None:
+        return None
+    every_step = (protocol == OFFLINE or cfg.schedule_mode == FixedModulo(1)
+                  or (isinstance(cfg.schedule_mode, BusyWindow) and c == 1))
+    return adapter.name, c, OFFLINE if every_step else protocol
+
+
 def _execute_seed(
-    exp: ExperimentConfig, seed: int, plan: list[tuple[str, str, StreamClock]]
+    exp: ExperimentConfig, seed: int, plan: list[tuple[str, str, StreamClock]],
+    adapters: dict[str, adapters_mod.Adapter],
 ) -> list[RunReport]:
     """Every planned (adapter, protocol, clock) run of one seed on one shared stream.
 
+    ``adapters`` holds one constructed adapter per name, read only for its
+    cost range.  The first run of each schedule class is executed; every later
+    one is a copy of its report under its own protocol, eta and run_id, which
+    shares no list with the original.  A run with no class is always executed.
     The stream is released on return, so a caller looping over seeds holds at
     most one composed stream at a time.
     """
     segments = compose_stream(exp.scenario, exp.source, exp.samples_per_domain, seed=seed)
-    return [execute_run(exp, segments, adapter_name, protocol, seed, clock)
-            for adapter_name, protocol, clock in plan]
+    sizes = [batch.size for segment in segments for batch in segment.batches]
+    batch_sizes = min(sizes), max(sizes)
+    executed: dict[tuple[str, int, str], RunReport] = {}
+    reports = []
+    for adapter_name, protocol, clock in plan:
+        key = _schedule_class(exp.protocol_cfg, adapters[adapter_name], protocol, clock,
+                              batch_sizes)
+        twin = executed.get(key)
+        if twin is None:
+            report = execute_run(exp, segments, adapter_name, protocol, seed, clock)
+            if key is not None:
+                executed[key] = report
+        else:
+            report = replace(twin, protocol=protocol, eta=clock.eta,
+                             per_domain=list(twin.per_domain), schedule=list(twin.schedule),
+                             fingerprints=list(twin.fingerprints), notes=list(twin.notes))
+            report.run_id = _run_id(exp, report)
+        reports.append(report)
+    return reports
 
 
 def _execute(
@@ -346,12 +398,14 @@ def _execute(
     runs = plan(exp)
     pretrained = _pretrained(exp.source, exp.train)
     # Construct each chosen adapter once, so that a value it rejects fails before any run.
+    adapters = {}
     for name, kwargs in exp.adapters.items():
         keys = [_KEY_OF["latency", "kind"] if field == "latency" else _KEY_OF["hyper", field]
                 for field in kwargs]
         with _named(", ".join(keys) or _KEY_OF["run", "adapters"]):
-            adapters_mod.make_adapter(name, pretrained, **kwargs)
-    reports = [r for seed in sorted(exp.stream_seeds) for r in _execute_seed(exp, seed, runs)]
+            adapters[name] = adapters_mod.make_adapter(name, pretrained, **kwargs)
+    reports = [r for seed in sorted(exp.stream_seeds)
+               for r in _execute_seed(exp, seed, runs, adapters)]
     reports.sort(key=sort_key)
     _write_outputs(exp.out_dir, reports, deltas(reports), args.emit_schedule)
     return exp, reports
@@ -426,13 +480,13 @@ def _write_sweep_csv(path: Path, reports: list[RunReport]) -> None:
 def cmd_replay(args: argparse.Namespace) -> int:
     with _named("--interval"):
         interval = _positive(args.interval)
-        # 1 / (1 / L) can round below L; step the rate down until it does not.
-        rate = 1.0 / interval
-        while 1.0 / rate < interval:
-            rate = math.nextafter(rate, 0.0)
-        clock = StreamClock(base_rate=rate)
+        clock = StreamClock(base_rate=1.0 / interval)
     with _named("--eta"):
         clock = replace(clock, eta=_number(args.eta))
+        # The clock's 1 / (eta * rate) can round below L / eta; step the rate down
+        # until it does not.
+        while clock.effective_interval < interval / clock.eta:
+            clock = replace(clock, base_rate=math.nextafter(clock.base_rate, 0.0))
     records = parse_trace(args.trace, fallback_error_rate=args.fallback_error_rate)
     report = replay_online(records, clock)
     if args.fallback_error_rate is not None:

@@ -1,5 +1,6 @@
 """Stream pacing: the constant-rate clock, the tick rule, the relative-speed
-ceiling, and the busy-window rule that simulation and trace replay share."""
+ceiling, the constant-C rule, and the busy-window rule that simulation and
+trace replay share."""
 
 from __future__ import annotations
 
@@ -58,6 +59,18 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     inum, iden = effective_interval.as_integer_ratio()
     # elapsed / interval = (en * iden) / (ed * inum); ceil via floor of the negation.
     return -(-(en * iden) // (ed * inum))
+
+
+def constant_c(effective_interval: float, lo: float, hi: float) -> int | None:
+    """The C of every cost in [lo, hi], or None if the range spans two Cs.
+
+    ``relative_adaptation_speed`` is monotone in the elapsed time, so when the
+    range's two ends give the same C, so does every cost between them: a run
+    whose costs all lie in the range sees that C at every adapted step,
+    whatever the interval that produced it.
+    """
+    c = relative_adaptation_speed(effective_interval, lo)
+    return c if c == relative_adaptation_speed(effective_interval, hi) else None
 
 
 class Worker:

@@ -17,6 +17,7 @@ from streamgate.adapters import (
     Stochastic,
     cross_entropy_gradient,
     entropy_gradient,
+    latency_range,
     make_adapter,
     mean_prediction_entropy,
     per_sample_entropy,
@@ -62,6 +63,31 @@ def test_stochastic_latency_deterministic_sequence(mini_pretrained):
 def test_nonpositive_latency_rejected():
     with pytest.raises(ValueError):
         sample_latency(Constant(0.0), 4)
+
+
+@pytest.mark.parametrize(
+    "model,expected",
+    [
+        (Constant(2.0), (2.0, 2.0)),
+        (PerSample(0.25, 1.0), (2.0, 17.0)),    # batches of 4 to 64 samples
+        (PerSample(-0.25, 20.0), (4.0, 19.0)),  # a negative slope swaps the ends
+        (Stochastic(3.0, 0.5), (2.5, 3.5)),
+        (Stochastic(1.0, 1.0), (1e-9, 2.0)),    # a draw is clamped to stay positive
+    ],
+)
+def test_latency_range_bounds_every_draw(model, expected):
+    assert latency_range(model, 4, 64) == expected
+    rng = np.random.default_rng(0)
+    lo, hi = expected
+    assert all(lo <= sample_latency(model, size, rng) <= hi
+               for size in (4, 17, 64) for _ in range(200))
+
+
+def test_cost_range_spans_both_rejection_models(mini_pretrained):
+    adapter = RejectionEntropyAdapter(mini_pretrained, latency=Stochastic(3.0, 0.5),
+                                      latency_reject=PerSample(0.25, 0.0))
+    assert adapter.cost_range(2, 8) == (0.5, 3.5)
+    assert SourceAdapter(mini_pretrained, latency=PerSample(0.5, 1.0)).cost_range(2, 8) == (2.0, 5.0)
 
 
 # --------------------------------------------------------------------------

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from streamgate import adapters as adapters_mod
+from streamgate import cli
 from streamgate.cli import main, parse_config_text, build_experiment, ConfigError
+from streamgate.stream import compose_stream
 from streamgate.trace import TraceRecord, write_trace
 
 BASE_CONFIG = """
@@ -164,18 +169,22 @@ def test_replay_command(tmp_path):
 
 
 def test_replay_interval_is_never_rounded_down(tmp_path, capsys):
-    # 1 / (1 / L) < L for this L; a step costing exactly the interval takes one tick.
-    latency = 7.565469048855985
-    assert 1.0 / (1.0 / latency) < latency
-    trace_path = tmp_path / "trace.csv"
-    write_trace(trace_path, [
-        TraceRecord(step=i, latency=latency, correct_adapted=10, correct_fallback=5,
-                    domain_id=0, batch_size=10)
-        for i in range(4)
-    ])
-    assert run_cli("replay", "--trace", str(trace_path), "--out", str(tmp_path / "out"),
-                   "--interval", repr(latency)) == 0
-    assert "adapted 100.0%" in capsys.readouterr().out
+    # A step costing exactly the clock's interval L / eta takes one tick.
+    for interval, eta in [
+        (7.565469048855985, 1.0),  # 1 / (1 / L) < L
+        # 1 / (e * r) < L / e, also for the largest r with 1 / r >= L.
+        (0.09575981791266419, 0.3),
+    ]:
+        assert 1.0 / (eta * (1.0 / interval)) < interval / eta
+        trace_path = tmp_path / "trace.csv"
+        write_trace(trace_path, [
+            TraceRecord(step=i, latency=interval / eta, correct_adapted=10, correct_fallback=5,
+                        domain_id=0, batch_size=10)
+            for i in range(4)
+        ])
+        assert run_cli("replay", "--trace", str(trace_path), "--out", str(tmp_path / "out"),
+                       "--interval", repr(interval), "--eta", repr(eta)) == 0
+        assert "adapted 100.0%" in capsys.readouterr().out
 
 
 def test_single_model_and_continual_modes(tmp_path):
@@ -343,3 +352,144 @@ def test_replay_malformed_trace_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("replay", "--trace", str(path)) == 2
         assert f"{path}:3: latency must be positive and finite" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# Schedule classes: each seed runs every class of equal runs once
+# --------------------------------------------------------------------------
+
+SMALL = {
+    "source.classes": "3", "source.dim": "4", "source.samples_per_class": "40",
+    "pretrain.iterations": "40", "stream.batch_size": "8", "stream.samples_per_domain": "48",
+    "scenario.domains": "mean_shift:5:0,gaussian_noise:5:0",
+}
+ETAS = ("1/16", "1/8", "1/4", "1/3", "1/2", "1")
+
+
+def _plan(exp, etas):
+    clocks = [replace(exp.clock, eta=float(Fraction(eta))) for eta in etas]
+    return [(name, protocol, clock) for clock in clocks for name in sorted(exp.adapters)
+            for protocol in exp.protocols]
+
+
+def _adapters(exp):
+    pretrained = cli._pretrained(exp.source, exp.train)
+    return {name: adapters_mod.make_adapter(name, pretrained, **kwargs)
+            for name, kwargs in exp.adapters.items()}
+
+
+_latencies = st.one_of(
+    st.just({}),
+    st.sampled_from(["1", "2", "3", "1/2", "6", "810"]).map(
+        lambda s: {"adapter.latency.kind": "constant", "adapter.latency.seconds": s}),
+    st.tuples(st.sampled_from(["1/8", "1/4", "3/8"]), st.sampled_from(["0", "1", "1/2"])).map(
+        lambda pb: {"adapter.latency.kind": "per_sample", "adapter.latency.per_sample": pb[0],
+                    "adapter.latency.base": pb[1]}),
+    # Narrow jitter keeps most ranges within one C; wide jitter spans several.
+    st.tuples(st.sampled_from(["1", "5/2", "3"]), st.sampled_from(["0", "1/10", "9/10"]),
+              st.integers(0, 3)).map(
+        lambda mjs: {"adapter.latency.kind": "stochastic", "adapter.latency.mean": mjs[0],
+                     "adapter.latency.jitter": mjs[1], "adapter.latency.seed": str(mjs[2])}),
+)
+
+
+@st.composite
+def _experiments(draw):
+    names = draw(st.lists(st.sampled_from(sorted(adapters_mod.ADAPTERS)), min_size=1,
+                          max_size=6, unique=True))
+    cfg = {
+        **SMALL, **draw(_latencies),
+        "adapter.name": ",".join(names),
+        "protocol.mode": ",".join(draw(st.lists(
+            st.sampled_from(["offline", "online", "single_model"]), min_size=1, unique=True))),
+        "protocol.schedule": draw(st.sampled_from(["busy_window", "modulo:1", "modulo:3"])),
+        "protocol.visibility": draw(st.sampled_from(["immediate", "delayed"])),
+        "protocol.alpha": draw(st.sampled_from(["0", "1/2"])),
+        "scenario.mode": draw(st.sampled_from(["episodic", "continual"])),
+        "clock.rate": draw(st.sampled_from(["1", "4"])),
+    }
+    if "rejection_entropy" in names:
+        # Unset, a threshold that rejects some batches, and one that rejects none.
+        cfg["adapter.entropy_threshold"] = draw(st.sampled_from(["", "1/50", "2"]))
+    etas = draw(st.lists(st.sampled_from(ETAS), min_size=1, max_size=4, unique=True))
+    return cfg, etas, draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_experiments())
+# A constant cost of 3 s at eta 1/3 lies exactly on a tick boundary; rejection_entropy's
+# two default models (3 s and 1 s) fall in different C bands at eta 1/2 and 1.
+@example(({**SMALL, "adapter.name": "entropy_min,rejection_entropy",
+           "adapter.entropy_threshold": "1/50", "protocol.mode": "offline,online,single_model"},
+          ["1/3", "1/2", "1"], 0))
+# At rate 4, eta 1/4 and 1/3 give a 1/2 s update C 1 and the 1 s rejection C 1 and C 2.
+@example(({**SMALL, "adapter.name": "rejection_entropy", "adapter.entropy_threshold": "1/50",
+           "adapter.latency.kind": "constant", "adapter.latency.seconds": "1/2",
+           "clock.rate": "4", "protocol.mode": "online"}, ["1/4", "1/3"], 0))
+@example(({**SMALL, "adapter.name": "source,pseudo_label", "adapter.latency.kind": "constant",
+           "adapter.latency.seconds": "3", "protocol.mode": "offline,online"},
+          ["1/4", "1/3", "1"], 1))
+def test_every_planned_run_equals_an_independent_run(drawn):
+    cfg, etas, seed = drawn
+    exp = build_experiment(cfg)
+    plan = _plan(exp, etas)
+    reports = cli._execute_seed(exp, seed, plan, _adapters(exp))
+    segments = compose_stream(exp.scenario, exp.source, exp.samples_per_domain, seed=seed)
+    assert len(reports) == len(plan)
+    for (name, protocol, clock), report in zip(plan, reports):
+        assert report == cli.execute_run(exp, segments, name, protocol, seed, clock)
+
+
+@pytest.fixture()
+def counted_runs(monkeypatch):
+    calls = []
+    execute_run = cli.execute_run
+
+    def counting(*args):
+        calls.append(args[2:5])
+        return execute_run(*args)
+
+    monkeypatch.setattr(cli, "execute_run", counting)
+    return calls
+
+
+def _small_config(tmp_path, **extra):
+    path = tmp_path / "small.cfg"
+    lines = {**SMALL, "adapter.name": "source,norm_stat,entropy_min", "seeds": "0,1", **extra}
+    path.write_text("".join(f"{key}={value}\n" for key, value in lines.items()))
+    return path
+
+
+def test_each_schedule_class_runs_once(tmp_path, counted_runs):
+    # At the default latencies (1 s, 1 s and 3 s) the default grid of five etas gives
+    # entropy_min three Cs and each of the others one.
+    path = _small_config(tmp_path)
+    assert run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "sweep")) == 0
+    assert len(counted_runs) == 5 * 2
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 1 + 15 * 2
+    # offline and online share a class wherever C is 1.
+    counted_runs.clear()
+    path = _small_config(tmp_path, **{"protocol.mode": "offline,online"})
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "run")) == 0
+    assert [(name, protocol) for name, protocol, _ in counted_runs] == [
+        ("entropy_min", "offline"), ("entropy_min", "online"),
+        ("norm_stat", "offline"), ("source", "offline")] * 2
+
+
+def test_measured_timing_runs_every_planned_run(tmp_path, counted_runs):
+    path = _small_config(tmp_path, **{"protocol.timing": "measured"})
+    assert run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "sweep")) == 0
+    assert len(counted_runs) == 15 * 2
+
+
+def test_relabelled_reports_share_no_list():
+    exp = build_experiment({**SMALL, "protocol.mode": "offline,online"})
+    offline, online = cli._execute_seed(exp, 0, _plan(exp, ["1"]), _adapters(exp))
+    assert (offline.protocol, online.protocol) == ("offline", "online")
+    assert online.run_id == offline.run_id.replace("-offline-", "-online-")
+    for field in ("per_domain", "schedule", "fingerprints", "notes"):
+        assert getattr(online, field) == getattr(offline, field)
+        assert getattr(online, field) is not getattr(offline, field)
+    online.notes.append("changed")
+    assert offline.notes == []

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from streamgate.clock import (
     StreamClock,
     Worker,
+    constant_c,
     relative_adaptation_speed,
 )
 
@@ -84,6 +85,29 @@ def test_slow_stream_restores_full_adaptation():
 def test_effective_stream_interval_rejects_bad_eta(eta):
     with pytest.raises(ValueError):
         StreamClock(1.0, eta).effective_interval
+
+
+@pytest.mark.parametrize(
+    "interval,lo,hi,expected",
+    [
+        (1.0, 3.0, 3.0, 3),
+        (1.0, 2.5, 3.0, 3),     # a range closed at a tick boundary
+        (1.0, 2.5, 3.5, None),  # a range across one
+        (4.0, 0.5, 4.0, 1),
+        (3.0, 1.0, 3.0000000000000004, None),
+    ],
+)
+def test_constant_c(interval, lo, hi, expected):
+    assert constant_c(interval, lo, hi) == expected
+
+
+@given(st.floats(min_value=0.01, max_value=100), st.floats(min_value=0.01, max_value=100),
+       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.01, max_value=100))
+def test_constant_c_is_the_c_of_every_cost_in_range(a, b, u, interval):
+    lo, hi = min(a, b), max(a, b)
+    c = constant_c(interval, lo, hi)
+    if c is not None:
+        assert relative_adaptation_speed(interval, min(max(lo + u * (hi - lo), lo), hi)) == c
 
 
 def test_schedule_decision_boundaries():

@@ -24,9 +24,6 @@ from .model import (
 )
 from .stream import Batch
 
-SIMULATED = "simulated"
-MEASURED = "measured"
-
 _COST_FLOOR = 1e-9
 
 
@@ -75,18 +72,14 @@ def sample_latency(
     return float(value)
 
 
-def latency_range(model: LatencyModel, smallest: int, largest: int) -> tuple[float, float]:
-    """The least and greatest cost ``sample_latency`` can draw for batch sizes
-    from ``smallest`` to ``largest``: a draw is monotone in the batch size and
-    in the jitter, so the ends of each bound it."""
-    if isinstance(model, Constant):
-        return model.seconds, model.seconds
-    if isinstance(model, PerSample):
-        ends = sorted(model.per_sample * b + model.base for b in (smallest, largest))
-        return ends[0], ends[1]
+def latency_range(model: LatencyModel, batch_size: int) -> tuple[float, float]:
+    """The least and greatest cost ``sample_latency`` can draw for a batch of
+    ``batch_size``.  Only a stochastic draw varies, within mean +- jitter and
+    clamped as the draw is; any other model costs its one draw."""
     if isinstance(model, Stochastic):
         return max(model.mean - model.jitter, _COST_FLOOR), model.mean + model.jitter
-    raise TypeError(f"unknown latency model {model!r}")
+    cost = sample_latency(model, batch_size)
+    return cost, cost
 
 
 # --------------------------------------------------------------------------
@@ -195,9 +188,15 @@ class Adapter:
         self.latency = latency
         self._latency_rng = self._fresh_latency_rng()
 
+    def _latency_models(self) -> tuple[LatencyModel, ...]:
+        """Every latency model a step may be charged, first to last."""
+        return (self.latency,)
+
     def _fresh_latency_rng(self) -> np.random.Generator | None:
-        if isinstance(self.latency, Stochastic):
-            return np.random.default_rng(self.latency.seed)
+        """One generator serves every stochastic model, seeded by the first."""
+        for model in self._latency_models():
+            if isinstance(model, Stochastic):
+                return np.random.default_rng(model.seed)
         return None
 
     @property
@@ -207,10 +206,11 @@ class Adapter:
     def sample_cost(self, batch_size: int) -> float:
         return sample_latency(self.latency, batch_size, self._latency_rng)
 
-    def cost_range(self, smallest: int, largest: int) -> tuple[float, float]:
-        """The least and greatest cost a step on a batch of ``smallest`` to
-        ``largest`` samples can draw."""
-        return latency_range(self.latency, smallest, largest)
+    def cost_range(self, batch_size: int) -> tuple[float, float]:
+        """The least and greatest cost a step on a batch of ``batch_size``
+        samples can draw, under any of the adapter's latency models."""
+        lows, highs = zip(*(latency_range(m, batch_size) for m in self._latency_models()))
+        return min(lows), max(highs)
 
     def reset(self) -> None:
         """Restore the exact pretrained state and clear auxiliary state."""
@@ -353,8 +353,9 @@ class RejectionEntropyAdapter(_DescentAdapter):
         learning_rate: float = 0.1,
         entropy_threshold: float | None = None,
     ):
-        super().__init__(pretrained, latency, learning_rate)
+        # Set before the base class seeds the latency rng from both models.
         self.latency_reject = latency_reject
+        super().__init__(pretrained, latency, learning_rate)
         if entropy_threshold is None:
             entropy_threshold = 0.4 * np.log(pretrained.num_classes)
         if entropy_threshold <= 0:
@@ -365,12 +366,9 @@ class RejectionEntropyAdapter(_DescentAdapter):
     def _reset_state(self) -> None:
         self.last_admitted = None
 
-    def cost_range(self, smallest: int, largest: int) -> tuple[float, float]:
-        """Spans both models: a step pays the update's cost or the rejection's."""
-        (lo, hi), (lo_reject, hi_reject) = (
-            latency_range(model, smallest, largest)
-            for model in (self.latency, self.latency_reject))
-        return min(lo, lo_reject), max(hi, hi_reject)
+    def _latency_models(self) -> tuple[LatencyModel, ...]:
+        """A step pays the update's cost or the rejection's."""
+        return self.latency, self.latency_reject
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         admitted = per_sample_entropy(self.params, batch.features) <= self.entropy_threshold

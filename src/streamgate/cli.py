@@ -4,12 +4,12 @@ Configs are flat ``key=value`` text ('#' starts a comment).  ``SCHEMA`` defines
 each key once: the object it sets, the field, and the value parser.  A key left
 out or left empty keeps the object's own default, and a rejected value is
 reported under its key.  ``run`` and ``sweep`` share one path: build, construct
-each adapter once, then run seed by seed on one composed stream per seed.
-Under simulated timing a clock reaches a run only through each step's relative
-adaptation speed C, so each seed computes every schedule class once (see
-``_schedule_class``) and gives the class's other runs relabelled copies of
-that report.  Outputs are deterministic under simulated timing: rows are
-written in sorted order with floats serialized via their exact repr.
+each adapter once, then run seed by seed on one composed stream per seed,
+every run of an adapter on the adapter constructed for it.  Each seed computes
+every schedule class once (see ``protocol.schedule_class``) and gives the
+class's other runs relabelled copies of that report.  Outputs are
+deterministic under simulated timing: rows are written in sorted order with
+floats serialized via their exact repr.
 
 Exit codes: 0 success, 2 usage/config error, 1 runtime failure.
 """
@@ -30,10 +30,11 @@ from pathlib import Path
 from typing import Callable
 
 from . import adapters as adapters_mod
-from .adapters import MEASURED, Constant, PerSample, Stochastic
-from .clock import StreamClock, constant_c
+from .adapters import Constant, PerSample, Stochastic
+from .clock import StreamClock
 from .model import ModelParams
 from .protocol import (
+    MEASURED,
     OFFLINE,
     ONLINE,
     SINGLE_MODEL,
@@ -41,6 +42,7 @@ from .protocol import (
     FixedModulo,
     ProtocolConfig,
     run_segments,
+    schedule_class,
 )
 from .report import (
     RunReport,
@@ -113,6 +115,19 @@ def _seed(raw: str) -> int:
     if value < 0:
         raise ValueError(f"must be a non-negative integer, got {raw!r}")
     return value
+
+
+def _file_part(raw: str) -> str:
+    if "/" in raw:
+        raise ValueError(f"must not contain '/', got {raw!r}")
+    return raw
+
+
+def _directory(raw: str) -> Path:
+    path = Path(raw)
+    if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+        raise ValueError(f"{raw!r} is not a directory")
+    return path
 
 
 def _bool(raw: str) -> bool:
@@ -235,8 +250,8 @@ SCHEMA: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "clock.rate": ("clock", "base_rate", _number),
     "clock.eta": ("clock", "eta", _number),
     "seeds": ("run", "stream_seeds", _list(_seed)),
-    "out": ("run", "out_dir", Path),
-    "run.id": ("run", "run_prefix", str),
+    "out": ("run", "out_dir", _directory),
+    "run.id": ("run", "run_prefix", _file_part),
 }
 
 CONFIG_KEYS = frozenset(SCHEMA)
@@ -305,49 +320,27 @@ def _pretrained(source: SourceSpec, train: TrainSpec) -> ModelParams:
 
 
 def execute_run(
-    exp: ExperimentConfig, segments: list[StreamSegment], adapter_name: str,
+    exp: ExperimentConfig, segments: list[StreamSegment], adapter: adapters_mod.Adapter,
     protocol: str, seed: int, clock: StreamClock,
 ) -> RunReport:
-    """One deterministic run on the stream composed for ``seed``."""
-    adapter = adapters_mod.make_adapter(
-        adapter_name, _pretrained(exp.source, exp.train), **exp.adapters[adapter_name])
+    """One deterministic run of ``adapter`` on the stream composed for ``seed``; each
+    composed segment is reset-marked, so the run starts from the pretrained state."""
     cfg = replace(exp.protocol_cfg, protocol=protocol, seed=seed)
-    num_classes = exp.source.num_classes if protocol == SINGLE_MODEL else None
-    report = run_segments(
-        segments, adapter, adapter.pretrained, cfg, clock, num_classes=num_classes
-    )
-    n_domains = len(exp.scenario.domain_order) + (1 if exp.scenario.append_clean else 0)
-    report.scenario = f"{exp.scenario.mode}-{n_domains}"
-    report.run_id = _run_id(exp, report)
+    report = run_segments(segments, adapter, adapter.pretrained, cfg, clock,
+                          num_classes=exp.source.num_classes)
+    report.scenario = _scenario_name(exp)
+    report.run_id = _run_id(exp, adapter.name, protocol, clock, seed)
     return report
 
 
-def _run_id(exp: ExperimentConfig, r: RunReport) -> str:
+def _scenario_name(exp: ExperimentConfig) -> str:
+    n_domains = len(exp.scenario.domain_order) + (1 if exp.scenario.append_clean else 0)
+    return f"{exp.scenario.mode}-{n_domains}"
+
+
+def _run_id(exp: ExperimentConfig, adapter: str, protocol: str, clock: StreamClock, seed: int) -> str:
     prefix = f"{exp.run_prefix}-" if exp.run_prefix else ""
-    return f"{prefix}{r.adapter}-{r.scenario}-{r.protocol}-eta{r.eta:g}-seed{r.seed}"
-
-
-def _schedule_class(
-    cfg: ProtocolConfig, adapter: adapters_mod.Adapter, protocol: str, clock: StreamClock,
-    batch_sizes: tuple[int, int],
-) -> tuple[str, int, str] | None:
-    """The key (adapter, C, protocol) shared by the runs equal to this one in all but
-    their labels, or None when the run may have no equal.
-
-    Under simulated timing the clock reaches a run only through each step's C.
-    When every cost the adapter can draw on the stream's smallest to largest
-    batch spans the same C, the run depends on the clock through that C alone.
-    Every protocol under which every step adapts (offline, the busy window at
-    C == 1, and modulo:1) then gives one run, keyed as offline.
-    """
-    if cfg.timing == MEASURED:
-        return None
-    c = constant_c(clock.effective_interval, *adapter.cost_range(*batch_sizes))
-    if c is None:
-        return None
-    every_step = (protocol == OFFLINE or cfg.schedule_mode == FixedModulo(1)
-                  or (isinstance(cfg.schedule_mode, BusyWindow) and c == 1))
-    return adapter.name, c, OFFLINE if every_step else protocol
+    return f"{prefix}{adapter}-{_scenario_name(exp)}-{protocol}-eta{clock.eta:g}-seed{seed}"
 
 
 def _execute_seed(
@@ -356,31 +349,30 @@ def _execute_seed(
 ) -> list[RunReport]:
     """Every planned (adapter, protocol, clock) run of one seed on one shared stream.
 
-    ``adapters`` holds one constructed adapter per name, read only for its
-    cost range.  The first run of each schedule class is executed; every later
-    one is a copy of its report under its own protocol, eta and run_id, which
-    shares no list with the original.  A run with no class is always executed.
-    The stream is released on return, so a caller looping over seeds holds at
-    most one composed stream at a time.
+    ``adapters`` holds the one constructed adapter of each name.  The first run
+    of each schedule class is executed; every later one is a copy of its report
+    under its own protocol, eta and run_id, which shares no list with the
+    original.  A run with no class is always executed.  The stream is released
+    on return, so a caller looping over seeds holds at most one composed stream
+    at a time.
     """
     segments = compose_stream(exp.scenario, exp.source, exp.samples_per_domain, seed=seed)
-    sizes = [batch.size for segment in segments for batch in segment.batches]
-    batch_sizes = min(sizes), max(sizes)
     executed: dict[tuple[str, int, str], RunReport] = {}
     reports = []
     for adapter_name, protocol, clock in plan:
-        key = _schedule_class(exp.protocol_cfg, adapters[adapter_name], protocol, clock,
-                              batch_sizes)
+        adapter = adapters[adapter_name]
+        key = schedule_class(replace(exp.protocol_cfg, protocol=protocol), adapter, clock,
+                             exp.scenario.batch_size)
         twin = executed.get(key)
         if twin is None:
-            report = execute_run(exp, segments, adapter_name, protocol, seed, clock)
+            report = execute_run(exp, segments, adapter, protocol, seed, clock)
             if key is not None:
                 executed[key] = report
         else:
             report = replace(twin, protocol=protocol, eta=clock.eta,
                              per_domain=list(twin.per_domain), schedule=list(twin.schedule),
                              fingerprints=list(twin.fingerprints), notes=list(twin.notes))
-            report.run_id = _run_id(exp, report)
+            report.run_id = _run_id(exp, adapter_name, protocol, clock, seed)
         reports.append(report)
     return reports
 
@@ -463,8 +455,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with _named("--eta-values"):
             clocks = [replace(exp.clock, eta=eta)
                       for eta in sorted(_list(_number)(args.eta_values))]
-        return [(adapter_name, ONLINE, clock)
-                for clock in clocks for adapter_name in sorted(exp.adapters)]
+            runs = [(adapter_name, ONLINE, clock)
+                    for clock in clocks for adapter_name in sorted(exp.adapters)]
+            # Every seed labels its runs alike, so seed 0 stands for all.
+            if len({_run_id(exp, *run, 0) for run in runs}) < len(runs):
+                raise ValueError(f"two etas in {args.eta_values!r} share a run_id")
+        return runs
 
     exp, reports = _execute(args, plan, lambda r: (r.eta, r.adapter, r.seed), lambda _: [])
     _write_sweep_csv(exp.out_dir / "sweep.csv", reports)
@@ -487,12 +483,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         # until it does not.
         while clock.effective_interval < interval / clock.eta:
             clock = replace(clock, base_rate=math.nextafter(clock.base_rate, 0.0))
-    records = parse_trace(args.trace, fallback_error_rate=args.fallback_error_rate)
+    with _named("--fallback-error-rate"):
+        rate = None if args.fallback_error_rate is None else _number(args.fallback_error_rate)
+        if rate is not None and not 0 <= rate <= 1:
+            raise ValueError(f"must be in [0, 1], got {args.fallback_error_rate!r}")
+    records = parse_trace(args.trace, fallback_error_rate=rate)
     report = replay_online(records, clock)
-    if args.fallback_error_rate is not None:
-        report.notes.append(
-            f"constant fallback error rate {args.fallback_error_rate} substituted for missing values"
-        )
+    if rate is not None:
+        report.notes.append(f"constant fallback error rate {rate} substituted for missing values")
     report.run_id = f"replay-{Path(args.trace).stem}-eta{clock.eta:g}"
     _write_outputs(Path(args.out or ExperimentConfig.out_dir), [report], None, args.emit_schedule)
     print(f"replayed {len(records)} steps: error {format_percent(report.avg_error)} "
@@ -523,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--interval", default="1", help="base seconds per batch (default 1)")
     rep.add_argument("--eta", default="1", help="stream-speed factor in (0, 1] (default 1)")
     rep.add_argument("--out", default=None)
-    rep.add_argument("--fallback-error-rate", default=None, type=float,
-                     help="substitute a constant fallback error rate for missing values")
+    rep.add_argument("--fallback-error-rate", default=None,
+                     help="substitute a constant fallback error rate in [0, 1] for missing values")
     rep.add_argument("--emit-schedule", action="store_true")
     rep.set_defaults(func=cmd_replay)
     return parser

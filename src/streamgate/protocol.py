@@ -12,6 +12,8 @@ exactly.
 
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
 composed scenario, restarting the adapter at every reset marker.
+``schedule_class`` predicts from the loop's rule which runs are equal but for
+their labels, so that a caller computes each such class once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import MEASURED, SIMULATED, Adapter, clone_adapter
-from .clock import StreamClock, Worker, check_ticks
+from .adapters import Adapter, clone_adapter
+from .clock import StreamClock, Worker, check_ticks, constant_c
 from .model import ModelParams, blend_parameters, params_fingerprint, predict
 from .report import (
     ACTION_ADAPTED,
@@ -44,9 +46,13 @@ SINGLE_MODEL = "single_model"
 IMMEDIATE = "immediate"
 DELAYED = "delayed"
 
+SIMULATED = "simulated"
+MEASURED = "measured"
+
 __all__ = [
-    "OFFLINE", "ONLINE", "SINGLE_MODEL", "IMMEDIATE", "DELAYED", "BusyWindow",
-    "FixedModulo", "ProtocolConfig", "ProtocolError", "run_stream", "run_segments",
+    "OFFLINE", "ONLINE", "SINGLE_MODEL", "IMMEDIATE", "DELAYED", "SIMULATED", "MEASURED",
+    "BusyWindow", "FixedModulo", "ProtocolConfig", "ProtocolError", "run_stream",
+    "run_segments", "schedule_class",
 ]
 
 
@@ -90,6 +96,31 @@ class ProtocolConfig:
             raise ValueError(f"unknown timing mode {self.timing!r}")
 
 
+def _modulo(cfg: ProtocolConfig) -> int | None:
+    """Adapt at t iff t % modulo == 0, offline exactly as modulo:1; None: the busy window."""
+    if cfg.protocol == OFFLINE:
+        return 1
+    return cfg.schedule_mode.k if isinstance(cfg.schedule_mode, FixedModulo) else None
+
+
+def schedule_class(
+    cfg: ProtocolConfig, adapter: Adapter, clock: StreamClock, batch_size: int
+) -> tuple[str, int, str] | None:
+    """The key (adapter, C, protocol) shared by the runs on one stream, among runs
+    differing in protocol and clock only, that equal this one but for their labels.
+    None under measured timing, or when the adapter's costs on a batch of
+    ``batch_size`` span two Cs: ``_run`` reads a simulated clock only through C.
+    A run that adapts at every step is keyed as offline."""
+    if cfg.timing == MEASURED:
+        return None
+    c = constant_c(clock.effective_interval, *adapter.cost_range(batch_size))
+    if c is None:
+        return None
+    modulo = _modulo(cfg)
+    every_step = modulo == 1 or (modulo is None and c == 1)
+    return adapter.name, c, OFFLINE if every_step else cfg.protocol
+
+
 def _timed(fn, *args):
     """``fn(*args)`` and the seconds it took, floored so that no cost is zero."""
     start = time.perf_counter()
@@ -114,7 +145,7 @@ def _run(
             raise ValueError("single-model runs need num_classes >= 2")
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
-    modulo = cfg.schedule_mode.k if isinstance(cfg.schedule_mode, FixedModulo) else None
+    modulo = _modulo(cfg)
     schedule: list[ScheduleRecord] = []
     domains: list[tuple[int, int]] = []
     fingerprints: list[str] = []
@@ -142,12 +173,7 @@ def _run(
                 domains.append((current_domain, len(schedule)))
                 fingerprints.append(params_fingerprint(adapter.params))
 
-            if cfg.protocol == OFFLINE:
-                adapt_now = True
-            elif modulo is not None:
-                adapt_now = t % modulo == 0
-            else:
-                adapt_now = worker.free(t)
+            adapt_now = worker.free(t) if modulo is None else t % modulo == 0
 
             if trace_out is not None:
                 fb_pred, _ = predict(fallback, batch.features)

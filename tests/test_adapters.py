@@ -69,25 +69,25 @@ def test_nonpositive_latency_rejected():
     "model,expected",
     [
         (Constant(2.0), (2.0, 2.0)),
-        (PerSample(0.25, 1.0), (2.0, 17.0)),    # batches of 4 to 64 samples
-        (PerSample(-0.25, 20.0), (4.0, 19.0)),  # a negative slope swaps the ends
+        (PerSample(0.25, 1.0), (17.0, 17.0)),   # a batch of 64 samples
+        (PerSample(-0.25, 20.0), (4.0, 4.0)),
         (Stochastic(3.0, 0.5), (2.5, 3.5)),
         (Stochastic(1.0, 1.0), (1e-9, 2.0)),    # a draw is clamped to stay positive
     ],
 )
 def test_latency_range_bounds_every_draw(model, expected):
-    assert latency_range(model, 4, 64) == expected
+    assert latency_range(model, 64) == expected
     rng = np.random.default_rng(0)
     lo, hi = expected
-    assert all(lo <= sample_latency(model, size, rng) <= hi
-               for size in (4, 17, 64) for _ in range(200))
+    assert all(lo <= sample_latency(model, 64, rng) <= hi for _ in range(200))
 
 
 def test_cost_range_spans_both_rejection_models(mini_pretrained):
     adapter = RejectionEntropyAdapter(mini_pretrained, latency=Stochastic(3.0, 0.5),
                                       latency_reject=PerSample(0.25, 0.0))
-    assert adapter.cost_range(2, 8) == (0.5, 3.5)
-    assert SourceAdapter(mini_pretrained, latency=PerSample(0.5, 1.0)).cost_range(2, 8) == (2.0, 5.0)
+    assert adapter.cost_range(8) == (2.0, 3.5)
+    assert adapter.cost_range(2) == (0.5, 3.5)
+    assert SourceAdapter(mini_pretrained, latency=PerSample(0.5, 1.0)).cost_range(8) == (5.0, 5.0)
 
 
 # --------------------------------------------------------------------------
@@ -292,6 +292,25 @@ def test_rejection_update_cost_differs_from_refusal_cost(mini_pretrained, mini_s
                                       latency=Constant(3.0), latency_reject=Constant(1.0))
     out = adapter.adapt(domain_batch(mini_spec, None))
     assert out.cost == 3.0
+
+
+def test_rejection_draws_every_stochastic_cost_from_one_generator(mini_pretrained, mini_spec):
+    batch = domain_batch(mini_spec, CorruptionSpec("gaussian_noise", 5, seed=0))
+    reject = Stochastic(1.0, 0.5, seed=4)
+    adapter = RejectionEntropyAdapter(mini_pretrained, entropy_threshold=1e-9,
+                                      latency=Constant(3.0), latency_reject=reject)
+    costs = [adapter.adapt(batch).cost for _ in range(6)]
+    lo, hi = latency_range(reject, batch.size)
+    assert len(set(costs)) == len(costs)
+    assert all(lo <= cost <= hi for cost in costs)
+    adapter.reset()
+    assert [adapter.adapt(batch).cost for _ in range(6)] == costs
+    # With both models stochastic, the update model's seed seeds the one generator.
+    adapter = RejectionEntropyAdapter(mini_pretrained, entropy_threshold=1e-9,
+                                      latency=Stochastic(3.0, 0.5, seed=7), latency_reject=reject)
+    rng = np.random.default_rng(7)
+    assert [adapter.adapt(batch).cost for _ in range(6)] == [
+        sample_latency(reject, batch.size, rng) for _ in range(6)]
 
 
 def test_rejection_gradient_restricted_to_admitted_rows(mini_pretrained, mini_spec):

@@ -289,6 +289,13 @@ def _write_replay_trace(path):
         (["run"], "adapter.latency.kind=\n", "adapter.latency.seconds"),
         (["run"], "adapter.latency.kind=default\n", "adapter.latency.seconds"),
         (["run"], "adapter.latency.mean=5\n", "adapter.latency.mean"),
+        # Names that become files: two etas printing alike, and a '/' in a run_id.
+        (["sweep", "--eta-values", "1/3,0.333333"], "", "--eta-values"),
+        (["run", "--emit-schedule"], "run.id=a/b\n", "run.id"),
+        (["replay", "--fallback-error-rate", "nan"], None, "--fallback-error-rate"),
+        (["replay", "--fallback-error-rate", "inf"], None, "--fallback-error-rate"),
+        (["replay", "--fallback-error-rate", "2"], None, "--fallback-error-rate"),
+        (["replay", "--fallback-error-rate", "-1"], None, "--fallback-error-rate"),
     ],
 )
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, lines, name):
@@ -336,6 +343,22 @@ def test_fractions_and_empty_values_are_accepted(tmp_path):
     assert run_cli("replay", "--trace", str(trace), "--out", str(out), "--eta", "1/4") == 0
     run = json.loads((out / "summary.json").read_text())["runs"][0]
     assert run["eta"] == 0.25 and run["adapted_fraction"] == 1.0
+
+
+def test_fallback_error_rate_is_a_fraction_checked_as_a_flag(tmp_path, capsys):
+    path = tmp_path / "e.csv"
+    path.write_text("step,latency,correct_adapted,correct_fallback,domain_id,batch_size\n"
+                    "0,4.0,10,,0,10\n1,4.0,10,,0,10\n")
+    out = tmp_path / "out"
+    assert run_cli("replay", "--trace", str(path), "--out", str(out),
+                   "--fallback-error-rate", "1/2") == 0
+    run = json.loads((out / "summary.json").read_text())["runs"][0]
+    assert "constant fallback error rate 0.5 substituted for missing values" in run["notes"]
+    # A bad rate is blamed on the flag, not on the trace line it would fill.
+    capsys.readouterr()
+    assert run_cli("replay", "--trace", str(path), "--fallback-error-rate", "nan") == 2
+    err = capsys.readouterr().err
+    assert "--fallback-error-rate" in err and "e.csv" not in err
 
 
 def test_replay_missing_file_exits_2(tmp_path):
@@ -437,7 +460,9 @@ def test_every_planned_run_equals_an_independent_run(drawn):
     segments = compose_stream(exp.scenario, exp.source, exp.samples_per_domain, seed=seed)
     assert len(reports) == len(plan)
     for (name, protocol, clock), report in zip(plan, reports):
-        assert report == cli.execute_run(exp, segments, name, protocol, seed, clock)
+        adapter = adapters_mod.make_adapter(name, cli._pretrained(exp.source, exp.train),
+                                            **exp.adapters[name])
+        assert report == cli.execute_run(exp, segments, adapter, protocol, seed, clock)
 
 
 @pytest.fixture()
@@ -446,7 +471,7 @@ def counted_runs(monkeypatch):
     execute_run = cli.execute_run
 
     def counting(*args):
-        calls.append(args[2:5])
+        calls.append((args[2].name, *args[3:5]))
         return execute_run(*args)
 
     monkeypatch.setattr(cli, "execute_run", counting)
@@ -493,3 +518,36 @@ def test_relabelled_reports_share_no_list():
         assert getattr(online, field) is not getattr(offline, field)
     online.notes.append("changed")
     assert offline.notes == []
+
+
+def test_each_adapter_is_constructed_once(tmp_path, monkeypatch):
+    made = []
+    make_adapter = adapters_mod.make_adapter
+
+    def counting(name, *args, **kwargs):
+        made.append(name)
+        return make_adapter(name, *args, **kwargs)
+
+    monkeypatch.setattr(adapters_mod, "make_adapter", counting)
+    # Three adapters, two protocols and two seeds: 12 planned runs.
+    path = _small_config(tmp_path, **{"protocol.mode": "offline,online"})
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "run")) == 0
+    assert sorted(made) == ["entropy_min", "norm_stat", "source"]
+
+
+@pytest.mark.parametrize("given", ["out", "--out", "STREAMGATE_OUT"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_a_file_exits_2_before_any_run(
+    tmp_path, capsys, monkeypatch, counted_runs, given, below
+):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = str(taken / "sub" if below else taken)
+    path = _small_config(tmp_path, **({"out": out} if given == "out" else {}))
+    argv = ["run", "--config", str(path)] + (["--out", out] if given == "--out" else [])
+    if given == "STREAMGATE_OUT":
+        monkeypatch.setenv("STREAMGATE_OUT", out)
+    assert run_cli(*argv) == 2
+    assert "error: out: " in capsys.readouterr().err
+    assert counted_runs == []
+    assert taken.read_text() == "kept\n"

@@ -65,7 +65,7 @@ from .stream import (
     make_source_dataset,
     pretrain_source_model,
 )
-from .trace import TraceFormatError, parse_trace, replay_online
+from .trace import TraceFormatError, parse_trace, replay_online, unit_fraction
 
 
 class ConfigError(ValueError):
@@ -484,15 +484,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
         while clock.effective_interval < interval / clock.eta:
             clock = replace(clock, base_rate=math.nextafter(clock.base_rate, 0.0))
     with _named("--fallback-error-rate"):
-        rate = None if args.fallback_error_rate is None else _number(args.fallback_error_rate)
-        if rate is not None and not 0 <= rate <= 1:
-            raise ValueError(f"must be in [0, 1], got {args.fallback_error_rate!r}")
+        rate = None if args.fallback_error_rate is None else unit_fraction(
+            _number(args.fallback_error_rate))
+    with _named("--out"):
+        out_dir = _directory(args.out or ExperimentConfig.out_dir)
     records = parse_trace(args.trace, fallback_error_rate=rate)
     report = replay_online(records, clock)
     if rate is not None:
         report.notes.append(f"constant fallback error rate {rate} substituted for missing values")
     report.run_id = f"replay-{Path(args.trace).stem}-eta{clock.eta:g}"
-    _write_outputs(Path(args.out or ExperimentConfig.out_dir), [report], None, args.emit_schedule)
+    _write_outputs(out_dir, [report], None, args.emit_schedule)
     print(f"replayed {len(records)} steps: error {format_percent(report.avg_error)} "
           f"adapted {format_percent(report.adapted_fraction)}")
     return 0

@@ -213,7 +213,8 @@ def _run(
                     y_hat = rng.integers(0, num_classes, size=batch.size)
                     action, step_version = ACTION_SKIPPED_RANDOM, NO_SNAPSHOT
                 else:
-                    y_hat, _ = predict(fallback, batch.features)
+                    # A traced step has already predicted this batch with ``fallback``.
+                    y_hat = predict(fallback, batch.features)[0] if trace_out is None else fb_pred
                     action, step_version = ACTION_SKIPPED_FALLBACK, fallback_version
                 c_value = None
                 if trace_out is not None:

@@ -56,6 +56,21 @@ class DomainReport:
     mean_c: float | None = None
 
 
+class _Schedule:
+    """The ``RunReport.schedule`` field, which may also be given a function that
+    builds it, as a replay's is: the function runs at first read, its result kept."""
+
+    def __get__(self, report: RunReport | None, owner: type | None = None):
+        if report is None:
+            return None  # the field's default
+        if callable(value := report.__dict__["schedule"]):
+            value = report.__dict__["schedule"] = value()
+        return value
+
+    def __set__(self, report: RunReport, value) -> None:
+        report.__dict__["schedule"] = value
+
+
 @dataclass
 class RunReport:
     """Aggregated outcome of one protocol run over one scenario."""
@@ -70,7 +85,7 @@ class RunReport:
     avg_error: float
     mean_c: float | None
     adapted_fraction: float
-    schedule: list[ScheduleRecord] | None = None
+    schedule: list[ScheduleRecord] | None = _Schedule()
     fingerprints: list[str] | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -86,27 +101,31 @@ def error_rate(predictions: Sequence[int] | np.ndarray, labels: Sequence[int] | 
     return float((predictions != labels).mean())
 
 
+def _mean(values: Sequence[int] | np.ndarray) -> float | None:
+    """``np.mean`` of the values as a Python float; None if there are none."""
+    return float(np.mean(values)) if len(values) else None
+
+
 def mean_c(schedule: Iterable[ScheduleRecord]) -> float | None:
     """Arithmetic mean of c_value over adapted steps; None if nothing adapted."""
-    values = [r.c_value for r in schedule if r.action == ACTION_ADAPTED]
-    if not values:
-        return None
-    return float(np.mean(values))
+    return _mean([r.c_value for r in schedule if r.action == ACTION_ADAPTED])
 
 
-def domain_report(domain_id: int, records: Sequence[ScheduleRecord]) -> DomainReport:
-    """Collapse one domain's schedule slice into its summary row."""
-    if not records:
+def collapse(domains: Sequence[tuple[int, int]], batch_size: np.ndarray, error_count: np.ndarray,
+             adapted: np.ndarray, c_value: np.ndarray) -> list[DomainReport]:
+    """A run's per-domain rows from its columns: ``batch_size`` and ``error_count``
+    per step, the ascending indices of the ``adapted`` steps and their ``c_value``;
+    ``domains`` as in ``run_report``.  Sums are exact, so rates equal ``int / int``."""
+    starts = np.array([start for _, start in domains], dtype=np.int64)
+    n_batches = np.diff(starts, append=len(batch_size))
+    if (n_batches < 1).any():
         raise ValueError("domain has no schedule records")
-    total = sum(r.batch_size for r in records)
-    errors = sum(r.error_count for r in records)
-    return DomainReport(
-        domain_id=domain_id,
-        n_batches=len(records),
-        n_adapted=sum(r.action == ACTION_ADAPTED for r in records),
-        error_rate=errors / total,
-        mean_c=mean_c(records),
-    )
+    rates = (np.add.reduceat(error_count, starts) / np.add.reduceat(batch_size, starts)).tolist()
+    cuts = [*np.searchsorted(adapted, starts).tolist(), len(adapted)]
+    return [
+        DomainReport(domain_id, n, b - a, rate, _mean(c_value[a:b]))
+        for (domain_id, _), n, rate, a, b in zip(domains, n_batches.tolist(), rates, cuts, cuts[1:])
+    ]
 
 
 def aggregate(per_domain: Sequence[DomainReport]) -> tuple[float, float | None, float]:
@@ -117,17 +136,13 @@ def aggregate(per_domain: Sequence[DomainReport]) -> tuple[float, float | None, 
     """
     if not per_domain:
         raise ValueError("need at least one domain")
-    sizes = {d.n_batches for d in per_domain}
-    if len(sizes) > 1:
+    if len({d.n_batches for d in per_domain}) > 1:
         warnings.warn("domains have unequal sizes; average stays unweighted", stacklevel=2)
     avg_error = float(np.mean([d.error_rate for d in per_domain]))
     n_adapted = sum(d.n_adapted for d in per_domain)
     n_batches = sum(d.n_batches for d in per_domain)
-    if n_adapted:
-        total_c = sum(d.mean_c * d.n_adapted for d in per_domain if d.mean_c is not None)
-        overall_c = total_c / n_adapted
-    else:
-        overall_c = None
+    total_c = sum(d.mean_c * d.n_adapted for d in per_domain if d.mean_c is not None)
+    overall_c = total_c / n_adapted if n_adapted else None
     return avg_error, overall_c, n_adapted / n_batches
 
 
@@ -149,25 +164,16 @@ def run_report(
     row in order; a row ends where the next one starts.  A caller splits rows
     wherever the domain changes and at every segment boundary.
     """
-    ends = [start for _, start in domains[1:]] + [len(schedule)]
-    per_domain = [
-        domain_report(domain_id, schedule[start:end])
-        for (domain_id, start), end in zip(domains, ends)
-    ]
+    adapted = [i for i, r in enumerate(schedule) if r.action == ACTION_ADAPTED]
+    per_domain = collapse(domains, np.array([r.batch_size for r in schedule]),
+                          np.array([r.error_count for r in schedule]),
+                          np.array(adapted, dtype=np.int64),
+                          np.array([schedule[i].c_value for i in adapted]))
     avg_error, overall_c, adapted_fraction = aggregate(per_domain)
     return RunReport(
-        run_id="",
-        protocol=protocol,
-        scenario=scenario,
-        adapter=adapter,
-        eta=eta,
-        seed=seed,
-        per_domain=per_domain,
-        avg_error=avg_error,
-        mean_c=overall_c,
-        adapted_fraction=adapted_fraction,
-        schedule=schedule,
-        fingerprints=fingerprints,
+        run_id="", protocol=protocol, scenario=scenario, adapter=adapter, eta=eta, seed=seed,
+        per_domain=per_domain, avg_error=avg_error, mean_c=overall_c,
+        adapted_fraction=adapted_fraction, schedule=schedule, fingerprints=fingerprints,
         notes=list(notes),
     )
 

@@ -2,33 +2,35 @@
 
 A trace row records, for every stream step, the seconds an adaptation step
 spent (or would have spent) on that batch and how many predictions would be
-correct under adaptation versus under the fallback snapshot.  Replaying takes
-the same walk as the simulated online protocol's run loop: at each step it
-asks ``clock.Worker`` whether the worker is free and, if so, charges the
-recorded latency through ``Worker.occupy``.  It then totals the matching
-correctness column, so error rates at any stream speed come out of one
-recording with no model reruns.
+correct under adaptation versus under the fallback snapshot.  Replay applies
+the run loop's busy-window rule to the trace's columns.  When every latency
+gives one C (``clock.constant_c``), every C-th step adapts; otherwise it jumps
+from each adapted step to ``Worker.busy_until`` through ``Worker.occupy``.  So a
+replay costs one walk step per adapted step, and the records of its schedule
+are built only when that is first read.  Error rates at any stream speed come
+out of one recording with no model reruns.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .clock import StreamClock, Worker, check_ticks
+from .clock import StreamClock, Worker, check_ticks, constant_c
 from .report import (
     ACTION_ADAPTED,
     ACTION_SKIPPED_FALLBACK,
     RunReport,
     ScheduleRecord,
-    run_report,
+    aggregate,
+    collapse,
     write_rows,
 )
 
@@ -63,13 +65,26 @@ class TraceRecord:
             raise ValueError("correct_fallback must be within [0, batch_size]")
 
 
+def unit_fraction(value: float) -> float:
+    """``value`` if it lies in [0, 1]; NaN fails both comparisons."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {value!r}")
+    return value
+
+
 def parse_trace(path: str | Path, fallback_error_rate: float | None = None) -> list[TraceRecord]:
     """Read and validate a trace CSV.
 
     ``fallback_error_rate`` fills empty correct_fallback cells from a constant
     rate for traces recorded without a fallback model; using it marks the
-    replay as an approximation.
+    replay as an approximation.  A rate outside [0, 1] is rejected before the
+    file is opened.
     """
+    if fallback_error_rate is not None:
+        try:
+            unit_fraction(fallback_error_rate)
+        except ValueError as exc:
+            raise ValueError(f"fallback_error_rate: {exc}") from None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -90,16 +105,9 @@ def parse_trace(path: str | Path, fallback_error_rate: float | None = None) -> l
                     fallback = round(batch_size * (1.0 - fallback_error_rate))
                 else:
                     fallback = int(row[3])
-                records.append(
-                    TraceRecord(
-                        step=int(row[0]),
-                        latency=float(row[1]),
-                        correct_adapted=int(row[2]),
-                        correct_fallback=fallback,
-                        domain_id=int(row[4]),
-                        batch_size=batch_size,
-                    )
-                )
+                # The fields in TRACE_COLUMNS order.
+                records.append(TraceRecord(int(row[0]), float(row[1]), int(row[2]), fallback,
+                                           int(row[4]), batch_size))
             except (ValueError, TraceFormatError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
     if not records:
@@ -112,59 +120,68 @@ def write_trace(path: str | Path, records: Sequence[TraceRecord]) -> None:
     write_rows(path, TRACE_COLUMNS, map(attrgetter(*TRACE_COLUMNS), records))
 
 
+def _columns(trace: Sequence[TraceRecord]) -> tuple:
+    """A trace's runs of one domain as (domain_id, first step), then four columns."""
+    if not trace:
+        raise TraceFormatError("trace contains no records")
+    check_ticks(map(attrgetter("step"), trace), TraceFormatError)
+    domain, *columns = (np.array(list(map(attrgetter(name), trace))) for name in (
+        "domain_id", "latency", "correct_adapted", "correct_fallback", "batch_size"))
+    starts = np.flatnonzero(np.concatenate(([True], domain[1:] != domain[:-1])))
+    return list(zip(domain[starts].tolist(), starts.tolist())), *columns
+
+
 def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock()) -> RunReport:
     """Recompute the online-protocol outcome of a trace under a given clock.
 
     Adapted steps contribute correct_adapted and open a busy window of
     ceil(latency / interval) ticks; steps inside a window contribute
     correct_fallback.  Latencies within one interval reproduce the
-    all-adapted (offline) outcome exactly.
+    all-adapted (offline) outcome exactly.  ``schedule`` is built on first read.
     """
-    if not trace:
-        raise TraceFormatError("trace contains no records")
-    check_ticks((rec.step for rec in trace), TraceFormatError)
-    interval = clock.effective_interval
-    worker = Worker()
-    version = 0
-    records: list[ScheduleRecord] = []
-    domains: list[tuple[int, int]] = []
-    current_domain = None
-    for rec in trace:
-        if rec.domain_id != current_domain:
-            current_domain = rec.domain_id
-            domains.append((current_domain, rec.step))
-        if worker.free(rec.step):
-            c = worker.occupy(rec.step, interval, rec.latency)
-            version += 1
-            action, correct = ACTION_ADAPTED, rec.correct_adapted
-        else:
-            c, action, correct = None, ACTION_SKIPPED_FALLBACK, rec.correct_fallback
-        records.append(
-            ScheduleRecord(
-                step=rec.step,
-                action=action,
-                c_value=c,
-                params_version=version,
-                error_count=rec.batch_size - correct,
-                batch_size=rec.batch_size,
-            )
-        )
-    return run_report(
-        records, domains, protocol="online", adapter="trace", eta=clock.eta, seed=0,
-        scenario="replay", notes=[FALLBACK_APPROXIMATION_NOTE],
-    )
+    domains, latency, correct_adapted, correct_fallback, batch_size = _columns(trace)
+    n, interval = len(latency), clock.effective_interval
+    c = constant_c(interval, float(latency.min()), float(latency.max()))
+    if c is not None:
+        adapted = np.arange(0, n, min(c, n))
+        c_value = np.full(len(adapted), c)
+    else:
+        worker, steps, latencies = Worker(), [], latency.tolist()
+        while (t := worker.busy_until) < n:
+            steps.append(t)
+            worker.occupy(t, interval, latencies[t])
+        adapted = np.array(steps)
+        c_value = np.diff(adapted, append=t)  # each adapted step's busy window
+    error_count = batch_size - correct_fallback
+    error_count[adapted] = batch_size[adapted] - correct_adapted[adapted]
+    per_domain = collapse(domains, batch_size, error_count, adapted, c_value)
+    avg_error, overall_c, adapted_fraction = aggregate(per_domain)
+    return RunReport(
+        run_id="", protocol="online", scenario="replay", adapter="trace", eta=clock.eta,
+        seed=0, per_domain=per_domain, avg_error=avg_error, mean_c=overall_c,
+        adapted_fraction=adapted_fraction, notes=[FALLBACK_APPROXIMATION_NOTE],
+        schedule=partial(_schedule, adapted, c_value, error_count, batch_size))
+
+
+def _schedule(adapted: np.ndarray, c_value: np.ndarray, error_count: np.ndarray,
+              batch_size: np.ndarray) -> list[ScheduleRecord]:
+    """A replay's per-step records from its columns (see ``replay_online``)."""
+    n = len(error_count)
+    action, c_of = [ACTION_SKIPPED_FALLBACK] * n, [None] * n
+    for t, c in zip(adapted.tolist(), c_value.tolist()):
+        action[t], c_of[t] = ACTION_ADAPTED, c
+    version = np.searchsorted(adapted, np.arange(n), side="right").tolist()
+    return list(map(ScheduleRecord, range(n), action, c_of, version, error_count.tolist(),
+                    batch_size.tolist()))
 
 
 def adapted_only_error(trace: Sequence[TraceRecord]) -> float:
     """The ``avg_error`` of a replay at any clock under which every step adapts.
 
-    That is the unweighted mean, over each run of consecutive steps in one
-    domain, of the error rate under adaptation: the rows and the arithmetic of
-    ``replay_online``, so the two agree bit for bit.
+    The error rates under adaptation, collapsed per run of consecutive steps in
+    one domain exactly as ``replay_online`` collapses them, so the two agree
+    bit for bit.
     """
-    rates = []
-    for _, rows in itertools.groupby(trace, key=attrgetter("domain_id")):
-        rows = list(rows)
-        total = sum(r.batch_size for r in rows)
-        rates.append((total - sum(r.correct_adapted for r in rows)) / total)
-    return float(np.mean(rates))
+    domains, _, correct_adapted, _, batch_size = _columns(trace)
+    none = np.array([], dtype=np.int64)
+    return aggregate(collapse(domains, batch_size, batch_size - correct_adapted, none, none))[0]

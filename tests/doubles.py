@@ -8,8 +8,18 @@ import numpy as np
 from scipy.linalg import expm
 
 from streamgate.adapters import AdaptOutcome, Adapter, Constant, LatencyModel
+from streamgate.clock import StreamClock, Worker, check_ticks
 from streamgate.model import VAR_FLOOR, ModelParams, predict
+from streamgate.report import (
+    ACTION_ADAPTED,
+    ACTION_SKIPPED_FALLBACK,
+    DomainReport,
+    RunReport,
+    ScheduleRecord,
+    aggregate,
+)
 from streamgate.stream import CORRUPTION_KINDS, Batch, CorruptionSpec, _rotation_generator
+from streamgate.trace import FALLBACK_APPROXIMATION_NOTE, TraceFormatError, TraceRecord
 
 
 FIELDS = ("mu", "var", "gamma", "beta", "W", "b")
@@ -155,3 +165,64 @@ def reference_blend_parameters(theta: ModelParams, theta_hat: ModelParams,
                for name in FIELDS}
     blended["var"] = np.maximum(blended["var"], VAR_FLOOR)
     return ModelParams(**blended)
+
+
+# The per-step replay loop and per-domain sums that streamgate.trace.replay_online
+# replaced with its column form: one validated record and one busy-window check
+# per step, then each domain's rows summed record by record.
+
+def reference_domain_report(domain_id: int, records: list[ScheduleRecord]) -> DomainReport:
+    if not records:
+        raise ValueError("domain has no schedule records")
+    total = sum(r.batch_size for r in records)
+    errors = sum(r.error_count for r in records)
+    c_values = [r.c_value for r in records if r.action == ACTION_ADAPTED]
+    return DomainReport(
+        domain_id=domain_id,
+        n_batches=len(records),
+        n_adapted=sum(r.action == ACTION_ADAPTED for r in records),
+        error_rate=errors / total,
+        mean_c=float(np.mean(c_values)) if c_values else None,
+    )
+
+
+def reference_replay(trace: list[TraceRecord], clock: StreamClock = StreamClock()) -> RunReport:
+    if not trace:
+        raise TraceFormatError("trace contains no records")
+    check_ticks((rec.step for rec in trace), TraceFormatError)
+    interval = clock.effective_interval
+    worker = Worker()
+    version = 0
+    records: list[ScheduleRecord] = []
+    domains: list[tuple[int, int]] = []
+    current_domain = None
+    for rec in trace:
+        if rec.domain_id != current_domain:
+            current_domain = rec.domain_id
+            domains.append((current_domain, rec.step))
+        if worker.free(rec.step):
+            c = worker.occupy(rec.step, interval, rec.latency)
+            version += 1
+            action, correct = ACTION_ADAPTED, rec.correct_adapted
+        else:
+            c, action, correct = None, ACTION_SKIPPED_FALLBACK, rec.correct_fallback
+        records.append(
+            ScheduleRecord(
+                step=rec.step,
+                action=action,
+                c_value=c,
+                params_version=version,
+                error_count=rec.batch_size - correct,
+                batch_size=rec.batch_size,
+            )
+        )
+    ends = [start for _, start in domains[1:]] + [len(records)]
+    per_domain = [reference_domain_report(domain_id, records[start:end])
+                  for (domain_id, start), end in zip(domains, ends)]
+    avg_error, overall_c, adapted_fraction = aggregate(per_domain)
+    return RunReport(
+        run_id="", protocol="online", scenario="replay", adapter="trace", eta=clock.eta,
+        seed=0, per_domain=per_domain, avg_error=avg_error, mean_c=overall_c,
+        adapted_fraction=adapted_fraction, schedule=records,
+        notes=[FALLBACK_APPROXIMATION_NOTE],
+    )

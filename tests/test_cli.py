@@ -535,7 +535,8 @@ def test_each_adapter_is_constructed_once(tmp_path, monkeypatch):
     assert sorted(made) == ["entropy_min", "norm_stat", "source"]
 
 
-@pytest.mark.parametrize("given", ["out", "--out", "STREAMGATE_OUT"])
+@pytest.mark.parametrize(
+    "given", ["out", "--out", "STREAMGATE_OUT", "replay --out", "replay STREAMGATE_OUT"])
 @pytest.mark.parametrize("below", [False, True])
 def test_out_that_is_a_file_exits_2_before_any_run(
     tmp_path, capsys, monkeypatch, counted_runs, given, below
@@ -543,11 +544,19 @@ def test_out_that_is_a_file_exits_2_before_any_run(
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
     out = str(taken / "sub" if below else taken)
-    path = _small_config(tmp_path, **({"out": out} if given == "out" else {}))
-    argv = ["run", "--config", str(path)] + (["--out", out] if given == "--out" else [])
+    command, _, given = given.rpartition(" ")
+    read = []
+    if command == "replay":
+        # The trace is never read.
+        monkeypatch.setattr(cli, "parse_trace", lambda *args, **kwargs: read.append(args))
+        argv, named = ["replay", "--trace", str(_write_replay_trace(tmp_path / "t.csv"))], "--out"
+    else:
+        path = _small_config(tmp_path, **({"out": out} if given == "out" else {}))
+        argv, named = ["run", "--config", str(path)], "out"
+    argv += ["--out", out] if given == "--out" else []
     if given == "STREAMGATE_OUT":
         monkeypatch.setenv("STREAMGATE_OUT", out)
     assert run_cli(*argv) == 2
-    assert "error: out: " in capsys.readouterr().err
-    assert counted_runs == []
+    assert f"error: {named}: " in capsys.readouterr().err
+    assert counted_runs == [] and read == []
     assert taken.read_text() == "kept\n"

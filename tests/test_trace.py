@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import tempfile
+from dataclasses import astuple
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamgate.adapters import (
     ADAPTERS,
@@ -17,7 +22,12 @@ from streamgate.adapters import (
 from streamgate.clock import StreamClock
 from streamgate.model import params_equal
 from streamgate.protocol import ProtocolConfig, run_segments, run_stream
-from streamgate.report import ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK
+from streamgate.report import (
+    ACTION_ADAPTED,
+    ACTION_SKIPPED_FALLBACK,
+    ScheduleRecord,
+    write_schedule_csv,
+)
 from streamgate.stream import CorruptionSpec, ScenarioSpec, compose_stream
 from streamgate.trace import (
     TRACE_COLUMNS,
@@ -28,7 +38,7 @@ from streamgate.trace import (
     replay_online,
     write_trace,
 )
-from doubles import tiny_params, tiny_stream
+from doubles import reference_replay, tiny_params, tiny_stream
 
 
 def make_trace(rows):
@@ -202,6 +212,105 @@ def test_per_domain_grouping_in_replay():
     assert report.per_domain[0].error_rate == pytest.approx(0.5)
     # Domain 1: step 2 adapted (all correct), step 3 skipped (fallback all correct).
     assert report.per_domain[1].error_rate == pytest.approx(0.0)
+
+
+def test_parse_rejects_a_bad_fallback_error_rate_before_reading(tmp_path):
+    path = tmp_path / "e.csv"
+    write_raw(path, ["0,1.0,5,,0,10"])
+    for rate in (math.nan, math.inf, -math.inf, -0.5, 1.5):
+        with pytest.raises(ValueError, match="fallback_error_rate") as info:
+            parse_trace(path, fallback_error_rate=rate)
+        assert not isinstance(info.value, TraceFormatError)
+        # Checked before the file is opened: a missing file reports the rate too.
+        with pytest.raises(ValueError, match="fallback_error_rate"):
+            parse_trace(tmp_path / "missing.csv", fallback_error_rate=rate)
+    for rate, correct in ((0.0, 10), (1.0, 0)):
+        assert parse_trace(path, fallback_error_rate=rate)[0].correct_fallback == correct
+
+
+# --------------------------------------------------------------------------
+# The column-form replay equals the per-step loop it replaced
+# --------------------------------------------------------------------------
+
+ETAS = (1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 10)
+
+
+@st.composite
+def replay_cases(draw):
+    """A trace of unequal domains and a clock, with costs of one of three kinds:
+    one latency for every step, latencies spread over several Cs, or latencies of
+    exactly k intervals (or one float step either side of that)."""
+    clock = StreamClock(eta=draw(st.sampled_from(ETAS)))
+    interval = clock.effective_interval
+    domains = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12), st.integers(1, 16)),
+                            min_size=1, max_size=5))
+    n = sum(steps for _, steps, _ in domains)
+    kind = draw(st.sampled_from(["constant", "spread", "multiples"]))
+    if kind == "constant":
+        latencies = [draw(st.floats(1e-3, 20 * interval))] * n
+    elif kind == "spread":
+        latencies = draw(st.lists(st.floats(1e-3, 5 * interval), min_size=n, max_size=n))
+    else:
+        multiples = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from([-1, 0, 0, 1])),
+                                  min_size=n, max_size=n))
+        latencies = [math.nextafter(k * interval, side * math.inf) if side else k * interval
+                     for k, side in multiples]
+    rows = []
+    for domain_id, steps, batch_size in domains:
+        for _ in range(steps):
+            rows.append((latencies[len(rows)], draw(st.integers(0, batch_size)),
+                         draw(st.integers(0, batch_size)), domain_id, batch_size))
+    return make_trace(rows), clock
+
+
+def bits(value):
+    """A value as its type and exact text, so 1 and 1.0 or float and np.float64 differ."""
+    return type(value), repr(value)
+
+
+@pytest.mark.filterwarnings("ignore:domains have unequal sizes")
+@settings(max_examples=200, deadline=None)
+@given(replay_cases())
+@example((make_trace([(2.5, 3, 1, 0, 4)]), StreamClock()))
+@example((make_trace([(0.5, 3, 1, 0, 4)]), StreamClock(eta=0.5)))
+@example((make_trace([(4.5, 3, 1, 0, 4)] * 3), StreamClock()))  # C beyond the trace's end
+def test_replay_equals_the_per_step_loop_bit_for_bit(case):
+    trace, clock = case
+    got, want = replay_online(trace, clock), reference_replay(trace, clock)
+    for name in ("avg_error", "mean_c", "adapted_fraction"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert [[bits(v) for v in astuple(d)] for d in got.per_domain] == \
+        [[bits(v) for v in astuple(d)] for d in want.per_domain]
+    for d in got.per_domain:
+        assert type(d.domain_id) is int and type(d.n_batches) is int
+        assert type(d.n_adapted) is int and type(d.error_rate) is float
+        assert d.mean_c is None or type(d.mean_c) is float
+    assert got.schedule == want.schedule
+    assert [[bits(v) for v in astuple(r)] for r in got.schedule] == \
+        [[bits(v) for v in astuple(r)] for r in want.schedule]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write_schedule_csv(paths[0], got.schedule)
+        write_schedule_csv(paths[1], want.schedule)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_replay_builds_no_schedule_record_until_the_schedule_is_read(monkeypatch):
+    built = []
+    check = ScheduleRecord.__post_init__
+
+    def counting(self):
+        built.append(self.step)
+        check(self)
+
+    monkeypatch.setattr(ScheduleRecord, "__post_init__", counting)
+    trace = make_trace([(2.5, 3, 1, 0, 4)] * 6 + [(0.5, 2, 2, 1, 4)] * 6)
+    report = replay_online(trace, StreamClock())
+    assert built == []
+    assert [d.n_adapted for d in report.per_domain] == [2, 6]
+    schedule = report.schedule
+    assert built == list(range(12))
+    assert report.schedule is schedule and len(built) == 12
 
 
 # --------------------------------------------------------------------------

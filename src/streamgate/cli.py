@@ -484,9 +484,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         while clock.effective_interval < interval / clock.eta:
             clock = replace(clock, base_rate=math.nextafter(clock.base_rate, 0.0))
     with _named("--fallback-error-rate"):
-        rate = None if args.fallback_error_rate is None else unit_fraction(
-            _number(args.fallback_error_rate))
-    with _named("--out"):
+        text = args.fallback_error_rate
+        rate = None if text is None else unit_fraction(_number(text), text)
+    with _named("STREAMGATE_OUT" if os.environ.get("STREAMGATE_OUT") else "--out"):
         out_dir = _directory(args.out or ExperimentConfig.out_dir)
     records = parse_trace(args.trace, fallback_error_rate=rate)
     report = replay_online(records, clock)

@@ -8,7 +8,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class DomainReport:
 
 
 class _Schedule:
-    """The ``RunReport.schedule`` field, which may also be given a function that
-    builds it, as a replay's is: the function runs at first read, its result kept."""
+    """The ``RunReport.schedule`` field: a function given in place of the records
+    runs at first read, and its result is kept."""
 
     def __get__(self, report: RunReport | None, owner: type | None = None):
         if report is None:
@@ -73,7 +73,12 @@ class _Schedule:
 
 @dataclass
 class RunReport:
-    """Aggregated outcome of one protocol run over one scenario."""
+    """Aggregated outcome of one protocol run over one scenario.
+
+    ``schedule`` may be given as a function that builds the records, as a
+    replay's is; it runs when the field is first read (also by ``==``,
+    ``repr``, ``asdict`` and ``dataclasses.replace``) and its result is kept.
+    """
 
     run_id: str
     protocol: str
@@ -85,7 +90,7 @@ class RunReport:
     avg_error: float
     mean_c: float | None
     adapted_fraction: float
-    schedule: list[ScheduleRecord] | None = _Schedule()
+    schedule: list[ScheduleRecord] | Callable[[], list[ScheduleRecord]] | None = _Schedule()
     fingerprints: list[str] | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -136,13 +141,17 @@ def aggregate(per_domain: Sequence[DomainReport]) -> tuple[float, float | None, 
     """
     if not per_domain:
         raise ValueError("need at least one domain")
-    if len({d.n_batches for d in per_domain}) > 1:
+    sizes = {d.n_batches for d in per_domain}
+    if len(sizes) > 1:
         warnings.warn("domains have unequal sizes; average stays unweighted", stacklevel=2)
     avg_error = float(np.mean([d.error_rate for d in per_domain]))
     n_adapted = sum(d.n_adapted for d in per_domain)
     n_batches = sum(d.n_batches for d in per_domain)
-    total_c = sum(d.mean_c * d.n_adapted for d in per_domain if d.mean_c is not None)
-    overall_c = total_c / n_adapted if n_adapted else None
+    if n_adapted:
+        total_c = sum(d.mean_c * d.n_adapted for d in per_domain if d.mean_c is not None)
+        overall_c = total_c / n_adapted
+    else:
+        overall_c = None
     return avg_error, overall_c, n_adapted / n_batches
 
 
@@ -171,9 +180,18 @@ def run_report(
                           np.array([schedule[i].c_value for i in adapted]))
     avg_error, overall_c, adapted_fraction = aggregate(per_domain)
     return RunReport(
-        run_id="", protocol=protocol, scenario=scenario, adapter=adapter, eta=eta, seed=seed,
-        per_domain=per_domain, avg_error=avg_error, mean_c=overall_c,
-        adapted_fraction=adapted_fraction, schedule=schedule, fingerprints=fingerprints,
+        run_id="",
+        protocol=protocol,
+        scenario=scenario,
+        adapter=adapter,
+        eta=eta,
+        seed=seed,
+        per_domain=per_domain,
+        avg_error=avg_error,
+        mean_c=overall_c,
+        adapted_fraction=adapted_fraction,
+        schedule=schedule,
+        fingerprints=fingerprints,
         notes=list(notes),
     )
 

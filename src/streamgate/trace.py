@@ -3,12 +3,11 @@
 A trace row records, for every stream step, the seconds an adaptation step
 spent (or would have spent) on that batch and how many predictions would be
 correct under adaptation versus under the fallback snapshot.  Replay applies
-the run loop's busy-window rule to the trace's columns.  When every latency
-gives one C (``clock.constant_c``), every C-th step adapts; otherwise it jumps
-from each adapted step to ``Worker.busy_until`` through ``Worker.occupy``.  So a
-replay costs one walk step per adapted step, and the records of its schedule
-are built only when that is first read.  Error rates at any stream speed come
-out of one recording with no model reruns.
+the run loop's busy-window rule to the trace's columns: it jumps from each
+adapted step to ``Worker.busy_until`` through ``Worker.occupy``, the rule the
+run loop uses.  So a replay costs one walk step per adapted step, and the
+records of its schedule are built only when that is first read.  Error rates at
+any stream speed come out of one recording with no model reruns.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clock import StreamClock, Worker, check_ticks, constant_c
+from .clock import StreamClock, Worker, check_ticks
 from .report import (
     ACTION_ADAPTED,
     ACTION_SKIPPED_FALLBACK,
@@ -65,10 +64,11 @@ class TraceRecord:
             raise ValueError("correct_fallback must be within [0, batch_size]")
 
 
-def unit_fraction(value: float) -> float:
-    """``value`` if it lies in [0, 1]; NaN fails both comparisons."""
+def unit_fraction(value: float, text: str | None = None) -> float:
+    """``value`` if it lies in [0, 1]; NaN fails both comparisons.  The error
+    shows ``text``, the value as it was written, when given."""
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {value!r}")
+        raise ValueError(f"must be in [0, 1], got {value if text is None else text!r}")
     return value
 
 
@@ -105,9 +105,16 @@ def parse_trace(path: str | Path, fallback_error_rate: float | None = None) -> l
                     fallback = round(batch_size * (1.0 - fallback_error_rate))
                 else:
                     fallback = int(row[3])
-                # The fields in TRACE_COLUMNS order.
-                records.append(TraceRecord(int(row[0]), float(row[1]), int(row[2]), fallback,
-                                           int(row[4]), batch_size))
+                records.append(
+                    TraceRecord(
+                        step=int(row[0]),
+                        latency=float(row[1]),
+                        correct_adapted=int(row[2]),
+                        correct_fallback=fallback,
+                        domain_id=int(row[4]),
+                        batch_size=batch_size,
+                    )
+                )
             except (ValueError, TraceFormatError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
     if not records:
@@ -141,17 +148,12 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
     """
     domains, latency, correct_adapted, correct_fallback, batch_size = _columns(trace)
     n, interval = len(latency), clock.effective_interval
-    c = constant_c(interval, float(latency.min()), float(latency.max()))
-    if c is not None:
-        adapted = np.arange(0, n, min(c, n))
-        c_value = np.full(len(adapted), c)
-    else:
-        worker, steps, latencies = Worker(), [], latency.tolist()
-        while (t := worker.busy_until) < n:
-            steps.append(t)
-            worker.occupy(t, interval, latencies[t])
-        adapted = np.array(steps)
-        c_value = np.diff(adapted, append=t)  # each adapted step's busy window
+    worker, steps, latencies = Worker(), [], latency.tolist()
+    while (t := worker.busy_until) < n:
+        steps.append(t)
+        worker.occupy(t, interval, latencies[t])
+    adapted = np.array(steps)
+    c_value = np.diff(adapted, append=t)  # each adapted step's busy window
     error_count = batch_size - correct_fallback
     error_count[adapted] = batch_size[adapted] - correct_adapted[adapted]
     per_domain = collapse(domains, batch_size, error_count, adapted, c_value)

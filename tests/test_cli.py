@@ -359,6 +359,9 @@ def test_fallback_error_rate_is_a_fraction_checked_as_a_flag(tmp_path, capsys):
     assert run_cli("replay", "--trace", str(path), "--fallback-error-rate", "nan") == 2
     err = capsys.readouterr().err
     assert "--fallback-error-rate" in err and "e.csv" not in err
+    # The rate is shown as it was written.
+    assert run_cli("replay", "--trace", str(path), "--fallback-error-rate", "3/2") == 2
+    assert "--fallback-error-rate: must be in [0, 1], got '3/2'" in capsys.readouterr().err
 
 
 def test_replay_missing_file_exits_2(tmp_path):
@@ -549,7 +552,8 @@ def test_out_that_is_a_file_exits_2_before_any_run(
     if command == "replay":
         # The trace is never read.
         monkeypatch.setattr(cli, "parse_trace", lambda *args, **kwargs: read.append(args))
-        argv, named = ["replay", "--trace", str(_write_replay_trace(tmp_path / "t.csv"))], "--out"
+        argv = ["replay", "--trace", str(_write_replay_trace(tmp_path / "t.csv"))]
+        named = given  # replay has no config: the flag or variable that gave the path
     else:
         path = _small_config(tmp_path, **({"out": out} if given == "out" else {}))
         argv, named = ["run", "--config", str(path)], "out"

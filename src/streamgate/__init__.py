@@ -51,7 +51,6 @@ from .report import (
     aggregate,
     delta,
     error_rate,
-    mean_c,
     per_category_error,
 )
 from .stream import (

@@ -8,7 +8,8 @@ applies: a step whose cost spans k ticks opens a busy window of k-1 following
 steps that are predicted by a fallback (the latest adapted snapshot, or a
 seeded random classifier in single-model mode) without adaptation.  With
 every cost within one tick the online protocol degenerates to the offline one
-exactly.
+exactly.  The loop appends each step to the columns that ``report.run_report``
+turns into the report, as replay does, and builds no per-step record.
 
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
 composed scenario, restarting the adapter at every reset marker.
@@ -28,12 +29,10 @@ from .adapters import Adapter, clone_adapter
 from .clock import StreamClock, Worker, check_ticks, constant_c
 from .model import ModelParams, blend_parameters, params_fingerprint, predict
 from .report import (
-    ACTION_ADAPTED,
     ACTION_SKIPPED_FALLBACK,
     ACTION_SKIPPED_RANDOM,
     NO_SNAPSHOT,
     RunReport,
-    ScheduleRecord,
     run_report,
 )
 from .stream import Batch, StreamSegment
@@ -146,7 +145,12 @@ def _run(
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
     modulo = _modulo(cfg)
-    schedule: list[ScheduleRecord] = []
+    steps: list[int] = []
+    batch_sizes: list[int] = []
+    error_counts: list[int] = []
+    versions: list[int] = []
+    adapted: list[int] = []
+    c_values: list[int] = []
     domains: list[tuple[int, int]] = []
     fingerprints: list[str] = []
     # One generator per run, so each domain's busy steps draw fresh predictions.
@@ -170,18 +174,18 @@ def _run(
             t = batch.t
             if batch.domain_id != current_domain:
                 current_domain = batch.domain_id
-                domains.append((current_domain, len(schedule)))
+                domains.append((current_domain, len(steps)))
                 fingerprints.append(params_fingerprint(adapter.params))
 
             adapt_now = worker.free(t) if modulo is None else t % modulo == 0
 
             if trace_out is not None:
                 fb_pred, _ = predict(fallback, batch.features)
-                fallback_correct = int((fb_pred == batch.labels).sum())
 
-            if adapt_now:
-                prev = adapter.params
-                try:
+            # Every adapter call of the step, live or counterfactual, fails as one.
+            try:
+                if adapt_now:
+                    prev = adapter.params
                     if cfg.timing == MEASURED:
                         # The base model's forward time, re-measured at every step.
                         _, forward = _timed(predict, prev, batch.features)
@@ -194,10 +198,17 @@ def _run(
                     c = worker.occupy(t, interval, cost)
                     # The blend validates the adapter's output.
                     theta_next = blend_parameters(prev, outcome.theta_hat, cfg.alpha)
-                except Exception as exc:
-                    raise ProtocolError(
-                        f"adapter {adapter.name!r} failed at step {t}: {exc}"
-                    ) from exc
+                elif trace_out is not None:
+                    # Counterfactual one-step adaptation on a throwaway copy; the
+                    # live adapter (including its latency rng) stays untouched.
+                    outcome = clone_adapter(adapter).adapt(batch)
+                    cost = outcome.cost
+            except Exception as exc:
+                raise ProtocolError(
+                    f"adapter {adapter.name!r} failed at step {t}: {exc}"
+                ) from exc
+
+            if adapt_now:
                 adapter.params = theta_next
                 version += 1
                 if cfg.fallback_visibility == IMMEDIATE:
@@ -205,52 +216,38 @@ def _run(
                 else:
                     fallback, fallback_version = prev, version - 1
                 y_hat = outcome.y_hat
-                action, c_value, step_version = ACTION_ADAPTED, c, version
-                adapted_correct = int((y_hat == batch.labels).sum())
-                step_latency = cost
+                adapted.append(len(steps))
+                c_values.append(c)
+                versions.append(version)
+            elif single:
+                y_hat = rng.integers(0, num_classes, size=batch.size)
+                versions.append(NO_SNAPSHOT)
             else:
-                if single:
-                    y_hat = rng.integers(0, num_classes, size=batch.size)
-                    action, step_version = ACTION_SKIPPED_RANDOM, NO_SNAPSHOT
-                else:
-                    # A traced step has already predicted this batch with ``fallback``.
-                    y_hat = predict(fallback, batch.features)[0] if trace_out is None else fb_pred
-                    action, step_version = ACTION_SKIPPED_FALLBACK, fallback_version
-                c_value = None
-                if trace_out is not None:
-                    # Counterfactual one-step adaptation on a throwaway copy; the
-                    # live adapter (including its latency rng) stays untouched.
-                    ghost_out = clone_adapter(adapter).adapt(batch)
-                    adapted_correct = int((ghost_out.y_hat == batch.labels).sum())
-                    step_latency = ghost_out.cost
+                # A traced step has already predicted this batch with ``fallback``.
+                y_hat = predict(fallback, batch.features)[0] if trace_out is None else fb_pred
+                versions.append(fallback_version)
 
-            schedule.append(
-                ScheduleRecord(
-                    step=t,
-                    action=action,
-                    c_value=c_value,
-                    params_version=step_version,
-                    error_count=int((y_hat != batch.labels).sum()),
-                    batch_size=batch.size,
-                )
-            )
+            steps.append(t)
+            batch_sizes.append(batch.size)
+            error_counts.append(int((y_hat != batch.labels).sum()))
             if predictions_out is not None:
                 predictions_out.append(np.asarray(y_hat).copy())
             if trace_out is not None:
                 trace_out.append(
                     TraceRecord(
                         step=t,
-                        latency=float(step_latency),
-                        correct_adapted=adapted_correct,
-                        correct_fallback=fallback_correct,
+                        latency=float(cost),
+                        correct_adapted=int((outcome.y_hat == batch.labels).sum()),
+                        correct_fallback=int((fb_pred == batch.labels).sum()),
                         domain_id=batch.domain_id,
                         batch_size=batch.size,
                     )
                 )
 
     return run_report(
-        schedule, domains, protocol=cfg.protocol, adapter=adapter.name, eta=clock.eta,
-        seed=cfg.seed, fingerprints=fingerprints,
+        domains, steps, batch_sizes, error_counts, versions, adapted, c_values,
+        ACTION_SKIPPED_RANDOM if single else ACTION_SKIPPED_FALLBACK, protocol=cfg.protocol,
+        adapter=adapter.name, eta=clock.eta, seed=cfg.seed, fingerprints=fingerprints,
     )
 
 

@@ -6,6 +6,7 @@ import csv
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -57,8 +58,8 @@ class DomainReport:
 
 
 class _Schedule:
-    """The ``RunReport.schedule`` field: a function given in place of the records
-    runs at first read, and its result is kept."""
+    """The ``RunReport.schedule`` field: a function given in place of the records,
+    as ``run_report`` gives one, runs at first read, and its result is kept."""
 
     def __get__(self, report: RunReport | None, owner: type | None = None):
         if report is None:
@@ -75,9 +76,9 @@ class _Schedule:
 class RunReport:
     """Aggregated outcome of one protocol run over one scenario.
 
-    ``schedule`` may be given as a function that builds the records, as a
-    replay's is; it runs when the field is first read (also by ``==``,
-    ``repr``, ``asdict`` and ``dataclasses.replace``) and its result is kept.
+    ``schedule`` may be given as a function that builds the records, as
+    ``run_report`` gives it; it runs when the field is first read (also by
+    ``==``, ``repr``, ``asdict`` and ``dataclasses.replace``) and its result is kept.
     """
 
     run_id: str
@@ -106,21 +107,12 @@ def error_rate(predictions: Sequence[int] | np.ndarray, labels: Sequence[int] | 
     return float((predictions != labels).mean())
 
 
-def _mean(values: Sequence[int] | np.ndarray) -> float | None:
-    """``np.mean`` of the values as a Python float; None if there are none."""
-    return float(np.mean(values)) if len(values) else None
-
-
-def mean_c(schedule: Iterable[ScheduleRecord]) -> float | None:
-    """Arithmetic mean of c_value over adapted steps; None if nothing adapted."""
-    return _mean([r.c_value for r in schedule if r.action == ACTION_ADAPTED])
-
-
 def collapse(domains: Sequence[tuple[int, int]], batch_size: np.ndarray, error_count: np.ndarray,
              adapted: np.ndarray, c_value: np.ndarray) -> list[DomainReport]:
     """A run's per-domain rows from its columns: ``batch_size`` and ``error_count``
     per step, the ascending indices of the ``adapted`` steps and their ``c_value``;
-    ``domains`` as in ``run_report``.  Sums are exact, so rates equal ``int / int``."""
+    ``domains`` as in ``run_report``.  Sums are exact, so rates equal ``int / int``;
+    a row's mean C is None if it adapted nowhere."""
     starts = np.array([start for _, start in domains], dtype=np.int64)
     n_batches = np.diff(starts, append=len(batch_size))
     if (n_batches < 1).any():
@@ -128,7 +120,7 @@ def collapse(domains: Sequence[tuple[int, int]], batch_size: np.ndarray, error_c
     rates = (np.add.reduceat(error_count, starts) / np.add.reduceat(batch_size, starts)).tolist()
     cuts = [*np.searchsorted(adapted, starts).tolist(), len(adapted)]
     return [
-        DomainReport(domain_id, n, b - a, rate, _mean(c_value[a:b]))
+        DomainReport(domain_id, n, b - a, rate, float(np.mean(c_value[a:b])) if b > a else None)
         for (domain_id, _), n, rate, a, b in zip(domains, n_batches.tolist(), rates, cuts, cuts[1:])
     ]
 
@@ -156,8 +148,14 @@ def aggregate(per_domain: Sequence[DomainReport]) -> tuple[float, float | None, 
 
 
 def run_report(
-    schedule: list[ScheduleRecord],
     domains: Sequence[tuple[int, int]],
+    step: Sequence[int] | np.ndarray,
+    batch_size: Sequence[int] | np.ndarray,
+    error_count: Sequence[int] | np.ndarray,
+    params_version: Sequence[int] | np.ndarray,
+    adapted: Sequence[int] | np.ndarray,
+    c_value: Sequence[int] | np.ndarray,
+    skipped: str,
     *,
     protocol: str,
     adapter: str,
@@ -167,17 +165,19 @@ def run_report(
     fingerprints: list[str] | None = None,
     notes: Sequence[str] = (),
 ) -> RunReport:
-    """Collapse a run's step records into contiguous per-domain rows and its report.
+    """A run's report from its step columns, which also build its schedule on first read.
 
-    ``domains`` holds (domain_id, index of the row's first record) for each
-    row in order; a row ends where the next one starts.  A caller splits rows
-    wherever the domain changes and at every segment boundary.
+    ``adapted`` holds the ascending indices of the adapted steps, ``c_value``
+    their C; every other step took the action ``skipped``.  ``domains`` holds
+    (domain_id, index of the row's first step) for each row in order; a row
+    ends where the next one starts.  A caller splits rows wherever the domain
+    changes and at every segment boundary.
     """
-    adapted = [i for i, r in enumerate(schedule) if r.action == ACTION_ADAPTED]
-    per_domain = collapse(domains, np.array([r.batch_size for r in schedule]),
-                          np.array([r.error_count for r in schedule]),
-                          np.array(adapted, dtype=np.int64),
-                          np.array([schedule[i].c_value for i in adapted]))
+    step, batch_size, error_count, params_version, adapted, c_value = (
+        np.asarray(column, dtype=np.int64)
+        for column in (step, batch_size, error_count, params_version, adapted, c_value)
+    )
+    per_domain = collapse(domains, batch_size, error_count, adapted, c_value)
     avg_error, overall_c, adapted_fraction = aggregate(per_domain)
     return RunReport(
         run_id="",
@@ -190,10 +190,28 @@ def run_report(
         avg_error=avg_error,
         mean_c=overall_c,
         adapted_fraction=adapted_fraction,
-        schedule=schedule,
+        schedule=partial(_schedule, step, batch_size, error_count, params_version, adapted,
+                         c_value, skipped),
         fingerprints=fingerprints,
         notes=list(notes),
     )
+
+
+def _schedule(
+    step: np.ndarray,
+    batch_size: np.ndarray,
+    error_count: np.ndarray,
+    params_version: np.ndarray,
+    adapted: np.ndarray,
+    c_value: np.ndarray,
+    skipped: str,
+) -> list[ScheduleRecord]:
+    """A run's per-step records from its columns (see ``run_report``)."""
+    action, c_of = [skipped] * len(step), [None] * len(step)
+    for i, c in zip(adapted.tolist(), c_value.tolist()):
+        action[i], c_of[i] = ACTION_ADAPTED, c
+    return list(map(ScheduleRecord, step.tolist(), action, c_of, params_version.tolist(),
+                    error_count.tolist(), batch_size.tolist()))
 
 
 def delta(offline: RunReport, online: RunReport) -> float:
@@ -254,14 +272,10 @@ def write_schedule_csv(path: str | Path, schedule: Sequence[ScheduleRecord]) -> 
     write_rows(path, SCHEDULE_COLUMNS, map(attrgetter(*SCHEDULE_COLUMNS), schedule))
 
 
-def report_to_dict(report: RunReport) -> dict:
-    return asdict(report)
-
-
 def write_summary_json(
     path: str | Path, reports: Sequence[RunReport], deltas: Sequence[dict] | None = None
 ) -> None:
-    payload: dict = {"runs": [report_to_dict(r) for r in reports]}
+    payload: dict = {"runs": [asdict(r) for r in reports]}
     if deltas is not None:
         payload["deltas"] = list(deltas)
     with open(path, "w") as fh:

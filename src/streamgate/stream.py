@@ -65,26 +65,17 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """One corruption transform at an integer severity.
-
-    ``strength`` overrides the per-unit-severity base strength; None picks the
-    kind's default from BASE_STRENGTH.
-    """
+    """One corruption transform at an integer severity."""
 
     kind: str
     severity: int
     seed: int = 0
-    strength: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in CORRUPTION_KINDS:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if self.severity not in (1, 2, 3, 4, 5):
             raise ValueError(f"severity must be in 1..5, got {self.severity}")
-
-    @property
-    def base_strength(self) -> float:
-        return BASE_STRENGTH[self.kind] if self.strength is None else self.strength
 
 
 @dataclass(frozen=True)
@@ -227,12 +218,9 @@ def apply_corruption(features: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     dim = features.shape[1]
     rng = np.random.default_rng([spec.seed, CORRUPTION_KINDS.index(spec.kind), spec.severity])
-    s = spec.base_strength
+    s = BASE_STRENGTH[spec.kind]
     if spec.kind == GAUSSIAN_NOISE:
-        sigma = s * spec.severity
-        if sigma == 0.0:
-            return features.copy()
-        return features + rng.normal(0.0, sigma, size=features.shape)
+        return features + rng.normal(0.0, s * spec.severity, size=features.shape)
     if spec.kind == MEAN_SHIFT:
         direction = rng.standard_normal(dim)
         direction /= np.linalg.norm(direction)

@@ -5,8 +5,8 @@ spent (or would have spent) on that batch and how many predictions would be
 correct under adaptation versus under the fallback snapshot.  Replay applies
 the run loop's busy-window rule to the trace's columns: it jumps from each
 adapted step to ``Worker.busy_until`` through ``Worker.occupy``, the rule the
-run loop uses.  So a replay costs one walk step per adapted step, and the
-records of its schedule are built only when that is first read.  Error rates at
+run loop uses.  So a replay costs one walk step per adapted step; it hands its
+step columns to ``report.run_report``, as the run loop does.  Error rates at
 any stream speed come out of one recording with no model reruns.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -24,12 +23,11 @@ import numpy as np
 
 from .clock import StreamClock, Worker, check_ticks
 from .report import (
-    ACTION_ADAPTED,
     ACTION_SKIPPED_FALLBACK,
     RunReport,
-    ScheduleRecord,
     aggregate,
     collapse,
+    run_report,
     write_rows,
 )
 
@@ -58,10 +56,11 @@ class TraceRecord:
     def __post_init__(self) -> None:
         if not 0 < self.latency < math.inf:
             raise ValueError(f"latency must be positive and finite, got {self.latency}")
-        if not 0 <= self.correct_adapted <= self.batch_size:
-            raise ValueError("correct_adapted must be within [0, batch_size]")
-        if not 0 <= self.correct_fallback <= self.batch_size:
-            raise ValueError("correct_fallback must be within [0, batch_size]")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("correct_adapted", "correct_fallback"):
+            if not 0 <= getattr(self, name) <= self.batch_size:
+                raise ValueError(f"{name} must be within [0, batch_size]")
 
 
 def unit_fraction(value: float, text: str | None = None) -> float:
@@ -144,7 +143,7 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
     Adapted steps contribute correct_adapted and open a busy window of
     ceil(latency / interval) ticks; steps inside a window contribute
     correct_fallback.  Latencies within one interval reproduce the
-    all-adapted (offline) outcome exactly.  ``schedule`` is built on first read.
+    all-adapted (offline) outcome exactly.
     """
     domains, latency, correct_adapted, correct_fallback, batch_size = _columns(trace)
     n, interval = len(latency), clock.effective_interval
@@ -156,25 +155,13 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
     c_value = np.diff(adapted, append=t)  # each adapted step's busy window
     error_count = batch_size - correct_fallback
     error_count[adapted] = batch_size[adapted] - correct_adapted[adapted]
-    per_domain = collapse(domains, batch_size, error_count, adapted, c_value)
-    avg_error, overall_c, adapted_fraction = aggregate(per_domain)
-    return RunReport(
-        run_id="", protocol="online", scenario="replay", adapter="trace", eta=clock.eta,
-        seed=0, per_domain=per_domain, avg_error=avg_error, mean_c=overall_c,
-        adapted_fraction=adapted_fraction, notes=[FALLBACK_APPROXIMATION_NOTE],
-        schedule=partial(_schedule, adapted, c_value, error_count, batch_size))
-
-
-def _schedule(adapted: np.ndarray, c_value: np.ndarray, error_count: np.ndarray,
-              batch_size: np.ndarray) -> list[ScheduleRecord]:
-    """A replay's per-step records from its columns (see ``replay_online``)."""
-    n = len(error_count)
-    action, c_of = [ACTION_SKIPPED_FALLBACK] * n, [None] * n
-    for t, c in zip(adapted.tolist(), c_value.tolist()):
-        action[t], c_of[t] = ACTION_ADAPTED, c
-    version = np.searchsorted(adapted, np.arange(n), side="right").tolist()
-    return list(map(ScheduleRecord, range(n), action, c_of, version, error_count.tolist(),
-                    batch_size.tolist()))
+    ticks = np.arange(n)
+    params_version = np.searchsorted(adapted, ticks, side="right")  # adapted steps up to t
+    return run_report(
+        domains, ticks, batch_size, error_count, params_version, adapted, c_value,
+        ACTION_SKIPPED_FALLBACK, protocol="online", adapter="trace", eta=clock.eta, seed=0,
+        scenario="replay", notes=[FALLBACK_APPROXIMATION_NOTE],
+    )
 
 
 def adapted_only_error(trace: Sequence[TraceRecord]) -> float:

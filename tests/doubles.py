@@ -18,7 +18,13 @@ from streamgate.report import (
     ScheduleRecord,
     aggregate,
 )
-from streamgate.stream import CORRUPTION_KINDS, Batch, CorruptionSpec, _rotation_generator
+from streamgate.stream import (
+    BASE_STRENGTH,
+    CORRUPTION_KINDS,
+    Batch,
+    CorruptionSpec,
+    _rotation_generator,
+)
 from streamgate.trace import FALLBACK_APPROXIMATION_NOTE, TraceFormatError, TraceRecord
 
 
@@ -140,7 +146,7 @@ def model_error(params: ModelParams, features: np.ndarray, labels: np.ndarray) -
 def rotation_matrix(spec: CorruptionSpec, dim: int) -> np.ndarray:
     """The orthogonal matrix a rotation corruption applies, drawn as it draws it."""
     rng = np.random.default_rng([spec.seed, CORRUPTION_KINDS.index(spec.kind), spec.severity])
-    return expm((spec.base_strength * spec.severity) * _rotation_generator(dim, rng))
+    return expm((BASE_STRENGTH[spec.kind] * spec.severity) * _rotation_generator(dim, rng))
 
 
 # Per-field references for the flat-vector parameter operations in streamgate.model.

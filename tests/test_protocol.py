@@ -6,11 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamgate.adapters import Constant, EntropyMinAdapter, SourceAdapter, Stochastic
 from streamgate.clock import StreamClock
 from streamgate.model import params_equal, params_fingerprint
 from streamgate.protocol import (
+    DELAYED,
+    IMMEDIATE,
+    OFFLINE,
+    ONLINE,
+    SINGLE_MODEL,
     BusyWindow,
     FixedModulo,
     ProtocolConfig,
@@ -18,13 +24,19 @@ from streamgate.protocol import (
     run_segments,
     run_stream,
 )
-from streamgate.report import ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK, ACTION_SKIPPED_RANDOM
+from streamgate.report import (
+    ACTION_ADAPTED,
+    ACTION_SKIPPED_FALLBACK,
+    ACTION_SKIPPED_RANDOM,
+    ScheduleRecord,
+)
 from streamgate.stream import StreamSegment
 from doubles import (
     BetaShiftAdapter,
     FailingAdapter,
     FixedErrorAdapter,
     PerfectAdapter,
+    reference_domain_report,
     tiny_params,
     tiny_stream,
 )
@@ -233,6 +245,27 @@ def test_adapter_failure_aborts_with_step_index():
         run_stream(stream, FailingAdapter(params, fail_at=3), params, OFF)
 
 
+class FlakyAdapter(EntropyMinAdapter):
+    """Raises on its second adapt call, counted across the clones of one adapter."""
+
+    name = "flaky"
+    calls = 0
+
+    def _adapt(self, batch):
+        self.calls += 1
+        if self.calls == 2:
+            raise FloatingPointError("synthetic overflow")
+        return super()._adapt(batch)
+
+
+@pytest.mark.parametrize("cost", [0.5, 3.0])  # step 1 adapts live, or as a traced ghost
+def test_traced_failure_names_adapter_and_step_live_or_counterfactual(cost):
+    params = tiny_params()
+    adapter = FlakyAdapter(params, latency=Constant(cost))
+    with pytest.raises(ProtocolError, match="adapter 'flaky' failed at step 1: synthetic"):
+        run_stream(tiny_stream(4), adapter, params, ON, trace_out=[])
+
+
 @pytest.mark.parametrize(
     "adapter_kwargs,cause",
     [
@@ -367,3 +400,72 @@ def test_measured_timing_runs_and_stays_positive():
     cfg = replace(ON, timing="measured")
     report = run_stream(stream, SourceAdapter(params, latency=Constant(9.0)), params, cfg)
     assert all(r.c_value >= 1 for r in report.schedule if r.action == ACTION_ADAPTED)
+
+
+def test_run_builds_no_schedule_record_until_the_schedule_is_read(monkeypatch):
+    built = []
+    check = ScheduleRecord.__post_init__
+
+    def counting(self):
+        built.append(self.step)
+        check(self)
+
+    monkeypatch.setattr(ScheduleRecord, "__post_init__", counting)
+    params = tiny_params()
+    report = run_stream(tiny_stream(6), SourceAdapter(params, latency=Constant(3.0)), params, ON)
+    assert built == []
+    assert report.adapted_fraction == 2 / 6 and report.mean_c == 3.0
+    schedule = report.schedule
+    assert built == list(range(6))
+    assert report.schedule is schedule and len(built) == 6
+
+
+def relabelled(batches, domain_id, first_tick):
+    return [replace(b, domain_id=domain_id, t=first_tick + i) for i, b in enumerate(batches)]
+
+
+@pytest.mark.filterwarnings("ignore:domains have unequal sizes")
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from([OFFLINE, ONLINE, SINGLE_MODEL]),
+    modulo=st.none() | st.integers(1, 3),
+    visibility=st.sampled_from([IMMEDIATE, DELAYED]),
+    episodic=st.booleans(),
+    domains=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    per_domain=st.integers(1, 5),
+    latency=st.sampled_from([Constant(0.5), Constant(2.0), Stochastic(2.0, 1.5, seed=4)]),
+    seed=st.integers(0, 3),
+)
+def test_per_domain_rows_equal_the_reference_over_the_built_schedule(
+    protocol, modulo, visibility, episodic, domains, per_domain, latency, seed
+):
+    params = tiny_params()
+    chunks = [tiny_stream(per_domain, seed=seed + i) for i in range(len(domains))]
+    if episodic:
+        segments = [StreamSegment(reset=True, batches=relabelled(chunk, d, 0))
+                    for chunk, d in zip(chunks, domains)]
+    else:
+        batches = [b for i, (chunk, d) in enumerate(zip(chunks, domains))
+                   for b in relabelled(chunk, d, i * per_domain)]
+        segments = [StreamSegment(reset=True, batches=batches)]
+    cfg = ProtocolConfig(protocol=protocol, fallback_visibility=visibility, seed=seed,
+                         schedule_mode=BusyWindow() if modulo is None else FixedModulo(modulo))
+    report = run_segments(segments, EntropyMinAdapter(params, latency=latency), params, cfg,
+                          num_classes=3)
+
+    # A row starts wherever the domain changes and at every segment boundary.
+    rows, offset = [], 0
+    for segment in segments:
+        rows += [(b.domain_id, offset + i) for i, b in enumerate(segment.batches)
+                 if i == 0 or b.domain_id != segment.batches[i - 1].domain_id]
+        offset += len(segment.batches)
+    ends = [start for _, start in rows[1:]] + [offset]
+    schedule = report.schedule
+    expected = [reference_domain_report(domain_id, schedule[start:end])
+                for (domain_id, start), end in zip(rows, ends)]
+    assert report.per_domain == expected
+    for got, want in zip(report.per_domain, expected):
+        assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(want).values()]
+        assert type(got.error_rate) is float and type(got.n_adapted) is int
+    assert {type(v) for r in schedule for v in (r.step, r.params_version, r.error_count,
+                                                 r.batch_size)} == {int}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from streamgate.report import (
     aggregate,
     delta,
     error_rate,
-    mean_c,
     per_category_error,
-    report_to_dict,
     run_report,
     write_results_csv,
     write_schedule_csv,
@@ -132,13 +131,6 @@ def test_delta_rejects_mismatched_runs():
         delta(sample_report(adapter="x"), sample_report(adapter="y"))
 
 
-def test_mean_c_values():
-    assert mean_c([rec(0, c=3), rec(1, c=3)]) == 3.0
-    assert mean_c([rec(0, c=1)]) == 1.0
-    assert mean_c([rec(0, c=2), rec(1, c=4), rec(2, c=2), rec(3, c=4)]) == pytest.approx(3.0)
-    assert mean_c([rec(0, ACTION_SKIPPED_FALLBACK)]) is None
-
-
 def test_schedule_record_validation():
     with pytest.raises(ValueError):
         ScheduleRecord(0, ACTION_ADAPTED, None, 1, 0, 10)
@@ -153,8 +145,10 @@ def test_run_report_rows_follow_the_given_domain_starts():
     schedule = [rec(0, errors=2), rec(1, ACTION_SKIPPED_FALLBACK, errors=4),
                 rec(2, c=3, errors=1), rec(3, ACTION_SKIPPED_FALLBACK, errors=5),
                 rec(0, c=2, errors=0), rec(1, ACTION_SKIPPED_FALLBACK, errors=10)]
-    report = run_report(schedule, [(0, 0), (1, 2), (1, 4)], protocol="online",
-                        adapter="x", eta=0.5, seed=3, fingerprints=["a", "b", "c"])
+    report = run_report([(0, 0), (1, 2), (1, 4)], [0, 1, 2, 3, 0, 1], [10] * 6,
+                        [2, 4, 1, 5, 0, 10], [1] * 6, [0, 2, 4], [1, 3, 2],
+                        ACTION_SKIPPED_FALLBACK, protocol="online", adapter="x", eta=0.5,
+                        seed=3, fingerprints=["a", "b", "c"])
     assert [d.domain_id for d in report.per_domain] == [0, 1, 1]
     assert [d.n_batches for d in report.per_domain] == [2, 2, 2]
     assert [d.error_rate for d in report.per_domain] == [6 / 20, 6 / 20, 10 / 20]
@@ -162,7 +156,7 @@ def test_run_report_rows_follow_the_given_domain_starts():
     assert report.avg_error == pytest.approx(1.1 / 3)
     assert report.mean_c == 2.0
     assert report.adapted_fraction == 3 / 6
-    assert report.schedule is schedule
+    assert report.schedule == schedule
     assert (report.protocol, report.adapter, report.eta, report.seed) == ("online", "x", 0.5, 3)
     assert report.fingerprints == ["a", "b", "c"] and report.notes == []
 
@@ -187,7 +181,7 @@ def test_schedule_csv_columns(tmp_path):
 def test_report_json_round_trip_is_lossless(tmp_path):
     report = sample_report(avg=1 / 3)
     report.per_domain[0] = DomainReport(0, 10, 3, 1 / 7, mean_c=None)
-    restored = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
+    restored = report_from_dict(json.loads(json.dumps(asdict(report))))
     assert restored == report
 
 

@@ -84,12 +84,6 @@ def test_pretrain_divergence_reports_iteration():
             pretrain_source_model(features, labels, TrainSpec(learning_rate=1e308, iterations=5))
 
 
-def test_zero_strength_noise_is_identity():
-    x = np.random.default_rng(0).normal(size=(10, 6))
-    out = apply_corruption(x, CorruptionSpec("gaussian_noise", 1, seed=0, strength=0.0))
-    assert np.array_equal(out, x)
-
-
 def test_rotation_is_orthogonal_and_invertible():
     spec = CorruptionSpec("rotation", 4, seed=9)
     rot = rotation_matrix(spec, dim=12)

@@ -69,6 +69,13 @@ def test_parse_rejects_correct_count_above_batch_size(tmp_path):
         parse_trace(path)
 
 
+def test_parse_rejects_an_empty_batch(tmp_path):
+    path = tmp_path / "t.csv"
+    write_raw(path, ["0,1.0,5,3,0,10", "1,1.0,0,0,1,0"])
+    with pytest.raises(TraceFormatError, match=":3: batch_size must be >= 1, got 0"):
+        parse_trace(path)
+
+
 def test_parse_rejects_header_only(tmp_path):
     path = tmp_path / "t.csv"
     write_raw(path, [])

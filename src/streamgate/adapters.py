@@ -5,6 +5,13 @@ approaches at desk scale: statistics replacement, entropy-descent on the
 normalizer's affine pair, self-training on own pseudo-labels, entropy-gated
 sample rejection, and input moment-matching.  Every adapter carries a latency
 model so a stream scheduler can charge it a deterministic per-batch cost.
+
+A step runs one forward pass per parameter set and batch.  The source and
+descent adapters compute the pre-step pass once and read from it their
+prediction, pseudo-labels, entropy gate and gradient; the post-step
+prediction reuses its normalized features, since a descent step moves only
+gamma and beta.  The pass is kept on the step's outcome only, so it goes
+with the step.
 """
 
 from __future__ import annotations
@@ -14,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    VAR_FLOOR,
-    ModelParams,
-    _log_softmax,
-    log_probabilities,
-    normalized_features,
-    predict,
-)
+from .model import VAR_FLOOR, Forward, ModelParams, forward, predict
 from .stream import Batch
 
 _COST_FLOOR = 1e-9
@@ -88,8 +88,11 @@ def latency_range(model: LatencyModel, batch_size: int) -> tuple[float, float]:
 
 def per_sample_entropy(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Prediction entropy H(p_i) per row, in nats."""
-    logp = log_probabilities(params, features)
-    return -(np.exp(logp) * logp).sum(axis=1)
+    return _entropy(forward(params, features))
+
+
+def _entropy(result: Forward) -> np.ndarray:
+    return -(result.p * result.logp).sum(axis=1)
 
 
 def mean_prediction_entropy(
@@ -112,22 +115,26 @@ def entropy_gradient(
     affine map gives the two returned vectors.  ``mask`` restricts the mean to
     a row subset.
     """
-    u = normalized_features(params, features)
-    logp = _log_softmax(params, u)
-    p = np.exp(logp)
-    h = -(p * logp).sum(axis=1)
-    g_logits = -p * (logp + h[:, None])
+    return _entropy_gradient(forward(params, features), mask)
+
+
+def _entropy_gradient(
+    result: Forward, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``entropy_gradient`` from the forward pass it starts with."""
+    u, logp, p = result.u, result.logp, result.p
+    g_logits = -p * (logp + _entropy(result)[:, None])
     if mask is not None:
         g_logits = g_logits[mask]
         u = u[mask]
-    return _affine_gradient(g_logits, u, params.W)
+    return _affine_gradient(g_logits, u, result.params.W)
 
 
 def pseudo_label_cross_entropy(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> float:
     """Mean cross-entropy against fixed (pseudo-)labels."""
-    logp = log_probabilities(params, features)
+    logp = forward(params, features).logp
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
@@ -135,11 +142,16 @@ def cross_entropy_gradient(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of mean cross-entropy to fixed labels w.r.t. (gamma, beta)."""
-    u = normalized_features(params, features)
-    logp = _log_softmax(params, u)
-    p = np.exp(logp)
-    p[np.arange(len(labels)), labels] -= 1.0
-    return _affine_gradient(p, u, params.W)
+    return _cross_entropy_gradient(forward(params, features), labels)
+
+
+def _cross_entropy_gradient(
+    result: Forward, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``cross_entropy_gradient`` from the forward pass it starts with."""
+    g_logits = result.p.copy()
+    g_logits[np.arange(len(labels)), labels] -= 1.0
+    return _affine_gradient(g_logits, result.u, result.params.W)
 
 
 def _affine_gradient(
@@ -161,7 +173,9 @@ class AdaptOutcome:
     ``y_hat`` is always the prediction of ``theta_hat`` on ``x_hat``.  ``cost``
     is the elapsed seconds for the step; adapters whose cost does not depend
     on what happened leave it None and the base class samples their latency
-    model, so a finished outcome always carries a positive cost.
+    model, so a finished outcome always carries a positive cost.  ``forward``
+    is the step's forward pass of its pre-step parameters on the batch, when
+    the step ran one.
     """
 
     x_hat: np.ndarray
@@ -169,6 +183,7 @@ class AdaptOutcome:
     y_hat: np.ndarray
     cost: float | None
     note: str | None = None
+    forward: Forward | None = None
 
 
 class Adapter:
@@ -222,7 +237,12 @@ class Adapter:
         pass
 
     def adapt(self, batch: Batch) -> AdaptOutcome:
-        """One adaptation step; commits the adapted parameters as the new state."""
+        """One adaptation step; commits the adapted parameters as the new state.
+
+        A step runs at most one forward pass of its pre-step parameters on the
+        batch and carries it out as ``outcome.forward``, where a traced run reads
+        the fallback prediction whenever the fallback is those very parameters.
+        """
         outcome = self._adapt(batch)
         if outcome.cost is None:
             outcome.cost = self.sample_cost(batch.size)
@@ -244,9 +264,9 @@ class SourceAdapter(Adapter):
         super().__init__(pretrained, latency)
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
-        theta = self.params.copy()
-        y_hat, _ = predict(theta, batch.features)
-        return AdaptOutcome(x_hat=batch.features, theta_hat=theta, y_hat=y_hat, cost=None)
+        result = forward(self.params, batch.features)
+        return AdaptOutcome(x_hat=batch.features, theta_hat=self.params.copy(),
+                            y_hat=result.labels, cost=None, forward=result)
 
 
 class NormStatAdapter(Adapter):
@@ -298,15 +318,19 @@ class _DescentAdapter(Adapter):
         super().__init__(pretrained, latency)
         self.learning_rate = learning_rate
 
-    def _descend(self, batch: Batch, g_gamma: np.ndarray, g_beta: np.ndarray) -> AdaptOutcome:
-        """Step a copy of the parameters down the gradient and predict with it."""
+    def _descend(
+        self, batch: Batch, result: Forward, g_gamma: np.ndarray, g_beta: np.ndarray
+    ) -> AdaptOutcome:
+        """Step a copy of the parameters down the gradient and predict with it.
+        ``result`` is the pre-step forward pass; the step keeps mu and var, so
+        the prediction reuses its normalized features."""
         if not (np.isfinite(g_gamma).all() and np.isfinite(g_beta).all()):
             raise FloatingPointError(f"non-finite gradient in {self.name}")
         theta = self.params.copy()
         theta.gamma = theta.gamma - self.learning_rate * g_gamma
         theta.beta = theta.beta - self.learning_rate * g_beta
-        y_hat, _ = predict(theta, batch.features)
-        return AdaptOutcome(batch.features, theta, y_hat, cost=None)
+        y_hat = forward(theta, batch.features, result.u).labels
+        return AdaptOutcome(batch.features, theta, y_hat, cost=None, forward=result)
 
 
 class EntropyMinAdapter(_DescentAdapter):
@@ -315,7 +339,8 @@ class EntropyMinAdapter(_DescentAdapter):
     name = "entropy_min"
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
-        return self._descend(batch, *entropy_gradient(self.params, batch.features))
+        result = forward(self.params, batch.features)
+        return self._descend(batch, result, *_entropy_gradient(result))
 
 
 class PseudoLabelAdapter(_DescentAdapter):
@@ -328,10 +353,10 @@ class PseudoLabelAdapter(_DescentAdapter):
         self.last_pseudo_labels = None
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
-        pseudo, _ = predict(self.params, batch.features)
-        self.last_pseudo_labels = pseudo
+        result = forward(self.params, batch.features)
+        self.last_pseudo_labels = result.labels
         return self._descend(
-            batch, *cross_entropy_gradient(self.params, batch.features, pseudo))
+            batch, result, *_cross_entropy_gradient(result, self.last_pseudo_labels))
 
 
 class RejectionEntropyAdapter(_DescentAdapter):
@@ -371,16 +396,14 @@ class RejectionEntropyAdapter(_DescentAdapter):
         return self.latency, self.latency_reject
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
-        admitted = per_sample_entropy(self.params, batch.features) <= self.entropy_threshold
+        result = forward(self.params, batch.features)
+        admitted = _entropy(result) <= self.entropy_threshold
         self.last_admitted = admitted
         if not admitted.any():
-            theta = self.params.copy()
-            y_hat, _ = predict(theta, batch.features)
             cost = sample_latency(self.latency_reject, batch.size, self._latency_rng)
-            return AdaptOutcome(batch.features, theta, y_hat, cost=cost,
-                                note="all samples rejected: no update")
-        return self._descend(
-            batch, *entropy_gradient(self.params, batch.features, mask=admitted))
+            return AdaptOutcome(batch.features, self.params.copy(), result.labels, cost=cost,
+                                note="all samples rejected: no update", forward=result)
+        return self._descend(batch, result, *_entropy_gradient(result, admitted))
 
 
 class InputRestoreAdapter(Adapter):

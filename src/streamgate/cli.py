@@ -352,9 +352,9 @@ def _execute_seed(
     ``adapters`` holds the one constructed adapter of each name.  The first run
     of each schedule class is executed; every later one is a copy of its report
     under its own protocol, eta and run_id, which shares no list with the
-    original.  A run with no class is always executed.  The stream is released
-    on return, so a caller looping over seeds holds at most one composed stream
-    at a time.
+    original and builds its schedule only when it is read.  A run with no
+    class is always executed.  The stream is released on return, so a caller
+    looping over seeds holds at most one composed stream at a time.
     """
     segments = compose_stream(exp.scenario, exp.source, exp.samples_per_domain, seed=seed)
     executed: dict[tuple[str, int, str], RunReport] = {}
@@ -369,8 +369,10 @@ def _execute_seed(
             if key is not None:
                 executed[key] = report
         else:
+            # The schedule stays unbuilt until read; then it copies the original's.
             report = replace(twin, protocol=protocol, eta=clock.eta,
-                             per_domain=list(twin.per_domain), schedule=list(twin.schedule),
+                             per_domain=list(twin.per_domain),
+                             schedule=lambda original=twin: list(original.schedule),
                              fingerprints=list(twin.fingerprints), notes=list(twin.notes))
             report.run_id = _run_id(exp, adapter_name, protocol, clock, seed)
         reports.append(report)

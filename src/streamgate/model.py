@@ -5,6 +5,7 @@ an affine scale and shift) feeding a linear softmax head.  A parameter set is
 one float64 vector ``mu, var, gamma, beta, W`` (row-major), ``b`` with the six
 fields as views into it: copying, checking, blending, comparing and hashing are
 one array operation each, and assigning a field is a shape-checked write.
+``forward`` is the one forward pass; ``predict`` and every adapter read it.
 """
 
 from __future__ import annotations
@@ -111,24 +112,43 @@ def normalized_features(params: ModelParams, features: np.ndarray) -> np.ndarray
     return (features - params.mu) / np.sqrt(params.var)
 
 
-def _log_softmax(params: ModelParams, u: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of the logits of normalized features ``u``, shifted by the
-    row max so extreme logits underflow to probability zero instead of NaN."""
+@dataclass(eq=False, slots=True)
+class Forward:
+    """One forward pass of ``params`` on a batch: the normalized features ``u``
+    and the row-wise log-probabilities ``logp`` and probabilities ``p = exp(logp)``."""
+
+    params: ModelParams
+    u: np.ndarray
+    logp: np.ndarray
+    p: np.ndarray
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Argmax over ``p``; ties resolve to the lowest class index, which keeps
+        label sequences reproducible across platforms."""
+        return self.p.argmax(axis=1)
+
+
+def forward(params: ModelParams, features: np.ndarray, u: np.ndarray | None = None) -> Forward:
+    """The forward pass of ``params`` on a (B, d) feature batch.
+
+    ``u`` stands in for ``normalized_features(params, features)``: a caller
+    holding it from a pass of parameters with the same ``mu`` and ``var`` skips
+    the normalization.  Logits are shifted by the row max, so extreme logits
+    underflow to probability zero instead of NaN.
+    """
+    if u is None:
+        u = normalized_features(params, features)
     logits = (params.gamma * u + params.beta) @ params.W.T + params.b
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def log_probabilities(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of the classifier logits of a (B, d) feature batch."""
-    return _log_softmax(params, normalized_features(params, features))
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return Forward(params, u, logp, np.exp(logp))
 
 
 def predict(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass: (labels, class probabilities).  Argmax ties resolve to the
-    lowest class index, which keeps label sequences reproducible across platforms."""
-    probs = np.exp(log_probabilities(params, features))
-    return probs.argmax(axis=1), probs
+    """Forward pass: (labels, class probabilities); see ``Forward.labels``."""
+    result = forward(params, features)
+    return result.labels, result.p
 
 
 def blend_parameters(theta: ModelParams, theta_hat: ModelParams, alpha: float) -> ModelParams:

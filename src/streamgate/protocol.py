@@ -11,6 +11,12 @@ every cost within one tick the online protocol degenerates to the offline one
 exactly.  The loop appends each step to the columns that ``report.run_report``
 turns into the report, as replay does, and builds no per-step record.
 
+A traced step both adapts on its batch, live or on a throwaway copy, and
+predicts it with the fallback.  One forward pass serves each parameter set and
+batch: when the fallback is the very parameter set the step's forward pass ran
+on (``AdaptOutcome.forward``), as under immediate visibility it is on every
+step, the fallback prediction is read from that pass.
+
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
 composed scenario, restarting the adapter at every reset marker.
 ``schedule_class`` predicts from the loop's rule which runs are equal but for
@@ -179,10 +185,8 @@ def _run(
 
             adapt_now = worker.free(t) if modulo is None else t % modulo == 0
 
-            if trace_out is not None:
-                fb_pred, _ = predict(fallback, batch.features)
-
-            # Every adapter call of the step, live or counterfactual, fails as one.
+            # Every call of the step, adapter or fallback, live or counterfactual,
+            # fails as one.
             try:
                 if adapt_now:
                     prev = adapter.params
@@ -203,6 +207,12 @@ def _run(
                     # live adapter (including its latency rng) stays untouched.
                     outcome = clone_adapter(adapter).adapt(batch)
                     cost = outcome.cost
+                if trace_out is not None:
+                    seen = outcome.forward
+                    fb_pred = (seen.labels if seen is not None and seen.params is fallback
+                               else predict(fallback, batch.features)[0])
+                elif not (adapt_now or single):
+                    fb_pred = predict(fallback, batch.features)[0]
             except Exception as exc:
                 raise ProtocolError(
                     f"adapter {adapter.name!r} failed at step {t}: {exc}"
@@ -223,8 +233,7 @@ def _run(
                 y_hat = rng.integers(0, num_classes, size=batch.size)
                 versions.append(NO_SNAPSHOT)
             else:
-                # A traced step has already predicted this batch with ``fallback``.
-                y_hat = predict(fallback, batch.features)[0] if trace_out is None else fb_pred
+                y_hat = fb_pred
                 versions.append(fallback_version)
 
             steps.append(t)

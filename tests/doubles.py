@@ -7,7 +7,16 @@ import hashlib
 import numpy as np
 from scipy.linalg import expm
 
-from streamgate.adapters import AdaptOutcome, Adapter, Constant, LatencyModel
+from streamgate.adapters import (
+    AdaptOutcome,
+    Adapter,
+    Constant,
+    EntropyMinAdapter,
+    LatencyModel,
+    PseudoLabelAdapter,
+    RejectionEntropyAdapter,
+    sample_latency,
+)
 from streamgate.clock import StreamClock, Worker, check_ticks
 from streamgate.model import VAR_FLOOR, ModelParams, predict
 from streamgate.report import (
@@ -23,7 +32,11 @@ from streamgate.stream import (
     CORRUPTION_KINDS,
     Batch,
     CorruptionSpec,
+    ScenarioSpec,
+    SourceSpec,
+    StreamSegment,
     _rotation_generator,
+    compose_stream,
 )
 from streamgate.trace import FALLBACK_APPROXIMATION_NOTE, TraceFormatError, TraceRecord
 
@@ -61,6 +74,17 @@ def tiny_stream(
         )
         for t in range(n_batches)
     ]
+
+
+def two_domain_stream(spec: SourceSpec) -> list[StreamSegment]:
+    """A continual stream of two 10-batch domains, mean shift then noise."""
+    scenario = ScenarioSpec(
+        mode="continual",
+        domain_order=(CorruptionSpec("mean_shift", 5, seed=0),
+                      CorruptionSpec("gaussian_noise", 5, seed=0)),
+        batch_size=16,
+    )
+    return compose_stream(scenario, spec, 160, seed=0)
 
 
 class FixedErrorAdapter(Adapter):
@@ -232,3 +256,89 @@ def reference_replay(trace: list[TraceRecord], clock: StreamClock = StreamClock(
         adapted_fraction=adapted_fraction, schedule=records,
         notes=[FALLBACK_APPROXIMATION_NOTE],
     )
+
+
+# The per-step math of the three descent adapters as they ran it before a step
+# shared one forward pass: every use (pseudo-labels, entropy gate, gradient,
+# post-step prediction) runs its own pass.  Each class overrides only
+# ``_adapt``, as a custom adapter does, so its outcomes carry no forward pass
+# and the run loop predicts every traced fallback itself.
+
+def reference_log_probabilities(params: ModelParams,
+                                features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(normalized features, row-wise log-softmax of the logits)."""
+    u = (features - params.mu) / np.sqrt(params.var)
+    logits = (params.gamma * u + params.beta) @ params.W.T + params.b
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return u, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def reference_predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    _, logp = reference_log_probabilities(params, features)
+    return np.exp(logp).argmax(axis=1)
+
+
+def _reference_affine_gradient(g_logits, u, W):
+    gz = g_logits @ W / len(g_logits)
+    return (gz * u).sum(axis=0), gz.sum(axis=0)
+
+
+def reference_entropy_gradient(params, features, mask=None):
+    u, logp = reference_log_probabilities(params, features)
+    p = np.exp(logp)
+    h = -(p * logp).sum(axis=1)
+    g_logits = -p * (logp + h[:, None])
+    if mask is not None:
+        g_logits, u = g_logits[mask], u[mask]
+    return _reference_affine_gradient(g_logits, u, params.W)
+
+
+def reference_cross_entropy_gradient(params, features, labels):
+    u, logp = reference_log_probabilities(params, features)
+    p = np.exp(logp)
+    p[np.arange(len(labels)), labels] -= 1.0
+    return _reference_affine_gradient(p, u, params.W)
+
+
+def _reference_descend(adapter, batch: Batch, g_gamma, g_beta) -> AdaptOutcome:
+    if not (np.isfinite(g_gamma).all() and np.isfinite(g_beta).all()):
+        raise FloatingPointError(f"non-finite gradient in {adapter.name}")
+    theta = adapter.params.copy()
+    theta.gamma = theta.gamma - adapter.learning_rate * g_gamma
+    theta.beta = theta.beta - adapter.learning_rate * g_beta
+    return AdaptOutcome(batch.features, theta, reference_predict(theta, batch.features),
+                        cost=None)
+
+
+class ReferenceEntropyMin(EntropyMinAdapter):
+    def _adapt(self, batch: Batch) -> AdaptOutcome:
+        return _reference_descend(self, batch,
+                                  *reference_entropy_gradient(self.params, batch.features))
+
+
+class ReferencePseudoLabel(PseudoLabelAdapter):
+    def _adapt(self, batch: Batch) -> AdaptOutcome:
+        pseudo = reference_predict(self.params, batch.features)
+        self.last_pseudo_labels = pseudo
+        return _reference_descend(
+            self, batch, *reference_cross_entropy_gradient(self.params, batch.features, pseudo))
+
+
+class ReferenceRejectionEntropy(RejectionEntropyAdapter):
+    def _adapt(self, batch: Batch) -> AdaptOutcome:
+        _, logp = reference_log_probabilities(self.params, batch.features)
+        admitted = -(np.exp(logp) * logp).sum(axis=1) <= self.entropy_threshold
+        self.last_admitted = admitted
+        if not admitted.any():
+            theta = self.params.copy()
+            y_hat = reference_predict(theta, batch.features)
+            cost = sample_latency(self.latency_reject, batch.size, self._latency_rng)
+            return AdaptOutcome(batch.features, theta, y_hat, cost=cost,
+                                note="all samples rejected: no update")
+        return _reference_descend(
+            self, batch, *reference_entropy_gradient(self.params, batch.features, admitted))
+
+
+REFERENCE_ADAPTERS = {
+    cls.name: cls for cls in (ReferenceEntropyMin, ReferencePseudoLabel, ReferenceRejectionEntropy)
+}

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from streamgate import adapters as adapters_mod
 from streamgate import cli
 from streamgate.cli import main, parse_config_text, build_experiment, ConfigError
+from streamgate.report import ScheduleRecord
 from streamgate.stream import compose_stream
 from streamgate.trace import TraceRecord, write_trace
 
@@ -521,6 +522,29 @@ def test_relabelled_reports_share_no_list():
         assert getattr(online, field) is not getattr(offline, field)
     online.notes.append("changed")
     assert offline.notes == []
+
+
+def test_relabelled_reports_build_no_schedule_until_it_is_read(tmp_path, monkeypatch):
+    built = []
+    check = ScheduleRecord.__post_init__
+
+    def counting(self):
+        built.append(self.step)
+        check(self)
+
+    monkeypatch.setattr(ScheduleRecord, "__post_init__", counting)
+    path = _small_config(tmp_path)
+    assert run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "sweep")) == 0
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "run")) == 0
+    assert built == []
+
+    exp = build_experiment({**SMALL, "protocol.mode": "offline,online"})
+    offline, online = cli._execute_seed(exp, 0, _plan(exp, ["1"]), _adapters(exp))
+    assert built == []
+    schedule = online.schedule
+    assert len(built) == len(schedule) > 0
+    assert schedule == offline.schedule and schedule is not offline.schedule
+    assert online.schedule is schedule and len(built) == len(schedule)
 
 
 def test_each_adapter_is_constructed_once(tmp_path, monkeypatch):

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from streamgate.adapters import Constant, EntropyMinAdapter, SourceAdapter, Stochastic
+from streamgate import model
+from streamgate.adapters import (
+    ADAPTERS,
+    Constant,
+    EntropyMinAdapter,
+    SourceAdapter,
+    Stochastic,
+    make_adapter,
+)
 from streamgate.clock import StreamClock
 from streamgate.model import params_equal, params_fingerprint
 from streamgate.protocol import (
@@ -32,6 +43,7 @@ from streamgate.report import (
 )
 from streamgate.stream import StreamSegment
 from doubles import (
+    REFERENCE_ADAPTERS,
     BetaShiftAdapter,
     FailingAdapter,
     FixedErrorAdapter,
@@ -39,6 +51,7 @@ from doubles import (
     reference_domain_report,
     tiny_params,
     tiny_stream,
+    two_domain_stream,
 )
 
 OFF = ProtocolConfig(protocol="offline", seed=0)
@@ -266,6 +279,19 @@ def test_traced_failure_names_adapter_and_step_live_or_counterfactual(cost):
         run_stream(tiny_stream(4), adapter, params, ON, trace_out=[])
 
 
+@pytest.mark.parametrize("traced", [False, True])
+def test_failing_fallback_prediction_names_adapter_and_step(traced):
+    # Step 1 falls in the busy window of step 0's 3 s update, so only the fallback,
+    # and in a traced run the ghost, see its non-finite features.
+    params = tiny_params()
+    stream = tiny_stream(4)
+    stream[1] = replace(stream[1], features=np.full_like(stream[1].features, np.nan))
+    adapter = EntropyMinAdapter(params, latency=Constant(3.0))
+    with pytest.raises(ProtocolError, match="adapter 'entropy_min' failed at step 1: "
+                                            "features contain non-finite values"):
+        run_stream(stream, adapter, params, ON, trace_out=[] if traced else None)
+
+
 @pytest.mark.parametrize(
     "adapter_kwargs,cause",
     [
@@ -469,3 +495,147 @@ def test_per_domain_rows_equal_the_reference_over_the_built_schedule(
         assert type(got.error_rate) is float and type(got.n_adapted) is int
     assert {type(v) for r in schedule for v in (r.step, r.params_version, r.error_count,
                                                  r.batch_size)} == {int}
+
+
+# --------------------------------------------------------------------------
+# One forward pass per parameter set and batch
+# --------------------------------------------------------------------------
+
+DESCENT = sorted(REFERENCE_ADAPTERS)
+
+
+class Recorded:
+    """Logs every step of ``adapt``, live or on a clone (which shares the log)."""
+
+    log: list
+
+    def adapt(self, batch):
+        outcome = super().adapt(batch)
+        self.log.append((outcome, getattr(self, "last_pseudo_labels", None),
+                         getattr(self, "last_admitted", None)))
+        return outcome
+
+
+def as_bits(array):
+    return None if array is None else (array.dtype, array.shape, array.tobytes())
+
+
+def recorded_run(cls, params, stream, cfg, traced, **kwargs):
+    """Every adapt step, prediction, trace record and the report of one run, as exact bits."""
+    adapter = type(cls.__name__, (Recorded, cls), {})(params, **kwargs)
+    adapter.log = []
+    predictions, trace = [], [] if traced else None
+    report = run_stream(stream, adapter, params, cfg, predictions_out=predictions,
+                        trace_out=trace)
+    steps = [(as_bits(o.theta_hat.flat), as_bits(o.y_hat), type(o.cost), repr(o.cost), o.note,
+              as_bits(pseudo), as_bits(admitted)) for o, pseudo, admitted in adapter.log]
+    return steps, [as_bits(y) for y in predictions], repr(trace), repr(report)
+
+
+# Of its 12 steps, this run's rejection_entropy rejects every sample on 3 and part of the batch
+# on the other 9.
+REJECTING = dict(latency=Constant(3.0), threshold=0.5, seed=0, n=12, batch_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(DESCENT),
+    visibility=st.sampled_from([IMMEDIATE, DELAYED]),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    traced=st.booleans(),
+    latency=st.sampled_from([Constant(0.5), Constant(3.0), Stochastic(2.0, 1.5, seed=4)]),
+    threshold=st.sampled_from([0.1, 0.5, 1.01]),  # times log K
+    ties=st.booleans(),
+    seed=st.integers(0, 3),
+    n=st.integers(1, 12),
+    batch_size=st.integers(1, 6),
+)
+@example(name="rejection_entropy", visibility=IMMEDIATE, alpha=0.0, traced=True, ties=False,
+         **REJECTING)
+@example(name="rejection_entropy", visibility=DELAYED, alpha=0.5, traced=True, ties=False,
+         **REJECTING)
+def test_descent_steps_equal_the_per_use_reference_bit_for_bit(
+    name, visibility, alpha, traced, latency, threshold, ties, seed, n, batch_size
+):
+    params = tiny_params(seed=seed)
+    if ties:  # every class scores alike, so every argmax is a tie
+        params.W = np.zeros_like(params.W)
+        params.b = np.zeros_like(params.b)
+    stream = tiny_stream(n, batch_size=batch_size, seed=seed)
+    cfg = ProtocolConfig(protocol=ONLINE, alpha=alpha, fallback_visibility=visibility,
+                         seed=seed)
+    kwargs = dict(latency=latency, learning_rate=0.5)
+    if name == "rejection_entropy":
+        kwargs["entropy_threshold"] = threshold * np.log(params.num_classes)
+    got = recorded_run(ADAPTERS[name], params, stream, cfg, traced, **kwargs)
+    want = recorded_run(REFERENCE_ADAPTERS[name], params, stream, cfg, traced, **kwargs)
+    assert got == want
+
+
+def test_the_rejecting_example_rejects_all_samples_and_some():
+    params = tiny_params(seed=REJECTING["seed"])
+    cls = type("R", (Recorded, REFERENCE_ADAPTERS["rejection_entropy"]), {})
+    adapter = cls(params, latency=REJECTING["latency"], learning_rate=0.5,
+                  entropy_threshold=REJECTING["threshold"] * np.log(params.num_classes))
+    adapter.log = []
+    stream = tiny_stream(REJECTING["n"], batch_size=REJECTING["batch_size"],
+                         seed=REJECTING["seed"])
+    run_stream(stream, adapter, params, ON, trace_out=[])
+    admitted = [a for _, _, a in adapter.log]
+    assert sum(not a.any() for a in admitted) == 3
+    assert sum(a.any() and not a.all() for a in admitted) == 9
+
+
+@pytest.fixture()
+def forward_calls(monkeypatch):
+    """Counts calls of ``model.forward`` at every name a streamgate module binds it to."""
+    calls = []
+    original = model.forward
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("streamgate") and getattr(module, "forward", None) is original:
+            monkeypatch.setattr(module, "forward", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", DESCENT)
+def test_a_traced_step_runs_two_forward_passes(name, forward_calls, mini_pretrained, mini_spec):
+    # The pre-step pass serves the fallback, the pseudo-labels, the gate and the
+    # gradient; the post-step prediction is the second.  A 2.5 s cost skips two of
+    # every three steps, so ghosts run as well.
+    segments = two_domain_stream(mini_spec)
+    kwargs = {"entropy_threshold": 10.0} if name == "rejection_entropy" else {}
+    adapter = make_adapter(name, mini_pretrained, latency=Constant(2.5), **kwargs)
+    trace = []
+    report = run_segments(segments, adapter, mini_pretrained, ON, trace_out=trace)
+    assert 0 < report.adapted_fraction < 1
+    assert len(forward_calls) == 2 * len(trace) == 2 * len(segments[0].batches)
+
+
+def test_an_all_rejected_traced_step_runs_one_forward_pass(
+    forward_calls, mini_pretrained, mini_spec
+):
+    segments = two_domain_stream(mini_spec)
+    adapter = make_adapter("rejection_entropy", mini_pretrained, latency=Constant(2.5),
+                           entropy_threshold=1e-300)
+    trace = []
+    report = run_segments(segments, adapter, mini_pretrained, ON, trace_out=trace)
+    assert report.fingerprints[0] == report.fingerprints[-1]  # no update anywhere
+    assert len(forward_calls) == len(trace)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("name", DESCENT)
+def test_a_run_keeps_no_domain_array_alive(name, traced, mini_pretrained, mini_spec):
+    segments = two_domain_stream(mini_spec)
+    domain_array = weakref.ref(segments[0].batches[-1].features.base)
+    adapter = make_adapter(name, mini_pretrained, latency=Constant(2.5))
+    run_segments(segments, adapter, mini_pretrained, ON, trace_out=[] if traced else None)
+    del segments
+    gc.collect()
+    assert domain_array() is None
+    assert adapter.params.dim == mini_pretrained.dim

@@ -28,7 +28,6 @@ from streamgate.report import (
     ScheduleRecord,
     write_schedule_csv,
 )
-from streamgate.stream import CorruptionSpec, ScenarioSpec, compose_stream
 from streamgate.trace import (
     TRACE_COLUMNS,
     TraceFormatError,
@@ -38,7 +37,7 @@ from streamgate.trace import (
     replay_online,
     write_trace,
 )
-from doubles import reference_replay, tiny_params, tiny_stream
+from doubles import reference_replay, tiny_params, tiny_stream, two_domain_stream
 
 
 def make_trace(rows):
@@ -325,16 +324,6 @@ def test_replay_builds_no_schedule_record_until_the_schedule_is_read(monkeypatch
 # --------------------------------------------------------------------------
 
 AUX_STATE = ("last_pseudo_labels", "last_admitted")
-
-
-def two_domain_stream(spec):
-    scenario = ScenarioSpec(
-        mode="continual",
-        domain_order=(CorruptionSpec("mean_shift", 5, seed=0),
-                      CorruptionSpec("gaussian_noise", 5, seed=0)),
-        batch_size=16,
-    )
-    return compose_stream(scenario, spec, 160, seed=0)
 
 
 @pytest.mark.parametrize(

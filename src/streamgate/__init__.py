@@ -27,7 +27,6 @@ from .clock import StreamClock, relative_adaptation_speed
 from .model import (
     ModelParams,
     blend_parameters,
-    params_equal,
     params_fingerprint,
     predict,
 )
@@ -50,8 +49,6 @@ from .report import (
     ScheduleRecord,
     aggregate,
     delta,
-    error_rate,
-    per_category_error,
 )
 from .stream import (
     Batch,

@@ -92,11 +92,6 @@ class ModelParams:
         return _bind(object.__new__(ModelParams), self.flat.copy(), *self.W.shape)
 
 
-def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Exact (bitwise value) equality over every field."""
-    return a.W.shape == b.W.shape and np.array_equal(a.flat, b.flat)
-
-
 def params_fingerprint(params: ModelParams) -> str:
     """SHA-256 over the raw bytes of all fields; equal iff params are bit-equal."""
     return hashlib.sha256(params.flat.tobytes()).hexdigest()

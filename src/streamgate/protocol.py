@@ -12,10 +12,12 @@ exactly.  The loop appends each step to the columns that ``report.run_report``
 turns into the report, as replay does, and builds no per-step record.
 
 A traced step both adapts on its batch, live or on a throwaway copy, and
-predicts it with the fallback.  One forward pass serves each parameter set and
-batch: when the fallback is the very parameter set the step's forward pass ran
-on (``AdaptOutcome.forward``), as under immediate visibility it is on every
-step, the fallback prediction is read from that pass.
+predicts it with the fallback.  Either way the step adapts through one call and
+is charged alike: the outcome's cost under simulated timing, the call's
+wall-clock seconds under measured timing.  One forward pass serves each
+parameter set and batch: when the fallback is the very parameter set the
+step's forward pass ran on (``AdaptOutcome.forward``), as under immediate
+visibility it is on every step, the fallback prediction is read from that pass.
 
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
 composed scenario, restarting the adapter at every reset marker.
@@ -25,6 +27,7 @@ their labels, so that a caller computes each such class once.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -77,6 +80,8 @@ class FixedModulo:
     k: int = 1
 
     def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"FixedModulo k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("FixedModulo k must be >= 1")
 
@@ -93,6 +98,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in (OFFLINE, ONLINE, SINGLE_MODEL):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if not isinstance(self.schedule_mode, (BusyWindow, FixedModulo)):
+            raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.fallback_visibility not in (IMMEDIATE, DELAYED):
@@ -184,35 +191,39 @@ def _run(
                 fingerprints.append(params_fingerprint(adapter.params))
 
             adapt_now = worker.free(t) if modulo is None else t % modulo == 0
+            stepped = adapt_now or trace_out is not None
 
             # Every call of the step, adapter or fallback, live or counterfactual,
             # fails as one.
             try:
-                if adapt_now:
+                if stepped:
                     prev = adapter.params
+                    # A counterfactual step adapts a throwaway copy; the live
+                    # adapter (including its latency rng) stays untouched.
+                    stepper = adapter if adapt_now else clone_adapter(adapter)
                     if cfg.timing == MEASURED:
-                        # The base model's forward time, re-measured at every step.
-                        _, forward = _timed(predict, prev, batch.features)
-                        interval = forward / clock.eta
-                        outcome, cost = _timed(adapter.adapt, batch)
+                        if adapt_now:
+                            # The base model's forward time, re-measured at every adapted step.
+                            interval = _timed(predict, prev, batch.features)[1] / clock.eta
+                        outcome, cost = _timed(stepper.adapt, batch)
                     else:
                         interval = clock.effective_interval
-                        outcome = adapter.adapt(batch)
+                        outcome = stepper.adapt(batch)
                         cost = outcome.cost
+                if adapt_now:
                     c = worker.occupy(t, interval, cost)
                     # The blend validates the adapter's output.
                     theta_next = blend_parameters(prev, outcome.theta_hat, cfg.alpha)
-                elif trace_out is not None:
-                    # Counterfactual one-step adaptation on a throwaway copy; the
-                    # live adapter (including its latency rng) stays untouched.
-                    outcome = clone_adapter(adapter).adapt(batch)
-                    cost = outcome.cost
-                if trace_out is not None:
-                    seen = outcome.forward
+                if trace_out is not None or not (adapt_now or single):
+                    seen = outcome.forward if stepped else None
                     fb_pred = (seen.labels if seen is not None and seen.params is fallback
                                else predict(fallback, batch.features)[0])
-                elif not (adapt_now or single):
-                    fb_pred = predict(fallback, batch.features)[0]
+                if trace_out is not None:
+                    trace_out.append(TraceRecord(
+                        step=t, latency=float(cost),
+                        correct_adapted=int((outcome.y_hat == batch.labels).sum()),
+                        correct_fallback=int((fb_pred == batch.labels).sum()),
+                        domain_id=batch.domain_id, batch_size=batch.size))
             except Exception as exc:
                 raise ProtocolError(
                     f"adapter {adapter.name!r} failed at step {t}: {exc}"
@@ -241,17 +252,6 @@ def _run(
             error_counts.append(int((y_hat != batch.labels).sum()))
             if predictions_out is not None:
                 predictions_out.append(np.asarray(y_hat).copy())
-            if trace_out is not None:
-                trace_out.append(
-                    TraceRecord(
-                        step=t,
-                        latency=float(cost),
-                        correct_adapted=int((outcome.y_hat == batch.labels).sum()),
-                        correct_fallback=int((fb_pred == batch.labels).sum()),
-                        domain_id=batch.domain_id,
-                        batch_size=batch.size,
-                    )
-                )
 
     return run_report(
         domains, steps, batch_sizes, error_counts, versions, adapted, c_values,

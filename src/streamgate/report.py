@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,17 +94,6 @@ class RunReport:
     schedule: list[ScheduleRecord] | Callable[[], list[ScheduleRecord]] | None = _Schedule()
     fingerprints: list[str] | None = None
     notes: list[str] = field(default_factory=list)
-
-
-def error_rate(predictions: Sequence[int] | np.ndarray, labels: Sequence[int] | np.ndarray) -> float:
-    """Misclassified fraction."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if len(predictions) == 0:
-        raise ValueError("error_rate of empty input is undefined")
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and labels must have equal length")
-    return float((predictions != labels).mean())
 
 
 def collapse(domains: Sequence[tuple[int, int]], batch_size: np.ndarray, error_count: np.ndarray,
@@ -223,14 +212,6 @@ def delta(offline: RunReport, online: RunReport) -> float:
     ):
         raise ValueError("delta requires matching adapter, scenario, and seed")
     return online.avg_error - offline.avg_error
-
-
-def per_category_error(report: RunReport, categories: Mapping[int, str]) -> dict[str, float]:
-    """Unweighted mean error over domains sharing a category tag."""
-    groups: dict[str, list[float]] = {}
-    for d in report.per_domain:
-        groups.setdefault(categories[d.domain_id], []).append(d.error_rate)
-    return {k: float(np.mean(v)) for k, v in sorted(groups.items())}
 
 
 # --------------------------------------------------------------------------

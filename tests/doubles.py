@@ -173,7 +173,8 @@ def rotation_matrix(spec: CorruptionSpec, dim: int) -> np.ndarray:
     return expm((BASE_STRENGTH[spec.kind] * spec.severity) * _rotation_generator(dim, rng))
 
 
-# Per-field references for the flat-vector parameter operations in streamgate.model.
+# Per-field references for the flat-vector parameter operations in streamgate.model,
+# and the per-field equality the tests compare parameter sets with.
 
 def reference_params_equal(a: ModelParams, b: ModelParams) -> bool:
     return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in FIELDS)

@@ -24,9 +24,9 @@ from streamgate.adapters import (
     pseudo_label_cross_entropy,
     sample_latency,
 )
-from streamgate.model import params_equal, params_fingerprint, predict
+from streamgate.model import params_fingerprint, predict
 from streamgate.stream import Batch, CorruptionSpec, SourceSpec, apply_corruption, sample_domain
-from doubles import tiny_params, tiny_stream
+from doubles import reference_params_equal, tiny_params, tiny_stream
 
 
 def make_batch(features, labels, t=0, domain_id=0):
@@ -98,7 +98,7 @@ def test_source_adapter_is_identity(mini_pretrained, mini_spec):
     adapter = SourceAdapter(mini_pretrained)
     batch = domain_batch(mini_spec, CorruptionSpec("mean_shift", 3, seed=0))
     out = adapter.adapt(batch)
-    assert params_equal(out.theta_hat, mini_pretrained)
+    assert reference_params_equal(out.theta_hat, mini_pretrained)
     assert out.x_hat is batch.features
     expected, _ = predict(mini_pretrained, batch.features)
     assert np.array_equal(out.y_hat, expected)
@@ -226,8 +226,8 @@ def test_entropy_state_accumulates_across_batches(mini_pretrained, mini_spec):
     b2 = domain_batch(mini_spec, CorruptionSpec("mean_shift", 3, seed=0), seed=2)
     out1 = adapter.adapt(b1)
     out2 = adapter.adapt(b2)
-    assert not params_equal(out1.theta_hat, out2.theta_hat)
-    assert params_equal(adapter.params, out2.theta_hat)
+    assert not reference_params_equal(out1.theta_hat, out2.theta_hat)
+    assert reference_params_equal(adapter.params, out2.theta_hat)
 
 
 def test_pseudo_labels_equal_pre_step_predictions(mini_pretrained, mini_spec):
@@ -279,7 +279,7 @@ def test_rejection_total_refusal_never_updates(mini_pretrained, mini_spec):
                                       latency=Constant(3.0), latency_reject=Constant(1.0))
     batch = domain_batch(mini_spec, CorruptionSpec("gaussian_noise", 5, seed=0))
     out = adapter.adapt(batch)
-    assert params_equal(out.theta_hat, mini_pretrained)
+    assert reference_params_equal(out.theta_hat, mini_pretrained)
     assert out.cost == 1.0  # forward-pass latency only
     assert out.note is not None
     expected, _ = predict(mini_pretrained, batch.features)
@@ -341,7 +341,7 @@ def test_input_restore_fixed_point(mini_pretrained):
     adapter = InputRestoreAdapter(params)
     out = adapter.adapt(make_batch(x, np.zeros(len(x), dtype=int)))
     assert np.allclose(out.x_hat, x, atol=1e-9)
-    assert params_equal(out.theta_hat, params)  # model untouched
+    assert reference_params_equal(out.theta_hat, params)  # model untouched
 
 
 def test_input_restore_matches_source_moments(source_spec, pretrained):
@@ -384,7 +384,7 @@ def test_reset_restores_pretrained_and_replays_identically(name, mini_pretrained
     for a, b in zip(first, second):
         assert np.array_equal(a.y_hat, b.y_hat)
         assert a.cost == b.cost
-        assert params_equal(a.theta_hat, b.theta_hat)
+        assert reference_params_equal(a.theta_hat, b.theta_hat)
     adapter.reset()
     adapter.reset()  # idempotent
     assert params_fingerprint(adapter.params) == params_fingerprint(mini_pretrained)
@@ -394,8 +394,8 @@ def test_adapters_are_state_isolated(mini_pretrained, mini_spec):
     a = EntropyMinAdapter(mini_pretrained, learning_rate=0.5)
     b = EntropyMinAdapter(mini_pretrained, learning_rate=0.5)
     a.adapt(domain_batch(mini_spec, CorruptionSpec("mean_shift", 5, seed=0)))
-    assert params_equal(b.params, mini_pretrained)
-    assert params_equal(a.pretrained, mini_pretrained)
+    assert reference_params_equal(b.params, mini_pretrained)
+    assert reference_params_equal(a.pretrained, mini_pretrained)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

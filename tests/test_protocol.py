@@ -21,7 +21,7 @@ from streamgate.adapters import (
     make_adapter,
 )
 from streamgate.clock import StreamClock
-from streamgate.model import params_equal, params_fingerprint
+from streamgate.model import params_fingerprint
 from streamgate.protocol import (
     DELAYED,
     IMMEDIATE,
@@ -49,6 +49,7 @@ from doubles import (
     FixedErrorAdapter,
     PerfectAdapter,
     reference_domain_report,
+    reference_params_equal,
     tiny_params,
     tiny_stream,
     two_domain_stream,
@@ -224,7 +225,7 @@ def test_alpha_one_preserves_parameters():
     stream = tiny_stream(8, seed=2)
     adapter = BetaShiftAdapter(params, latency=Constant(1.0))
     run_stream(stream, adapter, params, replace(OFF, alpha=1.0))
-    assert params_equal(adapter.params, params)
+    assert reference_params_equal(adapter.params, params)
 
 
 def test_alpha_half_blends_parameters():
@@ -292,6 +293,41 @@ def test_failing_fallback_prediction_names_adapter_and_step(traced):
         run_stream(stream, adapter, params, ON, trace_out=[] if traced else None)
 
 
+class BadCostAdapter(BetaShiftAdapter):
+    """Costs 3 s at step 0, which opens a busy window over steps 1 and 2, and
+    ``bad_cost`` at every later step, whether it adapts live or as a ghost."""
+
+    name = "bad_cost"
+
+    def __init__(self, pretrained, bad_cost):
+        super().__init__(pretrained)
+        self.bad_cost = bad_cost
+
+    def _adapt(self, batch):
+        outcome = super()._adapt(batch)
+        outcome.cost = 3.0 if batch.t == 0 else self.bad_cost
+        return outcome
+
+
+@pytest.mark.parametrize("bad_cost", [float("nan"), float("inf")])
+@pytest.mark.parametrize("traced,step", [(True, 1), (False, 3)])  # ghost at 1, live at 3
+def test_non_finite_cost_names_adapter_and_step_live_or_counterfactual(traced, step, bad_cost):
+    params = tiny_params()
+    with pytest.raises(ProtocolError, match=f"adapter 'bad_cost' failed at step {step}: "):
+        run_stream(tiny_stream(6), BadCostAdapter(params, bad_cost), params, ON,
+                   trace_out=[] if traced else None)
+
+
+def test_measured_traced_run_wall_clocks_every_step():
+    params = tiny_params()
+    adapter = EntropyMinAdapter(params, latency=Constant(1000.0))
+    cfg = replace(ON, schedule_mode=FixedModulo(2), timing="measured")
+    trace = []
+    report = run_stream(tiny_stream(6), adapter, params, cfg, trace_out=trace)
+    assert [r.action for r in report.schedule] == [ACTION_ADAPTED, ACTION_SKIPPED_FALLBACK] * 3
+    assert all(0 < record.latency < 1000.0 for record in trace)
+
+
 @pytest.mark.parametrize(
     "adapter_kwargs,cause",
     [
@@ -319,6 +355,18 @@ def test_schedule_mode_validation():
         FixedModulo(0)
     assert FixedModulo(2).k == 2
     assert isinstance(ProtocolConfig().schedule_mode, BusyWindow)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+def test_fixed_modulo_rejects_a_non_integer_k(k):
+    with pytest.raises(ValueError, match="FixedModulo k must be an integer"):
+        FixedModulo(k)
+
+
+@pytest.mark.parametrize("mode", ["modulo:2", "busy_window", 2, None, BusyWindow])
+def test_protocol_config_rejects_an_unknown_schedule_mode(mode):
+    with pytest.raises(ValueError, match="unknown schedule mode"):
+        ProtocolConfig(protocol=ONLINE, schedule_mode=mode)
 
 
 def test_run_segments_resets_between_episodic_domains():

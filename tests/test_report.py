@@ -19,8 +19,6 @@ from streamgate.report import (
     ScheduleRecord,
     aggregate,
     delta,
-    error_rate,
-    per_category_error,
     run_report,
     write_results_csv,
     write_schedule_csv,
@@ -69,19 +67,6 @@ def sample_report(protocol="offline", avg=0.3, seed=0, scenario="episodic-2", ad
     )
 
 
-def test_error_rate_basic():
-    assert error_rate([1, 2, 3], [1, 2, 3]) == 0.0
-    assert error_rate([1, 2, 3], [0, 0, 0]) == 1.0
-    assert error_rate([0] * 7 + [1] * 3, [0] * 10) == pytest.approx(0.3)
-
-
-def test_error_rate_rejects_empty_and_mismatched():
-    with pytest.raises(ValueError):
-        error_rate([], [])
-    with pytest.raises(ValueError):
-        error_rate([1], [1, 2])
-
-
 def test_aggregate_unweighted_mean():
     domains = [DomainReport(0, 10, 10, 0.2, 1.0), DomainReport(1, 10, 10, 0.4, 1.0)]
     avg, c, frac = aggregate(domains)
@@ -101,17 +86,6 @@ def test_aggregate_warns_on_unequal_sizes():
     with pytest.warns(UserWarning, match="unequal"):
         avg, _, _ = aggregate(domains)
     assert avg == pytest.approx(0.3)  # still unweighted
-
-
-def test_per_category_average():
-    report = sample_report()
-    report.per_domain = [
-        DomainReport(0, 10, 10, 0.1, 1.0),
-        DomainReport(1, 10, 10, 0.3, 1.0),
-        DomainReport(2, 10, 10, 0.5, 1.0),
-    ]
-    cats = per_category_error(report, {0: "a", 1: "a", 2: "b"})
-    assert cats == {"a": pytest.approx(0.2), "b": pytest.approx(0.5)}
 
 
 def test_delta_examples():

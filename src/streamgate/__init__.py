@@ -48,7 +48,6 @@ from .report import (
     RunReport,
     ScheduleRecord,
     aggregate,
-    delta,
 )
 from .stream import (
     Batch,

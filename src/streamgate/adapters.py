@@ -189,8 +189,9 @@ class AdaptOutcome:
 class Adapter:
     """Base adapter: owns working parameters, a pretrained snapshot, a latency model.
 
-    Subclasses rebind ``params`` and any auxiliary state to new objects and
-    never write into the existing ones; ``clone_adapter`` relies on this.
+    An adapter's state is its parameters and one latency rng.  Subclasses rebind
+    ``params`` to a new object and never write into the existing one;
+    ``clone_adapter`` relies on this.
     Assigning a ``ModelParams`` field writes into that parameter set, so a
     step assigns fields only on ``self.params.copy()``, never on ``self.params``.
     """
@@ -228,13 +229,10 @@ class Adapter:
         return min(lows), max(highs)
 
     def reset(self) -> None:
-        """Restore the exact pretrained state and clear auxiliary state."""
+        """Restore the exact pretrained parameters and a fresh latency rng.  A
+        subclass with state of its own overrides this to restore it too."""
         self.params = self._pretrained.copy()
         self._latency_rng = self._fresh_latency_rng()
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        pass
 
     def adapt(self, batch: Batch) -> AdaptOutcome:
         """One adaptation step; commits the adapted parameters as the new state.
@@ -313,8 +311,8 @@ class _DescentAdapter(Adapter):
         latency: LatencyModel = Constant(3.0),
         learning_rate: float = 0.1,
     ):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {learning_rate!r}")
         super().__init__(pretrained, latency)
         self.learning_rate = learning_rate
 
@@ -347,16 +345,10 @@ class PseudoLabelAdapter(_DescentAdapter):
     """Self-training: one (gamma, beta) step on cross-entropy to own argmax labels."""
 
     name = "pseudo_label"
-    last_pseudo_labels: np.ndarray | None = None
-
-    def _reset_state(self) -> None:
-        self.last_pseudo_labels = None
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         result = forward(self.params, batch.features)
-        self.last_pseudo_labels = result.labels
-        return self._descend(
-            batch, result, *_cross_entropy_gradient(result, self.last_pseudo_labels))
+        return self._descend(batch, result, *_cross_entropy_gradient(result, result.labels))
 
 
 class RejectionEntropyAdapter(_DescentAdapter):
@@ -383,13 +375,9 @@ class RejectionEntropyAdapter(_DescentAdapter):
         super().__init__(pretrained, latency, learning_rate)
         if entropy_threshold is None:
             entropy_threshold = 0.4 * np.log(pretrained.num_classes)
-        if entropy_threshold <= 0:
-            raise ValueError("entropy_threshold must be positive")
+        if not entropy_threshold > 0:
+            raise ValueError(f"entropy_threshold must be positive, got {entropy_threshold!r}")
         self.entropy_threshold = float(entropy_threshold)
-        self.last_admitted: np.ndarray | None = None
-
-    def _reset_state(self) -> None:
-        self.last_admitted = None
 
     def _latency_models(self) -> tuple[LatencyModel, ...]:
         """A step pays the update's cost or the rejection's."""
@@ -398,7 +386,6 @@ class RejectionEntropyAdapter(_DescentAdapter):
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         result = forward(self.params, batch.features)
         admitted = _entropy(result) <= self.entropy_threshold
-        self.last_admitted = admitted
         if not admitted.any():
             cost = sample_latency(self.latency_reject, batch.size, self._latency_rng)
             return AdaptOutcome(batch.features, self.params.copy(), result.labels, cost=cost,
@@ -464,10 +451,9 @@ def clone_adapter(adapter: Adapter) -> Adapter:
     """Throwaway copy for counterfactual what-if steps; the original is untouched.
 
     The copy is shallow except for the latency rng, whose draws advance it in
-    place.  Sharing everything else is safe because adapters rebind, never
-    mutate in place, their parameters and auxiliary state: ``adapt`` on the
-    copy replaces the copy's attributes and leaves the original's objects as
-    they were.
+    place.  Sharing the parameters is safe because adapters rebind, never
+    mutate in place, them: ``adapt`` on the copy replaces the copy's
+    ``params`` and leaves the original's object as it was.
     """
     ghost = copy.copy(adapter)
     ghost._latency_rng = copy.deepcopy(adapter._latency_rng)

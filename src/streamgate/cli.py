@@ -46,7 +46,6 @@ from .protocol import (
 )
 from .report import (
     RunReport,
-    delta,
     format_percent,
     write_results_csv,
     write_rows,
@@ -224,7 +223,6 @@ SCHEMA: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "source.seed": ("source", "seed", _seed),
     "pretrain.learning_rate": ("train", "learning_rate", _number),
     "pretrain.iterations": ("train", "iterations", int),
-    "pretrain.seed": ("train", "seed", _seed),
     "stream.batch_size": ("scenario", "batch_size", int),
     "stream.samples_per_domain": ("run", "samples_per_domain", int),
     "scenario.mode": ("scenario", "mode", str),
@@ -254,7 +252,6 @@ SCHEMA: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "run.id": ("run", "run_prefix", _file_part),
 }
 
-CONFIG_KEYS = frozenset(SCHEMA)
 _KEY_OF = {(target, field): key for key, (target, field, _) in SCHEMA.items()}
 
 
@@ -326,8 +323,7 @@ def execute_run(
     """One deterministic run of ``adapter`` on the stream composed for ``seed``; each
     composed segment is reset-marked, so the run starts from the pretrained state."""
     cfg = replace(exp.protocol_cfg, protocol=protocol, seed=seed)
-    report = run_segments(segments, adapter, adapter.pretrained, cfg, clock,
-                          num_classes=exp.source.num_classes)
+    report = run_segments(segments, adapter, adapter.pretrained, cfg, clock)
     report.scenario = _scenario_name(exp)
     report.run_id = _run_id(exp, adapter.name, protocol, clock, seed)
     return report
@@ -447,7 +443,7 @@ def _collect_deltas(reports: list[RunReport]) -> list[dict]:
                 "seed": r.seed,
                 "offline_error": offline[key].avg_error,
                 "online_error": r.avg_error,
-                "delta": delta(offline[key], r),
+                "delta": r.avg_error - offline[key].avg_error,
             })
     return deltas
 

@@ -152,8 +152,13 @@ def _run(
 ) -> RunReport:
     """The run loop of every protocol, over segments that share one report."""
     single = cfg.protocol == SINGLE_MODEL
+    if num_classes is None:
+        num_classes = initial.num_classes
+    elif num_classes != initial.num_classes:
+        raise ValueError(f"num_classes {num_classes} does not match the model's "
+                         f"{initial.num_classes}")
     if single:
-        if num_classes is None or num_classes < 2:
+        if num_classes < 2:
             raise ValueError("single-model runs need num_classes >= 2")
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
@@ -273,10 +278,10 @@ def run_stream(
 ) -> RunReport:
     """Run ``cfg.protocol`` over one stream, starting from ``initial``.
 
-    The adapter's auxiliary state and latency rng carry over from before the
-    call.  Single-model runs predict busy steps uniformly at random over
-    ``num_classes``, the strictest stand-in for a deployment that can only
-    host the adapting model itself.
+    The adapter's latency rng carries over from before the call.  Single-model
+    runs predict busy steps uniformly at random over ``num_classes``, by
+    default ``initial.num_classes`` and rejected if it differs, the strictest
+    stand-in for a deployment that can only host the adapting model itself.
     """
     adapter.params = initial.copy()
     return _run([StreamSegment(reset=False, batches=stream)], adapter, initial, cfg, clock,

@@ -203,17 +203,6 @@ def _schedule(
                     error_count.tolist(), batch_size.tolist()))
 
 
-def delta(offline: RunReport, online: RunReport) -> float:
-    """Signed online minus offline average error; positive penalizes the method."""
-    if (offline.adapter, offline.scenario, offline.seed) != (
-        online.adapter,
-        online.scenario,
-        online.seed,
-    ):
-        raise ValueError("delta requires matching adapter, scenario, and seed")
-    return online.avg_error - offline.avg_error
-
-
 # --------------------------------------------------------------------------
 # Serialization
 # --------------------------------------------------------------------------

@@ -132,7 +132,6 @@ class TrainSpec:
 
     learning_rate: float = 0.5
     iterations: int = 300
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:

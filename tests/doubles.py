@@ -144,7 +144,8 @@ class FailingAdapter(Adapter):
         self.fail_at = fail_at
         self.calls = 0
 
-    def _reset_state(self) -> None:
+    def reset(self) -> None:
+        super().reset()
         self.calls = 0
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
@@ -320,7 +321,6 @@ class ReferenceEntropyMin(EntropyMinAdapter):
 class ReferencePseudoLabel(PseudoLabelAdapter):
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         pseudo = reference_predict(self.params, batch.features)
-        self.last_pseudo_labels = pseudo
         return _reference_descend(
             self, batch, *reference_cross_entropy_gradient(self.params, batch.features, pseudo))
 
@@ -329,7 +329,6 @@ class ReferenceRejectionEntropy(RejectionEntropyAdapter):
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         _, logp = reference_log_probabilities(self.params, batch.features)
         admitted = -(np.exp(logp) * logp).sum(axis=1) <= self.entropy_threshold
-        self.last_admitted = admitted
         if not admitted.any():
             theta = self.params.copy()
             y_hat = reference_predict(theta, batch.features)

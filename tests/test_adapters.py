@@ -231,11 +231,14 @@ def test_entropy_state_accumulates_across_batches(mini_pretrained, mini_spec):
 
 
 def test_pseudo_labels_equal_pre_step_predictions(mini_pretrained, mini_spec):
-    adapter = PseudoLabelAdapter(mini_pretrained)
+    adapter = PseudoLabelAdapter(mini_pretrained, learning_rate=0.3)
     batch = domain_batch(mini_spec, CorruptionSpec("gaussian_noise", 2, seed=0))
     before, _ = predict(adapter.params, batch.features)
-    adapter.adapt(batch)
-    assert np.array_equal(adapter.last_pseudo_labels, before)
+    assert not np.array_equal(before, batch.labels)  # pseudo-labels differ from the truth
+    out = adapter.adapt(batch)
+    g_gamma, g_beta = cross_entropy_gradient(mini_pretrained, batch.features, before)
+    assert np.array_equal(out.theta_hat.gamma, mini_pretrained.gamma - 0.3 * g_gamma)
+    assert np.array_equal(out.theta_hat.beta, mini_pretrained.beta - 0.3 * g_beta)
 
 
 def test_confident_batch_has_negligible_pseudo_label_gradient(mini_pretrained, mini_spec):
@@ -256,6 +259,19 @@ def test_confident_batch_has_negligible_pseudo_label_gradient(mini_pretrained, m
     assert np.linalg.norm(g_conf) < 1e-3 * np.linalg.norm(g_fuzzy)
 
 
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("cls,keyword", [
+    (EntropyMinAdapter, "learning_rate"),
+    (PseudoLabelAdapter, "learning_rate"),
+    (RejectionEntropyAdapter, "learning_rate"),
+    (RejectionEntropyAdapter, "entropy_threshold"),
+])
+def test_non_positive_hyperparameter_fails_at_construction(mini_pretrained, cls, keyword, value):
+    # NaN fails every comparison, so a check written as `value <= 0` lets it through.
+    with pytest.raises(ValueError, match=f"{keyword} must be positive, got {value!r}"):
+        cls(mini_pretrained, **{keyword: value})
+
+
 # --------------------------------------------------------------------------
 # Rejection adapter
 # --------------------------------------------------------------------------
@@ -269,7 +285,6 @@ def test_rejection_with_max_threshold_equals_entropy_adapter(mini_pretrained, mi
     )
     out_plain = plain.adapt(batch)
     out_gated = gated.adapt(batch)
-    assert gated.last_admitted.all()
     assert np.allclose(out_plain.theta_hat.gamma, out_gated.theta_hat.gamma, atol=1e-15)
     assert np.allclose(out_plain.theta_hat.beta, out_gated.theta_hat.beta, atol=1e-15)
 
@@ -320,7 +335,6 @@ def test_rejection_gradient_restricted_to_admitted_rows(mini_pretrained, mini_sp
                                       entropy_threshold=threshold)
     out = adapter.adapt(batch)
     admitted = per_sample_entropy(mini_pretrained, batch.features) <= threshold
-    assert np.array_equal(adapter.last_admitted, admitted)
     assert 0 < admitted.sum() < batch.size
     # Oracle: the admitted rows treated as their own batch give the same step.
     g_gamma, g_beta = entropy_gradient(mini_pretrained, batch.features[admitted])

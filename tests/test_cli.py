@@ -53,7 +53,9 @@ def test_parse_config_text_basics():
 
 def test_build_experiment_rejects_unknown_key():
     # A known prefix is not enough: a mistyped key would otherwise be ignored.
-    for key in ("sourc.classes", "adapter.latncy.kind", "clock.etaa", "run.name"):
+    # pretrain.seed was once a key, but pretraining starts from zeros and never read it.
+    for key in ("sourc.classes", "adapter.latncy.kind", "clock.etaa", "run.name",
+                "pretrain.seed"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             build_experiment({key: "constant"})
 
@@ -70,6 +72,12 @@ def test_run_emits_expected_artifacts(config_path, tmp_path):
     # 1 adapter x 2 protocols x 3 seeds
     assert len(payload["runs"]) == 6
     assert len(payload["deltas"]) == 3
+    runs = {(r["adapter"], r["scenario"], r["seed"], r["protocol"]): r for r in payload["runs"]}
+    for d in payload["deltas"]:
+        key = (d["adapter"], d["scenario"], d["seed"])
+        assert d["offline_error"] == runs[(*key, "offline")]["avg_error"]
+        assert d["online_error"] == runs[(*key, "online")]["avg_error"]
+        assert d["delta"] == d["online_error"] - d["offline_error"]
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 1 + 6 * 2  # header + per-domain rows
 
@@ -277,7 +285,8 @@ def _write_replay_trace(path):
         (["run"], "seeds=-1\n", "seeds"),
         (["run", "--seeds", "-1"], "", "seeds"),
         (["run"], "source.seed=-1\n", "source.seed"),
-        (["run"], "pretrain.seed=-1\n", "pretrain.seed"),
+        (["run"], "adapter.name=entropy_min\nadapter.learning_rate=nan\n",
+         "adapter.learning_rate"),
         (["run"], "adapter.latency.kind=stochastic\nadapter.latency.seed=-1\n",
          "adapter.latency.seed"),
         # jitter >= mean would let a draw reach zero, which sample_latency clamps to 1e-9 s.

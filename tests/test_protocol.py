@@ -49,6 +49,7 @@ from doubles import (
     FixedErrorAdapter,
     PerfectAdapter,
     reference_domain_report,
+    reference_log_probabilities,
     reference_params_equal,
     tiny_params,
     tiny_stream,
@@ -179,6 +180,26 @@ def test_single_model_random_sequence_continues_across_segments():
               for r in report.schedule]
     assert errors[:12].count(None) == 4  # adapted at 0, 3, 6, 9 in each segment
     assert errors[:12] != errors[12:]
+
+
+def test_single_model_num_classes_defaults_to_the_models():
+    params = tiny_params(num_classes=3)
+    stream = tiny_stream(9)
+    cfg = ProtocolConfig(protocol="single_model", seed=11)
+    omitted = run_stream(stream, SourceAdapter(params, latency=Constant(3.0)), params, cfg)
+    given = run_stream(stream, SourceAdapter(params, latency=Constant(3.0)), params, cfg,
+                       num_classes=3)
+    assert omitted == given
+    assert any(r.action == ACTION_SKIPPED_RANDOM for r in omitted.schedule)
+
+
+def test_num_classes_other_than_the_models_is_rejected():
+    params = tiny_params(num_classes=3)
+    segments = [StreamSegment(reset=True, batches=tiny_stream(9))]
+    cfg = ProtocolConfig(protocol="single_model")
+    with pytest.raises(ValueError, match="num_classes 50 does not match the model's 3"):
+        run_segments(segments, SourceAdapter(params, latency=Constant(3.0)), params, cfg,
+                     num_classes=50)
 
 
 def test_single_model_with_fast_adapter_equals_online():
@@ -559,13 +580,12 @@ class Recorded:
 
     def adapt(self, batch):
         outcome = super().adapt(batch)
-        self.log.append((outcome, getattr(self, "last_pseudo_labels", None),
-                         getattr(self, "last_admitted", None)))
+        self.log.append(outcome)
         return outcome
 
 
 def as_bits(array):
-    return None if array is None else (array.dtype, array.shape, array.tobytes())
+    return array.dtype, array.shape, array.tobytes()
 
 
 def recorded_run(cls, params, stream, cfg, traced, **kwargs):
@@ -575,8 +595,8 @@ def recorded_run(cls, params, stream, cfg, traced, **kwargs):
     predictions, trace = [], [] if traced else None
     report = run_stream(stream, adapter, params, cfg, predictions_out=predictions,
                         trace_out=trace)
-    steps = [(as_bits(o.theta_hat.flat), as_bits(o.y_hat), type(o.cost), repr(o.cost), o.note,
-              as_bits(pseudo), as_bits(admitted)) for o, pseudo, admitted in adapter.log]
+    steps = [(as_bits(o.theta_hat.flat), as_bits(o.y_hat), type(o.cost), repr(o.cost), o.note)
+             for o in adapter.log]
     return steps, [as_bits(y) for y in predictions], repr(trace), repr(report)
 
 
@@ -622,14 +642,21 @@ def test_descent_steps_equal_the_per_use_reference_bit_for_bit(
 
 def test_the_rejecting_example_rejects_all_samples_and_some():
     params = tiny_params(seed=REJECTING["seed"])
-    cls = type("R", (Recorded, REFERENCE_ADAPTERS["rejection_entropy"]), {})
-    adapter = cls(params, latency=REJECTING["latency"], learning_rate=0.5,
-                  entropy_threshold=REJECTING["threshold"] * np.log(params.num_classes))
-    adapter.log = []
+    admitted = []
+
+    class Gated(REFERENCE_ADAPTERS["rejection_entropy"]):
+        """Logs each step's admitted rows, live or on a clone."""
+
+        def adapt(self, batch):
+            _, logp = reference_log_probabilities(self.params, batch.features)
+            admitted.append(-(np.exp(logp) * logp).sum(axis=1) <= self.entropy_threshold)
+            return super().adapt(batch)
+
+    adapter = Gated(params, latency=REJECTING["latency"], learning_rate=0.5,
+                    entropy_threshold=REJECTING["threshold"] * np.log(params.num_classes))
     stream = tiny_stream(REJECTING["n"], batch_size=REJECTING["batch_size"],
                          seed=REJECTING["seed"])
     run_stream(stream, adapter, params, ON, trace_out=[])
-    admitted = [a for _, _, a in adapter.log]
     assert sum(not a.any() for a in admitted) == 3
     assert sum(a.any() and not a.all() for a in admitted) == 9
 

@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from streamgate.cli import CONFIG_KEYS, build_experiment, build_parser, parse_config_text
+from streamgate.cli import SCHEMA, build_experiment, build_parser, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,5 +33,5 @@ def test_readme_cli_examples_parse():
 def test_readme_config_block_lists_every_key():
     section = README.read_text().split("Configs are flat", 1)[1]
     cfg = parse_config_text(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
-    assert set(cfg) == CONFIG_KEYS
+    assert set(cfg) == set(SCHEMA)
     build_experiment(cfg)

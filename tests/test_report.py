@@ -1,4 +1,4 @@
-"""Metrics aggregation, deltas, and serialization round-trips."""
+"""Metrics aggregation and serialization round-trips."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from streamgate.report import (
     RunReport,
     ScheduleRecord,
     aggregate,
-    delta,
     run_report,
     write_results_csv,
     write_schedule_csv,
@@ -53,14 +52,14 @@ def rec(step, action=ACTION_ADAPTED, c=1, errors=0, size=10, version=1):
                           params_version=version, error_count=errors, batch_size=size)
 
 
-def sample_report(protocol="offline", avg=0.3, seed=0, scenario="episodic-2", adapter="x"):
+def sample_report(protocol="offline", avg=0.3):
     domains = [
         DomainReport(domain_id=0, n_batches=10, n_adapted=10, error_rate=avg - 0.1, mean_c=1.0),
         DomainReport(domain_id=1, n_batches=10, n_adapted=5, error_rate=avg + 0.1, mean_c=2.0),
     ]
     return RunReport(
-        run_id=f"{adapter}-{protocol}", protocol=protocol, scenario=scenario,
-        adapter=adapter, eta=1.0, seed=seed, per_domain=domains, avg_error=avg,
+        run_id=f"x-{protocol}", protocol=protocol, scenario="episodic-2",
+        adapter="x", eta=1.0, seed=0, per_domain=domains, avg_error=avg,
         mean_c=4 / 3, adapted_fraction=0.75,
         schedule=[rec(0), rec(1, ACTION_SKIPPED_FALLBACK, errors=3)],
         fingerprints=["abc", "def"], notes=["note"],
@@ -86,23 +85,6 @@ def test_aggregate_warns_on_unequal_sizes():
     with pytest.warns(UserWarning, match="unequal"):
         avg, _, _ = aggregate(domains)
     assert avg == pytest.approx(0.3)  # still unweighted
-
-
-def test_delta_examples():
-    off = sample_report("offline", avg=0.573)
-    on = sample_report("online", avg=0.616)
-    assert delta(off, on) == pytest.approx(0.043)
-    off2 = sample_report("offline", avg=0.599)
-    on2 = sample_report("online", avg=0.591)
-    assert delta(off2, on2) == pytest.approx(-0.008)
-    assert delta(off, off) == 0.0
-
-
-def test_delta_rejects_mismatched_runs():
-    with pytest.raises(ValueError):
-        delta(sample_report(seed=0), sample_report(seed=1))
-    with pytest.raises(ValueError):
-        delta(sample_report(adapter="x"), sample_report(adapter="y"))
 
 
 def test_schedule_record_validation():

@@ -328,9 +328,6 @@ def test_replay_builds_no_schedule_record_until_the_schedule_is_read(monkeypatch
 # Trace collection never perturbs the live run
 # --------------------------------------------------------------------------
 
-AUX_STATE = ("last_pseudo_labels", "last_admitted")
-
-
 @pytest.mark.parametrize(
     "name,latency",
     [(name, Constant(2.5)) for name in sorted(ADAPTERS)]
@@ -360,13 +357,9 @@ def test_ghost_adapt_leaves_the_live_adapter_untouched(name, mini_pretrained, mi
     adapter.adapt(first)
     twin.adapt(first)
     params = adapter.params
-    aux = {key: getattr(adapter, key) for key in AUX_STATE if hasattr(adapter, key)}
 
     clone_adapter(adapter).adapt(second)
 
     assert adapter.params is params
     assert reference_params_equal(adapter.params, twin.params)
-    for key, value in aux.items():
-        assert getattr(adapter, key) is value
-        assert np.array_equal(value, getattr(twin, key))
     assert adapter.sample_cost(second.size) == twin.sample_cost(second.size)

@@ -86,12 +86,8 @@ def latency_range(model: LatencyModel, batch_size: int) -> tuple[float, float]:
 # Shared losses and gradients on the affine normalizer pair
 # --------------------------------------------------------------------------
 
-def per_sample_entropy(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Prediction entropy H(p_i) per row, in nats."""
-    return _entropy(forward(params, features))
-
-
 def _entropy(result: Forward) -> np.ndarray:
+    """Prediction entropy H(p_i) per row, in nats."""
     return -(result.p * result.logp).sum(axis=1)
 
 
@@ -99,7 +95,7 @@ def mean_prediction_entropy(
     params: ModelParams, features: np.ndarray, mask: np.ndarray | None = None
 ) -> float:
     """Mean prediction entropy over all rows, or over the masked subset."""
-    h = per_sample_entropy(params, features)
+    h = _entropy(forward(params, features))
     if mask is not None:
         h = h[mask]
     return float(h.mean())

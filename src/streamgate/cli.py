@@ -367,10 +367,10 @@ def _execute_seed(
         else:
             # The schedule stays unbuilt until read; then it copies the original's.
             report = replace(twin, protocol=protocol, eta=clock.eta,
+                             run_id=_run_id(exp, adapter_name, protocol, clock, seed),
                              per_domain=list(twin.per_domain),
                              schedule=lambda original=twin: list(original.schedule),
                              fingerprints=list(twin.fingerprints), notes=list(twin.notes))
-            report.run_id = _run_id(exp, adapter_name, protocol, clock, seed)
         reports.append(report)
     return reports
 
@@ -378,10 +378,11 @@ def _execute_seed(
 def _execute(
     args: argparse.Namespace,
     plan: Callable[[ExperimentConfig], list[tuple[str, str, StreamClock]]],
-    sort_key: Callable[[RunReport], tuple],
-    deltas: Callable[[list[RunReport]], list[dict]],
 ) -> tuple[ExperimentConfig, list[RunReport]]:
-    """Build the experiment, run ``plan(exp)`` for every seed and write the sorted reports."""
+    """Build the experiment, run ``plan(exp)`` for every seed and write the reports,
+    ordered by (eta, adapter, protocol, seed), with their offline-to-online deltas.
+    A ``run`` plan has one eta and a ``sweep`` plan one protocol (so no deltas):
+    the one order groups each command's reports by what its plan varies."""
     cfg = parse_config_text(Path(args.config).read_text())
     cfg.update({key: value for key, value in vars(args).items() if key in SCHEMA and value})
     exp = build_experiment(cfg)
@@ -396,8 +397,8 @@ def _execute(
             adapters[name] = adapters_mod.make_adapter(name, pretrained, **kwargs)
     reports = [r for seed in sorted(exp.stream_seeds)
                for r in _execute_seed(exp, seed, runs, adapters)]
-    reports.sort(key=sort_key)
-    _write_outputs(exp.out_dir, reports, deltas(reports), args.emit_schedule)
+    reports.sort(key=attrgetter("eta", "adapter", "protocol", "seed"))
+    _write_outputs(exp.out_dir, reports, _collect_deltas(reports), args.emit_schedule)
     return exp, reports
 
 
@@ -415,13 +416,9 @@ def _write_outputs(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    exp, reports = _execute(
-        args,
-        lambda exp: [(adapter_name, protocol, exp.clock)
-                     for adapter_name in sorted(exp.adapters) for protocol in exp.protocols],
-        lambda r: (r.adapter, r.protocol, r.eta, r.seed),
-        _collect_deltas,
-    )
+    exp, reports = _execute(args, lambda exp: [
+        (adapter_name, protocol, exp.clock)
+        for adapter_name in sorted(exp.adapters) for protocol in exp.protocols])
     for r in reports:
         print(f"{r.run_id}: error {format_percent(r.avg_error)} "
               f"adapted {format_percent(r.adapted_fraction)}")
@@ -460,7 +457,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 raise ValueError(f"two etas in {args.eta_values!r} share a run_id")
         return runs
 
-    exp, reports = _execute(args, plan, lambda r: (r.eta, r.adapter, r.seed), lambda _: [])
+    exp, reports = _execute(args, plan)
     _write_sweep_csv(exp.out_dir / "sweep.csv", reports)
     print(f"wrote {len(reports)} sweep runs to {exp.out_dir}")
     return 0

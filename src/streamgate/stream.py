@@ -54,13 +54,15 @@ class SourceSpec:
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes!r}")
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.class_separation <= 0:
-            raise ValueError("class_separation must be positive")
+            raise ValueError(f"dim must be >= 1, got {self.dim!r}")
+        if not self.class_separation > 0:
+            raise ValueError(f"class_separation must be positive, got {self.class_separation!r}")
         if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
+            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class!r}")
+        if self.seed < 0:  # numpy would reject it only at the first draw
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if self.severity not in (1, 2, 3, 4, 5):
             raise ValueError(f"severity must be in 1..5, got {self.severity}")
+        if self.seed < 0:  # numpy would reject it only at the first draw
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +138,10 @@ class TrainSpec:
     iterations: int = 300
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+            raise ValueError(f"iterations must be non-negative, got {self.iterations!r}")
 
 
 class TrainingError(RuntimeError):
@@ -229,14 +233,13 @@ def apply_corruption(features: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     if spec.kind == ROTATION:
         rot = expm((s * spec.severity) * _rotation_generator(dim, rng))
         return features @ rot.T
-    if spec.kind == FEATURE_MASK:
-        n_mask = int(round(s * spec.severity * dim))
-        masked = features.copy()
-        if n_mask > 0:
-            idx = rng.choice(dim, size=min(n_mask, dim), replace=False)
-            masked[:, idx] = 0.0
-        return masked
-    raise ValueError(f"unknown corruption kind {spec.kind!r}")
+    # FEATURE_MASK: CORRUPTION_KINDS.index above has rejected any other kind.
+    n_mask = int(round(s * spec.severity * dim))
+    masked = features.copy()
+    if n_mask > 0:
+        idx = rng.choice(dim, size=min(n_mask, dim), replace=False)
+        masked[:, idx] = 0.0
+    return masked
 
 
 def _domain_key(corruption: CorruptionSpec | None) -> list[int]:

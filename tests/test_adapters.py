@@ -20,13 +20,12 @@ from streamgate.adapters import (
     latency_range,
     make_adapter,
     mean_prediction_entropy,
-    per_sample_entropy,
     pseudo_label_cross_entropy,
     sample_latency,
 )
 from streamgate.model import params_fingerprint, predict
 from streamgate.stream import Batch, CorruptionSpec, SourceSpec, apply_corruption, sample_domain
-from doubles import reference_params_equal, tiny_params, tiny_stream
+from doubles import reference_log_probabilities, reference_params_equal, tiny_params, tiny_stream
 
 
 def make_batch(features, labels, t=0, domain_id=0):
@@ -330,11 +329,13 @@ def test_rejection_draws_every_stochastic_cost_from_one_generator(mini_pretraine
 
 def test_rejection_gradient_restricted_to_admitted_rows(mini_pretrained, mini_spec):
     batch = domain_batch(mini_spec, CorruptionSpec("gaussian_noise", 3, seed=1), n=128)
-    threshold = float(np.median(per_sample_entropy(mini_pretrained, batch.features)))
+    _, logp = reference_log_probabilities(mini_pretrained, batch.features)
+    entropy = -(np.exp(logp) * logp).sum(axis=1)
+    threshold = float(np.median(entropy))
     adapter = RejectionEntropyAdapter(mini_pretrained, learning_rate=0.3,
                                       entropy_threshold=threshold)
     out = adapter.adapt(batch)
-    admitted = per_sample_entropy(mini_pretrained, batch.features) <= threshold
+    admitted = entropy <= threshold
     assert 0 < admitted.sum() < batch.size
     # Oracle: the admitted rows treated as their own batch give the same step.
     g_gamma, g_beta = entropy_gradient(mini_pretrained, batch.features[admitted])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from streamgate import adapters as adapters_mod
 from streamgate import cli
 from streamgate.cli import main, parse_config_text, build_experiment, ConfigError
-from streamgate.report import ScheduleRecord
+from streamgate.report import RunReport, ScheduleRecord
 from streamgate.stream import compose_stream
 from streamgate.trace import TraceRecord, write_trace
+from doubles import FailingAdapter
 
 BASE_CONFIG = """
 # demo experiment, sized for test speed
@@ -295,6 +296,18 @@ def _write_replay_trace(path):
         (["run"], "adapter.latency.kind=stochastic\nadapter.latency.jitter=-0.5\n",
          "adapter.latency.jitter"),
         (["run"], "scenario.domains=mean_shift:5:0:9\n", "scenario.domains"),
+        (["run"], "scenario.domains=mean_shift:5:-1\n", "scenario.domains"),
+        # Values that only the spec they build rejects.
+        (["run"], "protocol.alpha=2\n", "protocol.alpha"),
+        (["run"], "protocol.visibility=sideways\n", "protocol.visibility"),
+        (["run"], "protocol.timing=wallclock\n", "protocol.timing"),
+        (["run"], "protocol.schedule=every\n", "protocol.schedule"),
+        (["run"], "scenario.append_clean=maybe\n", "scenario.append_clean"),
+        (["run"], "source.dim=0\n", "source.dim"),
+        (["run"], "source.separation=0\n", "source.separation"),
+        (["run"], "stream.batch_size=0\n", "stream.batch_size"),
+        (["run"], "pretrain.learning_rate=0\n", "pretrain.learning_rate"),
+        (["run"], "pretrain.iterations=-1\n", "pretrain.iterations"),
         # A latency field needs a latency kind that takes it.
         (["run"], "adapter.latency.kind=\n", "adapter.latency.seconds"),
         (["run"], "adapter.latency.kind=default\n", "adapter.latency.seconds"),
@@ -319,6 +332,28 @@ def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, lines, name):
     assert run_cli(argv[0], *source, "--out", str(out), *argv[1:]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_mid_stream_failure_exits_1_naming_adapter_and_step(config_path, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(adapters_mod, "make_adapter",
+                        lambda name, pretrained, **kwargs: FailingAdapter(pretrained, **kwargs))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config_path), "--out", str(out)) == 1
+    assert ("runtime failure: adapter 'failing' failed at step 3: synthetic adapter failure"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_run_id_prefixes_every_run_and_schedule_file(tmp_path):
+    path = tmp_path / "named.cfg"
+    path.write_text(BASE_CONFIG + "run.id=exp7\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--out", str(out), "--emit-schedule") == 0
+    run_ids = [run["run_id"] for run in json.loads((out / "summary.json").read_text())["runs"]]
+    assert len(run_ids) == 6 and all(run_id.startswith("exp7-entropy_min-") for run_id in run_ids)
+    assert sorted(p.name for p in out.glob("schedule_*.csv")) == sorted(
+        f"schedule_{run_id}.csv" for run_id in run_ids)
 
 
 def test_rejected_adapter_construction_names_a_key(tmp_path, capsys, monkeypatch):
@@ -526,7 +561,10 @@ def test_relabelled_reports_share_no_list():
     offline, online = cli._execute_seed(exp, 0, _plan(exp, ["1"]), _adapters(exp))
     assert (offline.protocol, online.protocol) == ("offline", "online")
     assert online.run_id == offline.run_id.replace("-offline-", "-online-")
-    for field in ("per_domain", "schedule", "fingerprints", "notes"):
+    # Every list the twin carries, including any field added later.
+    lists = [f.name for f in fields(RunReport) if isinstance(getattr(offline, f.name), list)]
+    assert {"per_domain", "schedule", "fingerprints", "notes"} <= set(lists)
+    for field in lists:
         assert getattr(online, field) == getattr(offline, field)
         assert getattr(online, field) is not getattr(offline, field)
     online.notes.append("changed")

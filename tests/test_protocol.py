@@ -263,6 +263,22 @@ def test_empty_stream_rejected():
         run_stream([], SourceAdapter(params), params, OFF)
 
 
+def test_run_guards_name_what_they_reject():
+    params = tiny_params()
+    source = SourceAdapter(params)
+    two = [StreamSegment(reset=True, batches=tiny_stream(2)) for _ in range(2)]
+    with pytest.raises(ValueError, match="no segments to run"):
+        run_segments([], source, params, OFF)
+    with pytest.raises(ValueError, match="trace collection needs a single-segment stream"):
+        run_segments(two, source, params, OFF, trace_out=[])
+    with pytest.raises(ValueError, match="trace collection is defined for dual-model runs only"):
+        run_stream(tiny_stream(2), source, params, replace(ON, protocol=SINGLE_MODEL),
+                   trace_out=[])
+    wide = tiny_params(dim=5)
+    with pytest.raises(ValueError, match="do not match the stream's feature dimension"):
+        run_stream(tiny_stream(2), SourceAdapter(wide), wide, OFF)
+
+
 def test_non_contiguous_ticks_rejected():
     params = tiny_params()
     stream = tiny_stream(4)
@@ -336,6 +352,15 @@ def test_non_finite_cost_names_adapter_and_step_live_or_counterfactual(traced, s
     params = tiny_params()
     with pytest.raises(ProtocolError, match=f"adapter 'bad_cost' failed at step {step}: "):
         run_stream(tiny_stream(6), BadCostAdapter(params, bad_cost), params, ON,
+                   trace_out=[] if traced else None)
+
+
+@pytest.mark.parametrize("traced,step", [(True, 1), (False, 3)])  # ghost at 1, live at 3
+def test_zero_cost_names_adapter_and_step_live_or_counterfactual(traced, step):
+    params = tiny_params()
+    with pytest.raises(ProtocolError, match=f"adapter 'bad_cost' failed at step {step}: "
+                                            "adaptation cost must be positive"):
+        run_stream(tiny_stream(6), BadCostAdapter(params, 0.0), params, ON,
                    trace_out=[] if traced else None)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +131,21 @@ def test_corruption_spec_validation():
         CorruptionSpec("gaussian_noise", 0)
     with pytest.raises(ValueError):
         CorruptionSpec("fog", 3)
+
+
+def test_specs_reject_a_negative_seed_naming_it():
+    # numpy would reject the seed only at the spec's first draw.
+    for make in (lambda: CorruptionSpec("mean_shift", 5, seed=-1), lambda: SourceSpec(seed=-1)):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            make()
+
+
+@pytest.mark.parametrize("spec,field", [(SourceSpec, "class_separation"),
+                                        (TrainSpec, "learning_rate")])
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be positive, got {value!r}")):
+        spec(**{field: value})
 
 
 def three_domain_scenario(mode):

@@ -87,6 +87,26 @@ def test_parse_rejects_header_only(tmp_path):
         parse_trace(path)
 
 
+def test_parse_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("")
+    with pytest.raises(TraceFormatError, match="file is empty"):
+        parse_trace(path)
+
+
+def test_parse_rejects_a_short_row_naming_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    write_raw(path, ["0,1.0,5,3,0,10", "1,1.0,5,3,0"])
+    with pytest.raises(TraceFormatError, match=":3: expected 6 fields"):
+        parse_trace(path)
+
+
+def test_parse_skips_a_blank_line(tmp_path):
+    path = tmp_path / "t.csv"
+    write_raw(path, ["0,1.0,5,3,0,10", "", "1,2.0,6,4,0,10"])
+    assert [r.step for r in parse_trace(path)] == [0, 1]
+
+
 def test_parse_reports_line_numbers_for_malformed_rows(tmp_path):
     path = tmp_path / "t.csv"
     for latency in ("not-a-number", "nan", "inf", "-inf", "0"):

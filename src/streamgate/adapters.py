@@ -67,8 +67,8 @@ def sample_latency(
         value = max(model.mean + model.jitter * rng.uniform(-1.0, 1.0), _COST_FLOOR)
     else:
         raise TypeError(f"unknown latency model {model!r}")
-    if value <= 0.0:
-        raise ValueError(f"latency model produced non-positive cost {value}")
+    if not value > 0.0:  # NaN fails too
+        raise ValueError(f"latency model cost must be positive, got {value}")
     return float(value)
 
 
@@ -240,8 +240,8 @@ class Adapter:
         outcome = self._adapt(batch)
         if outcome.cost is None:
             outcome.cost = self.sample_cost(batch.size)
-        if outcome.cost <= 0.0:
-            raise ValueError("adaptation cost must be positive")
+        if not outcome.cost > 0.0:  # NaN fails too; an infinite cost fails at the clock
+            raise ValueError(f"adaptation cost must be positive, got {outcome.cost}")
         self.params = outcome.theta_hat
         return outcome
 

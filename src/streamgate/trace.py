@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import Sequence
 
@@ -126,15 +126,27 @@ def write_trace(path: str | Path, records: Sequence[TraceRecord]) -> None:
     write_rows(path, TRACE_COLUMNS, map(attrgetter(*TRACE_COLUMNS), records))
 
 
+_last_columns: tuple[tuple[TraceRecord, ...], tuple] = ((), ())
+
+
 def _columns(trace: Sequence[TraceRecord]) -> tuple:
-    """A trace's runs of one domain as (domain_id, first step), then four columns."""
+    """A trace's runs of one domain as (domain_id, first step), then four read-only
+    columns, reused while the list holds the very (frozen) records of the last call."""
+    global _last_columns
     if not trace:
         raise TraceFormatError("trace contains no records")
+    last, columns = _last_columns
+    if len(last) == len(trace) and all(map(is_, last, trace)):
+        return columns
     check_ticks(map(attrgetter("step"), trace), TraceFormatError)
     domain, *columns = (np.array(list(map(attrgetter(name), trace))) for name in (
         "domain_id", "latency", "correct_adapted", "correct_fallback", "batch_size"))
+    for column in columns:
+        column.flags.writeable = False
     starts = np.flatnonzero(np.concatenate(([True], domain[1:] != domain[:-1])))
-    return list(zip(domain[starts].tolist(), starts.tolist())), *columns
+    columns = tuple(zip(domain[starts].tolist(), starts.tolist())), *columns
+    _last_columns = tuple(trace), columns
+    return columns
 
 
 def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock()) -> RunReport:

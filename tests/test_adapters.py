@@ -25,7 +25,13 @@ from streamgate.adapters import (
 )
 from streamgate.model import params_fingerprint, predict
 from streamgate.stream import Batch, CorruptionSpec, SourceSpec, apply_corruption, sample_domain
-from doubles import reference_log_probabilities, reference_params_equal, tiny_params, tiny_stream
+from doubles import (
+    BetaShiftAdapter,
+    reference_log_probabilities,
+    reference_params_equal,
+    tiny_params,
+    tiny_stream,
+)
 
 
 def make_batch(features, labels, t=0, domain_id=0):
@@ -62,6 +68,28 @@ def test_stochastic_latency_deterministic_sequence(mini_pretrained):
 def test_nonpositive_latency_rejected():
     with pytest.raises(ValueError):
         sample_latency(Constant(0.0), 4)
+
+
+def test_nan_latency_rejected():
+    with pytest.raises(ValueError, match="latency model cost must be positive, got nan"):
+        sample_latency(Constant(float("nan")), 4)
+
+
+class NanCostAdapter(BetaShiftAdapter):
+    name = "nan_cost"
+
+    def _adapt(self, batch):
+        outcome = super()._adapt(batch)
+        outcome.cost = float("nan")
+        return outcome
+
+
+def test_nan_cost_fails_the_step_and_commits_nothing():
+    adapter = NanCostAdapter(tiny_params())
+    before = adapter.params
+    with pytest.raises(ValueError, match="adaptation cost must be positive, got nan"):
+        adapter.adapt(tiny_stream(1)[0])
+    assert adapter.params is before
 
 
 @pytest.mark.parametrize(

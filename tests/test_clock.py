@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,10 +32,21 @@ def ceil_div_oracle(interval: float, elapsed: float) -> int:
         (1.0, 3.5, 4),
         (2.0, 3.5, 2),    # scaled interval
         (1.0, 0.001, 1),  # faster than the stream still counts one tick
+        # Equal values of other types: the memo keys on type and value alike.
+        (1, 2, 2),
+        (np.float64(1.0), np.float64(2.0), 2),
+        (Fraction(1), Fraction(2), 2),
+        (1, 3.5, 4),
+        (np.float64(1.0), Fraction(7, 2), 4),
+        (Fraction(2), np.float64(3.5), 2),
+        (1.0, np.array(0.5), 1),  # an unhashable cost within one interval
+        (1.0, np.array(1.0), 1),
     ],
 )
 def test_relative_adaptation_speed_examples(interval, elapsed, expected):
-    assert relative_adaptation_speed(interval, elapsed) == expected
+    assert ceil_div_oracle(float(interval), float(elapsed)) == expected
+    # The second call reads the memo.
+    assert [relative_adaptation_speed(interval, elapsed) for _ in range(2)] == [expected] * 2
 
 
 INF, NAN = float("inf"), float("nan")
@@ -46,11 +58,14 @@ INF, NAN = float("inf"), float("nan")
         (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
         # Non-finite: an infinite interval would otherwise pass the one-tick fast path.
         (INF, 1.0), (1.0, INF), (NAN, 1.0), (1.0, NAN), (-INF, 1.0), (1.0, -INF),
+        (1, 0), (Fraction(1), Fraction(0)), (np.float64(1.0), np.float64(NAN)),
+        (np.float64(INF), 1.0),
     ],
 )
 def test_relative_adaptation_speed_rejects_nonpositive(interval, elapsed):
-    with pytest.raises(ValueError):
-        relative_adaptation_speed(interval, elapsed)
+    for _ in range(2):  # a rejection is never memoised
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            relative_adaptation_speed(interval, elapsed)
 
 
 @given(

@@ -306,7 +306,10 @@ def bits(value):
 @example((make_trace([(0.5, 3, 1, 0, 4)]), StreamClock(eta=0.5)))
 @example((make_trace([(4.5, 3, 1, 0, 4)] * 3), StreamClock()))  # C beyond the trace's end
 def test_replay_equals_the_per_step_loop_bit_for_bit(case):
-    trace, clock = case
+    assert_replay_bits(*case)
+
+
+def assert_replay_bits(trace, clock):
     got, want = replay_online(trace, clock), reference_replay(trace, clock)
     for name in ("avg_error", "mean_c", "adapted_fraction"):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
@@ -324,6 +327,74 @@ def test_replay_equals_the_per_step_loop_bit_for_bit(case):
         write_schedule_csv(paths[0], got.schedule)
         write_schedule_csv(paths[1], want.schedule)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# --------------------------------------------------------------------------
+# Replaying one records list again reuses its columns; a changed list is read again
+# --------------------------------------------------------------------------
+
+REUSE_ROWS = [(2.5, 3, 1, 0, 4)] * 5 + [(0.5, 2, 4, 1, 4)] * 5
+ALL_ADAPT = StreamClock(base_rate=1 / 8)  # every latency below is within its interval
+
+
+def change_trace(trace, change, record=TraceRecord):
+    """Edit the list in place: replace one record, or grow or shrink the list."""
+    if change == "replace":
+        trace[3] = record(step=3, latency=7.0, correct_adapted=0, correct_fallback=4,
+                          domain_id=0, batch_size=4)
+    elif change == "grow":
+        trace.append(record(step=len(trace), latency=1.5, correct_adapted=1,
+                            correct_fallback=0, domain_id=2, batch_size=4))
+    elif change == "shrink":
+        del trace[-3:]
+
+
+@pytest.mark.filterwarnings("ignore:domains have unequal sizes")
+@pytest.mark.parametrize("change", ["none", "replace", "grow", "shrink"])
+def test_a_replay_again_or_after_a_change_equals_the_per_step_loop(change):
+    trace = make_trace(REUSE_ROWS)
+    for eta in ETAS:
+        assert_replay_bits(trace, StreamClock(eta=eta))
+    change_trace(trace, change)
+    for eta in ETAS:
+        assert_replay_bits(trace, StreamClock(eta=eta))
+    assert bits(adapted_only_error(trace)) == bits(reference_replay(trace, ALL_ADAPT).avg_error)
+
+
+def test_an_empty_trace_is_rejected_before_and_right_after_a_replay():
+    for call in (replay_online, adapted_only_error):
+        with pytest.raises(TraceFormatError, match="no records"):
+            call([])
+        call(make_trace(REUSE_ROWS))
+        with pytest.raises(TraceFormatError, match="no records"):
+            call([])
+
+
+class CountingRecord(TraceRecord):
+    """A record that counts reads of its fields, per field name."""
+
+    reads: dict[str, int] = {}
+
+    def __getattribute__(self, name):
+        if name in TRACE_COLUMNS:
+            CountingRecord.reads[name] = CountingRecord.reads.get(name, 0) + 1
+        return super().__getattribute__(name)
+
+
+@pytest.mark.filterwarnings("ignore:domains have unequal sizes")
+@pytest.mark.parametrize("change", ["replace", "grow", "shrink"])
+def test_a_second_replay_of_one_list_reads_no_record(change):
+    trace = [CountingRecord(*astuple(record)) for record in make_trace(REUSE_ROWS)]
+    replay_online(trace)
+    CountingRecord.reads = {}
+    replay_online(trace, StreamClock(eta=1 / 3))
+    adapted_only_error(trace)
+    assert CountingRecord.reads == {}
+    change_trace(trace, change, CountingRecord)
+    CountingRecord.reads = {}
+    replay_online(trace, StreamClock(eta=1 / 3))
+    # The changed list is read again: every column of every record.
+    assert all(CountingRecord.reads.get(name, 0) >= len(trace) for name in TRACE_COLUMNS)
 
 
 def test_replay_builds_no_schedule_record_until_the_schedule_is_read(monkeypatch):

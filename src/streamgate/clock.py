@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 
@@ -46,8 +45,7 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     The ratio is taken in exact integer arithmetic so boundary cases (an
     elapsed time of exactly k intervals) never fall on the wrong side of the
     ceiling through float rounding.  ``elapsed <= interval`` is an exact float
-    comparison, so the common one-tick case needs no division at all.  Other
-    ceilings are memoised by the types and values of both arguments.
+    comparison, so the common one-tick case needs no division at all.
     """
     if not math.isfinite(effective_interval) or effective_interval <= 0:
         raise ValueError(
@@ -57,14 +55,6 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
         raise ValueError(f"elapsed must be positive and finite, got {elapsed}")
     if elapsed <= effective_interval:
         return 1
-    try:
-        return _ceiling(effective_interval, elapsed)
-    except TypeError:  # an unhashable argument, such as a 0-d array, is not memoised
-        return _ceiling.__wrapped__(effective_interval, elapsed)
-
-
-@lru_cache(maxsize=4096, typed=True)
-def _ceiling(effective_interval: float, elapsed: float) -> int:
     en, ed = elapsed.as_integer_ratio()
     inum, iden = effective_interval.as_integer_ratio()
     # elapsed / interval = (en * iden) / (ed * inum); ceil via floor of the negation.

@@ -224,12 +224,11 @@ def _run(
                     fb_pred = (seen.labels if seen is not None and seen.params is fallback
                                else predict(fallback, batch.features)[0])
                 if trace_out is not None:
-                    correct = [int(np.count_nonzero(y == batch.labels))
-                               for y in (outcome.y_hat, fb_pred)]
                     trace_out.append(TraceRecord(
-                        step=t, latency=float(cost), correct_adapted=correct[0],
-                        correct_fallback=correct[1], domain_id=batch.domain_id,
-                        batch_size=batch.size))
+                        step=t, latency=float(cost),
+                        correct_adapted=int(np.count_nonzero(outcome.y_hat == batch.labels)),
+                        correct_fallback=int(np.count_nonzero(fb_pred == batch.labels)),
+                        domain_id=batch.domain_id, batch_size=batch.size))
             except Exception as exc:
                 raise ProtocolError(
                     f"adapter {adapter.name!r} failed at step {t}: {exc}"
@@ -255,9 +254,7 @@ def _run(
 
             steps.append(t)
             batch_sizes.append(batch.size)
-            # A traced step counted its correct predictions: adapted [0] or fallback [1].
-            error_counts.append(int(np.count_nonzero(y_hat != batch.labels)) if trace_out is None
-                                else batch.size - correct[0 if adapt_now else 1])
+            error_counts.append(int(np.count_nonzero(y_hat != batch.labels)))
             if predictions_out is not None:
                 predictions_out.append(np.asarray(y_hat).copy())
 

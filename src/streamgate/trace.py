@@ -131,7 +131,8 @@ _last_columns: tuple[tuple[TraceRecord, ...], tuple] = ((), ())
 
 def _columns(trace: Sequence[TraceRecord]) -> tuple:
     """A trace's runs of one domain as (domain_id, first step), then four read-only
-    columns, reused while the list holds the very (frozen) records of the last call."""
+    columns, reused while the list holds the very (frozen) records of the last call.
+    That call's records and columns stay referenced until another list is read."""
     global _last_columns
     if not trace:
         raise TraceFormatError("trace contains no records")

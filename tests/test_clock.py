@@ -32,20 +32,20 @@ def ceil_div_oracle(interval: float, elapsed: float) -> int:
         (1.0, 3.5, 4),
         (2.0, 3.5, 2),    # scaled interval
         (1.0, 0.001, 1),  # faster than the stream still counts one tick
-        # Equal values of other types: the memo keys on type and value alike.
+        # Equal values of other types give the same C.
         (1, 2, 2),
         (np.float64(1.0), np.float64(2.0), 2),
         (Fraction(1), Fraction(2), 2),
         (1, 3.5, 4),
         (np.float64(1.0), Fraction(7, 2), 4),
         (Fraction(2), np.float64(3.5), 2),
-        (1.0, np.array(0.5), 1),  # an unhashable cost within one interval
+        (1.0, np.array(0.5), 1),  # a 0-d array cost within one interval
         (1.0, np.array(1.0), 1),
     ],
 )
 def test_relative_adaptation_speed_examples(interval, elapsed, expected):
     assert ceil_div_oracle(float(interval), float(elapsed)) == expected
-    # The second call reads the memo.
+    # A repeated call gives the same C.
     assert [relative_adaptation_speed(interval, elapsed) for _ in range(2)] == [expected] * 2
 
 
@@ -63,7 +63,7 @@ INF, NAN = float("inf"), float("nan")
     ],
 )
 def test_relative_adaptation_speed_rejects_nonpositive(interval, elapsed):
-    for _ in range(2):  # a rejection is never memoised
+    for _ in range(2):  # a repeated call is rejected too
         with pytest.raises(ValueError, match="must be positive and finite"):
             relative_adaptation_speed(interval, elapsed)
 

@@ -72,16 +72,6 @@ def sample_latency(
     return float(value)
 
 
-def latency_range(model: LatencyModel, batch_size: int) -> tuple[float, float]:
-    """The least and greatest cost ``sample_latency`` can draw for a batch of
-    ``batch_size``.  Only a stochastic draw varies, within mean +- jitter and
-    clamped as the draw is; any other model costs its one draw."""
-    if isinstance(model, Stochastic):
-        return max(model.mean - model.jitter, _COST_FLOOR), model.mean + model.jitter
-    cost = sample_latency(model, batch_size)
-    return cost, cost
-
-
 # --------------------------------------------------------------------------
 # Shared losses and gradients on the affine normalizer pair
 # --------------------------------------------------------------------------
@@ -91,33 +81,26 @@ def _entropy(result: Forward) -> np.ndarray:
     return -(result.p * result.logp).sum(axis=1)
 
 
-def mean_prediction_entropy(
-    params: ModelParams, features: np.ndarray, mask: np.ndarray | None = None
-) -> float:
-    """Mean prediction entropy over all rows, or over the masked subset."""
-    h = _entropy(forward(params, features))
-    if mask is not None:
-        h = h[mask]
-    return float(h.mean())
+def mean_prediction_entropy(params: ModelParams, features: np.ndarray) -> float:
+    """Mean prediction entropy over the rows."""
+    return float(_entropy(forward(params, features)).mean())
 
 
-def entropy_gradient(
-    params: ModelParams, features: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def entropy_gradient(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of mean prediction entropy w.r.t. (gamma, beta).
 
     With p = softmax(W z + b) and z = gamma * u + beta the per-logit gradient
     of one row's entropy is -p_k (log p_k + H); chaining through W and the
-    affine map gives the two returned vectors.  ``mask`` restricts the mean to
-    a row subset.
+    affine map gives the two returned vectors.
     """
-    return _entropy_gradient(forward(params, features), mask)
+    return _entropy_gradient(forward(params, features))
 
 
 def _entropy_gradient(
     result: Forward, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``entropy_gradient`` from the forward pass it starts with."""
+    """``entropy_gradient`` from the forward pass it starts with; ``mask``
+    restricts the mean to a row subset."""
     u, logp, p = result.u, result.logp, result.p
     g_logits = -p * (logp + _entropy(result)[:, None])
     if mask is not None:
@@ -215,13 +198,20 @@ class Adapter:
     def pretrained(self) -> ModelParams:
         return self._pretrained
 
-    def sample_cost(self, batch_size: int) -> float:
-        return sample_latency(self.latency, batch_size, self._latency_rng)
-
     def cost_range(self, batch_size: int) -> tuple[float, float]:
         """The least and greatest cost a step on a batch of ``batch_size``
-        samples can draw, under any of the adapter's latency models."""
-        lows, highs = zip(*(latency_range(m, batch_size) for m in self._latency_models()))
+        samples can draw, under any of the adapter's latency models.  Only a
+        stochastic draw varies, within mean +- jitter and clamped as
+        ``sample_latency`` clamps it; any other model costs its one draw."""
+        lows, highs = [], []
+        for model in self._latency_models():
+            if isinstance(model, Stochastic):
+                lows.append(max(model.mean - model.jitter, _COST_FLOOR))
+                highs.append(model.mean + model.jitter)
+            else:
+                cost = sample_latency(model, batch_size)
+                lows.append(cost)
+                highs.append(cost)
         return min(lows), max(highs)
 
     def reset(self) -> None:
@@ -239,7 +229,7 @@ class Adapter:
         """
         outcome = self._adapt(batch)
         if outcome.cost is None:
-            outcome.cost = self.sample_cost(batch.size)
+            outcome.cost = sample_latency(self.latency, batch.size, self._latency_rng)
         if not outcome.cost > 0.0:  # NaN fails too; an infinite cost fails at the clock
             raise ValueError(f"adaptation cost must be positive, got {outcome.cost}")
         self.params = outcome.theta_hat

@@ -1,6 +1,5 @@
 """Stream pacing: the constant-rate clock, the tick rule, the relative-speed
-ceiling, the constant-C rule, and the busy-window rule that simulation and
-trace replay share."""
+ceiling, and the busy-window rule that simulation and trace replay share."""
 
 from __future__ import annotations
 
@@ -61,18 +60,6 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     return -(-(en * iden) // (ed * inum))
 
 
-def constant_c(effective_interval: float, lo: float, hi: float) -> int | None:
-    """The C of every cost in [lo, hi], or None if the range spans two Cs.
-
-    ``relative_adaptation_speed`` is monotone in the elapsed time, so when the
-    range's two ends give the same C, so does every cost between them: a run
-    whose costs all lie in the range sees that C at every adapted step,
-    whatever the interval that produced it.
-    """
-    c = relative_adaptation_speed(effective_interval, lo)
-    return c if c == relative_adaptation_speed(effective_interval, hi) else None
-
-
 class Worker:
     """The stream's single adaptation worker: the busy-window rule.
 
@@ -86,9 +73,6 @@ class Worker:
 
     def __init__(self) -> None:
         self.busy_until = 0
-
-    def free(self, t: int) -> bool:
-        return t >= self.busy_until
 
     def occupy(self, t: int, interval: float, elapsed: float) -> int:
         """Charge an adaptation started at step t; returns its C."""

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapters import Adapter, clone_adapter
-from .clock import StreamClock, Worker, check_ticks, constant_c
+from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from .model import ModelParams, blend_parameters, params_fingerprint, predict
 from .report import (
     ACTION_SKIPPED_FALLBACK,
@@ -122,11 +122,14 @@ def schedule_class(
     differing in protocol and clock only, that equal this one but for their labels.
     None under measured timing, or when the adapter's costs on a batch of
     ``batch_size`` span two Cs: ``_run`` reads a simulated clock only through C.
+    ``relative_adaptation_speed`` is monotone in the cost, so when the cost
+    range's two ends give the same C, so does every cost between them.
     A run that adapts at every step is keyed as offline."""
     if cfg.timing == MEASURED:
         return None
-    c = constant_c(clock.effective_interval, *adapter.cost_range(batch_size))
-    if c is None:
+    lo, hi = adapter.cost_range(batch_size)
+    c = relative_adaptation_speed(clock.effective_interval, lo)
+    if c != relative_adaptation_speed(clock.effective_interval, hi):
         return None
     modulo = _modulo(cfg)
     every_step = modulo == 1 or (modulo is None and c == 1)
@@ -195,7 +198,7 @@ def _run(
                 domains.append((current_domain, len(steps)))
                 fingerprints.append(params_fingerprint(adapter.params))
 
-            adapt_now = worker.free(t) if modulo is None else t % modulo == 0
+            adapt_now = t >= worker.busy_until if modulo is None else t % modulo == 0
             stepped = adapt_now or trace_out is not None
 
             # Every call of the step, adapter or fallback, live or counterfactual,

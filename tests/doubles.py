@@ -232,7 +232,7 @@ def reference_replay(trace: list[TraceRecord], clock: StreamClock = StreamClock(
         if rec.domain_id != current_domain:
             current_domain = rec.domain_id
             domains.append((current_domain, rec.step))
-        if worker.free(rec.step):
+        if rec.step >= worker.busy_until:
             c = worker.occupy(rec.step, interval, rec.latency)
             version += 1
             action, correct = ACTION_ADAPTED, rec.correct_adapted

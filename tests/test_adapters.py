@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from streamgate.adapters import (
+    Adapter,
     Constant,
     EntropyMinAdapter,
     InputRestoreAdapter,
@@ -17,7 +18,6 @@ from streamgate.adapters import (
     Stochastic,
     cross_entropy_gradient,
     entropy_gradient,
-    latency_range,
     make_adapter,
     mean_prediction_entropy,
     pseudo_label_cross_entropy,
@@ -58,8 +58,9 @@ def test_per_sample_latency_arithmetic():
 def test_stochastic_latency_deterministic_sequence(mini_pretrained):
     a = SourceAdapter(mini_pretrained, latency=Stochastic(3.0, 0.5, seed=11))
     b = SourceAdapter(mini_pretrained, latency=Stochastic(3.0, 0.5, seed=11))
-    seq_a = [a.sample_cost(8) for _ in range(20)]
-    seq_b = [b.sample_cost(8) for _ in range(20)]
+    batch = make_batch(np.zeros((8, mini_pretrained.dim)), np.zeros(8, dtype=int))
+    seq_a = [a.adapt(batch).cost for _ in range(20)]
+    seq_b = [b.adapt(batch).cost for _ in range(20)]
     assert seq_a == seq_b
     assert all(2.5 <= v <= 3.5 for v in seq_a)
     assert len(set(seq_a)) > 1
@@ -73,6 +74,17 @@ def test_nonpositive_latency_rejected():
 def test_nan_latency_rejected():
     with pytest.raises(ValueError, match="latency model cost must be positive, got nan"):
         sample_latency(Constant(float("nan")), 4)
+
+
+def test_unknown_latency_model_rejected():
+    with pytest.raises(TypeError, match="unknown latency model 2.0"):
+        sample_latency(2.0, 4)
+
+
+def test_the_base_adapter_has_no_step():
+    adapter = Adapter(tiny_params(), Constant(1.0))
+    with pytest.raises(NotImplementedError):
+        adapter.adapt(tiny_stream(1)[0])
 
 
 class NanCostAdapter(BetaShiftAdapter):
@@ -102,8 +114,8 @@ def test_nan_cost_fails_the_step_and_commits_nothing():
         (Stochastic(1.0, 1.0), (1e-9, 2.0)),    # a draw is clamped to stay positive
     ],
 )
-def test_latency_range_bounds_every_draw(model, expected):
-    assert latency_range(model, 64) == expected
+def test_cost_range_bounds_every_draw(mini_pretrained, model, expected):
+    assert SourceAdapter(mini_pretrained, latency=model).cost_range(64) == expected
     rng = np.random.default_rng(0)
     lo, hi = expected
     assert all(lo <= sample_latency(model, 64, rng) <= hi for _ in range(200))
@@ -342,7 +354,7 @@ def test_rejection_draws_every_stochastic_cost_from_one_generator(mini_pretraine
     adapter = RejectionEntropyAdapter(mini_pretrained, entropy_threshold=1e-9,
                                       latency=Constant(3.0), latency_reject=reject)
     costs = [adapter.adapt(batch).cost for _ in range(6)]
-    lo, hi = latency_range(reject, batch.size)
+    lo, hi = SourceAdapter(mini_pretrained, latency=reject).cost_range(batch.size)
     assert len(set(costs)) == len(costs)
     assert all(lo <= cost <= hi for cost in costs)
     adapter.reset()
@@ -403,7 +415,7 @@ def test_input_restore_single_sample_uses_source_std(mini_pretrained):
 
 
 def test_input_restore_default_latency_is_very_slow(mini_pretrained):
-    assert InputRestoreAdapter(mini_pretrained).sample_cost(64) == 810.0
+    assert InputRestoreAdapter(mini_pretrained).cost_range(64) == (810.0, 810.0)
 
 
 # --------------------------------------------------------------------------
@@ -461,4 +473,4 @@ def test_default_latency_profile_by_adapter(mini_pretrained):
     expected = {"source": 1.0, "norm_stat": 1.0, "entropy_min": 3.0,
                 "pseudo_label": 3.0, "input_restore": 810.0}
     for name, seconds in expected.items():
-        assert make_adapter(name, mini_pretrained).sample_cost(64) == seconds
+        assert make_adapter(name, mini_pretrained).cost_range(64) == (seconds, seconds)

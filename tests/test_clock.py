@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from streamgate.clock import (
-    StreamClock,
-    Worker,
-    constant_c,
-    relative_adaptation_speed,
-)
+from streamgate.clock import StreamClock, Worker, relative_adaptation_speed
 
 
 def ceil_div_oracle(interval: float, elapsed: float) -> int:
@@ -102,36 +97,11 @@ def test_effective_stream_interval_rejects_bad_eta(eta):
         StreamClock(1.0, eta).effective_interval
 
 
-@pytest.mark.parametrize(
-    "interval,lo,hi,expected",
-    [
-        (1.0, 3.0, 3.0, 3),
-        (1.0, 2.5, 3.0, 3),     # a range closed at a tick boundary
-        (1.0, 2.5, 3.5, None),  # a range across one
-        (4.0, 0.5, 4.0, 1),
-        (3.0, 1.0, 3.0000000000000004, None),
-    ],
-)
-def test_constant_c(interval, lo, hi, expected):
-    assert constant_c(interval, lo, hi) == expected
-
-
-@given(st.floats(min_value=0.01, max_value=100), st.floats(min_value=0.01, max_value=100),
-       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.01, max_value=100))
-def test_constant_c_is_the_c_of_every_cost_in_range(a, b, u, interval):
-    lo, hi = min(a, b), max(a, b)
-    c = constant_c(interval, lo, hi)
-    if c is not None:
-        assert relative_adaptation_speed(interval, min(max(lo + u * (hi - lo), lo), hi)) == c
-
-
 def test_schedule_decision_boundaries():
     worker = Worker()
-    assert worker.free(0)
+    assert worker.busy_until == 0  # free from step 0
     assert worker.occupy(0, 1.0, 3.0) == 3  # busy over [0, 3)
-    assert not worker.free(1)
-    assert not worker.free(2)
-    assert worker.free(3)  # busy window is half-open
+    assert worker.busy_until == 3  # steps 1 and 2 fall back; step 3 is free again
 
 
 def test_stream_clock_interval_identity():

@@ -138,6 +138,10 @@ def test_params_validation():
         flat_params(mu=np.array([0.0, np.inf, 0.0]))
     with pytest.raises(ValueError):
         flat_params(b=np.zeros(5))  # K mismatch
+    with pytest.raises(ValueError, match="mu must have shape"):
+        flat_params(mu=np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=r"W must have shape \(K, 3\), got \(4, 2\)"):
+        flat_params(W=np.zeros((4, 2)))
 
 
 def test_copy_is_independent():

@@ -6,6 +6,7 @@ import gc
 import sys
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from streamgate.adapters import (
     ADAPTERS,
     Constant,
     EntropyMinAdapter,
+    PerSample,
+    RejectionEntropyAdapter,
     SourceAdapter,
     Stochastic,
     make_adapter,
@@ -34,6 +37,7 @@ from streamgate.protocol import (
     ProtocolError,
     run_segments,
     run_stream,
+    schedule_class,
 )
 from streamgate.report import (
     ACTION_ADAPTED,
@@ -121,7 +125,7 @@ def test_skip_count_is_ceiling_of_n_over_k(n, k):
     assert sum(r.action == ACTION_ADAPTED for r in report.schedule) == -(-n // k)
 
 
-def test_busy_window_equals_fixed_modulo_for_constant_cost():
+def test_busy_window_equals_fixed_modulo_under_a_constant_latency():
     params = tiny_params()
     stream = tiny_stream(12)
     busy = run_stream(stream, SourceAdapter(params, latency=Constant(3.0)), params, ON)
@@ -296,6 +300,21 @@ def test_adapter_failure_aborts_with_step_index():
         run_stream(stream, FailingAdapter(params, fail_at=3), params, OFF)
 
 
+def test_non_finite_gradient_names_adapter_and_step_and_commits_nothing():
+    # A finite W near 1e308 overflows the entropy gradient.  With numpy's own
+    # overflow warnings silenced, the descent step's check is what fails it.
+    params = tiny_params()
+    params.W = params.W / np.abs(params.W).max() * 1e308
+    adapter = EntropyMinAdapter(params)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ProtocolError, match="adapter 'entropy_min' failed at step 0: "
+                             "non-finite gradient in entropy_min",
+    ) as failure:
+        run_stream(tiny_stream(3), adapter, params, OFF)
+    assert isinstance(failure.value.__cause__, FloatingPointError)
+    assert reference_params_equal(adapter.params, params)
+
+
 class FlakyAdapter(EntropyMinAdapter):
     """Raises on its second adapt call, counted across the clones of one adapter."""
 
@@ -391,9 +410,15 @@ def test_invalid_adapter_output_aborts_naming_adapter_and_step(adapter_kwargs, c
 def test_runner_protocol_field_is_validated():
     params = tiny_params()
     stream = tiny_stream(2)
+    with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
+        ProtocolConfig(protocol="bogus")
     with pytest.raises(ValueError):
         run_stream(stream, SourceAdapter(params), params,
                    ProtocolConfig(protocol="single_model"), num_classes=1)
+    one_class = tiny_params(num_classes=1)
+    with pytest.raises(ValueError, match="single-model runs need num_classes >= 2"):
+        run_stream(stream, SourceAdapter(one_class), one_class,
+                   ProtocolConfig(protocol="single_model"))
 
 
 def test_schedule_mode_validation():
@@ -413,6 +438,94 @@ def test_fixed_modulo_rejects_a_non_integer_k(k):
 def test_protocol_config_rejects_an_unknown_schedule_mode(mode):
     with pytest.raises(ValueError, match="unknown schedule mode"):
         ProtocolConfig(protocol=ONLINE, schedule_mode=mode)
+
+
+# --------------------------------------------------------------------------
+# Schedule classes
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "interval,lo,hi,expected",
+    [
+        (1.0, 3.0, 3.0, 3),
+        (1.0, 2.5, 3.0, 3),     # a range closed at a tick boundary
+        (1.0, 2.5, 3.5, None),  # a range across one
+        (4.0, 0.5, 4.0, 1),
+        (3.0, 1.0, 3.0000000000000004, None),
+    ],
+)
+def test_schedule_class_is_the_c_of_every_cost_in_range(interval, lo, hi, expected):
+    adapter = RejectionEntropyAdapter(tiny_params(), latency=Constant(hi),
+                                      latency_reject=Constant(lo))
+    assert adapter.cost_range(4) == (lo, hi)
+    clock = StreamClock(base_rate=1.0 / interval)
+    assert clock.effective_interval == interval
+    key = schedule_class(ON, adapter, clock, 4)
+    if expected is None:
+        assert key is None
+    else:  # a run that adapts at every step is keyed as offline
+        assert key == ("rejection_entropy", expected, OFFLINE if expected == 1 else ONLINE)
+
+
+LATENCIES = st.one_of(
+    st.builds(Constant, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0])),
+    st.builds(PerSample, st.sampled_from([0.125, 0.25, 0.75]), st.sampled_from([0.0, 0.5])),
+    st.builds(Stochastic, st.sampled_from([1.0, 2.0, 3.5]),
+              st.sampled_from([0.0, 0.25, 1.0, 2.5]), st.integers(0, 3)),
+)
+ETAS = st.sampled_from([1.0, 0.5, 1 / 3, 0.25])
+
+
+def straddles_a_tick(interval, lo, hi):
+    """Whether some tick boundary k * interval, k >= 1, lies in [lo, hi), that is,
+    whether the range's two ends take different Cs.  Exact rational arithmetic."""
+    interval, lo, hi = Fraction(interval), Fraction(lo), Fraction(hi)
+    k = max(1, -(-lo // interval))  # the first boundary at or after lo
+    return k * interval < hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ADAPTERS)),
+    latency=LATENCIES,
+    latency_reject=LATENCIES,
+    mode=st.sampled_from([BusyWindow(), FixedModulo(1), FixedModulo(2)]),
+    protocols=st.tuples(*[st.sampled_from([OFFLINE, ONLINE, SINGLE_MODEL])] * 2),
+    etas=st.tuples(ETAS, ETAS),
+    seed=st.integers(0, 3),
+)
+# One C at two etas: interval 3 and interval 4 both give C = 2 for a 5 s cost.
+@example(name="entropy_min", latency=Constant(5.0), latency_reject=Constant(1.0),
+         mode=BusyWindow(), protocols=(ONLINE, ONLINE), etas=(1 / 3, 0.25), seed=0)
+# Every step adapts under both runs, so the single-model run is keyed as offline.
+@example(name="rejection_entropy", latency=Stochastic(2.0, 0.5, seed=1),
+         latency_reject=Constant(0.5), mode=BusyWindow(), protocols=(SINGLE_MODEL, OFFLINE),
+         etas=(0.25, 1 / 3), seed=1)
+# A stochastic range across the tick at 2 s.
+@example(name="source", latency=Stochastic(2.0, 1.0), latency_reject=Constant(1.0),
+         mode=BusyWindow(), protocols=(ONLINE, ONLINE), etas=(1.0, 1.0), seed=0)
+def test_runs_with_one_schedule_class_report_alike(
+    name, latency, latency_reject, mode, protocols, etas, seed
+):
+    params = tiny_params(seed=seed)
+    stream = tiny_stream(10, seed=seed)
+    runs = []
+    for protocol, eta in zip(protocols, etas):
+        adapter = make_adapter(name, params, latency=latency, latency_reject=(
+            latency_reject if name == "rejection_entropy" else None))
+        cfg = ProtocolConfig(protocol=protocol, schedule_mode=mode, seed=seed)
+        clock = StreamClock(eta=eta)
+        key = schedule_class(cfg, adapter, clock, stream[0].size)
+        lo, hi = adapter.cost_range(stream[0].size)
+        assert (key is None) == straddles_a_tick(clock.effective_interval, lo, hi)
+        report = run_stream(stream, adapter, params, cfg, clock)
+        if key is not None and report.mean_c is not None:
+            assert report.mean_c == key[1]  # every adapted step took the key's C
+        runs.append((key, report))
+    (key, first), (other_key, second) = runs
+    if key is not None and key == other_key:
+        assert replace(second, protocol=first.protocol, eta=first.eta,
+                       run_id=first.run_id) == first
 
 
 def test_run_segments_resets_between_episodic_domains():

@@ -18,6 +18,7 @@ from streamgate.report import (
     RunReport,
     ScheduleRecord,
     aggregate,
+    collapse,
     run_report,
     write_results_csv,
     write_schedule_csv,
@@ -78,6 +79,18 @@ def test_aggregate_unweighted_mean():
 def test_aggregate_permutation_invariant():
     domains = [DomainReport(i, 10, 5, e, 2.0) for i, e in enumerate((0.1, 0.5, 0.3))]
     assert aggregate(domains) == aggregate(list(reversed(domains)))
+
+
+def test_aggregate_rejects_no_domains():
+    with pytest.raises(ValueError, match="need at least one domain"):
+        aggregate([])
+
+
+def test_collapse_rejects_a_domain_row_without_steps():
+    # Domain 1 starts where the run ends, so its row would hold no step.
+    columns = [np.array([10, 10]), np.array([1, 2]), np.array([0]), np.array([1])]
+    with pytest.raises(ValueError, match="domain has no schedule records"):
+        collapse([(0, 0), (1, 2)], *columns)
 
 
 def test_aggregate_warns_on_unequal_sizes():

@@ -11,6 +11,7 @@ import pytest
 from streamgate.stream import (
     CONTINUAL,
     EPISODIC,
+    Batch,
     CorruptionSpec,
     ScenarioSpec,
     SourceSpec,
@@ -151,6 +152,23 @@ def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value):
 def three_domain_scenario(mode):
     order = tuple(CorruptionSpec("mean_shift", 5, seed=s) for s in range(3))
     return ScenarioSpec(mode=mode, domain_order=order, batch_size=64)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SourceSpec(samples_per_class=0), "samples_per_class must be >= 1, got 0"),
+    (lambda: Batch(np.zeros((2, 3)), np.zeros(3, dtype=int), domain_id=0, t=0),
+     "features and labels must be non-empty and aligned"),
+    (lambda: Batch(np.zeros((0, 3)), np.zeros(0, dtype=int), domain_id=0, t=0),
+     "features and labels must be non-empty and aligned"),
+    (lambda: pretrain_source_model(np.zeros((0, 3)), np.zeros(0, dtype=int)),
+     "dataset is empty"),
+    (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 63),
+     "samples_per_domain must cover at least one batch"),
+], ids=["no-samples-per-class", "misaligned-batch", "empty-batch", "empty-dataset",
+        "domain-below-one-batch"])
+def test_bad_input_is_rejected_naming_it(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_episodic_composition_arity(source_spec):

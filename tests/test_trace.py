@@ -18,6 +18,7 @@ from streamgate.adapters import (
     Stochastic,
     clone_adapter,
     make_adapter,
+    sample_latency,
 )
 from streamgate.clock import StreamClock
 from streamgate.protocol import ProtocolConfig, run_segments, run_stream
@@ -453,4 +454,6 @@ def test_ghost_adapt_leaves_the_live_adapter_untouched(name, mini_pretrained, mi
 
     assert adapter.params is params
     assert reference_params_equal(adapter.params, twin.params)
-    assert adapter.sample_cost(second.size) == twin.sample_cost(second.size)
+    # The live adapter's latency rng draws next what its twin's draws.
+    assert (sample_latency(latency, second.size, adapter._latency_rng)
+            == sample_latency(latency, second.size, twin._latency_rng))

@@ -48,6 +48,13 @@ class Stochastic:
     jitter: float
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Adapter.cost_range bounds every draw by mean +- jitter.
+        if not 0.0 < self.mean < float("inf"):
+            raise ValueError(f"mean must be positive and finite, got {self.mean!r}")
+        if not 0.0 <= self.jitter < float("inf"):
+            raise ValueError(f"jitter must be non-negative and finite, got {self.jitter!r}")
+
 
 LatencyModel = Constant | PerSample | Stochastic
 

@@ -191,16 +191,17 @@ def _latency(kind: str = "default", **values) -> adapters_mod.LatencyModel | Non
         return None
     model = _LATENCY_MODELS[kind]
     takes = inspect.signature(model).parameters
-    latency = model(**{k: v for k, v in {**_LATENCY_DEFAULTS, **values}.items() if k in takes})
+    fields = {k: v for k, v in {**_LATENCY_DEFAULTS, **values}.items() if k in takes}
+    # jitter < mean keeps every draw positive, so sample_latency never clamps one.
+    if model is Stochastic and not 0 <= fields["jitter"] < fields["mean"]:
+        raise ValueError(f"{_KEY_OF['latency', 'jitter']} must be in [0, mean), "
+                         f"got {fields['jitter']!r} with mean {fields['mean']!r}")
+    latency = model(**fields)
     # per_sample >= 0 makes a one-sample batch the cheapest one.
     if isinstance(latency, PerSample) and (latency.per_sample < 0
                                            or latency.per_sample + latency.base <= 0):
         raise ValueError(f"{_KEY_OF['latency', 'per_sample']} must be >= 0 and per_sample + base "
                          f"positive, got {latency.per_sample!r} and {latency.base!r}")
-    # jitter < mean keeps every draw positive, so sample_latency never clamps one.
-    if isinstance(latency, Stochastic) and not 0 <= latency.jitter < latency.mean:
-        raise ValueError(f"{_KEY_OF['latency', 'jitter']} must be in [0, mean), "
-                         f"got {latency.jitter!r} with mean {latency.mean!r}")
     untaken = [_KEY_OF["latency", field] for field in values if field not in takes]
     if untaken:
         raise ValueError(f"the {kind} latency model does not take {', '.join(untaken)}")

@@ -49,7 +49,9 @@ class ModelParams:
 
     def __init__(self, mu, var, gamma, beta, W, b) -> None:
         arrays = [np.asarray(a, dtype=np.float64) for a in (mu, var, gamma, beta, W, b)]
-        d = arrays[0].shape[0] if arrays[0].ndim == 1 else -1
+        if arrays[0].ndim != 1:
+            raise ValueError(f"mu must have shape (d,), a 1-D array, got {arrays[0].shape}")
+        d = arrays[0].shape[0]
         for name, arr in zip(_FIELD_NAMES[:4], arrays):
             if arr.shape != (d,):
                 raise ValueError(f"{name} must have shape ({d},), got {arr.shape}")

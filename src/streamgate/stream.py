@@ -179,12 +179,26 @@ def pretrain_source_model(
 
     The normalizer takes the source feature statistics; the linear head is
     trained on normalized features under multinomial logistic loss from a zero
-    init, so the whole procedure is deterministic.
+    init, so the whole procedure is deterministic.  Raises ``ValueError``
+    naming ``features`` or ``labels`` for input it cannot train on, and
+    ``TrainingError`` naming the iteration at which the loss stops being finite.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D (samples, dim), got shape {features.shape}")
     if len(features) == 0:
         raise ValueError("dataset is empty")
+    if not np.isfinite(features).all():
+        raise ValueError(f"features must be finite, got {(~np.isfinite(features)).sum()} "
+                         "non-finite values")
+    if labels.shape != (len(features),):
+        raise ValueError(f"labels must have shape ({len(features)},) to match features, "
+                         f"got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer class indices, got dtype {labels.dtype}")
+    if labels.min() < 0:  # a negative index would train as a class counted from the end
+        raise ValueError(f"labels must be non-negative, got {labels.min()}")
     num_classes = int(labels.max()) + 1
     mu = features.mean(axis=0)
     var = np.maximum(features.var(axis=0), VAR_FLOOR)
@@ -192,17 +206,26 @@ def pretrain_source_model(
     n, d = z.shape
     W = np.zeros((num_classes, d))
     b = np.zeros(num_classes)
-    onehot = np.eye(num_classes)[labels]
+    rows = np.arange(n)
+    logits, e = np.empty((n, num_classes)), np.empty((n, num_classes))
     for i in range(hyper.iterations):
-        logits = z @ W.T + b
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        loss = -logp[np.arange(n), labels].mean()
-        if not np.isfinite(loss):
+        np.matmul(z, W.T, out=logits)
+        logits += b
+        # Max is exact, so the order of the columns can change only the sign
+        # of a zero max, and exp maps either zero to 1.0.
+        m = logits[:, 0].copy()
+        for k in range(1, num_classes):
+            np.maximum(m, logits[:, k], out=m)
+        logits -= m[:, None]  # shifted
+        logits -= np.log(np.exp(logits, out=e).sum(axis=1))[:, None]  # log-probabilities
+        if not np.isfinite(logits[rows, labels].mean()):
             raise TrainingError(f"non-finite loss at iteration {i}")
-        resid = np.exp(logp) - onehot
-        W -= hyper.learning_rate * resid.T @ z / n
-        b -= hyper.learning_rate * resid.mean(axis=0)
+        resid = np.exp(logits, out=logits)
+        resid[rows, labels] -= 1.0
+        # einsum sums each column in resid.mean's order (tests/test_stream.py checks it).
+        b -= hyper.learning_rate * (np.einsum("ij->j", resid) / n)
+        resid *= hyper.learning_rate
+        W -= resid.T @ z / n
     return ModelParams(mu=mu, var=var, gamma=np.ones(d), beta=np.zeros(d), W=W, b=b)
 
 

@@ -35,6 +35,8 @@ from streamgate.stream import (
     ScenarioSpec,
     SourceSpec,
     StreamSegment,
+    TrainingError,
+    TrainSpec,
     _rotation_generator,
     compose_stream,
 )
@@ -172,6 +174,34 @@ def rotation_matrix(spec: CorruptionSpec, dim: int) -> np.ndarray:
     """The orthogonal matrix a rotation corruption applies, drawn as it draws it."""
     rng = np.random.default_rng([spec.seed, CORRUPTION_KINDS.index(spec.kind), spec.severity])
     return expm((BASE_STRENGTH[spec.kind] * spec.severity) * _rotation_generator(dim, rng))
+
+
+def reference_pretrain_source_model(
+    features: np.ndarray, labels: np.ndarray, hyper: TrainSpec = TrainSpec()
+) -> ModelParams:
+    """The plain form of stream.pretrain_source_model's descent: the same
+    operations in the same order, one numpy expression per step."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    num_classes = int(labels.max()) + 1
+    mu = features.mean(axis=0)
+    var = np.maximum(features.var(axis=0), VAR_FLOOR)
+    z = (features - mu) / np.sqrt(var)
+    n, d = z.shape
+    W = np.zeros((num_classes, d))
+    b = np.zeros(num_classes)
+    onehot = np.eye(num_classes)[labels]
+    for i in range(hyper.iterations):
+        logits = z @ W.T + b
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = -logp[np.arange(n), labels].mean()
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite loss at iteration {i}")
+        resid = np.exp(logp) - onehot
+        W -= hyper.learning_rate * resid.T @ z / n
+        b -= hyper.learning_rate * resid.mean(axis=0)
+    return ModelParams(mu=mu, var=var, gamma=np.ones(d), beta=np.zeros(d), W=W, b=b)
 
 
 # Per-field references for the flat-vector parameter operations in streamgate.model,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,22 @@ def test_cost_range_bounds_every_draw(mini_pretrained, model, expected):
     rng = np.random.default_rng(0)
     lo, hi = expected
     assert all(lo <= sample_latency(model, 64, rng) <= hi for _ in range(200))
+
+
+@pytest.mark.parametrize("mean,jitter,message", [
+    (2.0, -1.0, "jitter must be non-negative and finite, got -1.0"),
+    (2.0, -np.inf, "jitter must be non-negative and finite, got -inf"),
+    (2.0, np.inf, "jitter must be non-negative and finite, got inf"),
+    (2.0, np.nan, "jitter must be non-negative and finite, got nan"),
+    (-1.0, 0.5, "mean must be positive and finite, got -1.0"),
+    (0.0, 0.0, "mean must be positive and finite, got 0.0"),
+    (np.nan, 0.0, "mean must be positive and finite, got nan"),
+])
+def test_stochastic_rejects_a_bad_mean_or_jitter(mean, jitter, message):
+    # cost_range bounds every draw by mean +- jitter: a negative jitter inverts
+    # the range, and a non-positive mean clamps every draw to 1e-9 s.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Stochastic(mean, jitter)
 
 
 def test_cost_range_spans_both_rejection_models(mini_pretrained):

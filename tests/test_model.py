@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ def test_params_validation():
         flat_params(mu=np.array([0.0, np.inf, 0.0]))
     with pytest.raises(ValueError):
         flat_params(b=np.zeros(5))  # K mismatch
-    with pytest.raises(ValueError, match="mu must have shape"):
+    with pytest.raises(ValueError, match=re.escape("mu must have shape (d,), a 1-D array, "
+                                                   "got (3, 1)")):
         flat_params(mu=np.zeros((3, 1)))
     with pytest.raises(ValueError, match=r"W must have shape \(K, 3\), got \(4, 2\)"):
         flat_params(W=np.zeros((4, 2)))

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from streamgate.model import params_fingerprint
 from streamgate.stream import (
     CONTINUAL,
     EPISODIC,
@@ -25,7 +26,12 @@ from streamgate.stream import (
     pretrain_source_model,
     sample_domain,
 )
-from doubles import model_error, nearest_mean_error, rotation_matrix
+from doubles import (
+    model_error,
+    nearest_mean_error,
+    reference_pretrain_source_model,
+    rotation_matrix,
+)
 
 
 def test_two_separated_1d_clusters_are_thresholdable():
@@ -84,6 +90,41 @@ def test_pretrain_divergence_reports_iteration():
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingError, match="iteration"):
             pretrain_source_model(features, labels, TrainSpec(learning_rate=1e308, iterations=5))
+
+
+# Rates that are not powers of two, so that scaling by one is not exact and
+# moving the scaling to another operand would change the bits.
+@pytest.mark.parametrize("num_classes,dim,samples_per_class,iterations,learning_rate", [
+    (2, 5, 300, 200, 0.3),
+    (8, 16, 200, 300, 0.7),
+    (10, 7, 60, 150, 0.3),
+    (17, 9, 111, 300, 0.9),
+])
+def test_pretrain_matches_the_reference_bit_for_bit(num_classes, dim, samples_per_class,
+                                                    iterations, learning_rate):
+    spec = SourceSpec(num_classes=num_classes, dim=dim, samples_per_class=samples_per_class,
+                      seed=num_classes)
+    features, labels = make_source_dataset(spec)
+    hyper = TrainSpec(learning_rate=learning_rate, iterations=iterations)
+    assert (params_fingerprint(pretrain_source_model(features, labels, hyper))
+            == params_fingerprint(reference_pretrain_source_model(features, labels, hyper)))
+
+
+def test_pretrain_matches_the_reference_on_the_default_spec(source_spec, pretrained):
+    reference = reference_pretrain_source_model(*make_source_dataset(source_spec))
+    assert params_fingerprint(pretrained) == params_fingerprint(reference)
+
+
+def test_pretrain_diverges_at_the_reference_iteration():
+    spec = SourceSpec(num_classes=3, dim=4, samples_per_class=30, seed=2)
+    features, labels = make_source_dataset(spec)
+    hyper = TrainSpec(learning_rate=1e308, iterations=5)
+    messages = []
+    for train in (pretrain_source_model, reference_pretrain_source_model):
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as info:
+            train(features, labels, hyper)
+        messages.append(str(info.value))
+    assert messages == ["non-finite loss at iteration 1"] * 2
 
 
 def test_rotation_is_orthogonal_and_invertible():
@@ -164,8 +205,20 @@ def three_domain_scenario(mode):
      "dataset is empty"),
     (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 63),
      "samples_per_domain must cover at least one batch"),
+    # A label of -1 would train as the last class and shrink num_classes.
+    (lambda: pretrain_source_model(np.zeros((3, 2)), np.array([0, 1, -1])),
+     "labels must be non-negative, got -1"),
+    (lambda: pretrain_source_model(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0])),
+     "labels must be integer class indices, got dtype float64"),
+    (lambda: pretrain_source_model(np.zeros((3, 2)), np.array([0, 1])),
+     "labels must have shape (3,) to match features, got (2,)"),
+    (lambda: pretrain_source_model(np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0, 1])),
+     "features must be finite, got 1 non-finite values"),
+    (lambda: pretrain_source_model(np.zeros(3), np.array([0, 1, 2])),
+     "features must be 2-D (samples, dim), got shape (3,)"),
 ], ids=["no-samples-per-class", "misaligned-batch", "empty-batch", "empty-dataset",
-        "domain-below-one-batch"])
+        "domain-below-one-batch", "negative-label", "float-labels", "labels-misaligned",
+        "nan-features", "1-d-features"])
 def test_bad_input_is_rejected_naming_it(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()

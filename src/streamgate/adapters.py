@@ -85,7 +85,7 @@ def sample_latency(
 
 def _entropy(result: Forward) -> np.ndarray:
     """Prediction entropy H(p_i) per row, in nats."""
-    return -(result.p * result.logp).sum(axis=1)
+    return -(result.p * result.logp).sum(axis=-1)
 
 
 def mean_prediction_entropy(params: ModelParams, features: np.ndarray) -> float:
@@ -107,13 +107,15 @@ def _entropy_gradient(
     result: Forward, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``entropy_gradient`` from the forward pass it starts with; ``mask``
-    restricts the mean to a row subset."""
-    u, logp, p = result.u, result.logp, result.p
-    g_logits = -p * (logp + _entropy(result)[:, None])
-    if mask is not None:
-        g_logits = g_logits[mask]
-        u = u[mask]
-    return _affine_gradient(g_logits, u, result.params.W)
+    restricts the mean to a row subset, and a mean over no row is zero."""
+    u, logp, p, W = result.u, result.logp, result.p, result.params.W
+    g_logits = -p * (logp + _entropy(result)[..., None])
+    if mask is None:
+        return _affine_gradient(g_logits, u, W)
+    if mask.ndim > 1:  # lane by lane, since a product's bits depend on its row count
+        return tuple(map(np.stack, zip(*(_affine_gradient(g[m], x[m], w)
+                                         for g, x, w, m in zip(g_logits, u, W, mask)))))
+    return _affine_gradient(g_logits[mask], u[mask], W)
 
 
 def pseudo_label_cross_entropy(
@@ -135,8 +137,8 @@ def _cross_entropy_gradient(
     result: Forward, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``cross_entropy_gradient`` from the forward pass it starts with."""
-    g_logits = result.p.copy()
-    g_logits[np.arange(len(labels)), labels] -= 1.0
+    g_logits, labels = result.p.copy(), np.asarray(labels)
+    g_logits.reshape(-1, g_logits.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
     return _affine_gradient(g_logits, result.u, result.params.W)
 
 
@@ -144,8 +146,8 @@ def _affine_gradient(
     g_logits: np.ndarray, u: np.ndarray, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean per-logit gradients chained through W and z = gamma * u + beta."""
-    gz = g_logits @ W / len(g_logits)
-    return (gz * u).sum(axis=0), gz.sum(axis=0)
+    gz = g_logits @ W / g_logits.shape[-2]
+    return (gz * u).sum(axis=-2), gz.sum(axis=-2)
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +239,9 @@ class Adapter:
         outcome = self._adapt(batch)
         if outcome.cost is None:
             outcome.cost = sample_latency(self.latency, batch.size, self._latency_rng)
-        if not outcome.cost > 0.0:  # NaN fails too; an infinite cost fails at the clock
+        cost = outcome.cost  # an array where lockstep lanes are charged apart
+        # NaN fails too; an infinite cost fails at the clock.
+        if not (cost.min() if isinstance(cost, np.ndarray) else cost) > 0.0:
             raise ValueError(f"adaptation cost must be positive, got {outcome.cost}")
         self.params = outcome.theta_hat
         return outcome
@@ -287,8 +291,8 @@ class NormStatAdapter(Adapter):
         w = self.prior_weight
         if batch.size < 2:
             w, note = 1.0, "single-sample batch: using source statistics"
-        batch_mu = batch.features.mean(axis=0)
-        batch_var = batch.features.var(axis=0)
+        batch_mu = batch.features.mean(axis=-2)
+        batch_var = batch.features.var(axis=-2)
         theta.mu = w * self._pretrained.mu + (1.0 - w) * batch_mu
         theta.var = np.maximum(w * self._pretrained.var + (1.0 - w) * batch_var, VAR_FLOOR)
         y_hat, _ = predict(theta, batch.features)
@@ -383,7 +387,15 @@ class RejectionEntropyAdapter(_DescentAdapter):
             cost = sample_latency(self.latency_reject, batch.size, self._latency_rng)
             return AdaptOutcome(batch.features, self.params.copy(), result.labels, cost=cost,
                                 note="all samples rejected: no update", forward=result)
-        return self._descend(batch, result, *_entropy_gradient(result, admitted))
+        outcome = self._descend(batch, result, *_entropy_gradient(result, admitted))
+        if admitted.ndim > 1 and not (updated := admitted.any(axis=-1)).all():
+            # Lanes: one that rejected every row keeps its parameters (a zero step) and
+            # is charged the rejection's cost, drawn with the update's rng state.
+            reject = sample_latency(self.latency_reject, batch.size,
+                                    copy.deepcopy(self._latency_rng))
+            outcome.cost = np.where(updated, sample_latency(
+                self.latency, batch.size, self._latency_rng), reject)
+        return outcome
 
 
 class InputRestoreAdapter(Adapter):
@@ -402,13 +414,14 @@ class InputRestoreAdapter(Adapter):
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         src_mu = self.params.mu
         src_std = np.sqrt(self.params.var)
-        batch_mu = batch.features.mean(axis=0)
+        batch_mu = batch.features.mean(axis=-2)
         if batch.size < 2:
             batch_std = src_std
         else:
             # Constant features (e.g. masked to zero) get the floor, not a 0-divide.
-            batch_std = np.maximum(batch.features.std(axis=0), np.sqrt(VAR_FLOOR))
-        x_hat = (batch.features - batch_mu) / batch_std * src_std + src_mu
+            batch_std = np.maximum(batch.features.std(axis=-2), np.sqrt(VAR_FLOOR))
+        x_hat = ((batch.features - batch_mu[..., None, :]) / batch_std[..., None, :]
+                 * src_std[..., None, :] + src_mu[..., None, :])
         theta = self.params.copy()
         y_hat, _ = predict(theta, x_hat)
         return AdaptOutcome(x_hat, theta, y_hat, cost=None)

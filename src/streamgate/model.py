@@ -24,8 +24,11 @@ _FIELD_NAMES = ("mu", "var", "gamma", "beta", "W", "b")
 def _bind(params: "ModelParams", flat: np.ndarray, k: int, d: int) -> "ModelParams":
     """Set ``flat`` and the six fields as views into it, in one ``__dict__`` update."""
     w = (4 + k) * d
-    params.__dict__.update(flat=flat, mu=flat[:d], var=flat[d:2 * d], gamma=flat[2 * d:3 * d],
-                           beta=flat[3 * d:4 * d], W=flat[4 * d:w].reshape(k, d), b=flat[w:])
+    W = flat[..., 4 * d:w]  # a leading lane axis, if any, stays on every field
+    params.__dict__.update(flat=flat, mu=flat[..., :d], var=flat[..., d:2 * d],
+                           gamma=flat[..., 2 * d:3 * d], beta=flat[..., 3 * d:4 * d],
+                           W=W.reshape(k, d) if W.ndim == 1 else W.reshape(-1, k, d),
+                           b=flat[..., w:])
     return params
 
 
@@ -37,7 +40,9 @@ class ModelParams:
     into ``flat`` (so assign only on a ``copy()`` you own) and raises
     ``ValueError`` naming the field unless the value has the field's shape.
     Finiteness and ``var > 0`` are checked on construction and on every
-    ``blend_parameters`` result; ``copy()`` does not re-check.
+    ``blend_parameters`` result; ``copy()`` does not re-check.  A stacked set
+    (``stack``), which only the run loop builds, has a leading lane axis on
+    ``flat`` and on every field.
     """
 
     mu: np.ndarray      # (d,) per-feature running mean
@@ -83,15 +88,25 @@ class ModelParams:
 
     @property
     def dim(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
     @property
     def num_classes(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[-2]
 
     def copy(self) -> "ModelParams":
         """An independent vector with the same values; skips ``validate()``."""
-        return _bind(object.__new__(ModelParams), self.flat.copy(), *self.W.shape)
+        return _bind(object.__new__(ModelParams), self.flat.copy(), *self.W.shape[-2:])
+
+    def stack(self, lanes: int) -> "ModelParams":
+        """``lanes`` copies of a 1-D set along a leading axis of every field, each of which
+        ``forward``, ``blend_parameters`` and the built-in steps treat bit for bit as a
+        1-D set."""
+        return _bind(object.__new__(ModelParams), np.tile(self.flat, (lanes, 1)), *self.W.shape)
+
+    def lane(self, k: int) -> "ModelParams":
+        """Lane ``k`` of a stacked set, as a 1-D view into it."""
+        return _bind(object.__new__(ModelParams), self.flat[k], *self.W.shape[-2:])
 
 
 def params_fingerprint(params: ModelParams) -> str:
@@ -100,13 +115,19 @@ def params_fingerprint(params: ModelParams) -> str:
 
 
 def normalized_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """u = (x - mu) / sqrt(var) for a finite (B, d) batch; ValueError otherwise."""
+    """u = (x - mu) / sqrt(var) for a finite (B, d) batch, or (S, B, d) for S lanes;
+    ValueError otherwise."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.dim:
-        raise ValueError(f"features must have shape (B, {params.dim}), got {features.shape}")
+    lanes = params.mu.ndim - 1
+    if features.ndim != lanes + 2 or features.shape[-1] != params.dim:
+        raise ValueError(f"features must have shape ({'S, ' * lanes}B, {params.dim}), "
+                         f"got {features.shape}")
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
-    return (features - params.mu) / np.sqrt(params.var)
+    mu, sd = params.mu, np.sqrt(params.var)
+    if lanes:  # each lane's statistics broadcast over its own rows
+        mu, sd = mu[:, None], sd[:, None]
+    return (features - mu) / sd
 
 
 @dataclass(eq=False, slots=True)
@@ -123,11 +144,11 @@ class Forward:
     def labels(self) -> np.ndarray:
         """Argmax over ``p``; ties resolve to the lowest class index, which keeps
         label sequences reproducible across platforms."""
-        return self.p.argmax(axis=1)
+        return self.p.argmax(axis=-1)
 
 
 def forward(params: ModelParams, features: np.ndarray, u: np.ndarray | None = None) -> Forward:
-    """The forward pass of ``params`` on a (B, d) feature batch.
+    """The forward pass of ``params`` on a (B, d) feature batch, or of S lanes on (S, B, d).
 
     ``u`` stands in for ``normalized_features(params, features)``: a caller
     holding it from a pass of parameters with the same ``mu`` and ``var`` skips
@@ -136,9 +157,12 @@ def forward(params: ModelParams, features: np.ndarray, u: np.ndarray | None = No
     """
     if u is None:
         u = normalized_features(params, features)
-    logits = (params.gamma * u + params.beta) @ params.W.T + params.b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    gamma, beta, b = params.gamma, params.beta, params.b
+    if b.ndim > 1:  # lanes, as in normalized_features
+        gamma, beta, b = gamma[:, None], beta[:, None], b[:, None]
+    logits = (gamma * u + beta) @ params.W.swapaxes(-1, -2) + b
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return Forward(params, u, logp, np.exp(logp))
 
 
@@ -162,7 +186,7 @@ def blend_parameters(theta: ModelParams, theta_hat: ModelParams, alpha: float) -
         out = theta.copy()
     else:
         out = _bind(object.__new__(ModelParams),
-                    alpha * theta.flat + (1.0 - alpha) * theta_hat.flat, *theta.W.shape)
+                    alpha * theta.flat + (1.0 - alpha) * theta_hat.flat, *theta.W.shape[-2:])
         np.maximum(out.var, VAR_FLOOR, out=out.var)
     out.validate()
     return out

@@ -20,7 +20,9 @@ step's forward pass ran on (``AdaptOutcome.forward``), as under immediate
 visibility it is on every step, the fallback prediction is read from that pass.
 
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
-composed scenario, restarting the adapter at every reset marker.
+composed scenario, restarting the adapter at every reset marker.  The segments
+of an episodic scenario step in lockstep, as lanes of one stacked step per tick
+(see ``_lanes``), with the bits of stepping them one at a time.
 ``schedule_class`` predicts from the loop's rule which runs are equal but for
 their labels, so that a caller computes each such class once.
 """
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import Adapter, clone_adapter
+from .adapters import ADAPTERS, Adapter, Stochastic, clone_adapter
 from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from .model import ModelParams, blend_parameters, params_fingerprint, predict
 from .report import (
@@ -57,6 +59,8 @@ DELAYED = "delayed"
 SIMULATED = "simulated"
 MEASURED = "measured"
 
+_BUILT_IN = frozenset(ADAPTERS.values())  # adapters whose steps take stacked lanes
+
 __all__ = [
     "OFFLINE", "ONLINE", "SINGLE_MODEL", "IMMEDIATE", "DELAYED", "SIMULATED", "MEASURED",
     "BusyWindow", "FixedModulo", "ProtocolConfig", "ProtocolError", "run_stream",
@@ -65,7 +69,7 @@ __all__ = [
 
 
 class ProtocolError(RuntimeError):
-    """A run aborted mid-stream; the message carries the failing step."""
+    """A run aborted mid-stream; the message carries the failing step and domain."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,9 @@ class ProtocolConfig:
             raise ValueError(f"unknown fallback visibility {self.fallback_visibility!r}")
         if self.timing not in (SIMULATED, MEASURED):
             raise ValueError(f"unknown timing mode {self.timing!r}")
+        seed = self.seed  # numpy would reject a negative one only at its first draw
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _modulo(cfg: ProtocolConfig) -> int | None:
@@ -129,7 +136,7 @@ def schedule_class(
         return None
     lo, hi = adapter.cost_range(batch_size)
     c = relative_adaptation_speed(clock.effective_interval, lo)
-    if c != relative_adaptation_speed(clock.effective_interval, hi):
+    if hi != lo and c != relative_adaptation_speed(clock.effective_interval, hi):
         return None
     modulo = _modulo(cfg)
     every_step = modulo == 1 or (modulo is None and c == 1)
@@ -143,6 +150,25 @@ def _timed(fn, *args):
     return result, max(time.perf_counter() - start, 1e-9)
 
 
+def _lanes(
+    segments: Sequence[StreamSegment], adapter: Adapter, cfg: ProtocolConfig, clock: StreamClock
+) -> int:
+    """How many segments ``_run`` steps in lockstep, as lanes of one stacked step per tick
+    that all adapt at the same ticks: all if each restarts from the initial state, they
+    share one length and batch size, busy steps fall back to a snapshot, every cost gives
+    one C, and the adapter is a built-in one whose every step draws alike from its latency
+    rng; otherwise 1."""
+    if (len(segments) < 2 or cfg.protocol == SINGLE_MODEL
+            or type(adapter) not in _BUILT_IN
+            or len({isinstance(m, Stochastic) for m in adapter._latency_models()}) > 1
+            or not all(segment.reset for segment in segments)
+            or len({len(segment.batches) for segment in segments}) > 1):
+        return 1
+    sizes = {batch.size for segment in segments for batch in segment.batches}
+    one_c = len(sizes) == 1 and schedule_class(cfg, adapter, clock, sizes.pop()) is not None
+    return len(segments) if one_c else 1
+
+
 def _run(
     segments: Sequence[StreamSegment],
     adapter: Adapter,
@@ -152,8 +178,10 @@ def _run(
     num_classes: int | None,
     predictions_out: list[np.ndarray] | None,
     trace_out: list[TraceRecord] | None,
+    lockstep: bool = True,
 ) -> RunReport:
-    """The run loop of every protocol, over segments that share one report."""
+    """The run loop of every protocol, over segments that share one report.  It steps
+    ``_lanes`` segments at a time, writing each lane's columns back in segment order."""
     single = cfg.protocol == SINGLE_MODEL
     if num_classes is None:
         num_classes = initial.num_classes
@@ -166,6 +194,7 @@ def _run(
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
     modulo = _modulo(cfg)
+    lanes = _lanes(segments, adapter, cfg, clock) if lockstep else 1
     steps: list[int] = []
     batch_sizes: list[int] = []
     error_counts: list[int] = []
@@ -177,26 +206,33 @@ def _run(
     # One generator per run, so each domain's busy steps draw fresh predictions.
     rng = np.random.default_rng(cfg.seed)
 
-    for segment in segments:
-        stream = segment.batches
-        if not stream:
-            raise ValueError("stream is empty")
-        check_ticks(batch.t for batch in stream)
-        if initial.dim != stream[0].features.shape[1]:
-            raise ValueError("initial parameters do not match the stream's feature dimension")
-        if segment.reset:
+    for first in range(0, len(segments), lanes):
+        group = segments[first:first + lanes]
+        for segment in group:
+            stream = segment.batches
+            if not stream:
+                raise ValueError("stream is empty")
+            check_ticks(batch.t for batch in stream)
+            if initial.dim != stream[0].features.shape[1]:
+                raise ValueError("initial parameters do not match the stream's feature dimension")
+        if group[0].reset:
             adapter.reset()
-            adapter.params = initial.copy()
+            adapter.params = initial.copy() if lanes == 1 else initial.stack(lanes)
         worker = Worker()
         fallback, version, fallback_version = adapter.params, 0, 0
-        current_domain: int | None = None
+        # Per lane: the current domain and its rows (domain, tick, fingerprint).
+        current, rows = [None] * lanes, [[] for _ in range(lanes)]
+        # Per tick, alike in every lane but the errors: the batch size, version,
+        # adapted ticks and their C, and each lane's error count.
+        sizes, tick_versions, tick_adapted, tick_c, errors = [], [], [], [], []
 
-        for batch in stream:
-            t = batch.t
-            if batch.domain_id != current_domain:
-                current_domain = batch.domain_id
-                domains.append((current_domain, len(steps)))
-                fingerprints.append(params_fingerprint(adapter.params))
+        for i, ticks in enumerate(zip(*(segment.batches for segment in group))):
+            batch, t = ticks[0], i  # check_ticks: tick i is t = i
+            for k, lane_batch in enumerate(ticks):
+                if lane_batch.domain_id != current[k]:
+                    current[k] = lane_batch.domain_id
+                    params = adapter.params if lanes == 1 else adapter.params.lane(k)
+                    rows[k].append((current[k], i, params_fingerprint(params)))
 
             adapt_now = t >= worker.busy_until if modulo is None else t % modulo == 0
             stepped = adapt_now or trace_out is not None
@@ -204,6 +240,9 @@ def _run(
             # Every call of the step, adapter or fallback, live or counterfactual,
             # fails as one.
             try:
+                if lanes > 1:  # a stacked batch, of no one domain
+                    batch = Batch(np.stack([b.features for b in ticks]),
+                                  np.stack([b.labels for b in ticks]), -1, t)
                 if stepped:
                     prev = adapter.params
                     # A counterfactual step adapts a throwaway copy; the live
@@ -219,7 +258,9 @@ def _run(
                         outcome = stepper.adapt(batch)
                         cost = outcome.cost
                 if adapt_now:
-                    c = worker.occupy(t, interval, cost)
+                    # Lanes charged apart (an array of costs) must agree on C; see below.
+                    apart = isinstance(cost, np.ndarray)
+                    c = worker.occupy(t, interval, cost.max() if apart else cost)
                     # The blend validates the adapter's output.
                     theta_next = blend_parameters(prev, outcome.theta_hat, cfg.alpha)
                 if trace_out is not None or not (adapt_now or single):
@@ -233,11 +274,19 @@ def _run(
                         correct_fallback=int(np.count_nonzero(fb_pred == batch.labels)),
                         domain_id=batch.domain_id, batch_size=batch.size))
             except Exception as exc:
+                if lanes > 1:
+                    # Rerun one segment at a time, which raises the sequential run's error.
+                    return _run(segments, adapter, initial, cfg, clock, num_classes,
+                                predictions_out, trace_out, lockstep=False)
                 raise ProtocolError(
-                    f"adapter {adapter.name!r} failed at step {t}: {exc}"
+                    f"adapter {adapter.name!r} failed at step {t}: {exc} "
+                    f"(domain {batch.domain_id})"
                 ) from exc
 
             if adapt_now:
+                # _lanes admits only runs whose every cost gives one C.
+                if apart and relative_adaptation_speed(interval, cost.min()) != c:
+                    raise RuntimeError(f"lockstep lanes disagree on C at step {t}")
                 adapter.params = theta_next
                 version += 1
                 if cfg.fallback_visibility == IMMEDIATE:
@@ -245,21 +294,34 @@ def _run(
                 else:
                     fallback, fallback_version = prev, version - 1
                 y_hat = outcome.y_hat
-                adapted.append(len(steps))
-                c_values.append(c)
-                versions.append(version)
+                tick_adapted.append(i)
+                tick_c.append(c)
+                tick_versions.append(version)
             elif single:
                 y_hat = rng.integers(0, num_classes, size=batch.size)
-                versions.append(NO_SNAPSHOT)
+                tick_versions.append(NO_SNAPSHOT)
             else:
                 y_hat = fb_pred
-                versions.append(fallback_version)
+                tick_versions.append(fallback_version)
 
-            steps.append(t)
-            batch_sizes.append(batch.size)
-            error_counts.append(int(np.count_nonzero(y_hat != batch.labels)))
+            sizes.append(batch.size)
+            wrong = y_hat != batch.labels
+            errors.append(np.count_nonzero(wrong) if lanes == 1 else wrong.sum(axis=-1))
             if predictions_out is not None:
                 predictions_out.append(np.asarray(y_hat).copy())
+
+        for lane_rows, lane_errors in zip(rows, np.reshape(errors, (-1, lanes)).T.tolist()):
+            base = len(steps)
+            domains.extend((domain_id, base + i) for domain_id, i, _ in lane_rows)
+            fingerprints.extend(fingerprint for *_, fingerprint in lane_rows)
+            steps.extend(range(len(sizes)))
+            batch_sizes.extend(sizes)
+            error_counts.extend(lane_errors)
+            versions.extend(tick_versions)
+            adapted.extend(base + i for i in tick_adapted)
+            c_values.extend(tick_c)
+        if lanes > 1:
+            adapter.params = adapter.params.lane(lanes - 1)
 
     return run_report(
         domains, steps, batch_sizes, error_counts, versions, adapted, c_values,
@@ -301,7 +363,8 @@ def run_segments(
     trace_out: list[TraceRecord] | None = None,
 ) -> RunReport:
     """Run a composed scenario: each reset-marked segment restarts the adapter
-    from ``initial``; a segment without the marker continues from its state."""
+    from ``initial``; a segment without the marker continues from its state.  At
+    the end the adapter holds the last segment's parameters and latency rng."""
     if not segments:
         raise ValueError("no segments to run")
     if trace_out is not None and len(segments) > 1:

@@ -100,17 +100,21 @@ def collapse(domains: Sequence[tuple[int, int]], batch_size: np.ndarray, error_c
              adapted: np.ndarray, c_value: np.ndarray) -> list[DomainReport]:
     """A run's per-domain rows from its columns: ``batch_size`` and ``error_count``
     per step, the ascending indices of the ``adapted`` steps and their ``c_value``;
-    ``domains`` as in ``run_report``.  Sums are exact, so rates equal ``int / int``;
-    a row's mean C is None if it adapted nowhere."""
+    ``domains`` as in ``run_report``.  Sums are exact, so rates and mean Cs equal
+    ``int / int``; a row's mean C is None if it adapted nowhere."""
     starts = np.array([start for _, start in domains], dtype=np.int64)
     n_batches = np.diff(starts, append=len(batch_size))
     if (n_batches < 1).any():
         raise ValueError("domain has no schedule records")
     rates = (np.add.reduceat(error_count, starts) / np.add.reduceat(batch_size, starts)).tolist()
-    cuts = [*np.searchsorted(adapted, starts).tolist(), len(adapted)]
+    cuts = np.searchsorted(adapted, starts)
+    # An appended 0 keeps each cut an index; a row that adapted nowhere discards its sum.
+    c_sums = np.add.reduceat(np.append(c_value, 0), cuts).tolist()
+    cuts = [*cuts.tolist(), len(adapted)]
     return [
-        DomainReport(domain_id, n, b - a, rate, float(np.mean(c_value[a:b])) if b > a else None)
-        for (domain_id, _), n, rate, a, b in zip(domains, n_batches.tolist(), rates, cuts, cuts[1:])
+        DomainReport(domain_id, n, b - a, rate, c_sum / (b - a) if b > a else None)
+        for (domain_id, _), n, rate, c_sum, a, b
+        in zip(domains, n_batches.tolist(), rates, c_sums, cuts, cuts[1:])
     ]
 
 

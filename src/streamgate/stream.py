@@ -86,8 +86,8 @@ class CorruptionSpec:
 class Batch:
     """One stream revelation: features, labels, the domain id, and the tick."""
 
-    features: np.ndarray  # (B, d)
-    labels: np.ndarray    # (B,) int class indices
+    features: np.ndarray  # (B, d), or (S, B, d) for the protocol's S lockstep lanes
+    labels: np.ndarray    # (B,) int class indices, or (S, B)
     domain_id: int
     t: int
 
@@ -99,7 +99,7 @@ class Batch:
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return self.labels.shape[-1]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from streamgate.model import (
     VAR_FLOOR,
     ModelParams,
     blend_parameters,
+    forward,
     params_fingerprint,
     predict,
 )
@@ -86,6 +87,30 @@ def test_predict_rejects_non_finite_features():
 def test_predict_rejects_wrong_width():
     with pytest.raises(ValueError):
         predict(flat_params(dim=3), np.zeros((2, 4)))
+
+
+def test_stacked_lanes_compute_each_lane_bit_for_bit_as_alone():
+    lanes = [tiny_params(dim=5, num_classes=4, seed=s) for s in range(3)]
+    stacked = lanes[0].stack(3)
+    stacked.flat[1:] = [p.flat for p in lanes[1:]]
+    features = np.random.default_rng(1).normal(size=(3, 7, 5))
+    result = forward(stacked, features)
+    blended = blend_parameters(stacked, lanes[2].stack(3), 0.3)
+    for k, params in enumerate(lanes):
+        alone = forward(params, features[k])
+        assert np.shares_memory(stacked.lane(k).flat, stacked.flat)
+        assert np.array_equal(result.logp[k], alone.logp)
+        assert np.array_equal(result.labels[k], alone.labels)
+        assert reference_params_equal(blended.lane(k), blend_parameters(params, lanes[2], 0.3))
+    assert (stacked.dim, stacked.num_classes, stacked.W.shape) == (5, 4, (3, 4, 5))
+
+
+def test_features_must_carry_the_parameters_lane_axis():
+    params = tiny_params(dim=5)
+    with pytest.raises(ValueError, match=re.escape("shape (B, 5), got (2, 3, 5)")):
+        forward(params, np.zeros((2, 3, 5)))
+    with pytest.raises(ValueError, match=re.escape("shape (S, B, 5), got (3, 5)")):
+        forward(params.stack(2), np.zeros((3, 5)))
 
 
 def test_blend_alpha_zero_returns_adapted_exactly():

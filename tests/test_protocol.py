@@ -434,6 +434,22 @@ def test_fixed_modulo_rejects_a_non_integer_k(k):
         FixedModulo(k)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
+def test_protocol_config_rejects_a_seed_that_is_no_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        ProtocolConfig(seed=seed)
+    assert ProtocolConfig(seed=np.int64(3)).seed == 3
+
+
+def test_a_failure_names_the_domain_of_its_step():
+    params = tiny_params()
+    stream = tiny_stream(3, domain_id=4) + [replace(b, t=b.t + 3)
+                                           for b in tiny_stream(3, domain_id=7)]
+    with pytest.raises(ProtocolError, match=r"failed at step 4: synthetic adapter failure "
+                                            r"\(domain 7\)$"):
+        run_stream(stream, FailingAdapter(params, fail_at=4), params, OFF)
+
+
 @pytest.mark.parametrize("mode", ["modulo:2", "busy_window", 2, None, BusyWindow])
 def test_protocol_config_rejects_an_unknown_schedule_mode(mode):
     with pytest.raises(ValueError, match="unknown schedule mode"):

@@ -93,6 +93,31 @@ def test_collapse_rejects_a_domain_row_without_steps():
         collapse([(0, 0), (1, 2)], *columns)
 
 
+def test_collapse_takes_each_rows_mean_c_exactly_and_none_where_it_adapted_nowhere():
+    # Rows 0, 2 and 4 adapt nowhere: first, between two rows that do, and last.
+    domains = [(0, 0), (1, 2), (2, 5), (3, 7), (4, 10)]
+    batch_size, error_count = np.full(12, 4), np.zeros(12, dtype=np.int64)
+    adapted = np.array([2, 3, 4, 7, 9])
+    c_value = np.array([1, 2, 2, 3, 2 ** 40 + 1])
+    rows = collapse(domains, batch_size, error_count, adapted, c_value)
+    assert [row.mean_c for row in rows] == [None, 5 / 3, None, (3 + 2 ** 40 + 1) / 2, None]
+    assert [row.n_adapted for row in rows] == [0, 3, 0, 2, 0]
+    nowhere = collapse(domains, batch_size, error_count, adapted[:0], c_value[:0])
+    assert [row.mean_c for row in nowhere] == [None] * 5
+
+
+def test_collapse_mean_c_equals_numpys_mean_below_two_to_the_53():
+    rng = np.random.default_rng(4)
+    c_value = rng.integers(1, 2 ** 20, size=400)
+    adapted = np.sort(rng.choice(1000, size=400, replace=False))
+    domains = [(d, start) for d, start in enumerate(range(0, 1000, 50))]
+    rows = collapse(domains, np.ones(1000, dtype=np.int64), np.zeros(1000, dtype=np.int64),
+                    adapted, c_value)
+    cuts = np.searchsorted(adapted, [start for _, start in domains] + [1000])
+    assert [row.mean_c for row in rows] == [
+        float(np.mean(c_value[a:b])) if b > a else None for a, b in zip(cuts, cuts[1:])]
+
+
 def test_aggregate_warns_on_unequal_sizes():
     domains = [DomainReport(0, 10, 10, 0.2, 1.0), DomainReport(1, 20, 20, 0.4, 1.0)]
     with pytest.warns(UserWarning, match="unequal"):

@@ -107,15 +107,13 @@ def _entropy_gradient(
     result: Forward, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``entropy_gradient`` from the forward pass it starts with; ``mask``
-    restricts the mean to a row subset, and a mean over no row is zero."""
-    u, logp, p, W = result.u, result.logp, result.p, result.params.W
+    restricts the mean to a row subset."""
+    u, logp, p = result.u, result.logp, result.p
     g_logits = -p * (logp + _entropy(result)[..., None])
-    if mask is None:
-        return _affine_gradient(g_logits, u, W)
-    if mask.ndim > 1:  # lane by lane, since a product's bits depend on its row count
-        return tuple(map(np.stack, zip(*(_affine_gradient(g[m], x[m], w)
-                                         for g, x, w, m in zip(g_logits, u, W, mask)))))
-    return _affine_gradient(g_logits[mask], u[mask], W)
+    if mask is not None:
+        g_logits = g_logits[mask]
+        u = u[mask]
+    return _affine_gradient(g_logits, u, result.params.W)
 
 
 def pseudo_label_cross_entropy(
@@ -239,9 +237,7 @@ class Adapter:
         outcome = self._adapt(batch)
         if outcome.cost is None:
             outcome.cost = sample_latency(self.latency, batch.size, self._latency_rng)
-        cost = outcome.cost  # an array where lockstep lanes are charged apart
-        # NaN fails too; an infinite cost fails at the clock.
-        if not (cost.min() if isinstance(cost, np.ndarray) else cost) > 0.0:
+        if not outcome.cost > 0.0:  # NaN fails too; an infinite cost fails at the clock
             raise ValueError(f"adaptation cost must be positive, got {outcome.cost}")
         self.params = outcome.theta_hat
         return outcome
@@ -387,15 +383,7 @@ class RejectionEntropyAdapter(_DescentAdapter):
             cost = sample_latency(self.latency_reject, batch.size, self._latency_rng)
             return AdaptOutcome(batch.features, self.params.copy(), result.labels, cost=cost,
                                 note="all samples rejected: no update", forward=result)
-        outcome = self._descend(batch, result, *_entropy_gradient(result, admitted))
-        if admitted.ndim > 1 and not (updated := admitted.any(axis=-1)).all():
-            # Lanes: one that rejected every row keeps its parameters (a zero step) and
-            # is charged the rejection's cost, drawn with the update's rng state.
-            reject = sample_latency(self.latency_reject, batch.size,
-                                    copy.deepcopy(self._latency_rng))
-            outcome.cost = np.where(updated, sample_latency(
-                self.latency, batch.size, self._latency_rng), reject)
-        return outcome
+        return self._descend(batch, result, *_entropy_gradient(result, admitted))
 
 
 class InputRestoreAdapter(Adapter):

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import ADAPTERS, Adapter, Stochastic, clone_adapter
+from .adapters import ADAPTERS, Adapter, clone_adapter
 from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from .model import ModelParams, blend_parameters, params_fingerprint, predict
 from .report import (
@@ -136,7 +136,7 @@ def schedule_class(
         return None
     lo, hi = adapter.cost_range(batch_size)
     c = relative_adaptation_speed(clock.effective_interval, lo)
-    if hi != lo and c != relative_adaptation_speed(clock.effective_interval, hi):
+    if c != relative_adaptation_speed(clock.effective_interval, hi):
         return None
     modulo = _modulo(cfg)
     every_step = modulo == 1 or (modulo is None and c == 1)
@@ -156,11 +156,11 @@ def _lanes(
     """How many segments ``_run`` steps in lockstep, as lanes of one stacked step per tick
     that all adapt at the same ticks: all if each restarts from the initial state, they
     share one length and batch size, busy steps fall back to a snapshot, every cost gives
-    one C, and the adapter is a built-in one whose every step draws alike from its latency
-    rng; otherwise 1."""
+    one C, and the adapter is a built-in one with one latency model, so that one draw per
+    tick charges every lane its own run's cost; otherwise 1."""
     if (len(segments) < 2 or cfg.protocol == SINGLE_MODEL
             or type(adapter) not in _BUILT_IN
-            or len({isinstance(m, Stochastic) for m in adapter._latency_models()}) > 1
+            or len(adapter._latency_models()) > 1
             or not all(segment.reset for segment in segments)
             or len({len(segment.batches) for segment in segments}) > 1):
         return 1
@@ -258,9 +258,7 @@ def _run(
                         outcome = stepper.adapt(batch)
                         cost = outcome.cost
                 if adapt_now:
-                    # Lanes charged apart (an array of costs) must agree on C; see below.
-                    apart = isinstance(cost, np.ndarray)
-                    c = worker.occupy(t, interval, cost.max() if apart else cost)
+                    c = worker.occupy(t, interval, cost)
                     # The blend validates the adapter's output.
                     theta_next = blend_parameters(prev, outcome.theta_hat, cfg.alpha)
                 if trace_out is not None or not (adapt_now or single):
@@ -284,9 +282,6 @@ def _run(
                 ) from exc
 
             if adapt_now:
-                # _lanes admits only runs whose every cost gives one C.
-                if apart and relative_adaptation_speed(interval, cost.min()) != c:
-                    raise RuntimeError(f"lockstep lanes disagree on C at step {t}")
                 adapter.params = theta_next
                 version += 1
                 if cfg.fallback_visibility == IMMEDIATE:

@@ -107,12 +107,10 @@ def assert_lockstep_equals_sequential(name, kwargs, segments, cfg, clock, lanes,
 
 
 def expected_lanes(name, kwargs, segments, cfg, clock):
+    """rejection_entropy has two latency models, so its lanes could be charged apart."""
     adapter = make_adapter(name, tiny_params(seed=2), **kwargs)
-    draws_alike = len({isinstance(m, Stochastic)
-                       for m in (adapter.latency, getattr(adapter, "latency_reject",
-                                                          adapter.latency))}) == 1
     one_c = schedule_class(cfg, adapter, clock, segments[0].batches[0].size) is not None
-    return len(segments) if draws_alike and one_c else 1
+    return len(segments) if name != "rejection_entropy" and one_c else 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -146,17 +144,16 @@ def test_lockstep_run_equals_its_segments_run_one_at_a_time(
     assert_lockstep_equals_sequential(name, kwargs, segments, cfg, clock, lanes)
 
 
-@pytest.mark.parametrize("latencies,lanes", [
-    ((Stochastic(0.8, 0.1, seed=3), Stochastic(0.5, 0.4, seed=8)), 4),  # both draw
-    ((Constant(0.9), Constant(0.2)), 4),                                 # neither draws
-    ((Constant(0.9), Stochastic(0.5, 0.4, seed=8)), 1),  # a rejecting step draws alone
+@pytest.mark.parametrize("latencies", [
+    (Stochastic(0.8, 0.1, seed=3), Stochastic(0.5, 0.4, seed=8)),
+    (Constant(0.9), Constant(0.2)),
+    (Constant(0.9), Stochastic(0.5, 0.4, seed=8)),
 ])
 @pytest.mark.parametrize("protocol", [OFFLINE, ONLINE])
-def test_lanes_that_reject_everything_keep_their_parameters_and_are_charged_apart(
-    latencies, lanes, protocol
-):
+def test_rejection_entropy_steps_one_segment_at_a_time(latencies, protocol):
     # Scaled-up features give confident, admitted rows; scaled-down ones are
-    # rejected, so each tick mixes updating and rejecting lanes.
+    # rejected, so stepped together some segments would update and some would not
+    # at one tick, each paying another latency model's cost.
     segments = episodic(4, 5, scale=(30.0, 0.01, 30.0, 0.01))
     kwargs = dict(latency=latencies[0], latency_reject=latencies[1], entropy_threshold=0.05,
                   learning_rate=0.5)
@@ -167,19 +164,7 @@ def test_lanes_that_reject_everything_keep_their_parameters_and_are_charged_apar
     assert list((entropy <= probe.entropy_threshold).any(axis=-1)) == [True, False, True, False]
     cfg = ProtocolConfig(protocol=protocol, alpha=0.5, seed=1)
     assert_lockstep_equals_sequential("rejection_entropy", kwargs, segments, cfg,
-                                      StreamClock(), lanes)
-
-
-def test_lanes_that_disagree_on_c_fail_loudly():
-    # A cost range that hides the update's 3 s lets lanes step together whose
-    # costs give C = 3 and C = 1 at one tick.
-    segments = episodic(2, 3, scale=(30.0, 0.01))
-    params = tiny_params(seed=2)
-    adapter = RejectionEntropyAdapter(params, latency=Constant(3.0),
-                                      latency_reject=Constant(1.0), entropy_threshold=0.05)
-    adapter.cost_range = lambda batch_size: (1.0, 1.0)
-    with pytest.raises(RuntimeError, match="lockstep lanes disagree on C at step 0"):
-        run_segments(segments, adapter, params, ProtocolConfig(protocol=ONLINE))
+                                      StreamClock(), 1)
 
 
 @pytest.mark.parametrize("name", sorted(ADAPTERS))
@@ -192,10 +177,11 @@ def test_lockstep_keeps_the_bits_at_the_default_model_and_batch_size(
                 for s in compose_stream(scenario, source_spec, 256, seed=1)]
     kwargs = dict(latency=Constant(1.0))
     if name == "rejection_entropy":
-        # Some lanes reject every row at some ticks.
+        # Some segments reject every row at some ticks.
         kwargs.update(latency_reject=Constant(0.5), entropy_threshold=0.05)
     cfg = ProtocolConfig(protocol=ONLINE, alpha=0.5)
-    assert_lockstep_equals_sequential(name, kwargs, segments, cfg, StreamClock(), 5,
+    lanes = 1 if name == "rejection_entropy" else 5
+    assert_lockstep_equals_sequential(name, kwargs, segments, cfg, StreamClock(), lanes,
                                       params=pretrained)
 
 
@@ -219,6 +205,25 @@ def test_a_custom_adapter_steps_one_segment_at_a_time_on_2d_batches():
     assert replace(report, adapter="entropy_min") == stitched(
         segments, EntropyMinAdapter(params, latency=Constant(1.0)), params, ProtocolConfig(),
         StreamClock())
+
+
+class ArrayCost(EntropyMinAdapter):
+    """A custom adapter that charges one cost per row, which no step may do."""
+
+    name = "array_cost"
+
+    def _adapt(self, batch):
+        outcome = super()._adapt(batch)
+        outcome.cost = np.full(batch.size, 1.0)
+        return outcome
+
+
+def test_a_custom_adapter_charging_an_array_fails_naming_adapter_step_and_domain():
+    params = tiny_params(seed=2)
+    adapter = ArrayCost(params, latency=Constant(1.0))
+    with pytest.raises(ProtocolError, match=r"adapter 'array_cost' failed at step 0: .*"
+                                            r"ambiguous.*\(domain 0\)$"):
+        run_segments(episodic(3, 4), adapter, params, ProtocolConfig())
 
 
 @pytest.mark.filterwarnings("ignore:domains have unequal sizes")
@@ -273,21 +278,3 @@ def test_a_failing_lane_raises_the_sequential_runs_error(name, poison, message):
     assert str(failure.value).endswith(message)
     assert type(failure.value.__cause__) is type(expected.__cause__)
 
-
-def test_a_rejecting_lane_keeps_signed_zeros_that_a_zero_step_would_flip():
-    # A lane that rejects every row has a zero gradient.  Its rows of u below zero
-    # make the first feature's gamma gradient -0.0, and a step would turn that
-    # gamma of -0.0 into +0.0.
-    params = tiny_params(seed=2)
-    params.W = np.abs(params.W) * np.array([-1.0, 1.0, 1.0, 1.0])
-    params.gamma = np.where([True, False, False, False], -0.0, params.gamma)
-    params.beta = np.where([True, False, False, False], -0.0, params.beta)
-    segments = episodic(2, 2, scale=(30.0, 0.01))
-    for batch in segments[1].batches:
-        batch.features[:, 0] = params.mu[0] - 1.0
-    kwargs = dict(latency=Constant(0.5), latency_reject=Constant(0.5), entropy_threshold=1e-6)
-    adapter = RejectionEntropyAdapter(params, **kwargs)
-    run_segments(segments, adapter, params, ProtocolConfig())
-    assert np.signbit(adapter.params.gamma[0]) and np.signbit(adapter.params.beta[0])
-    assert_lockstep_equals_sequential("rejection_entropy", kwargs, segments, ProtocolConfig(),
-                                      StreamClock(), 2)

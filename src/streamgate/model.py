@@ -20,14 +20,17 @@ VAR_FLOOR = 1e-8
 
 _FIELD_NAMES = ("mu", "var", "gamma", "beta", "W", "b")
 
+# Indexes a (d,) or (K,) field so that each lane's values broadcast over that lane's rows.
+_ROWS = np.s_[..., None, :]
+
 
 def _bind(params: "ModelParams", flat: np.ndarray, k: int, d: int) -> "ModelParams":
-    """Set ``flat`` and the six fields as views into it, in one ``__dict__`` update."""
+    """Set ``flat`` and the six fields as views into it, in one ``__dict__`` update; a
+    leading lane axis of ``flat``, if any, stays on every field."""
     w = (4 + k) * d
-    W = flat[..., 4 * d:w]  # a leading lane axis, if any, stays on every field
     params.__dict__.update(flat=flat, mu=flat[..., :d], var=flat[..., d:2 * d],
                            gamma=flat[..., 2 * d:3 * d], beta=flat[..., 3 * d:4 * d],
-                           W=W.reshape(k, d) if W.ndim == 1 else W.reshape(-1, k, d),
+                           W=flat[..., 4 * d:w].reshape(*flat.shape[:-1], k, d),
                            b=flat[..., w:])
     return params
 
@@ -105,8 +108,8 @@ class ModelParams:
         return _bind(object.__new__(ModelParams), np.tile(self.flat, (lanes, 1)), *self.W.shape)
 
     def lane(self, k: int) -> "ModelParams":
-        """Lane ``k`` of a stacked set, as a 1-D view into it."""
-        return _bind(object.__new__(ModelParams), self.flat[k], *self.W.shape[-2:])
+        """Lane ``k`` of a stacked set, as a 1-D view into it; a 1-D set is its own lane 0."""
+        return _bind(object.__new__(ModelParams), np.atleast_2d(self.flat)[k], *self.W.shape[-2:])
 
 
 def params_fingerprint(params: ModelParams) -> str:
@@ -124,10 +127,7 @@ def normalized_features(params: ModelParams, features: np.ndarray) -> np.ndarray
                          f"got {features.shape}")
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
-    mu, sd = params.mu, np.sqrt(params.var)
-    if lanes:  # each lane's statistics broadcast over its own rows
-        mu, sd = mu[:, None], sd[:, None]
-    return (features - mu) / sd
+    return (features - params.mu[_ROWS]) / np.sqrt(params.var)[_ROWS]
 
 
 @dataclass(eq=False, slots=True)
@@ -157,10 +157,8 @@ def forward(params: ModelParams, features: np.ndarray, u: np.ndarray | None = No
     """
     if u is None:
         u = normalized_features(params, features)
-    gamma, beta, b = params.gamma, params.beta, params.b
-    if b.ndim > 1:  # lanes, as in normalized_features
-        gamma, beta, b = gamma[:, None], beta[:, None], b[:, None]
-    logits = (gamma * u + beta) @ params.W.swapaxes(-1, -2) + b
+    z = params.gamma[_ROWS] * u + params.beta[_ROWS]
+    logits = z @ params.W.swapaxes(-1, -2) + params.b[_ROWS]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return Forward(params, u, logp, np.exp(logp))

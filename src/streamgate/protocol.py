@@ -22,7 +22,7 @@ visibility it is on every step, the fallback prediction is read from that pass.
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
 composed scenario, restarting the adapter at every reset marker.  The segments
 of an episodic scenario step in lockstep, as lanes of one stacked step per tick
-(see ``_lanes``), with the bits of stepping them one at a time.
+(see ``run_segments``), with the bits of stepping them one at a time.
 ``schedule_class`` predicts from the loop's rule which runs are equal but for
 their labels, so that a caller computes each such class once.
 """
@@ -46,7 +46,7 @@ from .report import (
     RunReport,
     run_report,
 )
-from .stream import Batch, StreamSegment
+from .stream import Batch, StreamSegment, check_seed
 from .trace import TraceRecord
 
 OFFLINE = "offline"
@@ -110,9 +110,7 @@ class ProtocolConfig:
             raise ValueError(f"unknown fallback visibility {self.fallback_visibility!r}")
         if self.timing not in (SIMULATED, MEASURED):
             raise ValueError(f"unknown timing mode {self.timing!r}")
-        seed = self.seed  # numpy would reject a negative one only at its first draw
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 def _modulo(cfg: ProtocolConfig) -> int | None:
@@ -150,27 +148,9 @@ def _timed(fn, *args):
     return result, max(time.perf_counter() - start, 1e-9)
 
 
-def _lanes(
-    segments: Sequence[StreamSegment], adapter: Adapter, cfg: ProtocolConfig, clock: StreamClock
-) -> int:
-    """How many segments ``_run`` steps in lockstep, as lanes of one stacked step per tick
-    that all adapt at the same ticks: all if each restarts from the initial state, they
-    share one length and batch size, busy steps fall back to a snapshot, every cost gives
-    one C, and the adapter is a built-in one with one latency model, so that one draw per
-    tick charges every lane its own run's cost; otherwise 1."""
-    if (len(segments) < 2 or cfg.protocol == SINGLE_MODEL
-            or type(adapter) not in _BUILT_IN
-            or len(adapter._latency_models()) > 1
-            or not all(segment.reset for segment in segments)
-            or len({len(segment.batches) for segment in segments}) > 1):
-        return 1
-    sizes = {batch.size for segment in segments for batch in segment.batches}
-    one_c = len(sizes) == 1 and schedule_class(cfg, adapter, clock, sizes.pop()) is not None
-    return len(segments) if one_c else 1
-
-
 def _run(
     segments: Sequence[StreamSegment],
+    lanes: int,
     adapter: Adapter,
     initial: ModelParams,
     cfg: ProtocolConfig,
@@ -178,10 +158,9 @@ def _run(
     num_classes: int | None,
     predictions_out: list[np.ndarray] | None,
     trace_out: list[TraceRecord] | None,
-    lockstep: bool = True,
 ) -> RunReport:
     """The run loop of every protocol, over segments that share one report.  It steps
-    ``_lanes`` segments at a time, writing each lane's columns back in segment order."""
+    ``lanes`` segments at a time, writing each lane's columns back in segment order."""
     single = cfg.protocol == SINGLE_MODEL
     if num_classes is None:
         num_classes = initial.num_classes
@@ -194,7 +173,6 @@ def _run(
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
     modulo = _modulo(cfg)
-    lanes = _lanes(segments, adapter, cfg, clock) if lockstep else 1
     steps: list[int] = []
     batch_sizes: list[int] = []
     error_counts: list[int] = []
@@ -231,8 +209,7 @@ def _run(
             for k, lane_batch in enumerate(ticks):
                 if lane_batch.domain_id != current[k]:
                     current[k] = lane_batch.domain_id
-                    params = adapter.params if lanes == 1 else adapter.params.lane(k)
-                    rows[k].append((current[k], i, params_fingerprint(params)))
+                    rows[k].append((current[k], i, params_fingerprint(adapter.params.lane(k))))
 
             adapt_now = t >= worker.busy_until if modulo is None else t % modulo == 0
             stepped = adapt_now or trace_out is not None
@@ -274,8 +251,8 @@ def _run(
             except Exception as exc:
                 if lanes > 1:
                     # Rerun one segment at a time, which raises the sequential run's error.
-                    return _run(segments, adapter, initial, cfg, clock, num_classes,
-                                predictions_out, trace_out, lockstep=False)
+                    return _run(segments, 1, adapter, initial, cfg, clock, num_classes,
+                                predictions_out, trace_out)
                 raise ProtocolError(
                     f"adapter {adapter.name!r} failed at step {t}: {exc} "
                     f"(domain {batch.domain_id})"
@@ -315,8 +292,7 @@ def _run(
             versions.extend(tick_versions)
             adapted.extend(base + i for i in tick_adapted)
             c_values.extend(tick_c)
-        if lanes > 1:
-            adapter.params = adapter.params.lane(lanes - 1)
+        adapter.params = adapter.params.lane(-1)
 
     return run_report(
         domains, steps, batch_sizes, error_counts, versions, adapted, c_values,
@@ -344,7 +320,7 @@ def run_stream(
     stand-in for a deployment that can only host the adapting model itself.
     """
     adapter.params = initial.copy()
-    return _run([StreamSegment(reset=False, batches=stream)], adapter, initial, cfg, clock,
+    return _run([StreamSegment(reset=False, batches=stream)], 1, adapter, initial, cfg, clock,
                 num_classes, predictions_out, trace_out)
 
 
@@ -359,9 +335,22 @@ def run_segments(
 ) -> RunReport:
     """Run a composed scenario: each reset-marked segment restarts the adapter
     from ``initial``; a segment without the marker continues from its state.  At
-    the end the adapter holds the last segment's parameters and latency rng."""
+    the end the adapter holds the last segment's parameters and latency rng.
+
+    The segments step in lockstep, as lanes of one stacked step per tick, when each
+    restarts from the initial state, they share one length and batch size, busy steps
+    fall back to a snapshot, timing is simulated and the adapter is a built-in one with
+    one latency model.  Each lane then starts from a fresh latency rng and draws the
+    same costs at the same ticks, so one draw per tick charges every lane its own run's
+    cost.  Otherwise the segments step one at a time."""
     if not segments:
         raise ValueError("no segments to run")
     if trace_out is not None and len(segments) > 1:
         raise ValueError("trace collection needs a single-segment stream")
-    return _run(segments, adapter, initial, cfg, clock, num_classes, None, trace_out)
+    together = (cfg.timing == SIMULATED and cfg.protocol != SINGLE_MODEL
+                and type(adapter) in _BUILT_IN and len(adapter._latency_models()) == 1
+                and all(segment.reset for segment in segments)
+                and len({len(segment.batches) for segment in segments}) == 1
+                and len({b.size for segment in segments for b in segment.batches}) == 1)
+    return _run(segments, len(segments) if together else 1, adapter, initial, cfg, clock,
+                num_classes, None, trace_out)

@@ -9,6 +9,7 @@ scenarios.  Every generator is a pure function of its spec and seed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,14 @@ DEFAULT_BATCH_SIZE = 64
 DEFAULT_SAMPLES_PER_DOMAIN = 5000
 
 
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` naming ``seed`` unless it is a non-negative integer; numpy
+    would fail on a negative or fractional one only at its first draw, and take ``True``
+    as 1."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Generator spec for the source training distribution."""
@@ -61,8 +70,7 @@ class SourceSpec:
             raise ValueError(f"class_separation must be positive, got {self.class_separation!r}")
         if self.samples_per_class < 1:
             raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class!r}")
-        if self.seed < 0:  # numpy would reject it only at the first draw
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,7 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if self.severity not in (1, 2, 3, 4, 5):
             raise ValueError(f"severity must be in 1..5, got {self.severity}")
-        if self.seed < 0:  # numpy would reject it only at the first draw
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,10 @@ class Batch:
     t: int
 
     def __post_init__(self) -> None:
-        if len(self.features) != len(self.labels) or len(self.labels) < 1:
-            raise ValueError("features and labels must be non-empty and aligned")
+        features, labels = np.shape(self.features), np.shape(self.labels)
+        if len(features) < 2 or features[:-1] != labels or labels[-1] < 1:
+            raise ValueError("features and labels must be non-empty and aligned, shaped "
+                             f"(..., B, d) and (..., B), got {features} and {labels}")
         if self.t < 0:
             raise ValueError("t must be non-negative")
 

@@ -7,7 +7,11 @@ final parameters and its latency rng with the run over all segments at once.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,6 @@ from streamgate.protocol import (
     ProtocolConfig,
     ProtocolError,
     run_segments,
-    schedule_class,
 )
 from streamgate.report import aggregate
 from streamgate.stream import (
@@ -104,13 +107,13 @@ def assert_lockstep_equals_sequential(name, kwargs, segments, cfg, clock, lanes,
     assert rng_state(together) == rng_state(alone)
     # Lanes adapt at the same ticks, so a lockstep run steps once per tick for all.
     assert together.calls * lanes == alone.calls
+    return report
 
 
-def expected_lanes(name, kwargs, segments, cfg, clock):
-    """rejection_entropy has two latency models, so its lanes could be charged apart."""
-    adapter = make_adapter(name, tiny_params(seed=2), **kwargs)
-    one_c = schedule_class(cfg, adapter, clock, segments[0].batches[0].size) is not None
-    return len(segments) if name != "rejection_entropy" and one_c else 1
+def expected_lanes(name, segments):
+    """Every built-in adapter steps all segments together, but rejection_entropy: its two
+    latency models could charge its lanes apart."""
+    return 1 if name == "rejection_entropy" else len(segments)
 
 
 @settings(max_examples=80, deadline=None)
@@ -129,6 +132,10 @@ def expected_lanes(name, kwargs, segments, cfg, clock):
 @example(name="rejection_entropy", protocol=ONLINE, modulo=None, alpha=0.5,
          visibility=DELAYED, latency="stochastic_one_c", n_segments=3, n_batches=4,
          batch_size=4, seed=0)
+# Costs from 0.5 to 3.5 ticks: the lanes' busy windows vary, alike in every lane.
+@example(name="entropy_min", protocol=ONLINE, modulo=None, alpha=0.5,
+         visibility=IMMEDIATE, latency="stochastic_two_cs", n_segments=3, n_batches=5,
+         batch_size=4, seed=1)
 def test_lockstep_run_equals_its_segments_run_one_at_a_time(
     name, protocol, modulo, alpha, visibility, latency, n_segments, n_batches, batch_size, seed
 ):
@@ -139,9 +146,8 @@ def test_lockstep_run_equals_its_segments_run_one_at_a_time(
     cfg = ProtocolConfig(protocol=protocol, alpha=alpha, fallback_visibility=visibility,
                          seed=seed, schedule_mode=BusyWindow() if modulo is None
                          else FixedModulo(modulo))
-    clock = StreamClock()
-    lanes = expected_lanes(name, kwargs, segments, cfg, clock)
-    assert_lockstep_equals_sequential(name, kwargs, segments, cfg, clock, lanes)
+    lanes = expected_lanes(name, segments)
+    assert_lockstep_equals_sequential(name, kwargs, segments, cfg, StreamClock(), lanes)
 
 
 @pytest.mark.parametrize("latencies", [
@@ -183,6 +189,44 @@ def test_lockstep_keeps_the_bits_at_the_default_model_and_batch_size(
     lanes = 1 if name == "rejection_entropy" else 5
     assert_lockstep_equals_sequential(name, kwargs, segments, cfg, StreamClock(), lanes,
                                       params=pretrained)
+
+
+def straddling_default_model_case(name, source_spec, pretrained):
+    """An online episodic run at the default model and batch size whose Stochastic costs
+    span C = 1 to 4: its five segments step together, bit for bit as one at a time."""
+    scenario = ScenarioSpec(mode="episodic", domain_order=default_corruption_suite()[::3])
+    segments = [replace(s, batches=s.batches[:10])
+                for s in compose_stream(scenario, source_spec, 640, seed=1)]
+    kwargs = dict(latency=LATENCIES["stochastic_two_cs"])
+    cfg = ProtocolConfig(protocol=ONLINE, alpha=0.5)
+    report = assert_lockstep_equals_sequential(name, kwargs, segments, cfg, StreamClock(), 5,
+                                               params=pretrained)
+    assert len({record.c_value for record in report.schedule} - {None}) > 1
+
+
+@pytest.mark.parametrize("name", ["entropy_min", "input_restore", "norm_stat", "pseudo_label"])
+def test_a_straddling_stochastic_run_steps_together_at_the_default_model(
+    name, source_spec, pretrained
+):
+    straddling_default_model_case(name, source_spec, pretrained)
+
+
+def test_lockstep_keeps_the_bits_at_two_blas_threads():
+    # OpenBLAS may split a product across threads, and the stacked products are not the
+    # 1-D path's.  Two threads and never more, which any two-core machine runs.
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("from streamgate.stream import SourceSpec, make_source_dataset, "
+            "pretrain_source_model\n"
+            "from test_lockstep import straddling_default_model_case\n"
+            "spec = SourceSpec()\n"
+            "params = pretrain_source_model(*make_source_dataset(spec))\n"
+            "straddling_default_model_case('entropy_min', spec, params)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
 
 
 class ShapeRecorder(EntropyMinAdapter):

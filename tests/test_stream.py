@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from streamgate.adapters import Stochastic
 from streamgate.model import params_fingerprint
 from streamgate.stream import (
     CONTINUAL,
@@ -182,6 +183,18 @@ def test_specs_reject_a_negative_seed_naming_it():
             make()
 
 
+@pytest.mark.parametrize("make", [lambda seed: CorruptionSpec("mean_shift", 5, seed=seed),
+                                  lambda seed: SourceSpec(seed=seed),
+                                  lambda seed: Stochastic(1.0, 0.0, seed=seed)],
+                         ids=["corruption", "source", "stochastic"])
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_seeded_specs_reject_a_seed_that_is_no_non_negative_integer(make, seed):
+    # numpy fails on -1 and 1.5 only at the first draw, unnamed, and takes True as 1.
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        make(seed)
+    assert make(np.int64(3)).seed == 3
+
+
 @pytest.mark.parametrize("spec,field", [(SourceSpec, "class_separation"),
                                         (TrainSpec, "learning_rate")])
 @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
@@ -201,6 +214,11 @@ def three_domain_scenario(mode):
      "features and labels must be non-empty and aligned"),
     (lambda: Batch(np.zeros((0, 3)), np.zeros(0, dtype=int), domain_id=0, t=0),
      "features and labels must be non-empty and aligned"),
+    # A (B, 1) column of labels would compare against (B,) predictions as (B, B).
+    (lambda: Batch(np.zeros((8, 3)), np.zeros((8, 1), dtype=int), domain_id=0, t=0),
+     "shaped (..., B, d) and (..., B), got (8, 3) and (8, 1)"),
+    (lambda: Batch(np.zeros(3), np.zeros(3, dtype=int), domain_id=0, t=0),
+     "shaped (..., B, d) and (..., B), got (3,) and (3,)"),
     (lambda: pretrain_source_model(np.zeros((0, 3)), np.zeros(0, dtype=int)),
      "dataset is empty"),
     (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 63),
@@ -216,7 +234,8 @@ def three_domain_scenario(mode):
      "features must be finite, got 1 non-finite values"),
     (lambda: pretrain_source_model(np.zeros(3), np.array([0, 1, 2])),
      "features must be 2-D (samples, dim), got shape (3,)"),
-], ids=["no-samples-per-class", "misaligned-batch", "empty-batch", "empty-dataset",
+], ids=["no-samples-per-class", "misaligned-batch", "empty-batch", "column-labels-batch",
+        "1-d-features-batch", "empty-dataset",
         "domain-below-one-batch", "negative-label", "float-labels", "labels-misaligned",
         "nan-features", "1-d-features"])
 def test_bad_input_is_rejected_naming_it(make, message):

@@ -18,11 +18,15 @@ wall-clock seconds under measured timing.  One forward pass serves each
 parameter set and batch: when the fallback is the very parameter set the
 step's forward pass ran on (``AdaptOutcome.forward``), as under immediate
 visibility it is on every step, the fallback prediction is read from that pass.
+The ticks from the one after an adapted step through the next adapted one all
+start from the live state, so a traced run steps them as the lanes of one stacked
+step of a throwaway copy, from which the live tick takes its lane and latency rng.
 
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
 composed scenario, restarting the adapter at every reset marker.  The segments
 of an episodic scenario step in lockstep, as lanes of one stacked step per tick
-(see ``run_segments``), with the bits of stepping them one at a time.
+(see ``run_segments``), with the bits of stepping them one at a time; ``_stacks``
+says which adapters step in lanes, on either axis.
 ``schedule_class`` predicts from the loop's rule which runs are equal but for
 their labels, so that a caller computes each such class once.
 """
@@ -120,6 +124,31 @@ def _modulo(cfg: ProtocolConfig) -> int | None:
     return cfg.schedule_mode.k if isinstance(cfg.schedule_mode, FixedModulo) else None
 
 
+def _stacks(cfg: ProtocolConfig, adapter: Adapter) -> bool:
+    """Whether steps from one adapter state, latency rng included, on batches of one size
+    may run as the lanes of one stacked step: under simulated timing a built-in adapter
+    with one latency model draws them one cost, the one each would draw alone."""
+    return (cfg.timing == SIMULATED and type(adapter) in _BUILT_IN
+            and len(adapter._latency_models()) == 1)
+
+
+def _window(adapter: Adapter, fallback: ModelParams, batches: Sequence[Batch]):
+    """One step of a throwaway copy of ``adapter`` on the stack of ``batches``: the copy,
+    the outcome and each lane's fallback labels.  None if the step fails, batches of two
+    sizes included, so that its ticks step one at a time and fail as they would."""
+    try:
+        ghost = clone_adapter(adapter)
+        ghost.params = adapter.params.stack(len(batches))
+        x, labels = np.stack([b.features for b in batches]), np.stack([b.labels for b in batches])
+        outcome = ghost.adapt(Batch(x, labels, -1, batches[0].t))
+        seen = outcome.forward
+        fb = (seen.labels if seen is not None and fallback is adapter.params
+              else predict(fallback.stack(len(batches)), x)[0])
+    except Exception:
+        return None
+    return ghost, outcome, fb
+
+
 def schedule_class(
     cfg: ProtocolConfig, adapter: Adapter, clock: StreamClock, batch_size: int
 ) -> tuple[str, int, str] | None:
@@ -173,6 +202,8 @@ def _run(
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
     modulo = _modulo(cfg)
+    interval = clock.effective_interval  # re-measured at every adapted step under measured timing
+    windows = trace_out is not None and _stacks(cfg, adapter)  # traced: busy windows as lanes
     steps: list[int] = []
     batch_sizes: list[int] = []
     error_counts: list[int] = []
@@ -198,6 +229,7 @@ def _run(
             adapter.params = initial.copy() if lanes == 1 else initial.stack(lanes)
         worker = Worker()
         fallback, version, fallback_version = adapter.params, 0, 0
+        window, window_end = None, -1
         # Per lane: the current domain and its rows (domain, tick, fingerprint).
         current, rows = [None] * lanes, [[] for _ in range(lanes)]
         # Per tick, alike in every lane but the errors: the batch size, version,
@@ -220,8 +252,22 @@ def _run(
                 if lanes > 1:  # a stacked batch, of no one domain
                     batch = Batch(np.stack([b.features for b in ticks]),
                                   np.stack([b.labels for b in ticks]), -1, t)
-                if stepped:
-                    prev = adapter.params
+                if windows and not adapt_now and t > window_end:
+                    # The ticks through the next adapted one, cut at the stream's end, all
+                    # start from the live state: they step as the lanes of one window.
+                    window_start = t
+                    window_end = worker.busy_until if modulo is None else t - t % modulo + modulo
+                    window = _window(adapter, fallback, stream[t:window_end + 1])
+                laned = window is not None and t <= window_end
+                prev = adapter.params
+                if laned:
+                    ghost, outcome, fb = window
+                    j = t - window_start
+                    cost, y_adapted, fb_pred = outcome.cost, outcome.y_hat[j], fb[j]
+                    if adapt_now:  # the live tick commits what its own step would
+                        theta_hat = adapter.params = outcome.theta_hat.lane(j)
+                        adapter._latency_rng = ghost._latency_rng
+                elif stepped:
                     # A counterfactual step adapts a throwaway copy; the live
                     # adapter (including its latency rng) stays untouched.
                     stepper = adapter if adapt_now else clone_adapter(adapter)
@@ -231,21 +277,21 @@ def _run(
                             interval = _timed(predict, prev, batch.features)[1] / clock.eta
                         outcome, cost = _timed(stepper.adapt, batch)
                     else:
-                        interval = clock.effective_interval
                         outcome = stepper.adapt(batch)
                         cost = outcome.cost
+                    y_adapted, theta_hat = outcome.y_hat, outcome.theta_hat
                 if adapt_now:
                     c = worker.occupy(t, interval, cost)
                     # The blend validates the adapter's output.
-                    theta_next = blend_parameters(prev, outcome.theta_hat, cfg.alpha)
-                if trace_out is not None or not (adapt_now or single):
+                    theta_next = blend_parameters(prev, theta_hat, cfg.alpha)
+                if not laned and (trace_out is not None or not (adapt_now or single)):
                     seen = outcome.forward if stepped else None
                     fb_pred = (seen.labels if seen is not None and seen.params is fallback
                                else predict(fallback, batch.features)[0])
                 if trace_out is not None:
                     trace_out.append(TraceRecord(
                         step=t, latency=float(cost),
-                        correct_adapted=int(np.count_nonzero(outcome.y_hat == batch.labels)),
+                        correct_adapted=int(np.count_nonzero(y_adapted == batch.labels)),
                         correct_fallback=int(np.count_nonzero(fb_pred == batch.labels)),
                         domain_id=batch.domain_id, batch_size=batch.size))
             except Exception as exc:
@@ -265,7 +311,7 @@ def _run(
                     fallback, fallback_version = theta_next, version
                 else:
                     fallback, fallback_version = prev, version - 1
-                y_hat = outcome.y_hat
+                y_hat = y_adapted
                 tick_adapted.append(i)
                 tick_c.append(c)
                 tick_versions.append(version)
@@ -347,8 +393,7 @@ def run_segments(
         raise ValueError("no segments to run")
     if trace_out is not None and len(segments) > 1:
         raise ValueError("trace collection needs a single-segment stream")
-    together = (cfg.timing == SIMULATED and cfg.protocol != SINGLE_MODEL
-                and type(adapter) in _BUILT_IN and len(adapter._latency_models()) == 1
+    together = (_stacks(cfg, adapter) and cfg.protocol != SINGLE_MODEL
                 and all(segment.reset for segment in segments)
                 and len({len(segment.batches) for segment in segments}) == 1
                 and len({b.size for segment in segments for b in segment.batches}) == 1)

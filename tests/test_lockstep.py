@@ -1,8 +1,13 @@
-"""Episodic runs step their reset segments in lockstep, bit for bit as one at a time.
+"""Steps from one state run as lanes of one stacked step, bit for bit as one at a time.
 
-The oracle stitches ``run_segments([segment])`` over each segment alone, which
-steps one batch at a time, and compares every report field, the adapter's
-final parameters and its latency rng with the run over all segments at once.
+Episodic runs step their reset segments in lockstep.  The oracle stitches
+``run_segments([segment])`` over each segment alone, which steps one batch at a
+time, and compares every report field, the adapter's final parameters and its
+latency rng with the run over all segments at once.
+
+Traced runs step the ticks from one adapted step to the next as one window.  The
+oracle runs the same adapter through a trivial subclass, which the lane gate sends
+one tick at a time, and compares the traces as well.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +27,7 @@ from streamgate.adapters import (
     ADAPTERS,
     Constant,
     EntropyMinAdapter,
+    PerSample,
     RejectionEntropyAdapter,
     Stochastic,
     make_adapter,
@@ -38,7 +45,7 @@ from streamgate.protocol import (
     ProtocolError,
     run_segments,
 )
-from streamgate.report import aggregate
+from streamgate.report import ACTION_ADAPTED, aggregate
 from streamgate.stream import (
     ScenarioSpec,
     StreamSegment,
@@ -67,16 +74,27 @@ def episodic(n_segments, n_batches, batch_size=4, scale=(), seed=0):
     return segments
 
 
-def counting(adapter):
-    """Count the adapter's ``adapt`` calls on the instance; its class stays as it is."""
-    adapt, adapter.calls = adapter.adapt, 0
+def _counted(step):
+    def counted(self, batch):
+        self.steps.append(1 if batch.features.ndim == 2 else len(batch.features))
+        return step(self, batch)
 
-    def counted(batch):
-        adapter.calls += 1
-        return adapt(batch)
+    return counted
 
-    adapter.adapt = counted
-    return adapter
+
+@contextmanager
+def counting(*adapters):
+    """Log in ``adapter.steps`` the lane count of every step each adapter makes in the
+    block, live or on a clone, which shares its original's log.  It patches ``_adapt`` on
+    the class defining it, so every adapter keeps its own type and a clone's step
+    commits to the clone, not to its original."""
+    owners = {next(c for c in type(a).__mro__ if "_adapt" in vars(c)) for a in adapters}
+    with pytest.MonkeyPatch.context() as patch:
+        for owner in owners:
+            patch.setattr(owner, "_adapt", _counted(vars(owner)["_adapt"]))
+        for adapter in adapters:
+            adapter.steps = []
+        yield
 
 
 def rng_state(adapter):
@@ -96,17 +114,17 @@ def stitched(segments, adapter, params, cfg, clock):
 
 def assert_lockstep_equals_sequential(name, kwargs, segments, cfg, clock, lanes, params=None):
     params = tiny_params(seed=2) if params is None else params
-    together = counting(make_adapter(name, params, **kwargs))
-    alone = counting(make_adapter(name, params, **kwargs))
-    report = run_segments(segments, together, params, cfg, clock)
-    expected = stitched(segments, alone, params, cfg, clock)
+    together, alone = (make_adapter(name, params, **kwargs) for _ in range(2))
+    with counting(together, alone):
+        report = run_segments(segments, together, params, cfg, clock)
+        expected = stitched(segments, alone, params, cfg, clock)
     assert report == expected
     assert report.schedule == expected.schedule  # also when == read no schedule
     assert together.params.flat.shape == params.flat.shape
     assert params_fingerprint(together.params) == params_fingerprint(alone.params)
     assert rng_state(together) == rng_state(alone)
     # Lanes adapt at the same ticks, so a lockstep run steps once per tick for all.
-    assert together.calls * lanes == alone.calls
+    assert len(together.steps) * lanes == len(alone.steps)
     return report
 
 
@@ -211,6 +229,116 @@ def test_a_straddling_stochastic_run_steps_together_at_the_default_model(
     straddling_default_model_case(name, source_spec, pretrained)
 
 
+# The same adapters through a trivial subclass each, which the lane gate sends one tick
+# at a time.
+ONE_TICK_AT_A_TIME = {name: type(f"OneTick{cls.__name__}", (cls,), {})
+                      for name, cls in ADAPTERS.items()}
+
+TRACED_LATENCIES = {
+    "one_tick": Constant(1.0),
+    "three_ticks": Constant(3.0),
+    "twelve_ticks": Constant(12.0),
+    "stochastic_two_cs": Stochastic(2.0, 1.5, seed=4),
+}
+
+
+def assert_traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params):
+    """A traced run steps its windows as lanes, bit for bit as one tick at a time; it
+    makes one adapt call per adapted step, and one more for a window cut at the end."""
+    segments = [StreamSegment(reset=True, batches=batches)]
+    laned = make_adapter(name, params, **kwargs)
+    alone = ONE_TICK_AT_A_TIME[name](params, **kwargs)
+    traces = [], []
+    with counting(laned, alone):
+        report, expected = (run_segments(segments, adapter, params, cfg, clock, trace_out=trace)
+                            for adapter, trace in zip((laned, alone), traces))
+    assert traces[0] == traces[1]
+    assert report == expected
+    assert report.schedule == expected.schedule
+    assert params_fingerprint(laned.params) == params_fingerprint(alone.params)
+    assert rng_state(laned) == rng_state(alone)
+    assert alone.steps == [1] * len(batches)
+    assert sum(laned.steps) == len(batches)
+    actions = [record.action for record in report.schedule]
+    if name == "rejection_entropy":  # two latency models: one tick at a time
+        assert laned.steps == alone.steps
+    else:
+        cut = actions[-1] != ACTION_ADAPTED
+        assert len(laned.steps) == actions.count(ACTION_ADAPTED) + cut
+    return report
+
+
+@pytest.mark.parametrize("cls", [EntropyMinAdapter, ONE_TICK_AT_A_TIME["entropy_min"]])
+def test_counting_leaves_a_traced_run_as_it_is(cls):
+    # A clone's step must not reach the live adapter through the counter.
+    params = tiny_params(seed=2)
+    segments = [StreamSegment(reset=True, batches=tiny_stream(12, seed=1))]
+
+    def traced(adapter):
+        trace = []
+        report = run_segments(segments, adapter, params, ProtocolConfig(protocol=ONLINE),
+                              trace_out=trace)
+        return report, report.schedule, trace, params_fingerprint(adapter.params)
+
+    plain, counted = (cls(params, latency=Constant(3.0)) for _ in range(2))
+    expected = traced(plain)
+    with counting(counted):
+        assert traced(counted) == expected
+    # C = 3: four adapted steps and a window cut at the end, or one step a tick.
+    assert len(counted.steps) == (5 if cls is EntropyMinAdapter else 12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ADAPTERS)),
+    latency=st.sampled_from(sorted(TRACED_LATENCIES)),
+    modulo=st.none() | st.integers(2, 5),
+    alpha=st.sampled_from([0.0, 0.5]),
+    visibility=st.sampled_from([IMMEDIATE, DELAYED]),
+    eta=st.sampled_from([1.0, 0.5, 0.25]),
+    n_batches=st.integers(1, 30),
+    batch_size=st.integers(1, 5),
+    seed=st.integers(0, 5),
+)
+# C = 12 over 20 ticks: the window from tick 13 is cut at the stream's end.
+@example(name="entropy_min", latency="twelve_ticks", modulo=None, alpha=0.5,
+         visibility=DELAYED, eta=1.0, n_batches=20, batch_size=4, seed=0)
+# C = 3 over 5 ticks: the window from tick 4 is cut to one lane.
+@example(name="input_restore", latency="three_ticks", modulo=None, alpha=0.0,
+         visibility=IMMEDIATE, eta=1.0, n_batches=5, batch_size=1, seed=0)
+# Costs of 0.5 to 3.5 s against a 2 s tick: C is 1 or 2, a window of two ticks or none.
+@example(name="pseudo_label", latency="stochastic_two_cs", modulo=None, alpha=0.0,
+         visibility=IMMEDIATE, eta=0.5, n_batches=30, batch_size=4, seed=1)
+@example(name="norm_stat", latency="three_ticks", modulo=4, alpha=0.5,
+         visibility=DELAYED, eta=0.25, n_batches=30, batch_size=3, seed=2)
+def test_a_traced_run_steps_its_windows_as_lanes_bit_for_bit(
+    name, latency, modulo, alpha, visibility, eta, n_batches, batch_size, seed
+):
+    kwargs = {"latency": TRACED_LATENCIES[latency]}
+    if name == "rejection_entropy":
+        kwargs["latency_reject"] = Stochastic(0.4, 0.1, seed=7)
+    cfg = ProtocolConfig(protocol=ONLINE, alpha=alpha, fallback_visibility=visibility,
+                         seed=seed, schedule_mode=BusyWindow() if modulo is None
+                         else FixedModulo(modulo))
+    assert_traced_windows_equal_ticks(name, kwargs, tiny_stream(n_batches, batch_size, seed=seed),
+                                      cfg, StreamClock(eta=eta), tiny_params(seed=2))
+
+
+def traced_default_model_case(source_spec, pretrained):
+    """A traced continual entropy_min run at the default model and batch size, C = 12:
+    its windows of twelve ticks step as lanes, bit for bit as one tick at a time."""
+    scenario = ScenarioSpec(mode="continual", domain_order=default_corruption_suite()[::3])
+    batches = compose_stream(scenario, source_spec, 640, seed=1)[0].batches
+    cfg = ProtocolConfig(protocol=ONLINE, alpha=0.5)
+    report = assert_traced_windows_equal_ticks("entropy_min", dict(latency=Constant(12.0)),
+                                               batches, cfg, StreamClock(), pretrained)
+    assert {record.c_value for record in report.schedule} == {12, None}
+
+
+def test_a_traced_run_steps_its_windows_as_lanes_at_the_default_model(source_spec, pretrained):
+    traced_default_model_case(source_spec, pretrained)
+
+
 def test_lockstep_keeps_the_bits_at_two_blas_threads():
     # OpenBLAS may split a product across threads, and the stacked products are not the
     # 1-D path's.  Two threads and never more, which any two-core machine runs.
@@ -220,10 +348,12 @@ def test_lockstep_keeps_the_bits_at_two_blas_threads():
                MKL_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = ("from streamgate.stream import SourceSpec, make_source_dataset, "
             "pretrain_source_model\n"
-            "from test_lockstep import straddling_default_model_case\n"
+            "from test_lockstep import straddling_default_model_case, "
+            "traced_default_model_case\n"
             "spec = SourceSpec()\n"
             "params = pretrain_source_model(*make_source_dataset(spec))\n"
-            "straddling_default_model_case('entropy_min', spec, params)\n")
+            "straddling_default_model_case('entropy_min', spec, params)\n"
+            "traced_default_model_case(spec, params)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr
@@ -283,9 +413,10 @@ def test_runs_that_cannot_step_together_take_one_segment_at_a_time():
     for segments, cfg in [(uneven, ProtocolConfig()), (continued, ProtocolConfig()),
                           (mixed_sizes, ProtocolConfig()), (episodic(3, 4), measured),
                           (episodic(3, 4), ProtocolConfig(protocol="single_model"))]:
-        adapter = counting(make_adapter("source", params, latency=Constant(0.5)))
-        run_segments(segments, adapter, params, cfg)
-        assert adapter.calls == sum(len(s.batches) for s in segments)
+        adapter = make_adapter("source", params, latency=Constant(0.5))
+        with counting(adapter):
+            run_segments(segments, adapter, params, cfg)
+        assert adapter.steps == [1] * sum(len(s.batches) for s in segments)
 
 
 def poisoned(segments, lane, step):
@@ -322,3 +453,46 @@ def test_a_failing_lane_raises_the_sequential_runs_error(name, poison, message):
     assert str(failure.value).endswith(message)
     assert type(failure.value.__cause__) is type(expected.__cause__)
 
+
+
+@pytest.mark.parametrize("step", [5, 12, 16])  # mid-window, a live tick, a cut window
+def test_a_failing_window_fails_as_its_ticks_one_at_a_time(step):
+    params = tiny_params(seed=2)
+    segments = poisoned([StreamSegment(reset=True, batches=tiny_stream(20, seed=3))], 0, step)
+    laned = EntropyMinAdapter(params, latency=Constant(12.0))
+    alone = ONE_TICK_AT_A_TIME["entropy_min"](params, latency=Constant(12.0))
+    failures, traces = [], []
+    with counting(laned, alone):
+        for adapter in (laned, alone):
+            traces.append([])
+            with pytest.raises(ProtocolError) as failure:
+                run_segments(segments, adapter, params, ProtocolConfig(protocol=ONLINE),
+                             trace_out=traces[-1])
+            failures.append(failure.value)
+    assert str(failures[0]) == str(failures[1])
+    assert str(failures[0]).endswith(
+        f"failed at step {step}: features contain non-finite values (domain 0)")
+    assert traces[0] == traces[1] and len(traces[0]) == step
+    # The failing window (ticks 1 to 12, or 13 to 19 cut at the end) tries one stacked
+    # step, then steps its ticks one at a time.
+    assert alone.steps == [1] * (step + 1)
+    assert laned.steps == ([1, 12] + [1] * step if step <= 12 else
+                           [1, 12, 7] + [1] * (step - 12))
+
+
+def test_a_window_of_two_batch_sizes_steps_one_tick_at_a_time():
+    params = tiny_params(seed=2)
+    batches = tiny_stream(20, seed=3)
+    batches[5] = tiny_stream(6, batch_size=3, seed=4)[5]
+    segments = [StreamSegment(reset=True, batches=batches)]
+    laned = EntropyMinAdapter(params, latency=PerSample(3.0))  # 12 s a batch of 4
+    alone = ONE_TICK_AT_A_TIME["entropy_min"](params, latency=PerSample(3.0))
+    traces = [], []
+    with counting(laned, alone):
+        report, expected = (run_segments(segments, adapter, params,
+                                         ProtocolConfig(protocol=ONLINE), trace_out=trace)
+                            for adapter, trace in zip((laned, alone), traces))
+    assert traces[0] == traces[1]
+    assert report == expected
+    # Ticks 1 to 12 cannot stack, so they step one at a time; ticks 13 to 19 stack.
+    assert laned.steps == [1] * 13 + [7]

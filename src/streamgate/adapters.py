@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import VAR_FLOOR, Forward, ModelParams, forward, predict
-from .stream import Batch, check_seed
+from .stream import Batch, check_integer
 
 _COST_FLOOR = 1e-9
 
@@ -54,7 +54,7 @@ class Stochastic:
             raise ValueError(f"mean must be positive and finite, got {self.mean!r}")
         if not 0.0 <= self.jitter < float("inf"):
             raise ValueError(f"jitter must be non-negative and finite, got {self.jitter!r}")
-        check_seed(self.seed)
+        check_integer(self.seed, "seed")
 
 
 LatencyModel = Constant | PerSample | Stochastic

@@ -66,16 +66,18 @@ class Worker:
     A step adapts iff the worker is free, ``t >= busy_until``, so the busy
     window [t, t + C) is half-open.  An adaptation started at step t whose
     cost spans C = relative_adaptation_speed(interval, elapsed) ticks keeps
-    the worker busy until t + C: the next C - 1 steps fall back.
+    the worker busy until t + C, or t + k under a fixed ``period`` k: the next
+    C - 1 (or k - 1) steps fall back, so a period adapts at the multiples of k.
     """
 
-    __slots__ = ("busy_until",)
+    __slots__ = ("busy_until", "period")
 
-    def __init__(self) -> None:
+    def __init__(self, period: int | None = None) -> None:
         self.busy_until = 0
+        self.period = period
 
     def occupy(self, t: int, interval: float, elapsed: float) -> int:
         """Charge an adaptation started at step t; returns its C."""
         c = relative_adaptation_speed(interval, elapsed)
-        self.busy_until = t + c
+        self.busy_until = t + (self.period or c)
         return c

@@ -33,7 +33,6 @@ their labels, so that a caller computes each such class once.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,7 +49,7 @@ from .report import (
     RunReport,
     run_report,
 )
-from .stream import Batch, StreamSegment, check_seed
+from .stream import Batch, StreamSegment, check_integer
 from .trace import TraceRecord
 
 OFFLINE = "offline"
@@ -88,10 +87,7 @@ class FixedModulo:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ValueError(f"FixedModulo k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError("FixedModulo k must be >= 1")
+        check_integer(self.k, "FixedModulo k", 1)
 
 
 @dataclass(frozen=True)
@@ -114,11 +110,11 @@ class ProtocolConfig:
             raise ValueError(f"unknown fallback visibility {self.fallback_visibility!r}")
         if self.timing not in (SIMULATED, MEASURED):
             raise ValueError(f"unknown timing mode {self.timing!r}")
-        check_seed(self.seed)
+        check_integer(self.seed, "seed")
 
 
 def _modulo(cfg: ProtocolConfig) -> int | None:
-    """Adapt at t iff t % modulo == 0, offline exactly as modulo:1; None: the busy window."""
+    """The worker's fixed period k, to adapt iff t % k == 0: offline 1; None: the busy window."""
     if cfg.protocol == OFFLINE:
         return 1
     return cfg.schedule_mode.k if isinstance(cfg.schedule_mode, FixedModulo) else None
@@ -165,8 +161,7 @@ def schedule_class(
     c = relative_adaptation_speed(clock.effective_interval, lo)
     if c != relative_adaptation_speed(clock.effective_interval, hi):
         return None
-    modulo = _modulo(cfg)
-    every_step = modulo == 1 or (modulo is None and c == 1)
+    every_step = (_modulo(cfg) or c) == 1
     return adapter.name, c, OFFLINE if every_step else cfg.protocol
 
 
@@ -201,7 +196,6 @@ def _run(
             raise ValueError("single-model runs need num_classes >= 2")
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
-    modulo = _modulo(cfg)
     interval = clock.effective_interval  # re-measured at every adapted step under measured timing
     windows = trace_out is not None and _stacks(cfg, adapter)  # traced: busy windows as lanes
     steps: list[int] = []
@@ -227,7 +221,7 @@ def _run(
         if group[0].reset:
             adapter.reset()
             adapter.params = initial.copy() if lanes == 1 else initial.stack(lanes)
-        worker = Worker()
+        worker = Worker(_modulo(cfg))
         fallback, version, fallback_version = adapter.params, 0, 0
         window, window_end = None, -1
         # Per lane: the current domain and its rows (domain, tick, fingerprint).
@@ -243,7 +237,7 @@ def _run(
                     current[k] = lane_batch.domain_id
                     rows[k].append((current[k], i, params_fingerprint(adapter.params.lane(k))))
 
-            adapt_now = t >= worker.busy_until if modulo is None else t % modulo == 0
+            adapt_now = t >= worker.busy_until
             stepped = adapt_now or trace_out is not None
 
             # Every call of the step, adapter or fallback, live or counterfactual,
@@ -256,7 +250,7 @@ def _run(
                     # The ticks through the next adapted one, cut at the stream's end, all
                     # start from the live state: they step as the lanes of one window.
                     window_start = t
-                    window_end = worker.busy_until if modulo is None else t - t % modulo + modulo
+                    window_end = worker.busy_until
                     window = _window(adapter, fallback, stream[t:window_end + 1])
                 laned = window is not None and t <= window_end
                 prev = adapter.params

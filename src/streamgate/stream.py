@@ -4,7 +4,9 @@ The source task is a Gaussian-mixture classification problem small enough to
 run full benchmarks in seconds.  Domains are parameterized corruptions of the
 source distribution at integer severities 1..5, composed into episodic
 (one domain per stream, reset between) or continual (one concatenated stream)
-scenarios.  Every generator is a pure function of its spec and seed.
+scenarios.  Every generator is a pure function of its spec and seed, computed with
+numpy alone: the rotation's matrix exponential comes from numpy's Hermitian
+eigendecomposition, on the same LAPACK as every other product here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .model import VAR_FLOOR, ModelParams
 
@@ -43,12 +44,15 @@ DEFAULT_BATCH_SIZE = 64
 DEFAULT_SAMPLES_PER_DOMAIN = 5000
 
 
-def check_seed(seed) -> None:
-    """Raise ``ValueError`` naming ``seed`` unless it is a non-negative integer; numpy
-    would fail on a negative or fractional one only at its first draw, and take ``True``
-    as 1."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def check_integer(value, name: str, minimum: int = 0) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``;
+    numpy and ``range`` would take ``True`` as 1, and fail on a float only at first use
+    with a bare ``TypeError``, or on a negative seed only at its first draw."""
+    integer = not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    if not (integer and value >= minimum):
+        rule = ("a non-negative integer" if minimum == 0
+                else f">= {minimum}" if integer else "an integer")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,12 @@ class SourceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim!r}")
+        check_integer(self.num_classes, "num_classes", 2)
+        check_integer(self.dim, "dim", 1)
         if not self.class_separation > 0:
             raise ValueError(f"class_separation must be positive, got {self.class_separation!r}")
-        if self.samples_per_class < 1:
-            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class!r}")
-        check_seed(self.seed)
+        check_integer(self.samples_per_class, "samples_per_class", 1)
+        check_integer(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if self.severity not in (1, 2, 3, 4, 5):
             raise ValueError(f"severity must be in 1..5, got {self.severity}")
-        check_seed(self.seed)
+        check_integer(self.severity, "severity", 1)  # True and 5.0 are in 1..5
+        check_integer(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,7 @@ class ScenarioSpec:
             raise ValueError(f"mode must be {EPISODIC!r} or {CONTINUAL!r}")
         if not self.domain_order:
             raise ValueError("domain_order must be non-empty")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_integer(self.batch_size, "batch_size", 1)
         if self.append_clean and self.mode != CONTINUAL:
             raise ValueError("append_clean is only valid in continual mode")
 
@@ -149,8 +150,7 @@ class TrainSpec:
     def __post_init__(self) -> None:
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be non-negative, got {self.iterations!r}")
+        check_integer(self.iterations, "iterations")
 
 
 class TrainingError(RuntimeError):
@@ -263,8 +263,9 @@ def apply_corruption(features: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     if spec.kind == FEATURE_SCALE:
         return features * (s ** spec.severity)
     if spec.kind == ROTATION:
-        rot = expm((s * spec.severity) * _rotation_generator(dim, rng))
-        return features @ rot.T
+        # A is real skew-symmetric, so iA = V diag(w) V^H is Hermitian: exp(A) = V diag(e^-iw) V^H.
+        w, v = np.linalg.eigh(1j * ((s * spec.severity) * _rotation_generator(dim, rng)))
+        return features @ ((v * np.exp(-1j * w)) @ v.conj().T).real.T
     # FEATURE_MASK: CORRUPTION_KINDS.index above has rejected any other kind.
     n_mask = int(round(s * spec.severity * dim))
     masked = features.copy()

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from streamgate.model import params_fingerprint
 from streamgate.stream import (
     CONTINUAL,
     EPISODIC,
+    ROTATION,
     Batch,
     CorruptionSpec,
     ScenarioSpec,
@@ -137,6 +142,42 @@ def test_rotation_is_orthogonal_and_invertible():
     assert np.allclose(rotated @ rot, x, atol=1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 12, 32])
+def test_rotation_matches_the_scipy_oracle_and_is_orthogonal(dim):
+    for severity in range(1, 6):
+        for seed in range(3):
+            spec = CorruptionSpec(ROTATION, severity, seed)
+            rot = apply_corruption(np.eye(dim), spec).T
+            assert np.abs(rot - rotation_matrix(spec, dim)).max() <= 1e-13
+            assert np.abs(rot @ rot.T - np.eye(dim)).max() <= 1e-13
+
+
+ROTATION_DIGEST = """\
+import hashlib
+from streamgate.stream import ROTATION, ScenarioSpec, SourceSpec, compose_stream, \\
+    default_corruption_suite
+order = tuple(spec for spec in default_corruption_suite() if spec.kind == ROTATION)
+segments = compose_stream(ScenarioSpec("episodic", order), SourceSpec())
+print(hashlib.sha256(b"".join(b.features.tobytes() for s in segments for b in s.batches))
+      .hexdigest())
+"""
+
+
+def test_the_rotation_keeps_its_bits_at_two_blas_threads():
+    # The eigendecomposition and the products run on numpy's BLAS, which may split
+    # them across threads.  Two threads and never more, which any two-core machine runs.
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run([sys.executable, "-c", ROTATION_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_corruptions_preserve_shape_and_determinism():
     x = np.random.default_rng(2).normal(size=(32, 16))
     for spec in default_corruption_suite(severity=3)[:8]:
@@ -203,6 +244,23 @@ def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value):
         spec(**{field: value})
 
 
+@pytest.mark.parametrize("make,field,rule", [
+    (lambda v: SourceSpec(num_classes=v), "num_classes", "an integer"),
+    (lambda v: SourceSpec(dim=v), "dim", "an integer"),
+    (lambda v: SourceSpec(samples_per_class=v), "samples_per_class", "an integer"),
+    (lambda v: TrainSpec(iterations=v), "iterations", "a non-negative integer"),
+    (lambda v: ScenarioSpec(EPISODIC, default_corruption_suite(), batch_size=v), "batch_size",
+     "an integer"),
+    (lambda v: CorruptionSpec(ROTATION, v), "severity", "an integer"),
+], ids=["num_classes", "dim", "samples_per_class", "iterations", "batch_size", "severity"])
+@pytest.mark.parametrize("value", [True, 4.0])
+def test_integer_fields_reject_a_non_integer_naming_the_field(make, field, rule, value):
+    # range() and numpy take True as 1, and fail on a float only later, unnamed.
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
+        make(value)
+    assert getattr(make(np.int64(4)), field) == 4
+
+
 def three_domain_scenario(mode):
     order = tuple(CorruptionSpec("mean_shift", 5, seed=s) for s in range(3))
     return ScenarioSpec(mode=mode, domain_order=order, batch_size=64)
@@ -210,6 +268,12 @@ def three_domain_scenario(mode):
 
 @pytest.mark.parametrize("make,message", [
     (lambda: SourceSpec(samples_per_class=0), "samples_per_class must be >= 1, got 0"),
+    (lambda: SourceSpec(num_classes=1), "num_classes must be >= 2, got 1"),
+    (lambda: SourceSpec(dim=0), "dim must be >= 1, got 0"),
+    (lambda: TrainSpec(iterations=-1), "iterations must be a non-negative integer, got -1"),
+    (lambda: ScenarioSpec(EPISODIC, default_corruption_suite(), batch_size=0),
+     "batch_size must be >= 1, got 0"),
+    (lambda: CorruptionSpec(ROTATION, 6), "severity must be in 1..5, got 6"),
     (lambda: Batch(np.zeros((2, 3)), np.zeros(3, dtype=int), domain_id=0, t=0),
      "features and labels must be non-empty and aligned"),
     (lambda: Batch(np.zeros((0, 3)), np.zeros(0, dtype=int), domain_id=0, t=0),
@@ -234,7 +298,8 @@ def three_domain_scenario(mode):
      "features must be finite, got 1 non-finite values"),
     (lambda: pretrain_source_model(np.zeros(3), np.array([0, 1, 2])),
      "features must be 2-D (samples, dim), got shape (3,)"),
-], ids=["no-samples-per-class", "misaligned-batch", "empty-batch", "column-labels-batch",
+], ids=["no-samples-per-class", "one-class", "no-dim", "negative-iterations",
+        "no-batch-size", "severity-6", "misaligned-batch", "empty-batch", "column-labels-batch",
         "1-d-features-batch", "empty-dataset",
         "domain-below-one-batch", "negative-label", "float-labels", "labels-misaligned",
         "nan-features", "1-d-features"])

@@ -305,8 +305,8 @@ class _DescentAdapter(Adapter):
         latency: LatencyModel = Constant(3.0),
         learning_rate: float = 0.1,
     ):
-        if not learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate!r}")
+        if not 0 < learning_rate < float("inf"):
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
         super().__init__(pretrained, latency)
         self.learning_rate = learning_rate
 

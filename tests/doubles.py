@@ -30,6 +30,12 @@ from streamgate.report import (
 from streamgate.stream import (
     BASE_STRENGTH,
     CORRUPTION_KINDS,
+    EPISODIC,
+    FEATURE_MASK,
+    FEATURE_SCALE,
+    GAUSSIAN_NOISE,
+    MEAN_SHIFT,
+    ROTATION,
     Batch,
     CorruptionSpec,
     ScenarioSpec,
@@ -38,6 +44,8 @@ from streamgate.stream import (
     TrainingError,
     TrainSpec,
     _rotation_generator,
+    apply_corruption,
+    class_means,
     compose_stream,
 )
 from streamgate.trace import FALLBACK_APPROXIMATION_NOTE, TraceFormatError, TraceRecord
@@ -174,6 +182,73 @@ def rotation_matrix(spec: CorruptionSpec, dim: int) -> np.ndarray:
     """The orthogonal matrix a rotation corruption applies, drawn as it draws it."""
     rng = np.random.default_rng([spec.seed, CORRUPTION_KINDS.index(spec.kind), spec.severity])
     return expm((BASE_STRENGTH[spec.kind] * spec.severity) * _rotation_generator(dim, rng))
+
+
+def _reference_sample_domain(source: SourceSpec, corruption: CorruptionSpec | None,
+                             n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """stream.sample_domain with the clean and the corrupted domain's key in two branches."""
+    if corruption is None:  # clean segment
+        key = [len(CORRUPTION_KINDS), 0, 0]
+    else:
+        key = [CORRUPTION_KINDS.index(corruption.kind), corruption.severity, corruption.seed]
+    rng = np.random.default_rng([seed, *key])
+    means = class_means(source)
+    labels = rng.integers(0, source.num_classes, size=n)
+    features = means[labels] + rng.standard_normal((n, source.dim))
+    if corruption is not None:
+        features = apply_corruption(features, corruption)
+    return features, labels
+
+
+def reference_compose_stream(scenario: ScenarioSpec, source: SourceSpec,
+                             samples_per_domain: int, seed: int) -> list[StreamSegment]:
+    """stream.compose_stream written the long way: a tick counter reset per
+    episodic segment, a batch count, and one branch per way to open a segment."""
+    domains: list[CorruptionSpec | None] = list(scenario.domain_order)
+    if scenario.append_clean:
+        domains.append(None)
+    segments: list[StreamSegment] = []
+    t = 0
+    for domain_id, corruption in enumerate(domains):
+        features, labels = _reference_sample_domain(source, corruption, samples_per_domain, seed)
+        n_batches = samples_per_domain // scenario.batch_size
+        if scenario.mode == EPISODIC:
+            segments.append(StreamSegment(reset=True))
+            t = 0
+        elif not segments:
+            segments.append(StreamSegment(reset=True))
+        seg = segments[-1]
+        bs = scenario.batch_size
+        for i in range(n_batches):
+            seg.batches.append(
+                Batch(
+                    features=features[i * bs:(i + 1) * bs],
+                    labels=labels[i * bs:(i + 1) * bs],
+                    domain_id=domain_id,
+                    t=t,
+                )
+            )
+            t += 1
+    return segments
+
+
+def reference_corruption_suite(severity: int = 5) -> tuple[CorruptionSpec, ...]:
+    """stream.default_corruption_suite built from a list of shift seeds and a
+    count of seeds per other kind."""
+    suite = [
+        CorruptionSpec(kind=MEAN_SHIFT, severity=severity, seed=s)
+        for s in (0, 6, 9, 10, 19)
+    ]
+    counts = (
+        (GAUSSIAN_NOISE, 3),
+        (ROTATION, 3),
+        (FEATURE_MASK, 2),
+        (FEATURE_SCALE, 2),
+    )
+    for kind, count in counts:
+        for s in range(count):
+            suite.append(CorruptionSpec(kind=kind, severity=severity, seed=s))
+    return tuple(suite)
 
 
 def reference_pretrain_source_model(

@@ -316,7 +316,7 @@ def test_confident_batch_has_negligible_pseudo_label_gradient(mini_pretrained, m
     assert np.linalg.norm(g_conf) < 1e-3 * np.linalg.norm(g_fuzzy)
 
 
-@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf")])
 @pytest.mark.parametrize("cls,keyword", [
     (EntropyMinAdapter, "learning_rate"),
     (PseudoLabelAdapter, "learning_rate"),
@@ -325,7 +325,12 @@ def test_confident_batch_has_negligible_pseudo_label_gradient(mini_pretrained, m
 ])
 def test_non_positive_hyperparameter_fails_at_construction(mini_pretrained, cls, keyword, value):
     # NaN fails every comparison, so a check written as `value <= 0` lets it through.
-    with pytest.raises(ValueError, match=f"{keyword} must be positive, got {value!r}"):
+    # An infinite rate would fail only mid-run, on a non-finite gamma.
+    if (keyword, value) == ("entropy_threshold", float("inf")):  # admits every sample
+        assert cls(mini_pretrained, **{keyword: value}).entropy_threshold == value
+        return
+    rule = "positive" if keyword == "entropy_threshold" else "positive and finite"
+    with pytest.raises(ValueError, match=re.escape(f"{keyword} must be {rule}, got {value!r}")):
         cls(mini_pretrained, **{keyword: value})
 
 

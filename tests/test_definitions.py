@@ -1,11 +1,15 @@
-"""Every function, class or method a streamgate module defines is used beyond the unit tests.
+"""Every function, class, method or constant a streamgate module defines is used
+beyond the unit tests.
 
 A module-level definition counts as used once a module of the package loads
 its name (as a name or as an attribute of any object), ``__init__.py`` exports
 it, or the acceptance tests import it.  A method of a module-level class
 other than a dunder counts as used on the same terms.  Anything else is a
 helper that only the unit tests keep; it belongs in ``tests/doubles.py``, not
-in the package.
+in the package.  A module-level constant, any name a module-level assignment
+binds other than a dunder, counts as used once a module of the package loads
+it or the package exports it: from ``__init__.py`` or in a module's
+``__all__``.  One that nothing loads is a leftover of deleted code.
 """
 
 from __future__ import annotations
@@ -37,19 +41,56 @@ def _definitions(tree: ast.Module):
                     yield method.lineno, method.name, f"{node.name}.{method.name}"
 
 
+def _constants(tree: ast.Module):
+    """(line, name) of each non-dunder name a module-level assignment binds."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for name in (n for target in targets for n in ast.walk(target)):
+            if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                yield node.lineno, name.id
+
+
+def _exported(trees: dict[str, ast.Module]) -> set[str]:
+    """The names ``__init__.py`` imports and the strings of every module's ``__all__``."""
+    names = _imported(trees["__init__.py"])
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                names |= {item.value for item in ast.walk(node.value)
+                          if isinstance(item, ast.Constant) and isinstance(item.value, str)}
+    return names
+
+
+def _loaded(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name any tree loads, as a name or as an attribute."""
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
 def unused_definitions(sources: dict[str, str], acceptance: str) -> list[str]:
     """``"<file>:<line> <label>"`` for every definition of ``_definitions`` whose name
     no source loads, ``__init__.py`` does not export and ``acceptance`` does not import."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    used = _imported(trees["__init__.py"]) | _imported(ast.parse(acceptance))
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
+    used = _imported(trees["__init__.py"]) | _imported(ast.parse(acceptance)) | _loaded(trees)
     return [f"{name}:{line} {label}" for name, tree in trees.items()
             for line, defined, label in _definitions(tree) if defined not in used]
+
+
+def unused_constants(sources: dict[str, str]) -> list[str]:
+    """``"<file>:<line> <name>"`` for every constant of ``_constants`` that no source
+    loads and the package does not export."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = _exported(trees) | _loaded(trees)
+    return [f"{name}:{line} {constant}" for name, tree in trees.items()
+            for line, constant in _constants(tree) if constant not in used]
 
 
 def test_the_check_sees_an_unused_definition():
@@ -71,3 +112,20 @@ def test_the_check_sees_an_unused_definition():
 def test_every_definition_is_used_beyond_the_unit_tests():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_definitions(sources, ACCEPTANCE.read_text()) == []
+
+
+def test_the_check_sees_an_unused_constant():
+    sources = {
+        "__init__.py": "from .a import EXPORTED\n__version__ = '1'\n",
+        "a.py": "EXPORTED = 1\nLOADED = 2\n_LEFTOVER = (0, 6)\n"
+                "LISTED: int = 3\nFIRST, _SECOND = 4, 5\n"
+                "__all__ = ['LISTED']\n"
+                "def f():\n    return LOADED + FIRST\n",
+        "b.py": "from . import a\nUNUSED = a.LOADED\n",
+    }
+    assert unused_constants(sources) == ["a.py:3 _LEFTOVER", "a.py:5 _SECOND", "b.py:2 UNUSED"]
+
+
+def test_every_constant_is_loaded_or_exported():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_constants(sources) == []

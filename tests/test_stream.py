@@ -35,6 +35,8 @@ from streamgate.stream import (
 from doubles import (
     model_error,
     nearest_mean_error,
+    reference_compose_stream,
+    reference_corruption_suite,
     reference_pretrain_source_model,
     rotation_matrix,
 )
@@ -238,9 +240,11 @@ def test_seeded_specs_reject_a_seed_that_is_no_non_negative_integer(make, seed):
 
 @pytest.mark.parametrize("spec,field", [(SourceSpec, "class_separation"),
                                         (TrainSpec, "learning_rate")])
-@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf")])
 def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value):
-    with pytest.raises(ValueError, match=re.escape(f"{field} must be positive, got {value!r}")):
+    # An infinite rate would fail only later, in training, under another name.
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} must be positive and finite, got {value!r}")):
         spec(**{field: value})
 
 
@@ -252,7 +256,9 @@ def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value):
     (lambda v: ScenarioSpec(EPISODIC, default_corruption_suite(), batch_size=v), "batch_size",
      "an integer"),
     (lambda v: CorruptionSpec(ROTATION, v), "severity", "an integer"),
-], ids=["num_classes", "dim", "samples_per_class", "iterations", "batch_size", "severity"])
+    (lambda v: Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), domain_id=0, t=v), "t",
+     "a non-negative integer"),
+], ids=["num_classes", "dim", "samples_per_class", "iterations", "batch_size", "severity", "t"])
 @pytest.mark.parametrize("value", [True, 4.0])
 def test_integer_fields_reject_a_non_integer_naming_the_field(make, field, rule, value):
     # range() and numpy take True as 1, and fail on a float only later, unnamed.
@@ -287,6 +293,17 @@ def three_domain_scenario(mode):
      "dataset is empty"),
     (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 63),
      "samples_per_domain must cover at least one batch"),
+    # numpy fails on a float count and seed unnamed, takes True as 1 and -1 at the first draw.
+    (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 640.0),
+     "samples_per_domain must be an integer, got 640.0"),
+    (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), True),
+     "samples_per_domain must be an integer, got True"),
+    (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 640, seed=True),
+     "seed must be a non-negative integer, got True"),
+    (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 640, seed=1.5),
+     "seed must be a non-negative integer, got 1.5"),
+    (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 640, seed=-1),
+     "seed must be a non-negative integer, got -1"),
     # A label of -1 would train as the last class and shrink num_classes.
     (lambda: pretrain_source_model(np.zeros((3, 2)), np.array([0, 1, -1])),
      "labels must be non-negative, got -1"),
@@ -301,8 +318,9 @@ def three_domain_scenario(mode):
 ], ids=["no-samples-per-class", "one-class", "no-dim", "negative-iterations",
         "no-batch-size", "severity-6", "misaligned-batch", "empty-batch", "column-labels-batch",
         "1-d-features-batch", "empty-dataset",
-        "domain-below-one-batch", "negative-label", "float-labels", "labels-misaligned",
-        "nan-features", "1-d-features"])
+        "domain-below-one-batch", "float-samples-per-domain", "bool-samples-per-domain",
+        "bool-seed", "float-seed", "negative-seed", "negative-label", "float-labels",
+        "labels-misaligned", "nan-features", "1-d-features"])
 def test_bad_input_is_rejected_naming_it(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
@@ -332,6 +350,32 @@ def test_partial_final_batch_is_dropped(source_spec):
     segments = compose_stream(scenario, source_spec, 650, seed=0)
     assert all(len(seg.batches) == 10 for seg in segments)
     assert all(b.size == 64 for seg in segments for b in seg.batches)
+
+
+@pytest.mark.parametrize("severity", [1, 2, 3, 4, 5])
+def test_default_suite_matches_the_reference(severity):
+    assert default_corruption_suite(severity) == reference_corruption_suite(severity)
+
+
+@pytest.mark.parametrize("mode,append_clean", [(EPISODIC, False), (CONTINUAL, False),
+                                               (CONTINUAL, True)],
+                         ids=["episodic", "continual", "continual-clean"])
+@pytest.mark.parametrize("samples,batch_size", [(640, 64), (640, 50), (64, 64)],
+                         ids=["divides", "partial", "one-batch"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_composed_stream_matches_the_reference(mode, append_clean, samples, batch_size, seed):
+    source = SourceSpec(samples_per_class=50)
+    scenario = ScenarioSpec(mode, reference_corruption_suite(5), batch_size, append_clean)
+    got = compose_stream(scenario, source, samples, seed=seed)
+    want = reference_compose_stream(scenario, source, samples, seed)
+    assert [seg.reset for seg in got] == [seg.reset for seg in want]
+    assert [len(seg.batches) for seg in got] == [len(seg.batches) for seg in want]
+    for seg, ref in zip(got, want):
+        for a, b in zip(seg.batches, ref.batches):
+            assert (a.domain_id, a.t) == (b.domain_id, b.t)
+            assert a.features.shape == b.features.shape
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.dtype == b.labels.dtype and a.labels.tobytes() == b.labels.tobytes()
 
 
 def test_permuted_order_same_multiset_different_sequence(source_spec):

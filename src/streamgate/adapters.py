@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VAR_FLOOR, Forward, ModelParams, forward, predict
+from .model import VAR_FLOOR, Forward, ModelParams, forward
 from .stream import Batch, check_integer
 
 _COST_FLOOR = 1e-9
@@ -283,16 +283,14 @@ class NormStatAdapter(Adapter):
         self.prior_weight = prior_weight
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
-        theta = self.params.copy()
-        note = None
-        w = self.prior_weight
+        theta, w, note = self.params.copy(), self.prior_weight, None
         if batch.size < 2:
             w, note = 1.0, "single-sample batch: using source statistics"
         batch_mu = batch.features.mean(axis=-2)
         batch_var = batch.features.var(axis=-2)
         theta.mu = w * self._pretrained.mu + (1.0 - w) * batch_mu
         theta.var = np.maximum(w * self._pretrained.var + (1.0 - w) * batch_var, VAR_FLOOR)
-        y_hat, _ = predict(theta, batch.features)
+        y_hat = forward(theta, batch.features).labels
         return AdaptOutcome(batch.features, theta, y_hat, cost=None, note=note)
 
 
@@ -412,8 +410,7 @@ class InputRestoreAdapter(Adapter):
         x_hat = ((batch.features - batch_mu[..., None, :]) / batch_std[..., None, :]
                  * src_std[..., None, :] + src_mu[..., None, :])
         theta = self.params.copy()
-        y_hat, _ = predict(theta, x_hat)
-        return AdaptOutcome(x_hat, theta, y_hat, cost=None)
+        return AdaptOutcome(x_hat, theta, forward(theta, x_hat).labels, cost=None)
 
 
 # --------------------------------------------------------------------------

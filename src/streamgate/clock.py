@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .stream import check_real
+
 
 @dataclass(frozen=True)
 class StreamClock:
@@ -16,6 +18,8 @@ class StreamClock:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
+        check_real(self.eta, "eta")
+        check_real(self.base_rate, "base_rate")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
         # Also rejects NaN and inf rates, and rates so small the interval overflows.

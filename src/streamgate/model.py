@@ -5,13 +5,18 @@ an affine scale and shift) feeding a linear softmax head.  A parameter set is
 one float64 vector ``mu, var, gamma, beta, W`` (row-major), ``b`` with the six
 fields as views into it: copying, checking, blending, comparing and hashing are
 one array operation each, and assigning a field is a shape-checked write.
-``forward`` is the one forward pass; ``predict`` and every adapter read it.
+``forward`` is the one forward pass; ``predict`` and every adapter read it.  It finishes
+``logp`` and ``p`` on first read.  Read before ``p``, ``labels`` are the logits' argmax
+when every row max is finite and every row has one logit within 1e-9 of it: that logit's
+``logp`` is exactly ``-lse`` and every other one's at least 1e-9 lower, a gap exp's
+rounding cannot close.  A custom adapter that calls ``forward`` sees the same values.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,20 +135,29 @@ def normalized_features(params: ModelParams, features: np.ndarray) -> np.ndarray
     return (features - params.mu[_ROWS]) / np.sqrt(params.var)[_ROWS]
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False)
 class Forward:
-    """One forward pass of ``params`` on a batch: the normalized features ``u``
-    and the row-wise log-probabilities ``logp`` and probabilities ``p = exp(logp)``."""
+    """One forward pass of ``params`` on a batch: the normalized features ``u``, and
+    the row-wise log-probabilities ``logp`` and probabilities ``p = exp(logp)``."""
 
     params: ModelParams
     u: np.ndarray
-    logp: np.ndarray
-    p: np.ndarray
+    _top: np.ndarray      # (..., B, 1) row maxes of the logits
+    _shifted: np.ndarray  # the logits less their row max
+
+    @cached_property
+    def logp(self) -> np.ndarray:
+        return self._shifted - np.log(np.exp(self._shifted).sum(axis=-1, keepdims=True))
+
+    p = cached_property(lambda self: np.exp(self.logp))
 
     @property
     def labels(self) -> np.ndarray:
-        """Argmax over ``p``; ties resolve to the lowest class index, which keeps
-        label sequences reproducible across platforms."""
+        """Argmax over ``p``, lowest class index first on ties, which keeps label sequences
+        reproducible across platforms; before ``p`` is read, see the module docstring."""
+        if ("p" not in self.__dict__ and np.isfinite(self._top).all()
+                and np.count_nonzero(self._shifted > -1e-9) == self._top.size):
+            return self._shifted.argmax(axis=-1)
         return self.p.argmax(axis=-1)
 
 
@@ -153,21 +167,24 @@ def forward(params: ModelParams, features: np.ndarray, u: np.ndarray | None = No
     ``u`` stands in for ``normalized_features(params, features)``: a caller
     holding it from a pass of parameters with the same ``mu`` and ``var`` skips
     the normalization.  Logits are shifted by the row max, so extreme logits
-    underflow to probability zero instead of NaN.
+    underflow to probability zero instead of NaN.  A class-major copy gives the
+    max faster, and the same but for a zero's sign, which no output sees.
     """
     if u is None:
         u = normalized_features(params, features)
-    z = params.gamma[_ROWS] * u + params.beta[_ROWS]
-    logits = z @ params.W.swapaxes(-1, -2) + params.b[_ROWS]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return Forward(params, u, logp, np.exp(logp))
+    z = params.gamma[_ROWS] * u
+    z += params.beta[_ROWS]
+    logits = z @ params.W.swapaxes(-1, -2)
+    logits += params.b[_ROWS]
+    top = np.ascontiguousarray(logits.swapaxes(-1, -2)).max(axis=-2)[..., None]
+    logits -= top
+    return Forward(params, u, top, logits)
 
 
 def predict(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass: (labels, class probabilities); see ``Forward.labels``."""
-    result = forward(params, features)
-    return result.labels, result.p
+    p = forward(params, features).p
+    return p.argmax(axis=-1), p
 
 
 def blend_parameters(theta: ModelParams, theta_hat: ModelParams, alpha: float) -> ModelParams:

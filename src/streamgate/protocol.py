@@ -41,7 +41,7 @@ import numpy as np
 
 from .adapters import ADAPTERS, Adapter, clone_adapter
 from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
-from .model import ModelParams, blend_parameters, params_fingerprint, predict
+from .model import ModelParams, blend_parameters, forward, params_fingerprint, predict
 from .report import (
     ACTION_SKIPPED_FALLBACK,
     ACTION_SKIPPED_RANDOM,
@@ -49,7 +49,7 @@ from .report import (
     RunReport,
     run_report,
 )
-from .stream import Batch, StreamSegment, check_integer
+from .stream import Batch, StreamSegment, check_integer, check_real
 from .trace import TraceRecord
 
 OFFLINE = "offline"
@@ -104,6 +104,7 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not isinstance(self.schedule_mode, (BusyWindow, FixedModulo)):
             raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
+        check_real(self.alpha, "alpha")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.fallback_visibility not in (IMMEDIATE, DELAYED):
@@ -128,6 +129,14 @@ def _stacks(cfg: ProtocolConfig, adapter: Adapter) -> bool:
             and len(adapter._latency_models()) == 1)
 
 
+def _stack(batches: Sequence[Batch]) -> Batch:
+    """``batches`` as the lanes of one batch of no one domain, at the first one's tick:
+    ``np.stack`` in one concatenate, with its ValueError on batches of two sizes."""
+    labels = np.concatenate([b.labels[None] for b in batches])
+    return Batch(np.concatenate([b.features for b in batches]).reshape(*labels.shape, -1),
+                 labels, -1, batches[0].t)
+
+
 def _window(adapter: Adapter, fallback: ModelParams, batches: Sequence[Batch]):
     """One step of a throwaway copy of ``adapter`` on the stack of ``batches``: the copy,
     the outcome and each lane's fallback labels.  None if the step fails, batches of two
@@ -135,11 +144,10 @@ def _window(adapter: Adapter, fallback: ModelParams, batches: Sequence[Batch]):
     try:
         ghost = clone_adapter(adapter)
         ghost.params = adapter.params.stack(len(batches))
-        x, labels = np.stack([b.features for b in batches]), np.stack([b.labels for b in batches])
-        outcome = ghost.adapt(Batch(x, labels, -1, batches[0].t))
+        outcome = ghost.adapt(stacked := _stack(batches))
         seen = outcome.forward
         fb = (seen.labels if seen is not None and fallback is adapter.params
-              else predict(fallback.stack(len(batches)), x)[0])
+              else forward(fallback.stack(len(batches)), stacked.features).labels)
     except Exception:
         return None
     return ghost, outcome, fb
@@ -243,9 +251,7 @@ def _run(
             # Every call of the step, adapter or fallback, live or counterfactual,
             # fails as one.
             try:
-                if lanes > 1:  # a stacked batch, of no one domain
-                    batch = Batch(np.stack([b.features for b in ticks]),
-                                  np.stack([b.labels for b in ticks]), -1, t)
+                batch = _stack(ticks) if lanes > 1 else batch
                 if windows and not adapt_now and t > window_end:
                     # The ticks through the next adapted one, cut at the stream's end, all
                     # start from the live state: they step as the lanes of one window.
@@ -281,7 +287,7 @@ def _run(
                 if not laned and (trace_out is not None or not (adapt_now or single)):
                     seen = outcome.forward if stepped else None
                     fb_pred = (seen.labels if seen is not None and seen.params is fallback
-                               else predict(fallback, batch.features)[0])
+                               else forward(fallback, batch.features).labels)
                 if trace_out is not None:
                     trace_out.append(TraceRecord(
                         step=t, latency=float(cost),

@@ -55,6 +55,12 @@ def check_integer(value, name: str, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def check_real(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number, not a bool."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Generator spec for the source training distribution."""

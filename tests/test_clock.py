@@ -116,8 +116,11 @@ def test_stream_clock_interval_identity():
         dict(base_rate=0.0), dict(eta=0.0), dict(eta=1.2),
         # Each would give a NaN, zero or infinite interval.
         dict(base_rate=NAN), dict(base_rate=INF), dict(base_rate=1e-320),
+        # A bool would run as 1 and a string fail unnamed.
+        dict(eta=True), dict(base_rate=True), dict(eta="1"), dict(base_rate="1"),
+        dict(eta=None),
     ],
 )
 def test_stream_clock_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         StreamClock(**kwargs)

@@ -129,3 +129,46 @@ def test_the_check_sees_an_unused_constant():
 def test_every_constant_is_loaded_or_exported():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_constants(sources) == []
+
+
+def _is_predict_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "predict"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "predict")
+
+
+def _unpacks_into_underscore(target: ast.AST) -> bool:
+    return isinstance(target, ast.Tuple) and any(
+        isinstance(element, ast.Name) and element.id == "_" for element in target.elts)
+
+
+def discarded_probabilities(sources: dict[str, str]) -> list[str]:
+    """``"<file>:<line>"`` for every ``predict`` call whose probabilities are thrown
+    away, as ``predict(...)[0]`` or ``y, _ = predict(...)`` do: a label read takes
+    ``forward(...).labels``, which need not finish the softmax."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            discarded = (isinstance(node, ast.Subscript) and _is_predict_call(node.value)
+                         or isinstance(node, ast.Assign) and _is_predict_call(node.value)
+                         and any(_unpacks_into_underscore(t) for t in node.targets))
+            if discarded:
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_the_check_sees_discarded_probabilities():
+    sources = {
+        "a.py": "y = predict(p, x)[0]\n"
+                "y, _ = predict(p, x)\n"
+                "labels, probs = predict(p, x)\n"
+                "y = model.predict(p, x)[0]\n"
+                "seconds = timed(predict, p, x)[1]\n"
+                "(y, _), z = predict(p, x), 1\n",
+    }
+    assert discarded_probabilities(sources) == ["a.py:1", "a.py:2", "a.py:4"]
+
+
+def test_no_module_throws_away_the_probabilities_of_predict():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert discarded_probabilities(sources) == []

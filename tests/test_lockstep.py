@@ -496,3 +496,23 @@ def test_a_window_of_two_batch_sizes_steps_one_tick_at_a_time():
     assert report == expected
     # Ticks 1 to 12 cannot stack, so they step one at a time; ticks 13 to 19 stack.
     assert laned.steps == [1] * 13 + [7]
+
+
+def test_a_window_whose_sizes_add_up_as_one_size_steps_one_tick_at_a_time():
+    # Batches of 3 and 5 in one window hold as many rows as two of 4, so only a
+    # check of each batch's size, not of the total, keeps the lanes apart.
+    params = tiny_params(seed=2)
+    batches = tiny_stream(20, seed=3)
+    batches[5] = tiny_stream(6, batch_size=3, seed=4)[5]
+    batches[6] = tiny_stream(7, batch_size=5, seed=5)[6]
+    segments = [StreamSegment(reset=True, batches=batches)]
+    laned = EntropyMinAdapter(params, latency=PerSample(3.0))
+    alone = ONE_TICK_AT_A_TIME["entropy_min"](params, latency=PerSample(3.0))
+    traces = [], []
+    with counting(laned, alone):
+        report, expected = (run_segments(segments, adapter, params,
+                                         ProtocolConfig(protocol=ONLINE), trace_out=trace)
+                            for adapter, trace in zip((laned, alone), traces))
+    assert traces[0] == traces[1]
+    assert report == expected
+    assert laned.steps == [1] * 13 + [7]

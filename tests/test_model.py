@@ -21,8 +21,10 @@ from streamgate.model import (
 from doubles import (
     FIELDS,
     reference_blend_parameters,
+    reference_log_probabilities,
     reference_params_equal,
     reference_params_fingerprint,
+    reference_predict,
     tiny_params,
 )
 
@@ -103,6 +105,70 @@ def test_stacked_lanes_compute_each_lane_bit_for_bit_as_alone():
         assert np.array_equal(result.labels[k], alone.labels)
         assert reference_params_equal(blended.lane(k), blend_parameters(params, lanes[2], 0.3))
     assert (stacked.dim, stacked.num_classes, stacked.W.shape) == (5, 4, (3, 4, 5))
+
+
+def _pass_case(seed, dim, num_classes, batch, gap, top, overflow):
+    """Random parameters and features from ``seed``.  With a ``gap``, classes 0 and 1
+    have zero weights and every row's two top logits: ``top`` at class 1 and ``top``
+    less ``gap`` at class 0 ("ulp": the float below ``top``), so that where ``p`` ties
+    the argmax of the logits would read 1 and that of ``p`` reads 0.  With an
+    ``overflow``, row 0's last logit overflows to -inf or to inf - inf, NaN."""
+    params = tiny_params(dim, num_classes, seed)
+    features = np.random.default_rng(seed).normal(size=(batch, dim))
+    if gap is not None:
+        params.W[:2] = 0.0
+        params.b[2:] -= 100.0
+        params.b[1] = top
+        params.b[0] = np.nextafter(top, -np.inf) if gap == "ulp" else top - gap
+    if overflow is not None:
+        params.gamma[:2] = np.abs(params.gamma[:2])  # row 0's z[:2] are both huge, positive
+        params.W[-1, :2] = (-1e10, -1e10) if overflow == "-inf" else (1e10, -1e10)
+        params.b[-1] = -1e300  # the other rows' last logit is never their top
+        features[0, :2] = 1e300
+    return params, features
+
+
+@given(lanes=st.integers(0, 15), dim=st.integers(2, 6), num_classes=st.integers(2, 12),
+       batch=st.integers(1, 8), seed=st.integers(0, 2**16),
+       gap=st.sampled_from([None, 0.0, "ulp", 5e-10, 2e-9]),
+       top=st.sampled_from([0.0, 0.01, -0.05, 1.0, 50.0]),
+       overflow=st.sampled_from([None, "-inf", "nan"]))
+@example(lanes=0, dim=3, num_classes=4, batch=5, seed=0, gap=0.0, top=1.0, overflow=None)
+@example(lanes=3, dim=3, num_classes=4, batch=5, seed=1, gap="ulp", top=0.01, overflow=None)
+@example(lanes=0, dim=3, num_classes=4, batch=5, seed=2, gap="ulp", top=50.0, overflow=None)
+@example(lanes=0, dim=3, num_classes=4, batch=5, seed=3, gap=5e-10, top=1.0, overflow=None)
+@example(lanes=15, dim=3, num_classes=12, batch=5, seed=4, gap=2e-9, top=1.0, overflow=None)
+@example(lanes=0, dim=3, num_classes=4, batch=5, seed=5, gap=2e-9, top=0.0, overflow=None)
+@example(lanes=0, dim=2, num_classes=3, batch=2, seed=6, gap="ulp", top=0.01, overflow="nan")
+@example(lanes=2, dim=2, num_classes=3, batch=2, seed=7, gap="ulp", top=0.01, overflow="-inf")
+@example(lanes=0, dim=4, num_classes=5, batch=3, seed=8, gap=2e-9, top=0.01, overflow="-inf")
+def test_labels_logp_and_p_match_the_reference_pass(
+    lanes, dim, num_classes, batch, seed, gap, top, overflow
+):
+    # Labels are read before p, which may take the argmax of the logits, and after it.
+    if num_classes < 3:
+        overflow = None  # the last class would be one of the pair
+    cases = [_pass_case(seed + k, dim, num_classes, batch, gap, top, overflow)
+             for k in range(max(lanes, 1))]
+    params, features = cases[0]
+    if lanes:
+        params = params.stack(lanes)
+        params.flat[:] = [lane.flat for lane, _ in cases]
+        features = np.stack([x for _, x in cases])
+    with np.errstate(all="ignore"):
+        result = forward(params, features)
+        before = result.labels
+        logp, p = result.logp, result.p
+        after = result.labels
+        for k, (lane, x) in enumerate(cases):
+            _, ref_logp = reference_log_probabilities(lane, x)
+            ref_labels = reference_predict(lane, x)
+            ref_p = np.exp(ref_logp)
+            at = (k,) if lanes else ()
+            assert logp[at].tobytes() == ref_logp.tobytes()
+            assert p[at].tobytes() == ref_p.tobytes()
+            assert np.array_equal(before[at], ref_labels)
+            assert np.array_equal(after[at], ref_labels)
 
 
 def test_features_must_carry_the_parameters_lane_axis():

@@ -441,6 +441,14 @@ def test_protocol_config_rejects_a_seed_that_is_no_non_negative_integer(seed):
     assert ProtocolConfig(seed=np.int64(3)).seed == 3
 
 
+@pytest.mark.parametrize("alpha", [True, False, "0.5", None, -0.1, 1.5, float("nan")])
+def test_protocol_config_rejects_an_alpha_that_is_no_real_in_the_unit_interval(alpha):
+    # alpha=True would run as 1: every blend keeps the old parameters.
+    with pytest.raises(ValueError, match="alpha must be"):
+        ProtocolConfig(alpha=alpha)
+    assert ProtocolConfig(alpha=np.float64(0.25)).alpha == 0.25
+
+
 def test_a_failure_names_the_domain_of_its_step():
     params = tiny_params()
     stream = tiny_stream(3, domain_id=4) + [replace(b, t=b.t + 3)

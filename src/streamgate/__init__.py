@@ -47,7 +47,6 @@ from .report import (
     DomainReport,
     RunReport,
     ScheduleRecord,
-    aggregate,
 )
 from .stream import (
     Batch,

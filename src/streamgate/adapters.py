@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import VAR_FLOOR, Forward, ModelParams, forward
-from .stream import Batch, check_integer
+from .stream import Batch, check_integer, check_real
 
 _COST_FLOOR = 1e-9
 
@@ -50,6 +50,8 @@ class Stochastic:
 
     def __post_init__(self) -> None:
         # Adapter.cost_range bounds every draw by mean +- jitter.
+        check_real(self.mean, "mean")
+        check_real(self.jitter, "jitter")
         if not 0.0 < self.mean < float("inf"):
             raise ValueError(f"mean must be positive and finite, got {self.mean!r}")
         if not 0.0 <= self.jitter < float("inf"):
@@ -277,6 +279,7 @@ class NormStatAdapter(Adapter):
         latency: LatencyModel = Constant(1.0),
         prior_weight: float = 0.0,
     ):
+        check_real(prior_weight, "prior_weight")
         if not 0.0 <= prior_weight <= 1.0:
             raise ValueError("prior_weight must be in [0, 1]")
         super().__init__(pretrained, latency)
@@ -303,6 +306,7 @@ class _DescentAdapter(Adapter):
         latency: LatencyModel = Constant(3.0),
         learning_rate: float = 0.1,
     ):
+        check_real(learning_rate, "learning_rate")
         if not 0 < learning_rate < float("inf"):
             raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
         super().__init__(pretrained, latency)
@@ -367,6 +371,7 @@ class RejectionEntropyAdapter(_DescentAdapter):
         super().__init__(pretrained, latency, learning_rate)
         if entropy_threshold is None:
             entropy_threshold = 0.4 * np.log(pretrained.num_classes)
+        check_real(entropy_threshold, "entropy_threshold")
         if not entropy_threshold > 0:
             raise ValueError(f"entropy_threshold must be positive, got {entropy_threshold!r}")
         self.entropy_threshold = float(entropy_threshold)

@@ -1,4 +1,4 @@
-"""Run ledgers, aggregated metrics, and their CSV/JSON serialization."""
+"""Run ledgers, their metrics, and their CSV/JSON serialization."""
 
 from __future__ import annotations
 
@@ -118,26 +118,12 @@ def collapse(domains: Sequence[tuple[int, int]], batch_size: np.ndarray, error_c
     ]
 
 
-def aggregate(per_domain: Sequence[DomainReport]) -> tuple[float, float | None, float]:
-    """(avg_error, mean_c, adapted_fraction) over per-domain rows.
-
-    The average error is unweighted across domains; unequal domain sizes get a
-    warning but stay unweighted.
-    """
-    if not per_domain:
-        raise ValueError("need at least one domain")
-    sizes = {d.n_batches for d in per_domain}
-    if len(sizes) > 1:
+def _mean_error(per_domain: Sequence[DomainReport]) -> float:
+    """A run's ``avg_error``: the unweighted mean of its rows' error rates.  Unequal
+    row sizes get a warning but stay unweighted."""
+    if len({d.n_batches for d in per_domain}) > 1:
         warnings.warn("domains have unequal sizes; average stays unweighted", stacklevel=2)
-    avg_error = float(np.mean([d.error_rate for d in per_domain]))
-    n_adapted = sum(d.n_adapted for d in per_domain)
-    n_batches = sum(d.n_batches for d in per_domain)
-    if n_adapted:
-        total_c = sum(d.mean_c * d.n_adapted for d in per_domain if d.mean_c is not None)
-        overall_c = total_c / n_adapted
-    else:
-        overall_c = None
-    return avg_error, overall_c, n_adapted / n_batches
+    return float(np.mean([d.error_rate for d in per_domain]))
 
 
 def run_report(
@@ -164,14 +150,13 @@ def run_report(
     their C; every other step took the action ``skipped``.  ``domains`` holds
     (domain_id, index of the row's first step) for each row in order; a row
     ends where the next one starts.  A caller splits rows wherever the domain
-    changes and at every segment boundary.
+    changes and at every segment boundary.  The run's mean C is exact, as a row's is.
     """
     step, batch_size, error_count, params_version, adapted, c_value = (
         np.asarray(column, dtype=np.int64)
         for column in (step, batch_size, error_count, params_version, adapted, c_value)
     )
     per_domain = collapse(domains, batch_size, error_count, adapted, c_value)
-    avg_error, overall_c, adapted_fraction = aggregate(per_domain)
     return RunReport(
         run_id="",
         protocol=protocol,
@@ -180,9 +165,9 @@ def run_report(
         eta=eta,
         seed=seed,
         per_domain=per_domain,
-        avg_error=avg_error,
-        mean_c=overall_c,
-        adapted_fraction=adapted_fraction,
+        avg_error=_mean_error(per_domain),
+        mean_c=int(c_value.sum()) / len(adapted) if len(adapted) else None,
+        adapted_fraction=len(adapted) / len(step),
         schedule=partial(_schedule, step, batch_size, error_count, params_version, adapted,
                          c_value, skipped),
         fingerprints=fingerprints,

@@ -74,6 +74,7 @@ class SourceSpec:
     def __post_init__(self) -> None:
         check_integer(self.num_classes, "num_classes", 2)
         check_integer(self.dim, "dim", 1)
+        check_real(self.class_separation, "class_separation")
         if not 0 < self.class_separation < float("inf"):
             raise ValueError(
                 f"class_separation must be positive and finite, got {self.class_separation!r}")
@@ -154,6 +155,7 @@ class TrainSpec:
     iterations: int = 300
 
     def __post_init__(self) -> None:
+        check_real(self.learning_rate, "learning_rate")
         if not 0 < self.learning_rate < float("inf"):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         check_integer(self.iterations, "iterations")

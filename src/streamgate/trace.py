@@ -25,11 +25,12 @@ from .clock import StreamClock, Worker, check_ticks
 from .report import (
     ACTION_SKIPPED_FALLBACK,
     RunReport,
-    aggregate,
+    _mean_error,
     collapse,
     run_report,
     write_rows,
 )
+from .stream import check_integer, check_real
 
 TRACE_COLUMNS = ["step", "latency", "correct_adapted", "correct_fallback", "domain_id", "batch_size"]
 
@@ -54,13 +55,16 @@ class TraceRecord:
     batch_size: int
 
     def __post_init__(self) -> None:
+        check_integer(self.step, "step")
+        check_real(self.latency, "latency")
         if not 0 < self.latency < math.inf:
             raise ValueError(f"latency must be positive and finite, got {self.latency}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_integer(self.batch_size, "batch_size", 1)
         for name in ("correct_adapted", "correct_fallback"):
-            if not 0 <= getattr(self, name) <= self.batch_size:
+            check_integer(getattr(self, name), name)
+            if getattr(self, name) > self.batch_size:
                 raise ValueError(f"{name} must be within [0, batch_size]")
+        check_integer(self.domain_id, "domain_id", -math.inf)
 
 
 def unit_fraction(value: float, text: str | None = None) -> float:
@@ -186,4 +190,4 @@ def adapted_only_error(trace: Sequence[TraceRecord]) -> float:
     """
     domains, _, correct_adapted, _, batch_size = _columns(trace)
     none = np.array([], dtype=np.int64)
-    return aggregate(collapse(domains, batch_size, batch_size - correct_adapted, none, none))[0]
+    return _mean_error(collapse(domains, batch_size, batch_size - correct_adapted, none, none))

@@ -25,7 +25,6 @@ from streamgate.report import (
     DomainReport,
     RunReport,
     ScheduleRecord,
-    aggregate,
 )
 from streamgate.stream import (
     BASE_STRENGTH,
@@ -356,13 +355,21 @@ def reference_replay(trace: list[TraceRecord], clock: StreamClock = StreamClock(
     ends = [start for _, start in domains[1:]] + [len(records)]
     per_domain = [reference_domain_report(domain_id, records[start:end])
                   for (domain_id, start), end in zip(domains, ends)]
-    avg_error, overall_c, adapted_fraction = aggregate(per_domain)
     return RunReport(
         run_id="", protocol="online", scenario="replay", adapter="trace", eta=clock.eta,
-        seed=0, per_domain=per_domain, avg_error=avg_error, mean_c=overall_c,
-        adapted_fraction=adapted_fraction, schedule=records,
-        notes=[FALLBACK_APPROXIMATION_NOTE],
+        seed=0, per_domain=per_domain, schedule=records, notes=[FALLBACK_APPROXIMATION_NOTE],
+        **reference_run_numbers(per_domain, records),
     )
+
+
+def reference_run_numbers(per_domain: list[DomainReport], records: list[ScheduleRecord]) -> dict:
+    """A run's ``avg_error``, the unweighted mean of its rows' error rates, and its
+    ``mean_c`` and ``adapted_fraction`` from its per-step records: the exact C total
+    of the adapted steps over their count, and that count over the steps."""
+    c_values = [r.c_value for r in records if r.action == ACTION_ADAPTED]
+    return {"avg_error": float(np.mean([d.error_rate for d in per_domain])),
+            "mean_c": sum(c_values) / len(c_values) if c_values else None,
+            "adapted_fraction": len(c_values) / len(records)}
 
 
 # The per-step math of the three descent adapters as they ran it before a step

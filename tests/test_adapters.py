@@ -131,6 +131,10 @@ def test_cost_range_bounds_every_draw(mini_pretrained, model, expected):
     (-1.0, 0.5, "mean must be positive and finite, got -1.0"),
     (0.0, 0.0, "mean must be positive and finite, got 0.0"),
     (np.nan, 0.0, "mean must be positive and finite, got nan"),
+    (True, 0.5, "mean must be a real number, got True"),
+    ("1", 0.5, "mean must be a real number, got '1'"),
+    (2.0, False, "jitter must be a real number, got False"),
+    (2.0, "0.5", "jitter must be a real number, got '0.5'"),
 ])
 def test_stochastic_rejects_a_bad_mean_or_jitter(mean, jitter, message):
     # cost_range bounds every draw by mean +- jitter: a negative jitter inverts
@@ -316,7 +320,7 @@ def test_confident_batch_has_negligible_pseudo_label_gradient(mini_pretrained, m
     assert np.linalg.norm(g_conf) < 1e-3 * np.linalg.norm(g_fuzzy)
 
 
-@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf"), True, "0.5"])
 @pytest.mark.parametrize("cls,keyword", [
     (EntropyMinAdapter, "learning_rate"),
     (PseudoLabelAdapter, "learning_rate"),
@@ -329,9 +333,21 @@ def test_non_positive_hyperparameter_fails_at_construction(mini_pretrained, cls,
     if (keyword, value) == ("entropy_threshold", float("inf")):  # admits every sample
         assert cls(mini_pretrained, **{keyword: value}).entropy_threshold == value
         return
-    rule = "positive" if keyword == "entropy_threshold" else "positive and finite"
+    rule = ("a real number" if isinstance(value, (bool, str))
+            else "positive" if keyword == "entropy_threshold" else "positive and finite")
     with pytest.raises(ValueError, match=re.escape(f"{keyword} must be {rule}, got {value!r}")):
         cls(mini_pretrained, **{keyword: value})
+
+
+@pytest.mark.parametrize("value,message", [
+    (True, "prior_weight must be a real number, got True"),
+    ("0.5", "prior_weight must be a real number, got '0.5'"),
+    (1.5, "prior_weight must be in [0, 1]"),
+    (float("nan"), "prior_weight must be in [0, 1]"),
+])
+def test_prior_weight_must_be_a_real_number_in_the_unit_interval(mini_pretrained, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NormStatAdapter(mini_pretrained, prior_weight=value)
 
 
 # --------------------------------------------------------------------------

@@ -45,14 +45,14 @@ from streamgate.protocol import (
     ProtocolError,
     run_segments,
 )
-from streamgate.report import ACTION_ADAPTED, aggregate
+from streamgate.report import ACTION_ADAPTED
 from streamgate.stream import (
     ScenarioSpec,
     StreamSegment,
     compose_stream,
     default_corruption_suite,
 )
-from doubles import tiny_params, tiny_stream
+from doubles import reference_run_numbers, tiny_params, tiny_stream
 
 LATENCIES = {
     "one_tick": Constant(0.5),
@@ -105,11 +105,10 @@ def stitched(segments, adapter, params, cfg, clock):
     """The reports of each segment run alone, stitched as one run's report."""
     parts = [run_segments([segment], adapter, params, cfg, clock) for segment in segments]
     per_domain = [row for part in parts for row in part.per_domain]
-    avg_error, mean_c, adapted_fraction = aggregate(per_domain)
-    return replace(parts[0], per_domain=per_domain, avg_error=avg_error, mean_c=mean_c,
-                   adapted_fraction=adapted_fraction,
-                   schedule=[record for part in parts for record in part.schedule],
-                   fingerprints=[f for part in parts for f in part.fingerprints])
+    schedule = [record for part in parts for record in part.schedule]
+    return replace(parts[0], per_domain=per_domain, schedule=schedule,
+                   fingerprints=[f for part in parts for f in part.fingerprints],
+                   **reference_run_numbers(per_domain, schedule))
 
 
 def assert_lockstep_equals_sequential(name, kwargs, segments, cfg, clock, lanes, params=None):

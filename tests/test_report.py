@@ -1,4 +1,4 @@
-"""Metrics aggregation and serialization round-trips."""
+"""Run reports from their columns, and serialization round-trips."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from streamgate.report import (
     ACTION_ADAPTED,
@@ -17,7 +18,7 @@ from streamgate.report import (
     DomainReport,
     RunReport,
     ScheduleRecord,
-    aggregate,
+    _mean_error,
     collapse,
     run_report,
     write_results_csv,
@@ -67,23 +68,15 @@ def sample_report(protocol="offline", avg=0.3):
     )
 
 
-def test_aggregate_unweighted_mean():
+def test_mean_error_is_the_unweighted_mean_of_the_rows():
     domains = [DomainReport(0, 10, 10, 0.2, 1.0), DomainReport(1, 10, 10, 0.4, 1.0)]
-    avg, c, frac = aggregate(domains)
-    assert avg == pytest.approx(0.3)
-    assert frac == 1.0
-    single, _, _ = aggregate(domains[:1])
-    assert single == pytest.approx(0.2)
+    assert _mean_error(domains) == pytest.approx(0.3)
+    assert _mean_error(domains[:1]) == pytest.approx(0.2)
 
 
-def test_aggregate_permutation_invariant():
+def test_mean_error_is_permutation_invariant():
     domains = [DomainReport(i, 10, 5, e, 2.0) for i, e in enumerate((0.1, 0.5, 0.3))]
-    assert aggregate(domains) == aggregate(list(reversed(domains)))
-
-
-def test_aggregate_rejects_no_domains():
-    with pytest.raises(ValueError, match="need at least one domain"):
-        aggregate([])
+    assert _mean_error(domains) == _mean_error(list(reversed(domains)))
 
 
 def test_collapse_rejects_a_domain_row_without_steps():
@@ -118,11 +111,43 @@ def test_collapse_mean_c_equals_numpys_mean_below_two_to_the_53():
         float(np.mean(c_value[a:b])) if b > a else None for a, b in zip(cuts, cuts[1:])]
 
 
-def test_aggregate_warns_on_unequal_sizes():
+def test_mean_error_warns_on_unequal_sizes():
     domains = [DomainReport(0, 10, 10, 0.2, 1.0), DomainReport(1, 20, 20, 0.4, 1.0)]
     with pytest.warns(UserWarning, match="unequal"):
-        avg, _, _ = aggregate(domains)
+        avg = _mean_error(domains)
     assert avg == pytest.approx(0.3)  # still unweighted
+
+
+def report_of(rows):
+    """``run_report`` over rows of (steps, C of each adapted step), each row adapting
+    its first steps, with every batch of 4 and no errors."""
+    starts = np.cumsum([0] + [steps for steps, _ in rows]).tolist()
+    adapted = [start + i for start, (_, cs) in zip(starts, rows) for i in range(len(cs))]
+    n = starts[-1]
+    return run_report([(d, start) for d, start in enumerate(starts[:-1])], range(n), [4] * n,
+                      [0] * n, [0] * n, adapted, [c for _, cs in rows for c in cs],
+                      ACTION_SKIPPED_FALLBACK, protocol="online", adapter="x", eta=1.0, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:domains have unequal sizes")
+def test_run_report_mean_c_is_the_exact_total_c_over_the_adapted_count():
+    # Row C sums 47 over 23 and 10 over 6: the rows' rounded means, weighted back by
+    # their counts, give 1.9655172413793105.
+    report = report_of([(23, [2] * 22 + [3]), (6, [2] * 4 + [1] * 2)])
+    assert [d.mean_c for d in report.per_domain] == [47 / 23, 10 / 6]
+    assert report.mean_c == 57 / 29 == 1.9655172413793103
+    assert report_of([(3, []), (2, [])]).mean_c is None
+
+
+@pytest.mark.filterwarnings("ignore:domains have unequal sizes")
+@given(st.lists(st.integers(1, 8).flatmap(lambda steps: st.tuples(
+    st.just(steps), st.lists(st.integers(1, 2 ** 40), max_size=steps))), min_size=1, max_size=8))
+@example([(23, [2] * 22 + [3]), (6, [2] * 4 + [1] * 2)])
+def test_run_report_takes_mean_c_and_adapted_fraction_from_its_columns(rows):
+    report = report_of(rows)
+    c_values = [c for _, cs in rows for c in cs]
+    assert report.adapted_fraction == len(c_values) / sum(steps for steps, _ in rows)
+    assert report.mean_c == (sum(c_values) / len(c_values) if c_values else None)
 
 
 def test_schedule_record_validation():

@@ -240,11 +240,15 @@ def test_seeded_specs_reject_a_seed_that_is_no_non_negative_integer(make, seed):
 
 @pytest.mark.parametrize("spec,field", [(SourceSpec, "class_separation"),
                                         (TrainSpec, "learning_rate")])
-@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf")])
-def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value):
-    # An infinite rate would fail only later, in training, under another name.
-    with pytest.raises(ValueError, match=re.escape(
-            f"{field} must be positive and finite, got {value!r}")):
+@pytest.mark.parametrize("value,rule", [
+    (float("nan"), "positive and finite"), (0.0, "positive and finite"),
+    (-1.0, "positive and finite"), (float("inf"), "positive and finite"),
+    (True, "a real number"), ("0.5", "a real number"),
+])
+def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value, rule):
+    # An infinite rate would fail only later, in training, under another name; True
+    # would train at rate 1, and a string fail unnamed on the comparison.
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
         spec(**{field: value})
 
 

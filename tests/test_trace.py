@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tempfile
 from dataclasses import astuple
 from pathlib import Path
@@ -65,6 +66,35 @@ def test_parse_well_formed_file(tmp_path):
     assert len(records) == 3
     assert records[1].latency == 2.0
     assert records[2].domain_id == 1
+
+
+RECORD = dict(step=0, latency=1.0, correct_adapted=2, correct_fallback=1, domain_id=0,
+              batch_size=4)
+
+
+@pytest.mark.parametrize("field,value,rule", [
+    # A fractional count would truncate in the replay's report, but not in
+    # adapted_only_error, and the two would disagree.
+    ("correct_adapted", 2.5, "a non-negative integer"),
+    ("correct_fallback", np.float64(1.0), "a non-negative integer"),
+    ("correct_adapted", -1, "a non-negative integer"),
+    ("step", 1.0, "a non-negative integer"),
+    ("step", True, "a non-negative integer"),
+    ("batch_size", 4.0, "an integer"),
+    ("domain_id", 0.5, "an integer"),
+    ("domain_id", False, "an integer"),
+    ("latency", True, "a real number"),
+    ("latency", "1.0", "a real number"),
+])
+def test_trace_record_rejects_a_field_of_the_wrong_type_naming_it(field, value, rule):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
+        TraceRecord(**{**RECORD, field: value})
+
+
+def test_trace_record_takes_numpy_scalars_and_any_integer_domain():
+    record = TraceRecord(step=np.int64(3), latency=np.float64(0.5), correct_adapted=np.int32(4),
+                         correct_fallback=0, domain_id=-2, batch_size=np.int64(4))
+    assert record.domain_id == -2 and record.correct_adapted == 4
 
 
 def test_parse_rejects_correct_count_above_batch_size(tmp_path):

@@ -35,11 +35,18 @@ _COST_FLOOR = 1e-9
 class Constant:
     seconds: float
 
+    def __post_init__(self) -> None:
+        check_real(self.seconds, "seconds")
+
 
 @dataclass(frozen=True)
 class PerSample:
     per_sample: float
     base: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_real(self.per_sample, "per_sample")
+        check_real(self.base, "base")
 
 
 @dataclass(frozen=True)
@@ -50,12 +57,8 @@ class Stochastic:
 
     def __post_init__(self) -> None:
         # Adapter.cost_range bounds every draw by mean +- jitter.
-        check_real(self.mean, "mean")
-        check_real(self.jitter, "jitter")
-        if not 0.0 < self.mean < float("inf"):
-            raise ValueError(f"mean must be positive and finite, got {self.mean!r}")
-        if not 0.0 <= self.jitter < float("inf"):
-            raise ValueError(f"jitter must be non-negative and finite, got {self.jitter!r}")
+        check_real(self.mean, "mean", "positive and finite")
+        check_real(self.jitter, "jitter", "non-negative and finite")
         check_integer(self.seed, "seed")
 
 
@@ -279,9 +282,7 @@ class NormStatAdapter(Adapter):
         latency: LatencyModel = Constant(1.0),
         prior_weight: float = 0.0,
     ):
-        check_real(prior_weight, "prior_weight")
-        if not 0.0 <= prior_weight <= 1.0:
-            raise ValueError("prior_weight must be in [0, 1]")
+        check_real(prior_weight, "prior_weight", "in [0, 1]")
         super().__init__(pretrained, latency)
         self.prior_weight = prior_weight
 
@@ -306,9 +307,7 @@ class _DescentAdapter(Adapter):
         latency: LatencyModel = Constant(3.0),
         learning_rate: float = 0.1,
     ):
-        check_real(learning_rate, "learning_rate")
-        if not 0 < learning_rate < float("inf"):
-            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
+        check_real(learning_rate, "learning_rate", "positive and finite")
         super().__init__(pretrained, latency)
         self.learning_rate = learning_rate
 
@@ -371,9 +370,7 @@ class RejectionEntropyAdapter(_DescentAdapter):
         super().__init__(pretrained, latency, learning_rate)
         if entropy_threshold is None:
             entropy_threshold = 0.4 * np.log(pretrained.num_classes)
-        check_real(entropy_threshold, "entropy_threshold")
-        if not entropy_threshold > 0:
-            raise ValueError(f"entropy_threshold must be positive, got {entropy_threshold!r}")
+        check_real(entropy_threshold, "entropy_threshold", "positive")
         self.entropy_threshold = float(entropy_threshold)
 
     def _latency_models(self) -> tuple[LatencyModel, ...]:

@@ -18,10 +18,8 @@ class StreamClock:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        check_real(self.eta, "eta")
+        check_real(self.eta, "eta", "in (0, 1]")
         check_real(self.base_rate, "base_rate")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
         # Also rejects NaN and inf rates, and rates so small the interval overflows.
         rate = self.eta * self.base_rate
         if not (rate > 0.0 and 0.0 < 1.0 / rate < math.inf):

@@ -122,19 +122,6 @@ def params_fingerprint(params: ModelParams) -> str:
     return hashlib.sha256(params.flat.tobytes()).hexdigest()
 
 
-def normalized_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """u = (x - mu) / sqrt(var) for a finite (B, d) batch, or (S, B, d) for S lanes;
-    ValueError otherwise."""
-    features = np.asarray(features, dtype=np.float64)
-    lanes = params.mu.ndim - 1
-    if features.ndim != lanes + 2 or features.shape[-1] != params.dim:
-        raise ValueError(f"features must have shape ({'S, ' * lanes}B, {params.dim}), "
-                         f"got {features.shape}")
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite values")
-    return (features - params.mu[_ROWS]) / np.sqrt(params.var)[_ROWS]
-
-
 @dataclass(eq=False)
 class Forward:
     """One forward pass of ``params`` on a batch: the normalized features ``u``, and
@@ -162,16 +149,24 @@ class Forward:
 
 
 def forward(params: ModelParams, features: np.ndarray, u: np.ndarray | None = None) -> Forward:
-    """The forward pass of ``params`` on a (B, d) feature batch, or of S lanes on (S, B, d).
+    """The forward pass of ``params`` on a finite (B, d) feature batch, or of S lanes on
+    (S, B, d); ``ValueError`` for features of another shape or with a non-finite value.
 
-    ``u`` stands in for ``normalized_features(params, features)``: a caller
-    holding it from a pass of parameters with the same ``mu`` and ``var`` skips
-    the normalization.  Logits are shifted by the row max, so extreme logits
-    underflow to probability zero instead of NaN.  A class-major copy gives the
-    max faster, and the same but for a zero's sign, which no output sees.
+    ``u`` stands in for the normalized features (x - mu) / sqrt(var): a caller holding it
+    from a pass of parameters with the same ``mu`` and ``var`` skips the normalization and
+    its input check.  Logits are shifted by the row max, so extreme logits underflow to
+    probability zero instead of NaN.  A class-major copy gives the max faster, and the same
+    but for a zero's sign, which no output sees.
     """
     if u is None:
-        u = normalized_features(params, features)
+        features = np.asarray(features, dtype=np.float64)
+        lanes = params.mu.ndim - 1
+        if features.ndim != lanes + 2 or features.shape[-1] != params.dim:
+            raise ValueError(f"features must have shape ({'S, ' * lanes}B, {params.dim}), "
+                             f"got {features.shape}")
+        if not np.isfinite(features).all():
+            raise ValueError("features contain non-finite values")
+        u = (features - params.mu[_ROWS]) / np.sqrt(params.var)[_ROWS]
     z = params.gamma[_ROWS] * u
     z += params.beta[_ROWS]
     logits = z @ params.W.swapaxes(-1, -2)

@@ -64,12 +64,6 @@ MEASURED = "measured"
 
 _BUILT_IN = frozenset(ADAPTERS.values())  # adapters whose steps take stacked lanes
 
-__all__ = [
-    "OFFLINE", "ONLINE", "SINGLE_MODEL", "IMMEDIATE", "DELAYED", "SIMULATED", "MEASURED",
-    "BusyWindow", "FixedModulo", "ProtocolConfig", "ProtocolError", "run_stream",
-    "run_segments", "schedule_class",
-]
-
 
 class ProtocolError(RuntimeError):
     """A run aborted mid-stream; the message carries the failing step and domain."""
@@ -104,9 +98,7 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not isinstance(self.schedule_mode, (BusyWindow, FixedModulo)):
             raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
-        check_real(self.alpha, "alpha")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+        check_real(self.alpha, "alpha", "in [0, 1]")
         if self.fallback_visibility not in (IMMEDIATE, DELAYED):
             raise ValueError(f"unknown fallback visibility {self.fallback_visibility!r}")
         if self.timing not in (SIMULATED, MEASURED):

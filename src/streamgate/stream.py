@@ -11,6 +11,7 @@ eigendecomposition, on the same LAPACK as every other product here.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -55,10 +56,24 @@ def check_integer(value, name: str, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def check_real(value, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number, not a bool."""
-    if type(value) is bool or not isinstance(value, numbers.Real):
+# The ranges a real-valued field may be held to; NaN lies in none of them.
+_RANGES = {
+    "positive and finite": lambda v: 0 < v < math.inf,
+    "non-negative and finite": lambda v: 0 <= v < math.inf,
+    "positive": lambda v: v > 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+
+def check_real(value, name: str, rule: str | None = None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number, not a bool,
+    in the range that ``rule`` names in ``_RANGES``, if any.  A plain ``float`` skips the
+    ABC check, as in ``check_integer``."""
+    if not (type(value) is float or type(value) is not bool and isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if rule is not None and not _RANGES[rule](value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +89,7 @@ class SourceSpec:
     def __post_init__(self) -> None:
         check_integer(self.num_classes, "num_classes", 2)
         check_integer(self.dim, "dim", 1)
-        check_real(self.class_separation, "class_separation")
-        if not 0 < self.class_separation < float("inf"):
-            raise ValueError(
-                f"class_separation must be positive and finite, got {self.class_separation!r}")
+        check_real(self.class_separation, "class_separation", "positive and finite")
         check_integer(self.samples_per_class, "samples_per_class", 1)
         check_integer(self.seed, "seed")
 
@@ -113,6 +125,7 @@ class Batch:
         if len(features) < 2 or features[:-1] != labels or labels[-1] < 1:
             raise ValueError("features and labels must be non-empty and aligned, shaped "
                              f"(..., B, d) and (..., B), got {features} and {labels}")
+        check_integer(self.domain_id, "domain_id", -math.inf)
         check_integer(self.t, "t")
 
     @property
@@ -135,6 +148,8 @@ class ScenarioSpec:
         if not self.domain_order:
             raise ValueError("domain_order must be non-empty")
         check_integer(self.batch_size, "batch_size", 1)
+        if type(self.append_clean) is not bool:
+            raise ValueError(f"append_clean must be a bool, got {self.append_clean!r}")
         if self.append_clean and self.mode != CONTINUAL:
             raise ValueError("append_clean is only valid in continual mode")
 
@@ -146,6 +161,10 @@ class StreamSegment:
     reset: bool
     batches: list[Batch] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if type(self.reset) is not bool:
+            raise ValueError(f"reset must be a bool, got {self.reset!r}")
+
 
 @dataclass(frozen=True)
 class TrainSpec:
@@ -155,9 +174,7 @@ class TrainSpec:
     iterations: int = 300
 
     def __post_init__(self) -> None:
-        check_real(self.learning_rate, "learning_rate")
-        if not 0 < self.learning_rate < float("inf"):
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        check_real(self.learning_rate, "learning_rate", "positive and finite")
         check_integer(self.iterations, "iterations")
 
 

@@ -56,9 +56,7 @@ class TraceRecord:
 
     def __post_init__(self) -> None:
         check_integer(self.step, "step")
-        check_real(self.latency, "latency")
-        if not 0 < self.latency < math.inf:
-            raise ValueError(f"latency must be positive and finite, got {self.latency}")
+        check_real(self.latency, "latency", "positive and finite")
         check_integer(self.batch_size, "batch_size", 1)
         for name in ("correct_adapted", "correct_fallback"):
             check_integer(getattr(self, name), name)

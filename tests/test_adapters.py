@@ -57,6 +57,26 @@ def test_per_sample_latency_arithmetic():
     assert sample_latency(PerSample(0.01, 0.5), 64) == pytest.approx(1.14)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Constant(True), "seconds must be a real number, got True"),
+    (lambda: Constant("1"), "seconds must be a real number, got '1'"),
+    (lambda: PerSample(True), "per_sample must be a real number, got True"),
+    (lambda: PerSample("0.01"), "per_sample must be a real number, got '0.01'"),
+    (lambda: PerSample(0.01, True), "base must be a real number, got True"),
+    (lambda: PerSample(0.01, "0.5"), "base must be a real number, got '0.5'"),
+])
+def test_constant_and_per_sample_reject_a_bool_or_string_naming_the_field(make, message):
+    # True would draw as 1 (or 1 per sample), and a string fail at the first draw, unnamed.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_a_stochastic_draw_without_rng_starts_a_generator_on_the_seed():
+    model = Stochastic(3.0, 0.5, seed=7)
+    expected = 3.0 + 0.5 * np.random.default_rng(7).uniform(-1.0, 1.0)
+    assert [sample_latency(model, 8) for _ in range(3)] == [expected] * 3
+
+
 def test_stochastic_latency_deterministic_sequence(mini_pretrained):
     a = SourceAdapter(mini_pretrained, latency=Stochastic(3.0, 0.5, seed=11))
     b = SourceAdapter(mini_pretrained, latency=Stochastic(3.0, 0.5, seed=11))
@@ -135,6 +155,7 @@ def test_cost_range_bounds_every_draw(mini_pretrained, model, expected):
     ("1", 0.5, "mean must be a real number, got '1'"),
     (2.0, False, "jitter must be a real number, got False"),
     (2.0, "0.5", "jitter must be a real number, got '0.5'"),
+    (-1.0, "0.25", "mean must be positive and finite, got -1.0"),  # mean's range comes first
 ])
 def test_stochastic_rejects_a_bad_mean_or_jitter(mean, jitter, message):
     # cost_range bounds every draw by mean +- jitter: a negative jitter inverts

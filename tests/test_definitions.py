@@ -17,6 +17,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from streamgate.stream import _RANGES
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "streamgate"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
@@ -131,10 +133,10 @@ def test_every_constant_is_loaded_or_exported():
     assert unused_constants(sources) == []
 
 
-def _is_predict_call(node: ast.AST) -> bool:
+def _is_call_to(node: ast.AST, name: str) -> bool:
     return isinstance(node, ast.Call) and (
-        isinstance(node.func, ast.Name) and node.func.id == "predict"
-        or isinstance(node.func, ast.Attribute) and node.func.attr == "predict")
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
 
 
 def _unpacks_into_underscore(target: ast.AST) -> bool:
@@ -149,8 +151,8 @@ def discarded_probabilities(sources: dict[str, str]) -> list[str]:
     found = []
     for name, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            discarded = (isinstance(node, ast.Subscript) and _is_predict_call(node.value)
-                         or isinstance(node, ast.Assign) and _is_predict_call(node.value)
+            discarded = (isinstance(node, ast.Subscript) and _is_call_to(node.value, "predict")
+                         or isinstance(node, ast.Assign) and _is_call_to(node.value, "predict")
                          and any(_unpacks_into_underscore(t) for t in node.targets))
             if discarded:
                 found.append((name, node.lineno))
@@ -172,3 +174,36 @@ def test_the_check_sees_discarded_probabilities():
 def test_no_module_throws_away_the_probabilities_of_predict():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert discarded_probabilities(sources) == []
+
+
+def unknown_rules(sources: dict[str, str]) -> list[str]:
+    """``"<file>:<line>"`` for every ``check_real`` call whose rule, passed third or as
+    ``rule=``, is not a string literal that names a range of ``stream._RANGES``: a
+    misspelt rule would surface only as a bare ``KeyError`` on a bad value."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not _is_call_to(node, "check_real"):
+                continue
+            rules = node.args[2:] + [k.value for k in node.keywords if k.arg == "rule"]
+            if any(not (isinstance(rule, ast.Constant) and rule.value in _RANGES)
+                   for rule in rules):
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_the_check_sees_a_rule_that_names_no_range():
+    sources = {
+        "a.py": "check_real(x, 'x')\n"
+                "check_real(x, 'x', 'positive')\n"
+                "check_real(x, 'x', 'postive')\n"
+                "stream.check_real(x, 'x', rule='in [0, 1]')\n"
+                "stream.check_real(x, 'x', rule=RULE)\n"
+                "check_real(x, 'x', None)\n",
+    }
+    assert unknown_rules(sources) == ["a.py:3", "a.py:5", "a.py:6"]
+
+
+def test_every_check_real_rule_names_a_range():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unknown_rules(sources) == []

@@ -237,6 +237,12 @@ def test_params_validation():
         flat_params(W=np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("name", ["var", "gamma", "beta"])
+def test_params_reject_a_vector_of_the_wrong_length_naming_it(name):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape (3,), got (2,)")):
+        flat_params(**{name: np.ones(2)})
+
+
 def test_copy_is_independent():
     params = tiny_params(seed=7)
     clone = params.copy()

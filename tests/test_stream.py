@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamgate.adapters import Stochastic
+from streamgate.adapters import NormStatAdapter, Stochastic
+from streamgate.clock import StreamClock
 from streamgate.model import params_fingerprint
+from streamgate.protocol import ProtocolConfig
 from streamgate.stream import (
     CONTINUAL,
     EPISODIC,
@@ -22,9 +24,11 @@ from streamgate.stream import (
     CorruptionSpec,
     ScenarioSpec,
     SourceSpec,
+    StreamSegment,
     TrainSpec,
     TrainingError,
     apply_corruption,
+    check_real,
     class_means,
     compose_stream,
     default_corruption_suite,
@@ -39,6 +43,7 @@ from doubles import (
     reference_corruption_suite,
     reference_pretrain_source_model,
     rotation_matrix,
+    tiny_params,
 )
 
 
@@ -262,13 +267,50 @@ def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value, 
     (lambda v: CorruptionSpec(ROTATION, v), "severity", "an integer"),
     (lambda v: Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), domain_id=0, t=v), "t",
      "a non-negative integer"),
-], ids=["num_classes", "dim", "samples_per_class", "iterations", "batch_size", "severity", "t"])
+    (lambda v: Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), domain_id=v, t=0), "domain_id",
+     "an integer"),
+], ids=["num_classes", "dim", "samples_per_class", "iterations", "batch_size", "severity", "t",
+        "domain_id"])
 @pytest.mark.parametrize("value", [True, 4.0])
 def test_integer_fields_reject_a_non_integer_naming_the_field(make, field, rule, value):
     # range() and numpy take True as 1, and fail on a float only later, unnamed.
     with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
         make(value)
     assert getattr(make(np.int64(4)), field) == 4
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("rule,inside,outside", [
+    ("positive and finite", [5e-324, 1, 2.5], [0.0, -1.0, INF, -INF, NAN]),
+    ("non-negative and finite", [0.0, 0, 3.0], [-5e-324, INF, NAN]),
+    ("positive", [5e-324, 1, INF], [0.0, -1.0, NAN]),
+    ("in [0, 1]", [0.0, 0, 0.5, 1], [-5e-324, 1.5, INF, NAN]),
+    ("in (0, 1]", [5e-324, 0.5, 1.0], [0.0, -1.0, 1.5, NAN]),
+])
+def test_check_real_holds_a_value_to_the_rule_it_names(rule, inside, outside):
+    for value in inside:
+        for real in (value, np.float64(value)):
+            check_real(real, "x", rule)
+    for value in outside:
+        with pytest.raises(ValueError, match=re.escape(f"x must be {rule}, got {value!r}")):
+            check_real(value, "x", rule)
+    with pytest.raises(ValueError, match=re.escape("x must be a real number, got True")):
+        check_real(True, "x", rule)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: NormStatAdapter(tiny_params(), prior_weight=1.5),
+     "prior_weight must be in [0, 1], got 1.5"),
+    (lambda: StreamClock(eta=1.5), "eta must be in (0, 1], got 1.5"),
+    (lambda: ProtocolConfig(alpha=-0.5), "alpha must be in [0, 1], got -0.5"),
+    # A bad range on the first field is reported before a bad type on the second.
+    (lambda: StreamClock(eta=0.0, base_rate="1"), "eta must be in (0, 1], got 0.0"),
+])
+def test_a_range_error_shows_the_value(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def three_domain_scenario(mode):
@@ -293,6 +335,16 @@ def three_domain_scenario(mode):
      "shaped (..., B, d) and (..., B), got (8, 3) and (8, 1)"),
     (lambda: Batch(np.zeros(3), np.zeros(3, dtype=int), domain_id=0, t=0),
      "shaped (..., B, d) and (..., B), got (3,) and (3,)"),
+    # An untraced run would report a row for domain 0.5; a traced one fails mid-run.
+    (lambda: Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), domain_id=0.5, t=0),
+     "domain_id must be an integer, got 0.5"),
+    # Any truthy value would append a clean segment or reset the adapter.
+    (lambda: ScenarioSpec(CONTINUAL, default_corruption_suite()[:2], append_clean="no"),
+     "append_clean must be a bool, got 'no'"),
+    (lambda: ScenarioSpec(EPISODIC, default_corruption_suite()[:2], append_clean=0),
+     "append_clean must be a bool, got 0"),
+    (lambda: StreamSegment(reset="no"), "reset must be a bool, got 'no'"),
+    (lambda: StreamSegment(reset=1), "reset must be a bool, got 1"),
     (lambda: pretrain_source_model(np.zeros((0, 3)), np.zeros(0, dtype=int)),
      "dataset is empty"),
     (lambda: compose_stream(three_domain_scenario(EPISODIC), SourceSpec(), 63),
@@ -321,7 +373,8 @@ def three_domain_scenario(mode):
      "features must be 2-D (samples, dim), got shape (3,)"),
 ], ids=["no-samples-per-class", "one-class", "no-dim", "negative-iterations",
         "no-batch-size", "severity-6", "misaligned-batch", "empty-batch", "column-labels-batch",
-        "1-d-features-batch", "empty-dataset",
+        "1-d-features-batch", "float-domain-id", "string-append-clean", "int-append-clean",
+        "string-reset", "int-reset", "empty-dataset",
         "domain-below-one-batch", "float-samples-per-domain", "bool-samples-per-domain",
         "bool-seed", "float-seed", "negative-seed", "negative-label", "float-labels",
         "labels-misaligned", "nan-features", "1-d-features"])

@@ -113,13 +113,16 @@ def _entropy_gradient(
     result: Forward, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``entropy_gradient`` from the forward pass it starts with; ``mask``
-    restricts the mean to a row subset."""
+    restricts the mean to a row subset.  A (B,) mask takes its rows; an (S, B) mask
+    zeroes each lane's other rows and divides by that lane's own count, at least 1."""
     u, logp, p = result.u, result.logp, result.p
-    g_logits = -p * (logp + _entropy(result)[..., None])
-    if mask is not None:
-        g_logits = g_logits[mask]
-        u = u[mask]
-    return _affine_gradient(g_logits, u, result.params.W)
+    g_logits, rows = -p * (logp + _entropy(result)[..., None]), None
+    if mask is not None and mask.ndim == 1:
+        g_logits, u = g_logits[mask], u[mask]
+    elif mask is not None:
+        g_logits = np.where(mask[..., None], g_logits, 0.0)
+        rows = np.maximum(np.count_nonzero(mask, axis=-1), 1)[:, None, None]
+    return _affine_gradient(g_logits, u, result.params.W, rows)
 
 
 def pseudo_label_cross_entropy(
@@ -147,10 +150,10 @@ def _cross_entropy_gradient(
 
 
 def _affine_gradient(
-    g_logits: np.ndarray, u: np.ndarray, W: np.ndarray
+    g_logits: np.ndarray, u: np.ndarray, W: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean per-logit gradients chained through W and z = gamma * u + beta."""
-    gz = g_logits @ W / g_logits.shape[-2]
+    """Mean per-logit gradients over ``rows`` rows (default all), through W and z."""
+    gz = g_logits @ W / (g_logits.shape[-2] if rows is None else rows)
     return (gz * u).sum(axis=-2), gz.sum(axis=-2)
 
 
@@ -162,12 +165,11 @@ def _affine_gradient(
 class AdaptOutcome:
     """Result of one adaptation step.
 
-    ``y_hat`` is always the prediction of ``theta_hat`` on ``x_hat``.  ``cost``
-    is the elapsed seconds for the step; adapters whose cost does not depend
-    on what happened leave it None and the base class samples their latency
-    model, so a finished outcome always carries a positive cost.  ``forward``
-    is the step's forward pass of its pre-step parameters on the batch, when
-    the step ran one.
+    ``y_hat`` is always the prediction of ``theta_hat`` on ``x_hat``.  ``cost`` is the
+    elapsed seconds for the step, or an (S,) array of each lane's; adapters whose cost
+    does not depend on what happened leave it None and the base class samples their
+    latency model, so a finished outcome always carries a positive cost.  ``forward`` is
+    the step's forward pass of its pre-step parameters on the batch, when it ran one.
     """
 
     x_hat: np.ndarray
@@ -243,7 +245,9 @@ class Adapter:
         outcome = self._adapt(batch)
         if outcome.cost is None:
             outcome.cost = sample_latency(self.latency, batch.size, self._latency_rng)
-        if not outcome.cost > 0.0:  # NaN fails too; an infinite cost fails at the clock
+        cost = outcome.cost  # NaN fails too; an infinite cost fails at the clock
+        if not (cost > 0.0 if type(cost) is float or batch.labels.ndim == 1
+                else (cost > 0.0).all()):
             raise ValueError(f"adaptation cost must be positive, got {outcome.cost}")
         self.params = outcome.theta_hat
         return outcome
@@ -350,9 +354,10 @@ class RejectionEntropyAdapter(_DescentAdapter):
     """Entropy descent restricted to confidently-predicted samples.
 
     Samples with forward-pass entropy above the threshold are excluded from
-    the gradient.  A batch that rejects everything performs no update, and its
-    cost is the cheaper forward-pass latency: the step's cost depends on
-    whether an update actually happened.
+    the gradient.  A batch (or lane) that rejects everything performs no update, and
+    its cost is the cheaper forward-pass latency: the step's cost depends on whether an
+    update happened.  A stacked step raises if a lane admits one row, whose product
+    would take other bits than in a larger one.
     """
 
     name = "rejection_entropy"
@@ -384,7 +389,16 @@ class RejectionEntropyAdapter(_DescentAdapter):
             cost = sample_latency(self.latency_reject, batch.size, self._latency_rng)
             return AdaptOutcome(batch.features, self.params.copy(), result.labels, cost=cost,
                                 note="all samples rejected: no update", forward=result)
-        return self._descend(batch, result, *_entropy_gradient(result, admitted))
+        if admitted.ndim == 1:
+            return self._descend(batch, result, *_entropy_gradient(result, admitted))
+        if 1 in (counts := np.count_nonzero(admitted, axis=-1)):
+            raise ValueError("a lane admits one row")
+        g_gamma, g_beta = _entropy_gradient(result, admitted)
+        g_gamma[counts == 0] = g_beta[counts == 0] = 0.0  # a lane that rejects all keeps theta
+        outcome = self._descend(batch, result, g_gamma, g_beta)
+        outcome.cost = np.array([sample_latency(self.latency if n else self.latency_reject,
+                                                batch.size, self._latency_rng) for n in counts])
+        return outcome
 
 
 class InputRestoreAdapter(Adapter):

@@ -46,14 +46,15 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     The ratio is taken in exact integer arithmetic so boundary cases (an
     elapsed time of exactly k intervals) never fall on the wrong side of the
     ceiling through float rounding.  ``elapsed <= interval`` is an exact float
-    comparison, so the common one-tick case needs no division at all.
+    comparison, so the common one-tick case needs no division at all.  An
+    argument out of range or a bool (``False`` is out of range) fails ``check_real``,
+    which names it; the float path pays two identity tests for the bool.
     """
-    if not math.isfinite(effective_interval) or effective_interval <= 0:
-        raise ValueError(
-            f"effective_interval must be positive and finite, got {effective_interval}"
-        )
-    if not math.isfinite(elapsed) or elapsed <= 0:
-        raise ValueError(f"elapsed must be positive and finite, got {elapsed}")
+    if (not math.isfinite(effective_interval) or effective_interval <= 0
+            or effective_interval is True):
+        check_real(effective_interval, "effective_interval", "positive and finite")
+    if not math.isfinite(elapsed) or elapsed <= 0 or elapsed is True:
+        check_real(elapsed, "elapsed", "positive and finite")
     if elapsed <= effective_interval:
         return 1
     en, ed = elapsed.as_integer_ratio()
@@ -80,6 +81,9 @@ class Worker:
 
     def occupy(self, t: int, interval: float, elapsed: float) -> int:
         """Charge an adaptation started at step t; returns its C."""
-        c = relative_adaptation_speed(interval, elapsed)
+        return self.start(t, relative_adaptation_speed(interval, elapsed))
+
+    def start(self, t: int, c: int) -> int:
+        """Charge an adaptation started at step t that spans ``c`` ticks; returns c."""
         self.busy_until = t + (self.period or c)
         return c

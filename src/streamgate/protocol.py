@@ -20,13 +20,14 @@ step's forward pass ran on (``AdaptOutcome.forward``), as under immediate
 visibility it is on every step, the fallback prediction is read from that pass.
 The ticks from the one after an adapted step through the next adapted one all
 start from the live state, so a traced run steps them as the lanes of one stacked
-step of a throwaway copy, from which the live tick takes its lane and latency rng.
+step of a throwaway copy, from which each tick takes its lane's cost and the live
+tick its lane and the latency rng.
 
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
 composed scenario, restarting the adapter at every reset marker.  The segments
 of an episodic scenario step in lockstep, as lanes of one stacked step per tick
 (see ``run_segments``), with the bits of stepping them one at a time; ``_stacks``
-says which adapters step in lanes, on either axis.
+says which adapters step in lanes, with one rule per axis.
 ``schedule_class`` predicts from the loop's rule which runs are equal but for
 their labels, so that a caller computes each such class once.
 """
@@ -39,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import ADAPTERS, Adapter, clone_adapter
+from .adapters import ADAPTERS, Adapter, Stochastic, clone_adapter
 from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from .model import ModelParams, blend_parameters, forward, params_fingerprint, predict
 from .report import (
@@ -113,12 +114,15 @@ def _modulo(cfg: ProtocolConfig) -> int | None:
     return cfg.schedule_mode.k if isinstance(cfg.schedule_mode, FixedModulo) else None
 
 
-def _stacks(cfg: ProtocolConfig, adapter: Adapter) -> bool:
+def _stacks(cfg: ProtocolConfig, adapter: Adapter, window: bool = False) -> bool:
     """Whether steps from one adapter state, latency rng included, on batches of one size
-    may run as the lanes of one stacked step: under simulated timing a built-in adapter
-    with one latency model draws them one cost, the one each would draw alone."""
+    may run as the lanes of one stacked step of a built-in adapter under simulated timing.
+    Lockstep lanes share one C a tick: one latency model draws each the cost it would
+    alone.  A traced ``window``'s lanes read their own costs: one model, or none stochastic."""
+    models = adapter._latency_models()
     return (cfg.timing == SIMULATED and type(adapter) in _BUILT_IN
-            and len(adapter._latency_models()) == 1)
+            and (len(models) == 1
+                 or window and not any(isinstance(m, Stochastic) for m in models)))
 
 
 def _stack(batches: Sequence[Batch]) -> Batch:
@@ -197,7 +201,7 @@ def _run(
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
     interval = clock.effective_interval  # re-measured at every adapted step under measured timing
-    windows = trace_out is not None and _stacks(cfg, adapter)  # traced: busy windows as lanes
+    windows = trace_out is not None and _stacks(cfg, adapter, window=True)
     steps: list[int] = []
     batch_sizes: list[int] = []
     error_counts: list[int] = []
@@ -256,6 +260,8 @@ def _run(
                     ghost, outcome, fb = window
                     j = t - window_start
                     cost, y_adapted, fb_pred = outcome.cost, outcome.y_hat[j], fb[j]
+                    if isinstance(cost, np.ndarray):  # one cost per lane
+                        cost = cost[j]
                     if adapt_now:  # the live tick commits what its own step would
                         theta_hat = adapter.params = outcome.theta_hat.lane(j)
                         adapter._latency_rng = ghost._latency_rng

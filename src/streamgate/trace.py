@@ -1,13 +1,13 @@
 """Counterfactual trace replay: reschedule recorded runs at arbitrary stream speeds.
 
-A trace row records, for every stream step, the seconds an adaptation step
-spent (or would have spent) on that batch and how many predictions would be
-correct under adaptation versus under the fallback snapshot.  Replay applies
-the run loop's busy-window rule to the trace's columns: it jumps from each
-adapted step to ``Worker.busy_until`` through ``Worker.occupy``, the rule the
-run loop uses.  So a replay costs one walk step per adapted step; it hands its
-step columns to ``report.run_report``, as the run loop does.  Error rates at
-any stream speed come out of one recording with no model reruns.
+A trace row records, for every stream step, the seconds an adaptation step spent (or
+would have spent) on that batch and how many predictions would be correct under
+adaptation versus under the fallback snapshot.  Replay applies the run loop's busy-window
+rule to the trace's columns: it takes C once per distinct latency, then jumps from each
+adapted step to ``Worker.busy_until`` through ``Worker.start``, the rule the run loop
+uses.  So a replay costs one ceiling per distinct latency and one walk step per adapted
+step; it hands its step columns to ``report.run_report``, as the run loop does.  Error
+rates at any stream speed come out of one recording with no model reruns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clock import StreamClock, Worker, check_ticks
+from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from .report import (
     ACTION_SKIPPED_FALLBACK,
     RunReport,
@@ -66,8 +66,10 @@ class TraceRecord:
 
 
 def unit_fraction(value: float, text: str | None = None) -> float:
-    """``value`` if it lies in [0, 1]; NaN fails both comparisons.  The error
-    shows ``text``, the value as it was written, when given."""
+    """``value`` if it lies in [0, 1] and is not a bool; NaN fails both comparisons.
+    The error shows ``text``, the value as it was written, when given."""
+    if type(value) is bool:
+        raise ValueError(f"must be a real number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"must be in [0, 1], got {value if text is None else text!r}")
     return value
@@ -162,10 +164,12 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
     """
     domains, latency, correct_adapted, correct_fallback, batch_size = _columns(trace)
     n, interval = len(latency), clock.effective_interval
-    worker, steps, latencies = Worker(), [], latency.tolist()
+    distinct, which = np.unique(latency, return_inverse=True)
+    c = [relative_adaptation_speed(interval, elapsed) for elapsed in distinct.tolist()]
+    worker, steps, c_at = Worker(), [], np.take(c, which).tolist()
     while (t := worker.busy_until) < n:
         steps.append(t)
-        worker.occupy(t, interval, latencies[t])
+        worker.start(t, c_at[t])
     adapted = np.array(steps)
     c_value = np.diff(adapted, append=t)  # each adapted step's busy window
     error_count = batch_size - correct_fallback

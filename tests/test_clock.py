@@ -63,6 +63,16 @@ def test_relative_adaptation_speed_rejects_nonpositive(interval, elapsed):
             relative_adaptation_speed(interval, elapsed)
 
 
+@pytest.mark.parametrize("interval,elapsed,name", [
+    (1.0, True, "elapsed"), (True, 1.0, "effective_interval"),
+    (1.0, False, "elapsed"), (False, 1.0, "effective_interval"), (0.5, True, "elapsed"),
+])
+def test_relative_adaptation_speed_rejects_a_bool_naming_it(interval, elapsed, name):
+    # True would count as 1: relative_adaptation_speed(1.0, True) returned 1.
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got (True|False)$"):
+        relative_adaptation_speed(interval, elapsed)
+
+
 @given(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),

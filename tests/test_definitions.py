@@ -207,3 +207,53 @@ def test_the_check_sees_a_rule_that_names_no_range():
 def test_every_check_real_rule_names_a_range():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unknown_rules(sources) == []
+
+
+def busy_window_writes(sources: dict[str, str]) -> list[str]:
+    """``"<file>:<line>"`` for every write of ``busy_until``, as a name, an attribute or
+    through ``setattr``, outside the class ``Worker`` of ``clock.py``: the busy-window
+    rule that simulation and replay share is written there alone."""
+    found = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        inside = {id(node) for cls in tree.body if name == "clock.py"
+                  and isinstance(cls, ast.ClassDef) and cls.name == "Worker"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+                targets = [node.target]
+            elif _is_call_to(node, "setattr") and len(node.args) > 1:
+                targets = [node.args[1]]
+            else:
+                continue
+            if id(node) not in inside and any(
+                    isinstance(n, ast.Name) and n.id == "busy_until"
+                    or isinstance(n, ast.Attribute) and n.attr == "busy_until"
+                    or isinstance(n, ast.Constant) and n.value == "busy_until"
+                    for target in targets for n in ast.walk(target)):
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_the_check_sees_a_busy_window_written_outside_the_worker():
+    worker = ("class Worker:\n"
+              "    def start(self, t, c):\n"
+              "        self.busy_until = t + c\n")
+    sources = {
+        "clock.py": worker + "def skip(w):\n    w.busy_until += 1\n",
+        "trace.py": "worker.busy_until = t + c\n"
+                    "t = worker.busy_until\n"
+                    "while (busy_until := t + c) < n: pass\n"
+                    "setattr(worker, 'busy_until', 3)\n"
+                    "w.busy_until: int = 0\n",
+        "protocol.py": worker,
+    }
+    assert busy_window_writes(sources) == [
+        "clock.py:5", "protocol.py:3", "trace.py:1", "trace.py:3", "trace.py:4", "trace.py:5"]
+
+
+def test_only_the_worker_writes_the_busy_window():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert busy_window_writes(sources) == []

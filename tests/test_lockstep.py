@@ -7,7 +7,9 @@ latency rng with the run over all segments at once.
 
 Traced runs step the ticks from one adapted step to the next as one window.  The
 oracle runs the same adapter through a trivial subclass, which the lane gate sends
-one tick at a time, and compares the traces as well.
+one tick at a time, and compares the traces as well.  rejection_entropy's windows
+step as lanes unless a latency model is stochastic; a window in which a lane admits
+exactly one row steps its ticks one at a time.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ from streamgate.stream import (
     StreamSegment,
     compose_stream,
     default_corruption_suite,
+    default_scenario,
 )
-from doubles import reference_run_numbers, tiny_params, tiny_stream
+from doubles import reference_run_numbers, tiny_params, tiny_stream, two_domain_stream
 
 LATENCIES = {
     "one_tick": Constant(0.5),
@@ -241,9 +244,9 @@ TRACED_LATENCIES = {
 }
 
 
-def assert_traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params):
-    """A traced run steps its windows as lanes, bit for bit as one tick at a time; it
-    makes one adapt call per adapted step, and one more for a window cut at the end."""
+def traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params):
+    """A traced run steps its windows as lanes, bit for bit as one tick at a time: the
+    laned adapter, with its steps counted, and the run's report."""
     segments = [StreamSegment(reset=True, batches=batches)]
     laned = make_adapter(name, params, **kwargs)
     alone = ONE_TICK_AT_A_TIME[name](params, **kwargs)
@@ -257,13 +260,25 @@ def assert_traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params)
     assert params_fingerprint(laned.params) == params_fingerprint(alone.params)
     assert rng_state(laned) == rng_state(alone)
     assert alone.steps == [1] * len(batches)
-    assert sum(laned.steps) == len(batches)
+    return laned, report
+
+
+def window_calls(report):
+    """The adapt calls of a traced run whose every window steps as lanes: one per
+    adapted step, and one more for a window cut at the end."""
     actions = [record.action for record in report.schedule]
-    if name == "rejection_entropy":  # two latency models: one tick at a time
-        assert laned.steps == alone.steps
+    return actions.count(ACTION_ADAPTED) + (actions[-1] != ACTION_ADAPTED)
+
+
+def assert_traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params):
+    """A traced run steps its windows as lanes, bit for bit as one tick at a time; it
+    makes one adapt call per adapted step, and one more for a window cut at the end."""
+    laned, report = traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params)
+    assert sum(laned.steps) == len(batches)
+    if name == "rejection_entropy":  # a stochastic latency model: one tick at a time
+        assert laned.steps == [1] * len(batches)
     else:
-        cut = actions[-1] != ACTION_ADAPTED
-        assert len(laned.steps) == actions.count(ACTION_ADAPTED) + cut
+        assert len(laned.steps) == window_calls(report)
     return report
 
 
@@ -336,6 +351,118 @@ def traced_default_model_case(source_spec, pretrained):
 
 def test_a_traced_run_steps_its_windows_as_lanes_at_the_default_model(source_spec, pretrained):
     traced_default_model_case(source_spec, pretrained)
+
+
+@contextmanager
+def admitting():
+    """Log, for every stacked rejection_entropy step in the block, each lane's count of
+    admitted rows."""
+    log, step = [], RejectionEntropyAdapter._adapt
+
+    def logged(self, batch):
+        if batch.features.ndim == 3:
+            result = forward(self.params, batch.features)
+            entropy = -(result.p * result.logp).sum(axis=-1)
+            log.append(np.count_nonzero(entropy <= self.entropy_threshold, axis=-1).tolist())
+        return step(self, batch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RejectionEntropyAdapter, "_adapt", logged)
+        yield log
+
+
+REJECTING_LATENCIES = {  # (update, rejection), in seconds for a batch of 4
+    "constant": (Constant(3.0), Constant(1.0)),
+    "per_sample": (PerSample(0.75), PerSample(0.25, base=1.0)),
+    "stochastic": (Constant(3.0), Stochastic(0.4, 0.1, seed=7)),
+}
+
+
+def assert_rejecting_windows_equal_ticks(latencies, threshold, batches, cfg, clock):
+    """A traced rejection_entropy run equals its run one tick at a time, and steps its
+    windows as lanes but for a stochastic model, or for a window in which a lane admits
+    one row: that window's stacked step fails, and its ticks step one at a time.  Each
+    lane's count of admitted rows, by stacked step."""
+    kwargs = dict(latency=REJECTING_LATENCIES[latencies][0], learning_rate=0.5,
+                  latency_reject=REJECTING_LATENCIES[latencies][1],
+                  entropy_threshold=threshold * np.log(3))
+    with admitting() as admitted:
+        laned, report = traced_windows_equal_ticks("rejection_entropy", kwargs, batches, cfg,
+                                                   clock, tiny_params(seed=2))
+    if latencies == "stochastic":
+        assert laned.steps == [1] * len(batches)
+    else:
+        fallen = [len(counts) for counts in admitted if 1 in counts]
+        assert len(laned.steps) == window_calls(report) + sum(fallen)
+        assert sum(laned.steps) == len(batches) + sum(fallen)
+    return admitted
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    latencies=st.sampled_from(sorted(REJECTING_LATENCIES)),
+    threshold=st.sampled_from([0.03, 0.2, 0.5, 10.0]),  # a fraction of log K
+    modulo=st.none() | st.integers(2, 5),
+    alpha=st.sampled_from([0.0, 0.5]),
+    visibility=st.sampled_from([IMMEDIATE, DELAYED]),
+    eta=st.sampled_from([1.0, 0.5, 0.25]),
+    n_batches=st.integers(1, 30),
+    batch_size=st.integers(1, 5),
+    seed=st.integers(0, 5),
+)
+@example(latencies="constant", threshold=0.2, modulo=None, alpha=0.5, visibility=DELAYED,
+         eta=0.5, n_batches=30, batch_size=4, seed=0)
+@example(latencies="per_sample", threshold=0.03, modulo=None, alpha=0.0,
+         visibility=IMMEDIATE, eta=1.0, n_batches=30, batch_size=5, seed=1)
+@example(latencies="stochastic", threshold=0.5, modulo=None, alpha=0.5,
+         visibility=IMMEDIATE, eta=0.25, n_batches=20, batch_size=4, seed=2)
+def test_rejection_entropy_steps_its_windows_as_lanes_bit_for_bit(
+    latencies, threshold, modulo, alpha, visibility, eta, n_batches, batch_size, seed
+):
+    cfg = ProtocolConfig(protocol=ONLINE, alpha=alpha, fallback_visibility=visibility,
+                         seed=seed, schedule_mode=BusyWindow() if modulo is None
+                         else FixedModulo(modulo))
+    assert_rejecting_windows_equal_ticks(latencies, threshold, tiny_stream(
+        n_batches, batch_size, seed=seed), cfg, StreamClock(eta=eta))
+
+
+@pytest.mark.parametrize("latencies", ["constant", "per_sample"])
+def test_rejecting_windows_hold_lanes_of_no_one_and_many_admitted_rows(latencies):
+    cfg = ProtocolConfig(protocol=ONLINE, alpha=0.5)
+    # A 2 s tick: an update spans two ticks, a rejection one.
+    admitted = assert_rejecting_windows_equal_ticks(latencies, 0.05, tiny_stream(30, seed=0),
+                                                    cfg, StreamClock(eta=0.5))
+    assert [0, 1] in admitted  # a window that steps one tick at a time
+    assert [2, 0] in admitted  # a lane that updates beside one that rejects all
+    assert [2, 2] in admitted
+
+
+def test_a_traced_rejection_entropy_run_with_constant_costs_steps_its_windows_as_lanes(
+    mini_spec, mini_pretrained
+):
+    # Every row admitted and C = 3 over two domains of 10 ticks: a live step at tick 0,
+    # six windows of three ticks, and one cut to tick 19.
+    adapter = make_adapter("rejection_entropy", mini_pretrained, latency=Constant(2.5),
+                           latency_reject=Constant(1.0), entropy_threshold=10.0)
+    with counting(adapter):
+        run_segments(two_domain_stream(mini_spec), adapter, mini_pretrained,
+                     ProtocolConfig(protocol=ONLINE), trace_out=[])
+    assert adapter.steps == [1] + [3] * 6 + [1]
+
+
+def test_a_traced_rejection_entropy_run_on_the_benchmark_stream_steps_in_lanes(
+    source_spec, pretrained
+):
+    # The continual benchmark stream at seed 0: every step admits many rows and costs
+    # 3 s, so a window of three ticks is one adapt call, 417 in all against 1,248.
+    batches = compose_stream(default_scenario(mode="continual", append_clean=True),
+                             source_spec, seed=0)[0].batches
+    adapter = make_adapter("rejection_entropy", pretrained)
+    with counting(adapter):
+        report = run_segments([StreamSegment(reset=True, batches=batches)], adapter,
+                              pretrained, ProtocolConfig(protocol=ONLINE), trace_out=[])
+    assert len(batches) == sum(adapter.steps) == 1248
+    assert len(adapter.steps) == window_calls(report) == 417
 
 
 def test_lockstep_keeps_the_bits_at_two_blas_threads():

@@ -223,6 +223,21 @@ def test_blend_rejects_alpha_out_of_range():
         blend_parameters(tiny_params(), tiny_params(), 1.5)
 
 
+@pytest.mark.parametrize("alpha", [True, False, "0.5", None, 0.5j])
+def test_blend_rejects_an_alpha_that_is_not_a_real_number(alpha):
+    # True would blend as 1, a copy of theta; "0.5" raised a bare TypeError.
+    with pytest.raises(ValueError, match=r"^alpha must be a real number, got "):
+        blend_parameters(tiny_params(), tiny_params(seed=1), alpha)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, np.float64(0.5), np.float32(0.25)])
+def test_blend_takes_any_real_alpha(alpha):
+    theta, theta_hat = tiny_params(), tiny_params(seed=1)
+    expected = blend_parameters(theta, theta_hat, float(alpha))
+    assert params_fingerprint(blend_parameters(theta, theta_hat, alpha)) == params_fingerprint(
+        expected)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         flat_params(var=np.zeros(3))  # variance must be strictly positive

@@ -845,7 +845,7 @@ def test_a_traced_step_runs_two_forward_passes(name, forward_calls, mini_pretrai
     # gradient; the post-step prediction is the second.  A 2.5 s cost skips two of
     # every three steps, so ghosts run as well.  A call on a stacked set runs one
     # pass per lane: the ticks from one adapted step to the next step as lanes of
-    # one call, but for rejection_entropy, whose two latency models keep it at one.
+    # one call, rejection_entropy's too, whose two latency models are constant.
     segments = two_domain_stream(mini_spec)
     kwargs = {"entropy_threshold": 10.0} if name == "rejection_entropy" else {}
     adapter = make_adapter(name, mini_pretrained, latency=Constant(2.5), **kwargs)
@@ -854,10 +854,7 @@ def test_a_traced_step_runs_two_forward_passes(name, forward_calls, mini_pretrai
     assert 0 < report.adapted_fraction < 1
     passes = sum(len(np.atleast_2d(params.flat)) for params in forward_calls)
     assert passes == 2 * len(trace) == 2 * len(segments[0].batches)
-    if name == "rejection_entropy":
-        assert len(forward_calls) == passes
-    else:
-        assert len(forward_calls) < passes
+    assert len(forward_calls) < passes
 
 
 def test_an_all_rejected_traced_step_runs_one_forward_pass(
@@ -869,7 +866,8 @@ def test_an_all_rejected_traced_step_runs_one_forward_pass(
     trace = []
     report = run_segments(segments, adapter, mini_pretrained, ON, trace_out=trace)
     assert report.fingerprints[0] == report.fingerprints[-1]  # no update anywhere
-    assert len(forward_calls) == len(trace)
+    passes = sum(len(np.atleast_2d(params.flat)) for params in forward_calls)
+    assert passes == len(trace)
 
 
 @pytest.mark.parametrize("traced", [False, True])

@@ -290,6 +290,16 @@ def test_parse_rejects_a_bad_fallback_error_rate_before_reading(tmp_path):
         assert parse_trace(path, fallback_error_rate=rate)[0].correct_fallback == correct
 
 
+@pytest.mark.parametrize("rate", [True, False])
+def test_parse_rejects_a_bool_fallback_error_rate(tmp_path, rate):
+    # True would fill every empty cell with 0 correct, as a rate of 1.
+    path = tmp_path / "e.csv"
+    write_raw(path, ["0,1.0,3,,0,4"])
+    with pytest.raises(ValueError, match=f"^fallback_error_rate: must be a real number, "
+                                         f"got {rate}$"):
+        parse_trace(path, fallback_error_rate=rate)
+
+
 # --------------------------------------------------------------------------
 # The column-form replay equals the per-step loop it replaced
 # --------------------------------------------------------------------------

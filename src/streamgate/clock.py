@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from numpy import True_  # numpy's True, a singleton
+
 from .stream import check_real
 
 
@@ -47,13 +49,13 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     elapsed time of exactly k intervals) never fall on the wrong side of the
     ceiling through float rounding.  ``elapsed <= interval`` is an exact float
     comparison, so the common one-tick case needs no division at all.  An
-    argument out of range or a bool (``False`` is out of range) fails ``check_real``,
-    which names it; the float path pays two identity tests for the bool.
+    argument out of range or a bool or numpy bool (``False`` is out of range) fails
+    ``check_real``, which names it; the float path pays four identity tests for them.
     """
     if (not math.isfinite(effective_interval) or effective_interval <= 0
-            or effective_interval is True):
+            or effective_interval is True or effective_interval is True_):
         check_real(effective_interval, "effective_interval", "positive and finite")
-    if not math.isfinite(elapsed) or elapsed <= 0 or elapsed is True:
+    if not math.isfinite(elapsed) or elapsed <= 0 or elapsed is True or elapsed is True_:
         check_real(elapsed, "elapsed", "positive and finite")
     if elapsed <= effective_interval:
         return 1

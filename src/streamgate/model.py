@@ -187,11 +187,12 @@ def blend_parameters(theta: ModelParams, theta_hat: ModelParams, alpha: float) -
     """Elementwise alpha * theta + (1 - alpha) * theta_hat; alpha 0 and 1 give exact
     copies.  Variances are clamped to VAR_FLOOR, and the result is always validated:
     this is where an adapter's output is checked.  ``alpha`` must be a real number, not a
-    bool: ``model`` sits below ``stream.check_real``, so it checks the type itself."""
+    bool (``model`` sits below ``stream.check_real``), and blends as ``float(alpha)``."""
     if not (type(alpha) is float or type(alpha) is not bool and isinstance(alpha, numbers.Real)):
         raise ValueError(f"alpha must be a real number, got {alpha!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    alpha = float(alpha)
     if theta.W.shape != theta_hat.W.shape:  # (K, d): equal vector lengths are not enough
         raise ValueError(f"shape mismatch: (K, d) {theta.W.shape} vs {theta_hat.W.shape}")
     if alpha == 0.0:

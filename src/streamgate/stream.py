@@ -216,6 +216,10 @@ def pretrain_source_model(
     init, so the whole procedure is deterministic.  Raises ``ValueError``
     naming ``features`` or ``labels`` for input it cannot train on, and
     ``TrainingError`` naming the iteration at which the loss stops being finite.
+
+    Layout rule: the elementwise work between the two products is class-major, on
+    contiguous ``(K, n)`` rows; both products keep their row-major ``(n, K)``
+    operands (``z @ W.T`` into ``logits``, ``resid.T @ z``), as their bits depend on it.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -240,27 +244,45 @@ def pretrain_source_model(
     n, d = z.shape
     W = np.zeros((num_classes, d))
     b = np.zeros(num_classes)
-    rows = np.arange(n)
-    logits, e = np.empty((n, num_classes)), np.empty((n, num_classes))
+    label_at = np.ravel_multi_index((labels, np.arange(n)), (num_classes, n))  # in by_class.ravel()
+    logits, onehot = np.empty((n, num_classes)), np.eye(num_classes)[labels]
+    by_class, e = np.empty((num_classes, n)), np.empty((num_classes, n))
     for i in range(hyper.iterations):
         np.matmul(z, W.T, out=logits)
-        logits += b
-        # Max is exact, so the order of the columns can change only the sign
+        np.add(logits.T, b[:, None], out=by_class)
+        # Max is exact, so the order of the classes can change only the sign
         # of a zero max, and exp maps either zero to 1.0.
-        m = logits[:, 0].copy()
-        for k in range(1, num_classes):
-            np.maximum(m, logits[:, k], out=m)
-        logits -= m[:, None]  # shifted
-        logits -= np.log(np.exp(logits, out=e).sum(axis=1))[:, None]  # log-probabilities
-        if not np.isfinite(logits[rows, labels].mean()):
+        by_class -= by_class.max(axis=0)  # shifted
+        by_class -= np.log(_class_sums(np.exp(by_class, out=e)))  # log-probabilities
+        if not np.isfinite(by_class.ravel().take(label_at).mean()):
             raise TrainingError(f"non-finite loss at iteration {i}")
-        resid = np.exp(logits, out=logits)
-        resid[rows, labels] -= 1.0
+        resid = np.exp(by_class.T, out=logits)
+        resid -= onehot
         # einsum sums each column in resid.mean's order (tests/test_stream.py checks it).
         b -= hyper.learning_rate * (np.einsum("ij->j", resid) / n)
         resid *= hyper.learning_rate
         W -= resid.T @ z / n
     return ModelParams(mu=mu, var=var, gamma=np.ones(d), beta=np.zeros(d), W=W, b=b)
+
+
+def _class_sums(e: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``e`` into ``e[0]`` in numpy's pairwise order (8 accumulators,
+    halves above 128 rows): ``_class_sums(x.T.copy())`` is ``x.sum(axis=-1)`` bit for bit."""
+    k = len(e)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        _class_sums(e[:half])
+        e[0] += _class_sums(e[half:])
+        return e[0]
+    if k >= 8:
+        for i in range(8, k - k % 8, 8):
+            e[:8] += e[i:i + 8]
+        e[0:8:2] += e[1:8:2]  # ((e0 + e1) + (e2 + e3)) + ((e4 + e5) + (e6 + e7))
+        e[0:8:4] += e[2:8:4]
+        e[0] += e[4]
+    for i in range(k - k % 8 if k >= 8 else 1, k):
+        e[0] += e[i]
+    return e[0]
 
 
 def _rotation_generator(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -66,9 +66,9 @@ class TraceRecord:
 
 
 def unit_fraction(value: float, text: str | None = None) -> float:
-    """``value`` if it lies in [0, 1] and is not a bool; NaN fails both comparisons.
-    The error shows ``text``, the value as it was written, when given."""
-    if type(value) is bool:
+    """``value`` if it lies in [0, 1] and is not a bool, Python's or numpy's; NaN fails
+    both comparisons.  The error shows ``text``, the value as it was written, when given."""
+    if type(value) is bool or type(value) is np.bool_:
         raise ValueError(f"must be a real number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"must be in [0, 1], got {value if text is None else text!r}")

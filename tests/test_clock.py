@@ -66,10 +66,14 @@ def test_relative_adaptation_speed_rejects_nonpositive(interval, elapsed):
 @pytest.mark.parametrize("interval,elapsed,name", [
     (1.0, True, "elapsed"), (True, 1.0, "effective_interval"),
     (1.0, False, "elapsed"), (False, 1.0, "effective_interval"), (0.5, True, "elapsed"),
+    (1.0, np.True_, "elapsed"), (np.True_, 1.0, "effective_interval"),
+    (1.0, np.False_, "elapsed"), (np.False_, 1.0, "effective_interval"),
 ])
 def test_relative_adaptation_speed_rejects_a_bool_naming_it(interval, elapsed, name):
-    # True would count as 1: relative_adaptation_speed(1.0, True) returned 1.
-    with pytest.raises(ValueError, match=f"^{name} must be a real number, got (True|False)$"):
+    # True would count as 1: relative_adaptation_speed(1.0, True) returned 1, and so
+    # did relative_adaptation_speed(1.0, np.True_).
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "
+                                         r"(np\.)?(True|False)_?$"):
         relative_adaptation_speed(interval, elapsed)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -230,8 +231,10 @@ def test_blend_rejects_an_alpha_that_is_not_a_real_number(alpha):
         blend_parameters(tiny_params(), tiny_params(seed=1), alpha)
 
 
-@pytest.mark.parametrize("alpha", [0, 1, np.float64(0.5), np.float32(0.25)])
+@pytest.mark.parametrize("alpha", [0, 1, np.float64(0.5), np.float32(0.25), np.float32(0.1),
+                                   Fraction(1, 2), Fraction(1, 3)])
 def test_blend_takes_any_real_alpha(alpha):
+    # A Fraction blended into an object array that validate's isfinite rejects.
     theta, theta_hat = tiny_params(), tiny_params(seed=1)
     expected = blend_parameters(theta, theta_hat, float(alpha))
     assert params_fingerprint(blend_parameters(theta, theta_hat, alpha)) == params_fingerprint(

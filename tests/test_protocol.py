@@ -261,6 +261,23 @@ def test_alpha_half_blends_parameters():
     assert np.allclose(adapter.params.beta, params.beta + 2.0)
 
 
+def test_a_fraction_alpha_runs_as_its_float():
+    # ProtocolConfig(alpha=Fraction(1, 2)) passed its check, then every adapted step
+    # failed: blend_parameters built an object array that isfinite rejects.
+    params = tiny_params(seed=1)
+    stream = tiny_stream(8, seed=2)
+    runs = []
+    for alpha in (Fraction(1, 2), 0.5):
+        adapter = EntropyMinAdapter(params, latency=Constant(1.0), learning_rate=0.5)
+        predictions = []
+        report = run_stream(stream, adapter, params, replace(ON, alpha=alpha),
+                            predictions_out=predictions)
+        runs.append((report, params_fingerprint(adapter.params),
+                     [p.tobytes() for p in predictions]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] != params_fingerprint(params)
+
+
 def test_empty_stream_rejected():
     params = tiny_params()
     with pytest.raises(ValueError, match="empty"):

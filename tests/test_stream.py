@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from streamgate.adapters import NormStatAdapter, Stochastic
 from streamgate.clock import StreamClock
@@ -27,6 +28,7 @@ from streamgate.stream import (
     StreamSegment,
     TrainSpec,
     TrainingError,
+    _class_sums,
     apply_corruption,
     check_real,
     class_means,
@@ -126,6 +128,46 @@ def test_pretrain_matches_the_reference_bit_for_bit(num_classes, dim, samples_pe
 def test_pretrain_matches_the_reference_on_the_default_spec(source_spec, pretrained):
     reference = reference_pretrain_source_model(*make_source_dataset(source_spec))
     assert params_fingerprint(pretrained) == params_fingerprint(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_classes=st.integers(1, 40), dim=st.integers(1, 64), n=st.integers(1, 300),
+       skip=st.booleans(), learning_rate=st.floats(0.01, 2.0), iterations=st.integers(0, 25),
+       dtype=st.sampled_from(["int64", "int8", "uint8", "uint64"]), seed=st.integers(0, 2**32 - 1))
+@example(num_classes=8, dim=32, n=200, skip=False, learning_rate=0.3, iterations=20,
+         dtype="int64", seed=0)
+@example(num_classes=9, dim=7, n=150, skip=True, learning_rate=0.7, iterations=20,
+         dtype="uint8", seed=1)
+@example(num_classes=16, dim=64, n=300, skip=False, learning_rate=0.9, iterations=20,
+         dtype="int8", seed=2)
+@example(num_classes=17, dim=3, n=250, skip=True, learning_rate=0.3, iterations=20,
+         dtype="uint64", seed=3)
+@example(num_classes=5, dim=1, n=1, skip=False, learning_rate=0.5, iterations=3,
+         dtype="int64", seed=4)
+def test_pretrain_matches_the_reference_on_any_shape(num_classes, dim, n, skip, learning_rate,
+                                                     iterations, dtype, seed):
+    # The loop keeps the reference's bits in every shape: class-major elementwise work,
+    # pairwise class sums, labels that leave a class below the largest with no row, and
+    # narrow label dtypes, in which labels * n would overflow.
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, num_classes, size=n).astype(dtype)
+    labels[-1] = num_classes - 1
+    if skip and num_classes > 1:
+        labels[labels == num_classes // 2 - 1] = num_classes - 1
+    features = rng.normal(size=(n, dim)) + rng.normal(size=(num_classes, dim))[labels] * 2.0
+    hyper = TrainSpec(learning_rate=learning_rate, iterations=iterations)
+    assert (params_fingerprint(pretrain_source_model(features, labels, hyper))
+            == params_fingerprint(reference_pretrain_source_model(features, labels, hyper)))
+
+
+def test_class_sums_add_in_the_order_of_a_numpy_row_sum():
+    # pretrain_source_model's class sums re-implement numpy's pairwise order; another
+    # numpy order would move the pretrained bits, so this fails first.
+    rng = np.random.default_rng(0)
+    for k in range(1, 301):
+        rows = rng.normal(size=(7, k)) * 10.0 ** rng.integers(-8, 9, size=(7, k))
+        expected = rows.sum(axis=-1)
+        assert _class_sums(rows.T.copy()).tobytes() == expected.tobytes(), k
 
 
 def test_pretrain_diverges_at_the_reference_iteration():

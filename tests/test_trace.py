@@ -36,6 +36,7 @@ from streamgate.trace import (
     adapted_only_error,
     parse_trace,
     replay_online,
+    unit_fraction,
     write_trace,
 )
 from doubles import (
@@ -290,14 +291,21 @@ def test_parse_rejects_a_bad_fallback_error_rate_before_reading(tmp_path):
         assert parse_trace(path, fallback_error_rate=rate)[0].correct_fallback == correct
 
 
-@pytest.mark.parametrize("rate", [True, False])
+@pytest.mark.parametrize("rate", [True, False, np.True_, np.False_])
 def test_parse_rejects_a_bool_fallback_error_rate(tmp_path, rate):
     # True would fill every empty cell with 0 correct, as a rate of 1.
     path = tmp_path / "e.csv"
     write_raw(path, ["0,1.0,3,,0,4"])
     with pytest.raises(ValueError, match=f"^fallback_error_rate: must be a real number, "
-                                         f"got {rate}$"):
+                                         f"got {re.escape(repr(rate))}$"):
         parse_trace(path, fallback_error_rate=rate)
+
+
+@pytest.mark.parametrize("value", [np.True_, np.False_])
+def test_unit_fraction_rejects_a_numpy_bool(value):
+    # unit_fraction(np.True_) returned it, to be used as a rate of 1.
+    with pytest.raises(ValueError, match=f"^must be a real number, got {re.escape(repr(value))}$"):
+        unit_fraction(value)
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_integer, check_real
 from .model import VAR_FLOOR, Forward, ModelParams, forward
-from .stream import Batch, check_integer, check_real
+from .stream import Batch
 
 _COST_FLOOR = 1e-9
 
@@ -47,6 +48,8 @@ class PerSample:
     def __post_init__(self) -> None:
         check_real(self.per_sample, "per_sample")
         check_real(self.base, "base")
+        object.__setattr__(self, "per_sample", float(self.per_sample))
+        object.__setattr__(self, "base", float(self.base))
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class Stochastic:
         # Adapter.cost_range bounds every draw by mean +- jitter.
         check_real(self.mean, "mean", "positive and finite")
         check_real(self.jitter, "jitter", "non-negative and finite")
+        object.__setattr__(self, "mean", float(self.mean))
+        object.__setattr__(self, "jitter", float(self.jitter))
         check_integer(self.seed, "seed")
 
 
@@ -288,7 +293,7 @@ class NormStatAdapter(Adapter):
     ):
         check_real(prior_weight, "prior_weight", "in [0, 1]")
         super().__init__(pretrained, latency)
-        self.prior_weight = prior_weight
+        self.prior_weight = float(prior_weight)
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         theta, w, note = self.params.copy(), self.prior_weight, None
@@ -313,7 +318,7 @@ class _DescentAdapter(Adapter):
     ):
         check_real(learning_rate, "learning_rate", "positive and finite")
         super().__init__(pretrained, latency)
-        self.learning_rate = learning_rate
+        self.learning_rate = float(learning_rate)
 
     def _descend(
         self, batch: Batch, result: Forward, g_gamma: np.ndarray, g_beta: np.ndarray

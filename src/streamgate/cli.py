@@ -64,7 +64,7 @@ from .stream import (
     make_source_dataset,
     pretrain_source_model,
 )
-from .trace import TraceFormatError, parse_trace, replay_online, unit_fraction
+from .trace import TraceFormatError, parse_trace, replay_online
 
 
 class ConfigError(ValueError):
@@ -106,6 +106,13 @@ def _positive(raw: str) -> float:
     value = _number(raw)
     if value <= 0:
         raise ValueError(f"must be positive, got {raw!r}")
+    return value
+
+
+def _unit(raw: str) -> float:
+    value = _number(raw)
+    if not 0 <= value <= 1:
+        raise ValueError(f"must be in [0, 1], got {raw!r}")
     return value
 
 
@@ -481,7 +488,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             clock = replace(clock, base_rate=math.nextafter(clock.base_rate, 0.0))
     with _named("--fallback-error-rate"):
         text = args.fallback_error_rate
-        rate = None if text is None else unit_fraction(_number(text), text)
+        rate = None if text is None else _unit(text)
     with _named("STREAMGATE_OUT" if os.environ.get("STREAMGATE_OUT") else "--out"):
         out_dir = _directory(args.out or ExperimentConfig.out_dir)
     records = parse_trace(args.trace, fallback_error_rate=rate)

@@ -7,9 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from numpy import True_  # numpy's True, a singleton
-
-from .stream import check_real
+from ._checks import check_real
 
 
 @dataclass(frozen=True)
@@ -22,6 +20,8 @@ class StreamClock:
     def __post_init__(self) -> None:
         check_real(self.eta, "eta", "in (0, 1]")
         check_real(self.base_rate, "base_rate")
+        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "base_rate", float(self.base_rate))
         # Also rejects NaN and inf rates, and rates so small the interval overflows.
         rate = self.eta * self.base_rate
         if not (rate > 0.0 and 0.0 < 1.0 / rate < math.inf):
@@ -48,15 +48,11 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     The ratio is taken in exact integer arithmetic so boundary cases (an
     elapsed time of exactly k intervals) never fall on the wrong side of the
     ceiling through float rounding.  ``elapsed <= interval`` is an exact float
-    comparison, so the common one-tick case needs no division at all.  An
-    argument out of range or a bool or numpy bool (``False`` is out of range) fails
-    ``check_real``, which names it; the float path pays four identity tests for them.
+    comparison, so the common one-tick case needs no division at all.
     """
-    if (not math.isfinite(effective_interval) or effective_interval <= 0
-            or effective_interval is True or effective_interval is True_):
-        check_real(effective_interval, "effective_interval", "positive and finite")
-    if not math.isfinite(elapsed) or elapsed <= 0 or elapsed is True or elapsed is True_:
-        check_real(elapsed, "elapsed", "positive and finite")
+    check_real(effective_interval, "effective_interval", "positive and finite")
+    check_real(elapsed, "elapsed", "positive and finite")
+    effective_interval, elapsed = float(effective_interval), float(elapsed)
     if elapsed <= effective_interval:
         return 1
     en, ed = elapsed.as_integer_ratio()
@@ -80,10 +76,6 @@ class Worker:
     def __init__(self, period: int | None = None) -> None:
         self.busy_until = 0
         self.period = period
-
-    def occupy(self, t: int, interval: float, elapsed: float) -> int:
-        """Charge an adaptation started at step t; returns its C."""
-        return self.start(t, relative_adaptation_speed(interval, elapsed))
 
     def start(self, t: int, c: int) -> int:
         """Charge an adaptation started at step t that spans ``c`` ticks; returns c."""

@@ -15,11 +15,12 @@ rounding cannot close.  A custom adapter that calls ``forward`` sees the same va
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._checks import check_real
 
 # Variances are divided into the normalizer; keep them bounded away from zero.
 VAR_FLOOR = 1e-8
@@ -186,12 +187,8 @@ def predict(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.n
 def blend_parameters(theta: ModelParams, theta_hat: ModelParams, alpha: float) -> ModelParams:
     """Elementwise alpha * theta + (1 - alpha) * theta_hat; alpha 0 and 1 give exact
     copies.  Variances are clamped to VAR_FLOOR, and the result is always validated:
-    this is where an adapter's output is checked.  ``alpha`` must be a real number, not a
-    bool (``model`` sits below ``stream.check_real``), and blends as ``float(alpha)``."""
-    if not (type(alpha) is float or type(alpha) is not bool and isinstance(alpha, numbers.Real)):
-        raise ValueError(f"alpha must be a real number, got {alpha!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    this is where an adapter's output is checked.  ``alpha`` blends as its float."""
+    check_real(alpha, "alpha", "in [0, 1]")
     alpha = float(alpha)
     if theta.W.shape != theta_hat.W.shape:  # (K, d): equal vector lengths are not enough
         raise ValueError(f"shape mismatch: (K, d) {theta.W.shape} vs {theta_hat.W.shape}")

@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_integer, check_real
 from .adapters import ADAPTERS, Adapter, Stochastic, clone_adapter
 from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from .model import ModelParams, blend_parameters, forward, params_fingerprint, predict
@@ -50,7 +51,7 @@ from .report import (
     RunReport,
     run_report,
 )
-from .stream import Batch, StreamSegment, check_integer, check_real
+from .stream import Batch, StreamSegment
 from .trace import TraceRecord
 
 OFFLINE = "offline"
@@ -279,7 +280,7 @@ def _run(
                         cost = outcome.cost
                     y_adapted, theta_hat = outcome.y_hat, outcome.theta_hat
                 if adapt_now:
-                    c = worker.occupy(t, interval, cost)
+                    c = worker.start(t, relative_adaptation_speed(interval, cost))
                     # The blend validates the adapter's output.
                     theta_next = blend_parameters(prev, theta_hat, cfg.alpha)
                 if not laned and (trace_out is not None or not (adapt_now or single)):
@@ -288,7 +289,7 @@ def _run(
                                else forward(fallback, batch.features).labels)
                 if trace_out is not None:
                     trace_out.append(TraceRecord(
-                        step=t, latency=float(cost),
+                        step=t, latency=cost,
                         correct_adapted=int(np.count_nonzero(y_adapted == batch.labels)),
                         correct_fallback=int(np.count_nonzero(fb_pred == batch.labels)),
                         domain_id=batch.domain_id, batch_size=batch.size))

@@ -12,11 +12,11 @@ eigendecomposition, on the same LAPACK as every other product here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_integer, check_real
 from .model import VAR_FLOOR, ModelParams
 
 EPISODIC = "episodic"
@@ -43,37 +43,6 @@ BASE_STRENGTH = {
 
 DEFAULT_BATCH_SIZE = 64
 DEFAULT_SAMPLES_PER_DOMAIN = 5000
-
-
-def check_integer(value, name: str, minimum: int = 0) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``:
-    numpy and ``range`` take ``True`` as 1 and fail on a float or negative seed late and
-    unnamed.  A plain ``int`` skips the ABC check, 0.6 us on each ``Batch`` a step stacks."""
-    integer = type(value) is int or type(value) is not bool and isinstance(value, numbers.Integral)
-    if not (integer and value >= minimum):
-        rule = ("a non-negative integer" if minimum == 0
-                else f">= {minimum}" if integer else "an integer")
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
-# The ranges a real-valued field may be held to; NaN lies in none of them.
-_RANGES = {
-    "positive and finite": lambda v: 0 < v < math.inf,
-    "non-negative and finite": lambda v: 0 <= v < math.inf,
-    "positive": lambda v: v > 0,
-    "in [0, 1]": lambda v: 0 <= v <= 1,
-    "in (0, 1]": lambda v: 0 < v <= 1,
-}
-
-
-def check_real(value, name: str, rule: str | None = None) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number, not a bool,
-    in the range that ``rule`` names in ``_RANGES``, if any.  A plain ``float`` skips the
-    ABC check, as in ``check_integer``."""
-    if not (type(value) is float or type(value) is not bool and isinstance(value, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if rule is not None and not _RANGES[rule](value):
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +144,7 @@ class TrainSpec:
 
     def __post_init__(self) -> None:
         check_real(self.learning_rate, "learning_rate", "positive and finite")
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
         check_integer(self.iterations, "iterations")
 
 

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_integer, check_real
 from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from .report import (
     ACTION_SKIPPED_FALLBACK,
@@ -30,7 +31,6 @@ from .report import (
     run_report,
     write_rows,
 )
-from .stream import check_integer, check_real
 
 TRACE_COLUMNS = ["step", "latency", "correct_adapted", "correct_fallback", "domain_id", "batch_size"]
 
@@ -57,6 +57,7 @@ class TraceRecord:
     def __post_init__(self) -> None:
         check_integer(self.step, "step")
         check_real(self.latency, "latency", "positive and finite")
+        object.__setattr__(self, "latency", float(self.latency))
         check_integer(self.batch_size, "batch_size", 1)
         for name in ("correct_adapted", "correct_fallback"):
             check_integer(getattr(self, name), name)
@@ -65,29 +66,17 @@ class TraceRecord:
         check_integer(self.domain_id, "domain_id", -math.inf)
 
 
-def unit_fraction(value: float, text: str | None = None) -> float:
-    """``value`` if it lies in [0, 1] and is not a bool, Python's or numpy's; NaN fails
-    both comparisons.  The error shows ``text``, the value as it was written, when given."""
-    if type(value) is bool or type(value) is np.bool_:
-        raise ValueError(f"must be a real number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {value if text is None else text!r}")
-    return value
-
-
 def parse_trace(path: str | Path, fallback_error_rate: float | None = None) -> list[TraceRecord]:
     """Read and validate a trace CSV.
 
     ``fallback_error_rate`` fills empty correct_fallback cells from a constant
     rate for traces recorded without a fallback model; using it marks the
-    replay as an approximation.  A rate outside [0, 1] is rejected before the
-    file is opened.
+    replay as an approximation.  A rate that is a bool or lies outside [0, 1]
+    is rejected before the file is opened.
     """
     if fallback_error_rate is not None:
-        try:
-            unit_fraction(fallback_error_rate)
-        except ValueError as exc:
-            raise ValueError(f"fallback_error_rate: {exc}") from None
+        check_real(fallback_error_rate, "fallback_error_rate", "in [0, 1]")
+        fallback_error_rate = float(fallback_error_rate)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -17,7 +17,7 @@ from streamgate.adapters import (
     RejectionEntropyAdapter,
     sample_latency,
 )
-from streamgate.clock import StreamClock, Worker, check_ticks
+from streamgate.clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from streamgate.model import VAR_FLOOR, ModelParams, predict
 from streamgate.report import (
     ACTION_ADAPTED,
@@ -337,7 +337,7 @@ def reference_replay(trace: list[TraceRecord], clock: StreamClock = StreamClock(
             current_domain = rec.domain_id
             domains.append((current_domain, rec.step))
         if rec.step >= worker.busy_until:
-            c = worker.occupy(rec.step, interval, rec.latency)
+            c = worker.start(rec.step, relative_adaptation_speed(interval, rec.latency))
             version += 1
             action, correct = ACTION_ADAPTED, rec.correct_adapted
         else:

@@ -34,8 +34,10 @@ def ceil_div_oracle(interval: float, elapsed: float) -> int:
         (1, 3.5, 4),
         (np.float64(1.0), Fraction(7, 2), 4),
         (Fraction(2), np.float64(3.5), 2),
-        (1.0, np.array(0.5), 1),  # a 0-d array cost within one interval
-        (1.0, np.array(1.0), 1),
+        # A numpy integer has no as_integer_ratio: it raised AttributeError.
+        (1.0, np.int64(3), 3),
+        (np.int64(2), 3.0, 2),
+        (np.float32(0.5), np.float32(1.5), 3),
     ],
 )
 def test_relative_adaptation_speed_examples(interval, elapsed, expected):
@@ -77,6 +79,16 @@ def test_relative_adaptation_speed_rejects_a_bool_naming_it(interval, elapsed, n
         relative_adaptation_speed(interval, elapsed)
 
 
+@pytest.mark.parametrize("elapsed", [np.array(0.5), np.array(1.0), np.array(2.0), "2.0", None])
+def test_relative_adaptation_speed_rejects_a_value_that_is_not_a_real_number(elapsed):
+    # A 0-d array within one interval counted one tick; np.array(2.0) raised a bare
+    # AttributeError.
+    with pytest.raises(ValueError, match=r"^elapsed must be a real number, got "):
+        relative_adaptation_speed(1.0, elapsed)
+    with pytest.raises(ValueError, match=r"^effective_interval must be a real number, got "):
+        relative_adaptation_speed(elapsed, 1.0)
+
+
 @given(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -114,8 +126,18 @@ def test_effective_stream_interval_rejects_bad_eta(eta):
 def test_schedule_decision_boundaries():
     worker = Worker()
     assert worker.busy_until == 0  # free from step 0
-    assert worker.occupy(0, 1.0, 3.0) == 3  # busy over [0, 3)
+    assert worker.start(0, relative_adaptation_speed(1.0, 3.0)) == 3  # busy over [0, 3)
     assert worker.busy_until == 3  # steps 1 and 2 fall back; step 3 is free again
+
+
+@pytest.mark.parametrize("value", [np.float32(0.3), np.float64(0.3), Fraction(3, 10)])
+def test_a_real_clock_field_is_held_as_its_float(value):
+    # A float32 base_rate gave a float32 interval, and a numpy or Fraction eta reached
+    # the output files as written.
+    clock = StreamClock(base_rate=value, eta=value)
+    assert type(clock.eta) is float and type(clock.base_rate) is float
+    assert clock == StreamClock(base_rate=float(value), eta=float(value))
+    assert type(clock.effective_interval) is float
 
 
 def test_stream_clock_interval_identity():

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from streamgate.stream import _RANGES
+from streamgate._checks import _RANGES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "streamgate"
@@ -178,7 +178,7 @@ def test_no_module_throws_away_the_probabilities_of_predict():
 
 def unknown_rules(sources: dict[str, str]) -> list[str]:
     """``"<file>:<line>"`` for every ``check_real`` call whose rule, passed third or as
-    ``rule=``, is not a string literal that names a range of ``stream._RANGES``: a
+    ``rule=``, is not a string literal that names a range of ``_checks._RANGES``: a
     misspelt rule would surface only as a bare ``KeyError`` on a bad value."""
     found = []
     for name, source in sources.items():
@@ -257,3 +257,40 @@ def test_the_check_sees_a_busy_window_written_outside_the_worker():
 def test_only_the_worker_writes_the_busy_window():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert busy_window_writes(sources) == []
+
+
+def misplaced_rules(sources: dict[str, str]) -> list[str]:
+    """``"<file>:<line>"`` for every import of ``numbers`` outside ``_checks.py`` and
+    every relative import in ``_checks.py``: the input rules live in that one leaf
+    module, which every module can import, so no other module tests a number's type."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if name == "_checks.py":
+                misplaced = isinstance(node, ast.ImportFrom) and node.level > 0
+            else:
+                misplaced = (isinstance(node, ast.Import)
+                             and any(alias.name == "numbers" for alias in node.names)
+                             or isinstance(node, ast.ImportFrom) and node.level == 0
+                             and node.module == "numbers")
+            if misplaced:
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_the_check_sees_a_rule_outside_the_leaf_module():
+    sources = {
+        "_checks.py": "import math\nimport numbers\nfrom . import model\n"
+                      "from .stream import Batch\nfrom numbers import Real\n",
+        "model.py": "import numbers\nimport numpy as np, numbers\n"
+                    "from numbers import Real\nfrom ._checks import check_real\n"
+                    "from .numbers import x\nimport numbersx\n",
+    }
+    assert misplaced_rules(sources) == [
+        "_checks.py:3", "_checks.py:4", "model.py:1", "model.py:2", "model.py:3"]
+
+
+def test_only_the_leaf_module_imports_numbers():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert "_checks.py" in sources
+    assert misplaced_rules(sources) == []

@@ -17,6 +17,7 @@ from streamgate.adapters import (
     ADAPTERS,
     Constant,
     EntropyMinAdapter,
+    NormStatAdapter,
     PerSample,
     RejectionEntropyAdapter,
     SourceAdapter,
@@ -44,6 +45,8 @@ from streamgate.report import (
     ACTION_SKIPPED_FALLBACK,
     ACTION_SKIPPED_RANDOM,
     ScheduleRecord,
+    write_results_csv,
+    write_summary_json,
 )
 from streamgate.stream import StreamSegment
 from doubles import (
@@ -276,6 +279,43 @@ def test_a_fraction_alpha_runs_as_its_float():
                      [p.tobytes() for p in predictions]))
     assert runs[0] == runs[1]
     assert runs[0][1] != params_fingerprint(params)
+
+
+@pytest.mark.parametrize("eta", [np.float64(0.5), Fraction(1, 2), np.float32(0.5)])
+def test_a_real_eta_writes_the_outputs_of_its_float(tmp_path, eta):
+    # StreamClock(eta=np.float64(0.5)) was written to results.csv as "np.float64(0.5)";
+    # Fraction(1, 2) was written as "1/2" and made write_summary_json raise TypeError.
+    params = tiny_params(seed=1)
+    stream = tiny_stream(8, seed=2)
+    outputs = []
+    for value in (eta, 0.5):
+        adapter = EntropyMinAdapter(params, latency=Constant(1.5))
+        report = run_stream(stream, adapter, params, ON, StreamClock(eta=value))
+        write_results_csv(tmp_path / "results.csv", [report])
+        write_summary_json(tmp_path / "summary.json", [report])
+        outputs.append([(tmp_path / name).read_bytes() for name in ("results.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    assert b",0.5," in outputs[0][0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda params, real: NormStatAdapter(params, prior_weight=real(0.1)),
+    lambda params, real: EntropyMinAdapter(params, latency=PerSample(real(0.1), real(0.1))),
+    lambda params, real: EntropyMinAdapter(params, latency=Stochastic(real(2.1), real(0.1))),
+], ids=["prior_weight", "per_sample", "stochastic"])
+def test_a_float32_adapter_field_runs_as_its_float(make):
+    # Each took float32 arithmetic: prior_weight's complement 1 - w, PerSample's cost
+    # and Stochastic's draw, so the run's parameters or its recorded latencies moved.
+    params = tiny_params(seed=1)
+    stream = tiny_stream(8, seed=2)
+    runs = []
+    for real in (np.float32, lambda x: float(np.float32(x))):
+        adapter, trace, predictions = make(params, real), [], []
+        report = run_stream(stream, adapter, params, ON, StreamClock(eta=0.5),
+                            predictions_out=predictions, trace_out=trace)
+        runs.append((report, trace, params_fingerprint(adapter.params),
+                     [p.tobytes() for p in predictions]))
+    assert runs[0] == runs[1]
 
 
 def test_empty_stream_rejected():

@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from streamgate._checks import check_real
 from streamgate.adapters import NormStatAdapter, Stochastic
 from streamgate.clock import StreamClock
 from streamgate.model import params_fingerprint
@@ -30,7 +32,6 @@ from streamgate.stream import (
     TrainingError,
     _class_sums,
     apply_corruption,
-    check_real,
     class_means,
     compose_stream,
     default_corruption_suite,
@@ -297,6 +298,15 @@ def test_specs_reject_a_rate_that_is_not_positive_naming_it(spec, field, value, 
     # would train at rate 1, and a string fail unnamed on the comparison.
     with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
         spec(**{field: value})
+
+
+def test_a_fraction_learning_rate_pretrains_as_its_float():
+    # TrainSpec(learning_rate=Fraction(1, 2)) made pretraining raise UFuncTypeError.
+    features, labels = make_source_dataset(SourceSpec(num_classes=3, dim=4, samples_per_class=20))
+    fingerprints = [params_fingerprint(pretrain_source_model(
+        features, labels, TrainSpec(learning_rate=value, iterations=20)))
+        for value in (Fraction(1, 2), 0.5)]
+    assert fingerprints[0] == fingerprints[1]
 
 
 @pytest.mark.parametrize("make,field,rule", [

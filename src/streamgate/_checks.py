@@ -28,11 +28,16 @@ _RANGES = {
 }
 
 
-def check_real(value, name: str, rule: str | None = None) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number, not a bool,
-    in the range that ``rule`` names in ``_RANGES``, if any.  A plain ``float`` skips the
-    ABC check, as in ``check_integer``.  Its callers run a value that passes as its float."""
+def check_real(value, name: str, rule: str | None = None) -> float:
+    """``value`` as the float it runs as, +-inf if too large for one; raise ``ValueError``
+    naming ``name`` unless it is a real number, not a bool, whose float lies in the range that
+    ``rule`` names in ``_RANGES``, if any.  A plain ``float`` skips the ABC check."""
     if not (type(value) is float or type(value) is not bool and isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if rule is not None and not _RANGES[rule](value):
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf if value > 0 else -math.inf
+    if rule is not None and not _RANGES[rule](real):
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return real

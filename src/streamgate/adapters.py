@@ -37,7 +37,7 @@ class Constant:
     seconds: float
 
     def __post_init__(self) -> None:
-        check_real(self.seconds, "seconds")
+        object.__setattr__(self, "seconds", check_real(self.seconds, "seconds"))
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,8 @@ class PerSample:
     base: float = 0.0
 
     def __post_init__(self) -> None:
-        check_real(self.per_sample, "per_sample")
-        check_real(self.base, "base")
-        object.__setattr__(self, "per_sample", float(self.per_sample))
-        object.__setattr__(self, "base", float(self.base))
+        object.__setattr__(self, "per_sample", check_real(self.per_sample, "per_sample"))
+        object.__setattr__(self, "base", check_real(self.base, "base"))
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,9 @@ class Stochastic:
 
     def __post_init__(self) -> None:
         # Adapter.cost_range bounds every draw by mean +- jitter.
-        check_real(self.mean, "mean", "positive and finite")
-        check_real(self.jitter, "jitter", "non-negative and finite")
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "jitter", float(self.jitter))
+        object.__setattr__(self, "mean", check_real(self.mean, "mean", "positive and finite"))
+        object.__setattr__(self, "jitter",
+                           check_real(self.jitter, "jitter", "non-negative and finite"))
         check_integer(self.seed, "seed")
 
 
@@ -291,9 +288,8 @@ class NormStatAdapter(Adapter):
         latency: LatencyModel = Constant(1.0),
         prior_weight: float = 0.0,
     ):
-        check_real(prior_weight, "prior_weight", "in [0, 1]")
+        self.prior_weight = check_real(prior_weight, "prior_weight", "in [0, 1]")
         super().__init__(pretrained, latency)
-        self.prior_weight = float(prior_weight)
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         theta, w, note = self.params.copy(), self.prior_weight, None
@@ -316,9 +312,8 @@ class _DescentAdapter(Adapter):
         latency: LatencyModel = Constant(3.0),
         learning_rate: float = 0.1,
     ):
-        check_real(learning_rate, "learning_rate", "positive and finite")
+        self.learning_rate = check_real(learning_rate, "learning_rate", "positive and finite")
         super().__init__(pretrained, latency)
-        self.learning_rate = float(learning_rate)
 
     def _descend(
         self, batch: Batch, result: Forward, g_gamma: np.ndarray, g_beta: np.ndarray
@@ -380,8 +375,7 @@ class RejectionEntropyAdapter(_DescentAdapter):
         super().__init__(pretrained, latency, learning_rate)
         if entropy_threshold is None:
             entropy_threshold = 0.4 * np.log(pretrained.num_classes)
-        check_real(entropy_threshold, "entropy_threshold", "positive")
-        self.entropy_threshold = float(entropy_threshold)
+        self.entropy_threshold = check_real(entropy_threshold, "entropy_threshold", "positive")
 
     def _latency_models(self) -> tuple[LatencyModel, ...]:
         """A step pays the update's cost or the rejection's."""

@@ -315,6 +315,9 @@ def build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
     if exp.protocol_cfg.timing == MEASURED and "base_rate" in fields["clock"]:
         raise ConfigError(f"{_KEY_OF['clock', 'base_rate']}: has no effect under measured "
                           "timing, whose interval is the measured forward pass")
+    if exp.protocol_cfg.timing == MEASURED and latency is not None:
+        raise ConfigError(f"{_KEY_OF['latency', 'kind']}: has no effect under measured "
+                          "timing, whose costs are wall-clocked")
     return exp
 
 

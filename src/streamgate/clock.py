@@ -18,10 +18,8 @@ class StreamClock:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        check_real(self.eta, "eta", "in (0, 1]")
-        check_real(self.base_rate, "base_rate")
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "base_rate", float(self.base_rate))
+        object.__setattr__(self, "eta", check_real(self.eta, "eta", "in (0, 1]"))
+        object.__setattr__(self, "base_rate", check_real(self.base_rate, "base_rate"))
         # Also rejects NaN and inf rates, and rates so small the interval overflows.
         rate = self.eta * self.base_rate
         if not (rate > 0.0 and 0.0 < 1.0 / rate < math.inf):
@@ -50,9 +48,8 @@ def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
     ceiling through float rounding.  ``elapsed <= interval`` is an exact float
     comparison, so the common one-tick case needs no division at all.
     """
-    check_real(effective_interval, "effective_interval", "positive and finite")
-    check_real(elapsed, "elapsed", "positive and finite")
-    effective_interval, elapsed = float(effective_interval), float(elapsed)
+    effective_interval = check_real(effective_interval, "effective_interval", "positive and finite")
+    elapsed = check_real(elapsed, "elapsed", "positive and finite")
     if elapsed <= effective_interval:
         return 1
     en, ed = elapsed.as_integer_ratio()

@@ -188,8 +188,7 @@ def blend_parameters(theta: ModelParams, theta_hat: ModelParams, alpha: float) -
     """Elementwise alpha * theta + (1 - alpha) * theta_hat; alpha 0 and 1 give exact
     copies.  Variances are clamped to VAR_FLOOR, and the result is always validated:
     this is where an adapter's output is checked.  ``alpha`` blends as its float."""
-    check_real(alpha, "alpha", "in [0, 1]")
-    alpha = float(alpha)
+    alpha = check_real(alpha, "alpha", "in [0, 1]")
     if theta.W.shape != theta_hat.W.shape:  # (K, d): equal vector lengths are not enough
         raise ValueError(f"shape mismatch: (K, d) {theta.W.shape} vs {theta_hat.W.shape}")
     if alpha == 0.0:

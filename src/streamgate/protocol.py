@@ -100,7 +100,7 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not isinstance(self.schedule_mode, (BusyWindow, FixedModulo)):
             raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
-        check_real(self.alpha, "alpha", "in [0, 1]")
+        object.__setattr__(self, "alpha", check_real(self.alpha, "alpha", "in [0, 1]"))
         if self.fallback_visibility not in (IMMEDIATE, DELAYED):
             raise ValueError(f"unknown fallback visibility {self.fallback_visibility!r}")
         if self.timing not in (SIMULATED, MEASURED):

@@ -7,7 +7,7 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -238,5 +238,5 @@ def write_summary_json(
     if deltas is not None:
         payload["deltas"] = list(deltas)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=index)
         fh.write("\n")

@@ -58,7 +58,8 @@ class SourceSpec:
     def __post_init__(self) -> None:
         check_integer(self.num_classes, "num_classes", 2)
         check_integer(self.dim, "dim", 1)
-        check_real(self.class_separation, "class_separation", "positive and finite")
+        object.__setattr__(self, "class_separation", check_real(
+            self.class_separation, "class_separation", "positive and finite"))
         check_integer(self.samples_per_class, "samples_per_class", 1)
         check_integer(self.seed, "seed")
 
@@ -143,8 +144,8 @@ class TrainSpec:
     iterations: int = 300
 
     def __post_init__(self) -> None:
-        check_real(self.learning_rate, "learning_rate", "positive and finite")
-        object.__setattr__(self, "learning_rate", float(self.learning_rate))
+        object.__setattr__(self, "learning_rate",
+                           check_real(self.learning_rate, "learning_rate", "positive and finite"))
         check_integer(self.iterations, "iterations")
 
 

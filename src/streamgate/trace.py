@@ -56,8 +56,8 @@ class TraceRecord:
 
     def __post_init__(self) -> None:
         check_integer(self.step, "step")
-        check_real(self.latency, "latency", "positive and finite")
-        object.__setattr__(self, "latency", float(self.latency))
+        object.__setattr__(self, "latency",
+                           check_real(self.latency, "latency", "positive and finite"))
         check_integer(self.batch_size, "batch_size", 1)
         for name in ("correct_adapted", "correct_fallback"):
             check_integer(getattr(self, name), name)
@@ -75,8 +75,7 @@ def parse_trace(path: str | Path, fallback_error_rate: float | None = None) -> l
     is rejected before the file is opened.
     """
     if fallback_error_rate is not None:
-        check_real(fallback_error_rate, "fallback_error_rate", "in [0, 1]")
-        fallback_error_rate = float(fallback_error_rate)
+        fallback_error_rate = check_real(fallback_error_rate, "fallback_error_rate", "in [0, 1]")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -275,6 +275,7 @@ def _write_replay_trace(path):
         (["run"], "adapter.name=source,source\n", "adapter.name"),
         (["run"], "seeds=0,0\n", "seeds"),
         (["run"], "clock.rate=2\nprotocol.timing=measured\n", "clock.rate"),
+        (["run"], "protocol.timing=measured\n", "adapter.latency.kind"),
         (["run"], "clock.rate=nan\n", "clock.rate"),
         (["run"], "clock.eta=1/0\n", "clock.eta"),
         (["run", "--seeds", "0,0"], "", "seeds"),

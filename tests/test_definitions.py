@@ -294,3 +294,31 @@ def test_only_the_leaf_module_imports_numbers():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert "_checks.py" in sources
     assert misplaced_rules(sources) == []
+
+
+def discarded_checks(sources: dict[str, str]) -> list[str]:
+    """``"<file>:<line>"`` for every ``check_real`` call used as a bare statement: the call
+    returns the float that runs, so a caller that throws it away runs a value other than
+    the one whose range was tested, or converts it a second time."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Expr) and _is_call_to(node.value, "check_real"):
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_the_check_sees_a_check_real_whose_value_is_thrown_away():
+    sources = {
+        "a.py": "check_real(x, 'x', 'positive')\n"
+                "x = check_real(x, 'x')\n"
+                "object.__setattr__(self, 'x', check_real(self.x, 'x'))\n"
+                "def f(x):\n    return check_real(x, 'x')\n"
+                "_checks.check_real(x, 'x')\n",
+    }
+    assert discarded_checks(sources) == ["a.py:1", "a.py:6"]
+
+
+def test_every_check_real_value_is_the_one_that_runs():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert discarded_checks(sources) == []

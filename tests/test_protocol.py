@@ -298,6 +298,22 @@ def test_a_real_eta_writes_the_outputs_of_its_float(tmp_path, eta):
     assert b",0.5," in outputs[0][0]
 
 
+def test_a_numpy_integer_seed_or_domain_id_writes_the_summary_of_its_int(tmp_path):
+    # check_integer takes np.int64, and write_summary_json raised TypeError on it after
+    # the whole run.
+    params = tiny_params(seed=1)
+    outputs = []
+    for integer in (np.int64, int):
+        stream = tiny_stream(8, seed=2, domain_id=integer(2))
+        cfg = ProtocolConfig(protocol="online", seed=integer(0))
+        segments = [StreamSegment(True, stream)]
+        reports = [run_stream(stream, EntropyMinAdapter(params), params, cfg),
+                   run_segments(segments, EntropyMinAdapter(params), params, cfg)]
+        write_summary_json(tmp_path / "summary.json", reports)
+        outputs.append((tmp_path / "summary.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("make", [
     lambda params, real: NormStatAdapter(params, prior_weight=real(0.1)),
     lambda params, real: EntropyMinAdapter(params, latency=PerSample(real(0.1), real(0.1))),

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streamgate._checks import check_real
-from streamgate.adapters import NormStatAdapter, Stochastic
-from streamgate.clock import StreamClock
+from streamgate.adapters import Constant, NormStatAdapter, Stochastic
+from streamgate.clock import StreamClock, relative_adaptation_speed
 from streamgate.model import params_fingerprint
 from streamgate.protocol import ProtocolConfig
 from streamgate.stream import (
@@ -342,14 +342,20 @@ NAN, INF = float("nan"), float("inf")
     ("in (0, 1]", [5e-324, 0.5, 1.0], [0.0, -1.0, 1.5, NAN]),
 ])
 def test_check_real_holds_a_value_to_the_rule_it_names(rule, inside, outside):
-    for value in inside:
-        for real in (value, np.float64(value)):
-            check_real(real, "x", rule)
+    # The range is tested on the float that runs, and that float is returned.
+    for real in [*inside, *map(np.float64, inside), Fraction(1, 2), 1, np.float32(0.5)]:
+        result = check_real(real, "x", rule)
+        assert type(result) is float and result == float(real)
     for value in outside:
         with pytest.raises(ValueError, match=re.escape(f"x must be {rule}, got {value!r}")):
             check_real(value, "x", rule)
     with pytest.raises(ValueError, match=re.escape("x must be a real number, got True")):
         check_real(True, "x", rule)
+
+
+def test_check_real_reads_a_value_too_large_for_a_float_as_infinite():
+    assert check_real(10**400, "x") == INF
+    assert check_real(Fraction(-10**400), "x") == -INF
 
 
 @pytest.mark.parametrize("make,message", [
@@ -359,10 +365,30 @@ def test_check_real_holds_a_value_to_the_rule_it_names(rule, inside, outside):
     (lambda: ProtocolConfig(alpha=-0.5), "alpha must be in [0, 1], got -0.5"),
     # A bad range on the first field is reported before a bad type on the second.
     (lambda: StreamClock(eta=0.0, base_rate="1"), "eta must be in (0, 1], got 0.0"),
+    # Each value passed its range as given and then ran as a float of 0 or none at all:
+    # a ZeroDivisionError, a bare OverflowError, or a learning rate of 0.0.
+    (lambda: relative_adaptation_speed(Fraction(1, 10**400), 1.0),
+     "effective_interval must be positive and finite, got Fraction(1, 1000"),
+    (lambda: relative_adaptation_speed(1.0, 10**400),
+     "elapsed must be positive and finite, got 1000"),
+    (lambda: relative_adaptation_speed(1.0, -10**400),
+     "elapsed must be positive and finite, got -1000"),
+    (lambda: TrainSpec(learning_rate=Fraction(1, 10**400)),
+     "learning_rate must be positive and finite, got Fraction(1, 1000"),
+    (lambda: StreamClock(base_rate=10**400),
+     "base_rate must give a positive, finite interval 1 / (eta * base_rate), got base_rate=inf"),
 ])
 def test_a_range_error_shows_the_value(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
+
+
+def test_a_real_field_holds_its_float():
+    # These three fields kept the object they were given.
+    assert type(Constant(Fraction(3, 2)).seconds) is float
+    assert type(SourceSpec(class_separation=Fraction(3)).class_separation) is float
+    assert SourceSpec(class_separation=Fraction(3)) == SourceSpec(class_separation=3.0)
+    assert type(ProtocolConfig(alpha=np.float32(0.5)).alpha) is float
 
 
 def three_domain_scenario(mode):

@@ -25,8 +25,6 @@ from ._checks import check_integer, check_real
 from .model import VAR_FLOOR, Forward, ModelParams, forward
 from .stream import Batch
 
-_COST_FLOOR = 1e-9
-
 
 # --------------------------------------------------------------------------
 # Latency models
@@ -57,7 +55,7 @@ class Stochastic:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Adapter.cost_range bounds every draw by mean +- jitter.
+        # sample_latency draws every cost within mean +- jitter.
         object.__setattr__(self, "mean", check_real(self.mean, "mean", "positive and finite"))
         object.__setattr__(self, "jitter",
                            check_real(self.jitter, "jitter", "non-negative and finite"))
@@ -79,7 +77,7 @@ def sample_latency(
         if rng is None:
             rng = np.random.default_rng(model.seed)
         # Uniform jitter; clamped so a cost is always strictly positive.
-        value = max(model.mean + model.jitter * rng.uniform(-1.0, 1.0), _COST_FLOOR)
+        value = max(model.mean + model.jitter * rng.uniform(-1.0, 1.0), 1e-9)
     else:
         raise TypeError(f"unknown latency model {model!r}")
     if not value > 0.0:  # NaN fails too
@@ -214,22 +212,6 @@ class Adapter:
     @property
     def pretrained(self) -> ModelParams:
         return self._pretrained
-
-    def cost_range(self, batch_size: int) -> tuple[float, float]:
-        """The least and greatest cost a step on a batch of ``batch_size``
-        samples can draw, under any of the adapter's latency models.  Only a
-        stochastic draw varies, within mean +- jitter and clamped as
-        ``sample_latency`` clamps it; any other model costs its one draw."""
-        lows, highs = [], []
-        for model in self._latency_models():
-            if isinstance(model, Stochastic):
-                lows.append(max(model.mean - model.jitter, _COST_FLOOR))
-                highs.append(model.mean + model.jitter)
-            else:
-                cost = sample_latency(model, batch_size)
-                lows.append(cost)
-                highs.append(cost)
-        return min(lows), max(highs)
 
     def reset(self) -> None:
         """Restore the exact pretrained parameters and a fresh latency rng.  A

@@ -19,10 +19,11 @@ class StreamClock:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta", check_real(self.eta, "eta", "in (0, 1]"))
-        object.__setattr__(self, "base_rate", check_real(self.base_rate, "base_rate"))
-        # Also rejects NaN and inf rates, and rates so small the interval overflows.
+        object.__setattr__(self, "base_rate",
+                           check_real(self.base_rate, "base_rate", "positive and finite"))
+        # A rate so small that eta * base_rate underflows or its reciprocal overflows.
         rate = self.eta * self.base_rate
-        if not (rate > 0.0 and 0.0 < 1.0 / rate < math.inf):
+        if not (rate > 0.0 and 1.0 / rate < math.inf):
             raise ValueError(
                 "base_rate must give a positive, finite interval 1 / (eta * base_rate), "
                 f"got base_rate={self.base_rate!r} at eta={self.eta!r}"

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import check_integer, check_real
-from .adapters import ADAPTERS, Adapter, Stochastic, clone_adapter
+from .adapters import ADAPTERS, Adapter, Stochastic, clone_adapter, sample_latency
 from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
 from .model import ModelParams, blend_parameters, forward, params_fingerprint, predict
 from .report import (
@@ -155,17 +155,17 @@ def schedule_class(
 ) -> tuple[str, int, str] | None:
     """The key (adapter, C, protocol) shared by the runs on one stream, among runs
     differing in protocol and clock only, that equal this one but for their labels.
-    None under measured timing, or when the adapter's costs on a batch of
-    ``batch_size`` span two Cs: ``_run`` reads a simulated clock only through C.
-    ``relative_adaptation_speed`` is monotone in the cost, so when the cost
-    range's two ends give the same C, so does every cost between them.
-    A run that adapts at every step is keyed as offline."""
-    if cfg.timing == MEASURED:
+    None under measured timing, when a latency model of the adapter is stochastic, or
+    when its models' costs on a batch of ``batch_size`` give two Cs: ``_run`` reads a
+    simulated clock only through C.  A run that adapts at every step is keyed as offline."""
+    models = adapter._latency_models()
+    if cfg.timing == MEASURED or any(isinstance(m, Stochastic) for m in models):
         return None
-    lo, hi = adapter.cost_range(batch_size)
-    c = relative_adaptation_speed(clock.effective_interval, lo)
-    if c != relative_adaptation_speed(clock.effective_interval, hi):
+    cs = {relative_adaptation_speed(clock.effective_interval, sample_latency(m, batch_size))
+          for m in models}
+    if len(cs) > 1:
         return None
+    (c,) = cs
     every_step = (_modulo(cfg) or c) == 1
     return adapter.name, c, OFFLINE if every_step else cfg.protocol
 
@@ -254,7 +254,7 @@ def _run(
                     # start from the live state: they step as the lanes of one window.
                     window_start = t
                     window_end = worker.busy_until
-                    window = _window(adapter, fallback, stream[t:window_end + 1])
+                    window = _window(adapter, fallback, group[0].batches[t:window_end + 1])
                 laned = window is not None and t <= window_end
                 prev = adapter.params
                 if laned:
@@ -375,6 +375,7 @@ def run_segments(
     initial: ModelParams,
     cfg: ProtocolConfig,
     clock: StreamClock = StreamClock(),
+    *,
     num_classes: int | None = None,
     trace_out: list[TraceRecord] | None = None,
 ) -> RunReport:

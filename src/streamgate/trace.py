@@ -70,9 +70,10 @@ def parse_trace(path: str | Path, fallback_error_rate: float | None = None) -> l
     """Read and validate a trace CSV.
 
     ``fallback_error_rate`` fills empty correct_fallback cells from a constant
-    rate for traces recorded without a fallback model; using it marks the
-    replay as an approximation.  A rate that is a bool or lies outside [0, 1]
-    is rejected before the file is opened.
+    rate for traces recorded without a fallback model.  The records do not mark
+    the cells it filled; ``streamgate replay`` notes the rate in its report.  A
+    rate that is a bool or lies outside [0, 1] is rejected before the file is
+    opened.
     """
     if fallback_error_rate is not None:
         fallback_error_rate = check_real(fallback_error_rate, "fallback_error_rate", "in [0, 1]")

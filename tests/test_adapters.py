@@ -127,19 +127,17 @@ def test_nan_cost_fails_the_step_and_commits_nothing():
 
 
 @pytest.mark.parametrize(
-    "model,expected",
+    "model,lo,hi",
     [
-        (Constant(2.0), (2.0, 2.0)),
-        (PerSample(0.25, 1.0), (17.0, 17.0)),   # a batch of 64 samples
-        (PerSample(-0.25, 20.0), (4.0, 4.0)),
-        (Stochastic(3.0, 0.5), (2.5, 3.5)),
-        (Stochastic(1.0, 1.0), (1e-9, 2.0)),    # a draw is clamped to stay positive
+        (Constant(2.0), 2.0, 2.0),
+        (PerSample(0.25, 1.0), 17.0, 17.0),   # a batch of 64 samples
+        (PerSample(-0.25, 20.0), 4.0, 4.0),
+        (Stochastic(3.0, 0.5), 2.5, 3.5),
+        (Stochastic(1.0, 1.0), 1e-9, 2.0),    # a draw is clamped to stay positive
     ],
 )
-def test_cost_range_bounds_every_draw(mini_pretrained, model, expected):
-    assert SourceAdapter(mini_pretrained, latency=model).cost_range(64) == expected
+def test_sample_latency_bounds_every_draw(model, lo, hi):
     rng = np.random.default_rng(0)
-    lo, hi = expected
     assert all(lo <= sample_latency(model, 64, rng) <= hi for _ in range(200))
 
 
@@ -158,18 +156,10 @@ def test_cost_range_bounds_every_draw(mini_pretrained, model, expected):
     (-1.0, "0.25", "mean must be positive and finite, got -1.0"),  # mean's range comes first
 ])
 def test_stochastic_rejects_a_bad_mean_or_jitter(mean, jitter, message):
-    # cost_range bounds every draw by mean +- jitter: a negative jitter inverts
-    # the range, and a non-positive mean clamps every draw to 1e-9 s.
+    # sample_latency draws every cost within mean +- jitter: a negative jitter inverts
+    # that range, and a non-positive mean clamps every draw to 1e-9 s.
     with pytest.raises(ValueError, match=re.escape(message)):
         Stochastic(mean, jitter)
-
-
-def test_cost_range_spans_both_rejection_models(mini_pretrained):
-    adapter = RejectionEntropyAdapter(mini_pretrained, latency=Stochastic(3.0, 0.5),
-                                      latency_reject=PerSample(0.25, 0.0))
-    assert adapter.cost_range(8) == (2.0, 3.5)
-    assert adapter.cost_range(2) == (0.5, 3.5)
-    assert SourceAdapter(mini_pretrained, latency=PerSample(0.5, 1.0)).cost_range(8) == (5.0, 5.0)
 
 
 # --------------------------------------------------------------------------
@@ -414,9 +404,8 @@ def test_rejection_draws_every_stochastic_cost_from_one_generator(mini_pretraine
     adapter = RejectionEntropyAdapter(mini_pretrained, entropy_threshold=1e-9,
                                       latency=Constant(3.0), latency_reject=reject)
     costs = [adapter.adapt(batch).cost for _ in range(6)]
-    lo, hi = SourceAdapter(mini_pretrained, latency=reject).cost_range(batch.size)
     assert len(set(costs)) == len(costs)
-    assert all(lo <= cost <= hi for cost in costs)
+    assert all(0.5 <= cost <= 1.5 for cost in costs)
     adapter.reset()
     assert [adapter.adapt(batch).cost for _ in range(6)] == costs
     # With both models stochastic, the update model's seed seeds the one generator.
@@ -475,7 +464,7 @@ def test_input_restore_single_sample_uses_source_std(mini_pretrained):
 
 
 def test_input_restore_default_latency_is_very_slow(mini_pretrained):
-    assert InputRestoreAdapter(mini_pretrained).cost_range(64) == (810.0, 810.0)
+    assert InputRestoreAdapter(mini_pretrained).latency == Constant(810.0)
 
 
 # --------------------------------------------------------------------------
@@ -533,4 +522,4 @@ def test_default_latency_profile_by_adapter(mini_pretrained):
     expected = {"source": 1.0, "norm_stat": 1.0, "entropy_min": 3.0,
                 "pseudo_label": 3.0, "input_restore": 810.0}
     for name, seconds in expected.items():
-        assert make_adapter(name, mini_pretrained).cost_range(64) == (seconds, seconds)
+        assert make_adapter(name, mini_pretrained).latency == Constant(seconds)

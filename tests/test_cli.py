@@ -457,7 +457,7 @@ _latencies = st.one_of(
     st.tuples(st.sampled_from(["1/8", "1/4", "3/8"]), st.sampled_from(["0", "1", "1/2"])).map(
         lambda pb: {"adapter.latency.kind": "per_sample", "adapter.latency.per_sample": pb[0],
                     "adapter.latency.base": pb[1]}),
-    # Narrow jitter keeps most ranges within one C; wide jitter spans several.
+    # A stochastic model keys no schedule class, so each of its runs is computed on its own.
     st.tuples(st.sampled_from(["1", "5/2", "3"]), st.sampled_from(["0", "1/10", "9/10"]),
               st.integers(0, 3)).map(
         lambda mjs: {"adapter.latency.kind": "stochastic", "adapter.latency.mean": mjs[0],
@@ -553,6 +553,15 @@ def test_each_schedule_class_runs_once(tmp_path, counted_runs):
 
 def test_measured_timing_runs_every_planned_run(tmp_path, counted_runs):
     path = _small_config(tmp_path, **{"protocol.timing": "measured"})
+    assert run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "sweep")) == 0
+    assert len(counted_runs) == 15 * 2
+
+
+def test_stochastic_latency_runs_every_planned_run(tmp_path, counted_runs):
+    # Every draw of 3 +- 1/10 s takes one C at most of the default etas.
+    path = _small_config(tmp_path, **{"adapter.latency.kind": "stochastic",
+                                      "adapter.latency.mean": "3",
+                                      "adapter.latency.jitter": "1/10"})
     assert run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "sweep")) == 0
     assert len(counted_runs) == 15 * 2
 

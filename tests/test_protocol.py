@@ -23,6 +23,7 @@ from streamgate.adapters import (
     SourceAdapter,
     Stochastic,
     make_adapter,
+    sample_latency,
 )
 from streamgate.clock import StreamClock
 from streamgate.model import params_fingerprint
@@ -351,6 +352,9 @@ def test_run_guards_name_what_they_reject():
     with pytest.raises(ValueError, match="trace collection is defined for dual-model runs only"):
         run_stream(tiny_stream(2), source, params, replace(ON, protocol=SINGLE_MODEL),
                    trace_out=[])
+    # num_classes and trace_out are taken by keyword only.
+    with pytest.raises(TypeError, match="positional"):
+        run_segments(two, source, params, OFF, StreamClock(), params.num_classes)
     wide = tiny_params(dim=5)
     with pytest.raises(ValueError, match="do not match the stream's feature dimension"):
         run_stream(tiny_stream(2), SourceAdapter(wide), wide, OFF)
@@ -542,19 +546,25 @@ def test_protocol_config_rejects_an_unknown_schedule_mode(mode):
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "interval,lo,hi,expected",
+    "interval,latency,latency_reject,expected",
     [
-        (1.0, 3.0, 3.0, 3),
-        (1.0, 2.5, 3.0, 3),     # a range closed at a tick boundary
-        (1.0, 2.5, 3.5, None),  # a range across one
-        (4.0, 0.5, 4.0, 1),
-        (3.0, 1.0, 3.0000000000000004, None),
+        (1.0, Constant(3.0), Constant(3.0), 3),
+        (1.0, Constant(3.0), Constant(2.5), 3),     # two costs closed at a tick boundary
+        (1.0, Constant(3.5), Constant(2.5), None),  # two costs across one
+        (4.0, Constant(4.0), Constant(0.5), 1),
+        (3.0, Constant(3.0000000000000004), Constant(1.0), None),
+        (4.0, PerSample(0.75, 0.5), Constant(1.0), 1),   # 3.5 s on a batch of 4
+        (1.0, PerSample(0.75, 0.5), Constant(1.0), None),
+        # A stochastic model keys no class, even when every draw takes one C.
+        (4.0, Stochastic(2.0, 0.5), Constant(1.0), None),
+        (4.0, Constant(3.0), Stochastic(2.0, 0.0), None),
     ],
 )
-def test_schedule_class_is_the_c_of_every_cost_in_range(interval, lo, hi, expected):
-    adapter = RejectionEntropyAdapter(tiny_params(), latency=Constant(hi),
-                                      latency_reject=Constant(lo))
-    assert adapter.cost_range(4) == (lo, hi)
+def test_schedule_class_is_the_one_c_of_every_latency_model(
+    interval, latency, latency_reject, expected
+):
+    adapter = RejectionEntropyAdapter(tiny_params(), latency=latency,
+                                      latency_reject=latency_reject)
     clock = StreamClock(base_rate=1.0 / interval)
     assert clock.effective_interval == interval
     key = schedule_class(ON, adapter, clock, 4)
@@ -595,12 +605,12 @@ def straddles_a_tick(interval, lo, hi):
 @example(name="entropy_min", latency=Constant(5.0), latency_reject=Constant(1.0),
          mode=BusyWindow(), protocols=(ONLINE, ONLINE), etas=(1 / 3, 0.25), seed=0)
 # Every step adapts under both runs, so the single-model run is keyed as offline.
-@example(name="rejection_entropy", latency=Stochastic(2.0, 0.5, seed=1),
+@example(name="rejection_entropy", latency=Constant(2.0),
          latency_reject=Constant(0.5), mode=BusyWindow(), protocols=(SINGLE_MODEL, OFFLINE),
          etas=(0.25, 1 / 3), seed=1)
-# A stochastic range across the tick at 2 s.
+# A stochastic model keys no class, although every draw here takes C = 1.
 @example(name="source", latency=Stochastic(2.0, 1.0), latency_reject=Constant(1.0),
-         mode=BusyWindow(), protocols=(ONLINE, ONLINE), etas=(1.0, 1.0), seed=0)
+         mode=BusyWindow(), protocols=(ONLINE, ONLINE), etas=(0.25, 0.25), seed=0)
 def test_runs_with_one_schedule_class_report_alike(
     name, latency, latency_reject, mode, protocols, etas, seed
 ):
@@ -613,8 +623,13 @@ def test_runs_with_one_schedule_class_report_alike(
         cfg = ProtocolConfig(protocol=protocol, schedule_mode=mode, seed=seed)
         clock = StreamClock(eta=eta)
         key = schedule_class(cfg, adapter, clock, stream[0].size)
-        lo, hi = adapter.cost_range(stream[0].size)
-        assert (key is None) == straddles_a_tick(clock.effective_interval, lo, hi)
+        models = (latency, latency_reject) if name == "rejection_entropy" else (latency,)
+        if any(isinstance(m, Stochastic) for m in models):
+            assert key is None
+        else:
+            costs = [sample_latency(m, stream[0].size) for m in models]
+            assert (key is None) == straddles_a_tick(clock.effective_interval,
+                                                     min(costs), max(costs))
         report = run_stream(stream, adapter, params, cfg, clock)
         if key is not None and report.mean_c is not None:
             assert report.mean_c == key[1]  # every adapted step took the key's C

@@ -375,8 +375,12 @@ def test_check_real_reads_a_value_too_large_for_a_float_as_infinite():
      "elapsed must be positive and finite, got -1000"),
     (lambda: TrainSpec(learning_rate=Fraction(1, 10**400)),
      "learning_rate must be positive and finite, got Fraction(1, 1000"),
-    (lambda: StreamClock(base_rate=10**400),
-     "base_rate must give a positive, finite interval 1 / (eta * base_rate), got base_rate=inf"),
+    # base_rate's own range shows the value given, not the float it is stored as.
+    (lambda: StreamClock(base_rate=10**400), "base_rate must be positive and finite, got 1000"),
+    (lambda: StreamClock(base_rate=0), "base_rate must be positive and finite, got 0"),
+    (lambda: StreamClock(base_rate=np.nan), "base_rate must be positive and finite, got nan"),
+    (lambda: StreamClock(base_rate=1e-320),
+     "base_rate must give a positive, finite interval 1 / (eta * base_rate), got base_rate=1e-320"),
 ])
 def test_a_range_error_shows_the_value(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -35,7 +35,8 @@ class Constant:
     seconds: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seconds", check_real(self.seconds, "seconds"))
+        object.__setattr__(self, "seconds",
+                           check_real(self.seconds, "seconds", "positive and finite"))
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,29 @@ class PerSample:
     base: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_sample", check_real(self.per_sample, "per_sample"))
+        object.__setattr__(self, "per_sample",
+                           check_real(self.per_sample, "per_sample", "non-negative and finite"))
         object.__setattr__(self, "base", check_real(self.base, "base"))
+        # per_sample >= 0 makes a one-sample batch, which costs per_sample + base, the cheapest.
+        if not 0.0 < self.per_sample + self.base < np.inf:
+            raise ValueError("per_sample + base must be positive and finite, "
+                             f"got {self.per_sample!r} + {self.base!r}")
 
 
 @dataclass(frozen=True)
 class Stochastic:
+    """Costs drawn uniformly within mean +- jitter: jitter < mean keeps every draw positive."""
+
     mean: float
     jitter: float
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # sample_latency draws every cost within mean +- jitter.
         object.__setattr__(self, "mean", check_real(self.mean, "mean", "positive and finite"))
         object.__setattr__(self, "jitter",
                            check_real(self.jitter, "jitter", "non-negative and finite"))
+        if not self.jitter < self.mean:
+            raise ValueError(f"jitter must be below mean {self.mean!r}, got {self.jitter!r}")
         check_integer(self.seed, "seed")
 
 
@@ -68,7 +77,7 @@ LatencyModel = Constant | PerSample | Stochastic
 def sample_latency(
     model: LatencyModel, batch_size: int, rng: np.random.Generator | None = None
 ) -> float:
-    """One elapsed-time draw; stochastic draws come from the supplied rng."""
+    """One elapsed-time draw, charged as drawn; stochastic draws come from the supplied rng."""
     if isinstance(model, Constant):
         value = model.seconds
     elif isinstance(model, PerSample):
@@ -76,11 +85,10 @@ def sample_latency(
     elif isinstance(model, Stochastic):
         if rng is None:
             rng = np.random.default_rng(model.seed)
-        # Uniform jitter; clamped so a cost is always strictly positive.
-        value = max(model.mean + model.jitter * rng.uniform(-1.0, 1.0), 1e-9)
+        value = model.mean + model.jitter * rng.uniform(-1.0, 1.0)
     else:
         raise TypeError(f"unknown latency model {model!r}")
-    if not value > 0.0:  # NaN fails too
+    if not value > 0.0:  # the models' rules leave only a batch_size below 1 to fail here
         raise ValueError(f"latency model cost must be positive, got {value}")
     return float(value)
 

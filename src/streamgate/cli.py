@@ -87,9 +87,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 @contextlib.contextmanager
 def _named(name: str):
-    """Report a ValueError raised in the block as a ConfigError naming ``name``."""
+    """Re-raise a ValueError in the block as a ConfigError naming ``name``; a ConfigError as is."""
     try:
         yield
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -193,22 +195,14 @@ _LATENCY_DEFAULTS = {"seconds": 1.0, "per_sample": 0.0, "mean": 1.0, "jitter": 0
 
 
 def _latency(kind: str = "default", **values) -> adapters_mod.LatencyModel | None:
-    """The ``kind`` latency model from the fields it takes; "default" keeps each adapter's own."""
+    """The ``kind`` latency model from the fields it takes, a value it rejects named by every
+    key it takes; "default" keeps each adapter's own."""
     if kind == "default":
         return None
     model = _LATENCY_MODELS[kind]
     takes = inspect.signature(model).parameters
-    fields = {k: v for k, v in {**_LATENCY_DEFAULTS, **values}.items() if k in takes}
-    # jitter < mean keeps every draw positive, so sample_latency never clamps one.
-    if model is Stochastic and not 0 <= fields["jitter"] < fields["mean"]:
-        raise ValueError(f"{_KEY_OF['latency', 'jitter']} must be in [0, mean), "
-                         f"got {fields['jitter']!r} with mean {fields['mean']!r}")
-    latency = model(**fields)
-    # per_sample >= 0 makes a one-sample batch the cheapest one.
-    if isinstance(latency, PerSample) and (latency.per_sample < 0
-                                           or latency.per_sample + latency.base <= 0):
-        raise ValueError(f"{_KEY_OF['latency', 'per_sample']} must be >= 0 and per_sample + base "
-                         f"positive, got {latency.per_sample!r} and {latency.base!r}")
+    with _named(", ".join(_KEY_OF["latency", field] for field in takes)):
+        latency = model(**{k: v for k, v in {**_LATENCY_DEFAULTS, **values}.items() if k in takes})
     untaken = [_KEY_OF["latency", field] for field in values if field not in takes]
     if untaken:
         raise ValueError(f"the {kind} latency model does not take {', '.join(untaken)}")
@@ -241,10 +235,10 @@ SCHEMA: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "adapter.learning_rate": ("hyper", "learning_rate", _number),
     "adapter.entropy_threshold": ("hyper", "entropy_threshold", _number),
     "adapter.prior_weight": ("hyper", "prior_weight", _number),
-    "adapter.latency.seconds": ("latency", "seconds", _positive),
+    "adapter.latency.seconds": ("latency", "seconds", _number),
     "adapter.latency.per_sample": ("latency", "per_sample", _number),
     "adapter.latency.base": ("latency", "base", _number),
-    "adapter.latency.mean": ("latency", "mean", _positive),
+    "adapter.latency.mean": ("latency", "mean", _number),
     "adapter.latency.jitter": ("latency", "jitter", _number),
     "adapter.latency.seed": ("latency", "seed", _seed),
     "adapter.latency.kind": ("latency", "kind", _choice("default", *_LATENCY_MODELS)),

@@ -136,8 +136,8 @@ def _stack(batches: Sequence[Batch]) -> Batch:
 
 def _window(adapter: Adapter, fallback: ModelParams, batches: Sequence[Batch]):
     """One step of a throwaway copy of ``adapter`` on the stack of ``batches``: the copy,
-    the outcome and each lane's fallback labels.  None if the step fails, batches of two
-    sizes included, so that its ticks step one at a time and fail as they would."""
+    the outcome, each lane's cost and each lane's fallback labels.  None if the step fails,
+    batches of two sizes included, so that its ticks step one at a time and fail as they would."""
     try:
         ghost = clone_adapter(adapter)
         ghost.params = adapter.params.stack(len(batches))
@@ -147,7 +147,7 @@ def _window(adapter: Adapter, fallback: ModelParams, batches: Sequence[Batch]):
               else forward(fallback.stack(len(batches)), stacked.features).labels)
     except Exception:
         return None
-    return ghost, outcome, fb
+    return ghost, outcome, np.full(len(batches), outcome.cost).tolist(), fb
 
 
 def schedule_class(
@@ -258,11 +258,9 @@ def _run(
                 laned = window is not None and t <= window_end
                 prev = adapter.params
                 if laned:
-                    ghost, outcome, fb = window
+                    ghost, outcome, costs, fb = window
                     j = t - window_start
-                    cost, y_adapted, fb_pred = outcome.cost, outcome.y_hat[j], fb[j]
-                    if isinstance(cost, np.ndarray):  # one cost per lane
-                        cost = cost[j]
+                    cost, y_adapted, fb_pred = costs[j], outcome.y_hat[j], fb[j]
                     if adapt_now:  # the live tick commits what its own step would
                         theta_hat = adapter.params = outcome.theta_hat.lane(j)
                         adapter._latency_rng = ghost._latency_rng
@@ -270,14 +268,11 @@ def _run(
                     # A counterfactual step adapts a throwaway copy; the live
                     # adapter (including its latency rng) stays untouched.
                     stepper = adapter if adapt_now else clone_adapter(adapter)
-                    if cfg.timing == MEASURED:
-                        if adapt_now:
-                            # The base model's forward time, re-measured at every adapted step.
-                            interval = _timed(predict, prev, batch.features)[1] / clock.eta
-                        outcome, cost = _timed(stepper.adapt, batch)
-                    else:
-                        outcome = stepper.adapt(batch)
-                        cost = outcome.cost
+                    if cfg.timing == MEASURED and adapt_now:
+                        # The base model's forward time, re-measured at every adapted step.
+                        interval = _timed(predict, prev, batch.features)[1] / clock.eta
+                    outcome, seconds = _timed(stepper.adapt, batch)
+                    cost = seconds if cfg.timing == MEASURED else outcome.cost
                     y_adapted, theta_hat = outcome.y_hat, outcome.theta_hat
                 if adapt_now:
                     c = worker.start(t, relative_adaptation_speed(interval, cost))

@@ -326,7 +326,7 @@ def compose_stream(
     Each segment starts behind a reset marker: episodic mode opens one per
     domain, continual mode one for all domains in order.  A batch's tick ``t``
     is its index in its segment.  A final partial batch is dropped so every
-    batch has exactly ``batch_size`` rows.
+    batch has exactly ``batch_size`` rows, in read-only arrays.
     """
     check_integer(samples_per_domain, "samples_per_domain", 1)
     check_integer(seed, "seed")
@@ -340,6 +340,7 @@ def compose_stream(
     segments: list[StreamSegment] = []
     for domain_id, corruption in enumerate(domains):
         features, labels = sample_domain(source, corruption, samples_per_domain, seed)
+        features.flags.writeable = labels.flags.writeable = False
         if scenario.mode == EPISODIC or not segments:
             segments.append(StreamSegment(reset=True))
         batches = segments[-1].batches

@@ -88,14 +88,26 @@ def test_stochastic_latency_deterministic_sequence(mini_pretrained):
     assert len(set(seq_a)) > 1
 
 
-def test_nonpositive_latency_rejected():
-    with pytest.raises(ValueError):
-        sample_latency(Constant(0.0), 4)
+@pytest.mark.parametrize("make,message", [
+    (lambda: Constant(0.0), "seconds must be positive and finite, got 0.0"),
+    (lambda: Constant(float("nan")), "seconds must be positive and finite, got nan"),
+    (lambda: Constant(float("inf")), "seconds must be positive and finite, got inf"),
+    (lambda: PerSample(-0.25, 20.0), "per_sample must be non-negative and finite, got -0.25"),
+    (lambda: PerSample(0.0, 0.0), "per_sample + base must be positive and finite, got 0.0 + 0.0"),
+    (lambda: PerSample(0.5, -0.5), "per_sample + base must be positive and finite"),
+    (lambda: PerSample(1e308, 1e308), "per_sample + base must be positive and finite"),
+    (lambda: Stochastic(1.0, 1.0), "jitter must be below mean 1.0, got 1.0"),
+    (lambda: Stochastic(1.0, 5.0), "jitter must be below mean 1.0, got 5.0"),
+])
+def test_a_latency_model_that_could_charge_no_positive_finite_cost_is_rejected(make, message):
+    # Each model's rule keeps every draw on a batch of one sample or more positive.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
-def test_nan_latency_rejected():
-    with pytest.raises(ValueError, match="latency model cost must be positive, got nan"):
-        sample_latency(Constant(float("nan")), 4)
+def test_a_cost_below_zero_fails_the_draw_on_a_batch_of_no_samples():
+    with pytest.raises(ValueError, match="latency model cost must be positive, got -0.5"):
+        sample_latency(PerSample(0.5, 0.5), -2)
 
 
 def test_unknown_latency_model_rejected():
@@ -131,9 +143,8 @@ def test_nan_cost_fails_the_step_and_commits_nothing():
     [
         (Constant(2.0), 2.0, 2.0),
         (PerSample(0.25, 1.0), 17.0, 17.0),   # a batch of 64 samples
-        (PerSample(-0.25, 20.0), 4.0, 4.0),
         (Stochastic(3.0, 0.5), 2.5, 3.5),
-        (Stochastic(1.0, 1.0), 1e-9, 2.0),    # a draw is clamped to stay positive
+        (Stochastic(1.0, 0.999), 0.001, 1.999),  # every draw positive, charged as drawn
     ],
 )
 def test_sample_latency_bounds_every_draw(model, lo, hi):
@@ -157,7 +168,7 @@ def test_sample_latency_bounds_every_draw(model, lo, hi):
 ])
 def test_stochastic_rejects_a_bad_mean_or_jitter(mean, jitter, message):
     # sample_latency draws every cost within mean +- jitter: a negative jitter inverts
-    # that range, and a non-positive mean clamps every draw to 1e-9 s.
+    # that range, and a non-positive mean leaves no draw positive.
     with pytest.raises(ValueError, match=re.escape(message)):
         Stochastic(mean, jitter)
 

@@ -254,6 +254,18 @@ def test_bad_latency_config_exits_2_naming_the_key(tmp_path, capsys, lines, key)
     assert not (tmp_path / "out").exists()
 
 
+def test_a_latency_value_its_model_rejects_is_named_by_every_key_the_model_takes(
+    tmp_path, capsys
+):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG + "adapter.latency.kind=stochastic\nadapter.latency.seconds=\n"
+                    "adapter.latency.mean=1\nadapter.latency.jitter=5\n")
+    assert run_cli("run", "--config", str(path)) == 2
+    assert capsys.readouterr().err == (
+        "error: adapter.latency.mean, adapter.latency.jitter, adapter.latency.seed: "
+        "jitter must be below mean 1.0, got 5.0\n")
+
+
 def _write_replay_trace(path):
     write_trace(path, [
         TraceRecord(step=i, latency=4.0, correct_adapted=10, correct_fallback=5,
@@ -291,7 +303,7 @@ def _write_replay_trace(path):
          "adapter.learning_rate"),
         (["run"], "adapter.latency.kind=stochastic\nadapter.latency.seed=-1\n",
          "adapter.latency.seed"),
-        # jitter >= mean would let a draw reach zero, which sample_latency clamps to 1e-9 s.
+        # jitter >= mean would let a draw reach zero, so Stochastic rejects it.
         (["run"], "adapter.latency.kind=stochastic\nadapter.latency.mean=1\n"
          "adapter.latency.jitter=5\n", "adapter.latency.jitter"),
         (["run"], "adapter.latency.kind=stochastic\nadapter.latency.jitter=-0.5\n",

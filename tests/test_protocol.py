@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import sys
 import weakref
 from dataclasses import replace
@@ -49,7 +50,7 @@ from streamgate.report import (
     write_results_csv,
     write_summary_json,
 )
-from streamgate.stream import StreamSegment
+from streamgate.stream import StreamSegment, compose_stream, default_scenario
 from doubles import (
     REFERENCE_ADAPTERS,
     BetaShiftAdapter,
@@ -474,7 +475,8 @@ def test_measured_traced_run_wall_clocks_every_step():
     "adapter_kwargs,cause",
     [
         (dict(step=float("nan")), "beta contains non-finite values"),  # blend validation
-        (dict(latency=Constant(float("inf"))), "elapsed must be positive and finite"),
+        # 1e308 s a sample overflows to an infinite cost on a batch of 4.
+        (dict(latency=PerSample(1e308)), "elapsed must be positive and finite"),
     ],
 )
 def test_invalid_adapter_output_aborts_naming_adapter_and_step(adapter_kwargs, cause):
@@ -577,8 +579,10 @@ def test_schedule_class_is_the_one_c_of_every_latency_model(
 LATENCIES = st.one_of(
     st.builds(Constant, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0])),
     st.builds(PerSample, st.sampled_from([0.125, 0.25, 0.75]), st.sampled_from([0.0, 0.5])),
-    st.builds(Stochastic, st.sampled_from([1.0, 2.0, 3.5]),
-              st.sampled_from([0.0, 0.25, 1.0, 2.5]), st.integers(0, 3)),
+    st.builds(lambda mean_jitter, seed: Stochastic(*mean_jitter, seed),
+              st.sampled_from([(mean, jitter) for mean in (1.0, 2.0, 3.5)
+                               for jitter in (0.0, 0.25, 1.0, 2.5) if jitter < mean]),
+              st.integers(0, 3)),
 )
 ETAS = st.sampled_from([1.0, 0.5, 1 / 3, 0.25])
 
@@ -969,3 +973,45 @@ def test_a_run_keeps_no_domain_array_alive(name, traced, mini_pretrained, mini_s
     gc.collect()
     assert domain_array() is None
     assert adapter.params.dim == mini_pretrained.dim
+
+
+class CenteringAdapter(EntropyMinAdapter):
+    """Centres its batch in place before its step."""
+
+    name = "centering"
+
+    def _adapt(self, batch):
+        features = batch.features
+        features -= features.mean(axis=0)
+        return super()._adapt(batch)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_an_adapter_that_writes_into_its_batch_fails_at_its_first_step(
+    traced, mini_pretrained, mini_spec
+):
+    # A composed stream is read-only: the write fails instead of changing the stream that
+    # every later run reads.
+    segments = compose_stream(default_scenario(mode="continual", batch_size=16), mini_spec, 64)
+    with pytest.raises(ProtocolError, match=r"adapter 'centering' failed at step 0: .*read-only"):
+        run_segments(segments, CenteringAdapter(mini_pretrained), mini_pretrained, ON,
+                     trace_out=[] if traced else None)
+
+
+@pytest.mark.parametrize("mode", ["episodic", "continual"])
+def test_built_in_runs_leave_the_composed_stream_unchanged(mode, mini_pretrained, mini_spec):
+    segments = compose_stream(default_scenario(mode=mode, batch_size=16), mini_spec, 64)
+
+    def digest():
+        h = hashlib.sha256()
+        for batch in (b for segment in segments for b in segment.batches):
+            h.update(batch.features.tobytes())
+            h.update(batch.labels.tobytes())
+        return h.hexdigest()
+
+    before = digest()
+    for name in sorted(ADAPTERS):
+        adapter = make_adapter(name, mini_pretrained, latency=Constant(2.5))
+        run_segments(segments, adapter, mini_pretrained, ON,
+                     trace_out=[] if mode == "continual" else None)
+    assert digest() == before

@@ -51,7 +51,7 @@ def actions_of(report) -> list[int]:
 def reference_stochastic(model: Stochastic) -> Callable[[int], float]:
     """The latency draws of a fresh Stochastic model, one per adaptation."""
     rng = np.random.default_rng(model.seed)
-    return lambda t: max(model.mean + model.jitter * rng.uniform(-1.0, 1.0), 1e-9)
+    return lambda t: model.mean + model.jitter * rng.uniform(-1.0, 1.0)
 
 
 @contextmanager
@@ -103,7 +103,7 @@ def test_simulation_matches_reference_for_each_latency_model(kind, a, b, clock, 
     elif kind == "per_sample":
         latency, cost_at = PerSample(per_sample=a, base=b), lambda t: a * 4 + b  # B = 4
     else:
-        latency = Stochastic(mean=a, jitter=b, seed=int(a * 1000))
+        latency = Stochastic(mean=a, jitter=a * b / (a + b), seed=int(a * 1000))  # jitter < a
         cost_at = reference_stochastic(latency)
     params = tiny_params()
     adapter = make_adapter("source", params, latency=latency)

@@ -56,7 +56,8 @@ class PerSample:
 
 @dataclass(frozen=True)
 class Stochastic:
-    """Costs drawn uniformly within mean +- jitter: jitter < mean keeps every draw positive."""
+    """Costs drawn uniformly within mean +- jitter: jitter < mean keeps every draw positive,
+    and a finite mean + jitter, the largest draw, keeps every draw finite."""
 
     mean: float
     jitter: float
@@ -68,6 +69,8 @@ class Stochastic:
                            check_real(self.jitter, "jitter", "non-negative and finite"))
         if not self.jitter < self.mean:
             raise ValueError(f"jitter must be below mean {self.mean!r}, got {self.jitter!r}")
+        if not self.mean + self.jitter < np.inf:
+            raise ValueError(f"mean + jitter must be finite, got {self.mean!r} + {self.jitter!r}")
         check_integer(self.seed, "seed")
 
 
@@ -77,7 +80,9 @@ LatencyModel = Constant | PerSample | Stochastic
 def sample_latency(
     model: LatencyModel, batch_size: int, rng: np.random.Generator | None = None
 ) -> float:
-    """One elapsed-time draw, charged as drawn; stochastic draws come from the supplied rng."""
+    """One elapsed-time draw, charged as drawn; stochastic draws come from the supplied rng.
+    Raises ``ValueError`` on a cost that is not positive and finite: the models' rules leave
+    only a ``batch_size`` below 1, or a per-sample cost that overflows on a large batch."""
     if isinstance(model, Constant):
         value = model.seconds
     elif isinstance(model, PerSample):
@@ -88,9 +93,7 @@ def sample_latency(
         value = model.mean + model.jitter * rng.uniform(-1.0, 1.0)
     else:
         raise TypeError(f"unknown latency model {model!r}")
-    if not value > 0.0:  # the models' rules leave only a batch_size below 1 to fail here
-        raise ValueError(f"latency model cost must be positive, got {value}")
-    return float(value)
+    return check_real(value, "latency model cost", "positive and finite")
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +204,7 @@ class Adapter:
     name = "base"
 
     def __init__(self, pretrained: ModelParams, latency: LatencyModel):
-        self._pretrained = pretrained.copy()
+        self.pretrained = pretrained.copy()
         self.params = pretrained.copy()
         self.latency = latency
         self._latency_rng = self._fresh_latency_rng()
@@ -217,14 +220,10 @@ class Adapter:
                 return np.random.default_rng(model.seed)
         return None
 
-    @property
-    def pretrained(self) -> ModelParams:
-        return self._pretrained
-
     def reset(self) -> None:
         """Restore the exact pretrained parameters and a fresh latency rng.  A
         subclass with state of its own overrides this to restore it too."""
-        self.params = self._pretrained.copy()
+        self.params = self.pretrained.copy()
         self._latency_rng = self._fresh_latency_rng()
 
     def adapt(self, batch: Batch) -> AdaptOutcome:
@@ -287,8 +286,8 @@ class NormStatAdapter(Adapter):
             w, note = 1.0, "single-sample batch: using source statistics"
         batch_mu = batch.features.mean(axis=-2)
         batch_var = batch.features.var(axis=-2)
-        theta.mu = w * self._pretrained.mu + (1.0 - w) * batch_mu
-        theta.var = np.maximum(w * self._pretrained.var + (1.0 - w) * batch_var, VAR_FLOOR)
+        theta.mu = w * self.pretrained.mu + (1.0 - w) * batch_mu
+        theta.var = np.maximum(w * self.pretrained.var + (1.0 - w) * batch_var, VAR_FLOOR)
         y_hat = forward(theta, batch.features).labels
         return AdaptOutcome(batch.features, theta, y_hat, cost=None, note=note)
 

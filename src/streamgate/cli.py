@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import adapters as adapters_mod
+from ._checks import check_integer, check_real
 from .adapters import Constant, PerSample, Stochastic
 from .clock import StreamClock
 from .model import ModelParams
@@ -104,24 +105,8 @@ def _number(raw: str) -> float:
         raise ValueError(f"cannot parse {raw!r} as a finite number") from None
 
 
-def _positive(raw: str) -> float:
-    value = _number(raw)
-    if value <= 0:
-        raise ValueError(f"must be positive, got {raw!r}")
-    return value
-
-
-def _unit(raw: str) -> float:
-    value = _number(raw)
-    if not 0 <= value <= 1:
-        raise ValueError(f"must be in [0, 1], got {raw!r}")
-    return value
-
-
 def _seed(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"must be a non-negative integer, got {raw!r}")
+    check_integer(value := int(raw), "seed")
     return value
 
 
@@ -201,12 +186,17 @@ def _latency(kind: str = "default", **values) -> adapters_mod.LatencyModel | Non
         return None
     model = _LATENCY_MODELS[kind]
     takes = inspect.signature(model).parameters
-    with _named(", ".join(_KEY_OF["latency", field] for field in takes)):
+    with _named(_latency_keys(model)):
         latency = model(**{k: v for k, v in {**_LATENCY_DEFAULTS, **values}.items() if k in takes})
     untaken = [_KEY_OF["latency", field] for field in values if field not in takes]
     if untaken:
         raise ValueError(f"the {kind} latency model does not take {', '.join(untaken)}")
     return latency
+
+
+def _latency_keys(model: type) -> str:
+    """Every key of the fields a latency model takes: the name of a value it rejects."""
+    return ", ".join(_KEY_OF["latency", field] for field in inspect.signature(model).parameters)
 
 
 # Targets named as ExperimentConfig names them.
@@ -312,6 +302,9 @@ def build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
     if exp.protocol_cfg.timing == MEASURED and latency is not None:
         raise ConfigError(f"{_KEY_OF['latency', 'kind']}: has no effect under measured "
                           "timing, whose costs are wall-clocked")
+    if latency is not None:  # a per-sample cost may overflow on a batch of this size
+        with _named(_latency_keys(type(latency))):
+            adapters_mod.sample_latency(latency, exp.scenario.batch_size)
     return exp
 
 
@@ -475,7 +468,7 @@ def _write_sweep_csv(path: Path, reports: list[RunReport]) -> None:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     with _named("--interval"):
-        interval = _positive(args.interval)
+        interval = check_real(_number(args.interval), "interval", "positive and finite")
         clock = StreamClock(base_rate=1.0 / interval)
     with _named("--eta"):
         clock = replace(clock, eta=_number(args.eta))
@@ -485,7 +478,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             clock = replace(clock, base_rate=math.nextafter(clock.base_rate, 0.0))
     with _named("--fallback-error-rate"):
         text = args.fallback_error_rate
-        rate = None if text is None else _unit(text)
+        rate = None if text is None else check_real(_number(text), "rate", "in [0, 1]")
     with _named("STREAMGATE_OUT" if os.environ.get("STREAMGATE_OUT") else "--out"):
         out_dir = _directory(args.out or ExperimentConfig.out_dir)
     records = parse_trace(args.trace, fallback_error_rate=rate)

@@ -47,7 +47,6 @@ from .model import ModelParams, blend_parameters, forward, params_fingerprint, p
 from .report import (
     ACTION_SKIPPED_FALLBACK,
     ACTION_SKIPPED_RANDOM,
-    NO_SNAPSHOT,
     RunReport,
     run_report,
 )
@@ -206,7 +205,6 @@ def _run(
     steps: list[int] = []
     batch_sizes: list[int] = []
     error_counts: list[int] = []
-    versions: list[int] = []
     adapted: list[int] = []
     c_values: list[int] = []
     domains: list[tuple[int, int]] = []
@@ -227,13 +225,13 @@ def _run(
             adapter.reset()
             adapter.params = initial.copy() if lanes == 1 else initial.stack(lanes)
         worker = Worker(_modulo(cfg))
-        fallback, version, fallback_version = adapter.params, 0, 0
+        fallback = adapter.params
         window, window_end = None, -1
         # Per lane: the current domain and its rows (domain, tick, fingerprint).
         current, rows = [None] * lanes, [[] for _ in range(lanes)]
-        # Per tick, alike in every lane but the errors: the batch size, version,
-        # adapted ticks and their C, and each lane's error count.
-        sizes, tick_versions, tick_adapted, tick_c, errors = [], [], [], [], []
+        # Per tick, alike in every lane but the errors: the batch size, adapted
+        # ticks and their C, and each lane's error count.
+        sizes, tick_adapted, tick_c, errors = [], [], [], []
 
         for i, ticks in enumerate(zip(*(segment.batches for segment in group))):
             batch, t = ticks[0], i  # check_ticks: tick i is t = i
@@ -300,21 +298,14 @@ def _run(
 
             if adapt_now:
                 adapter.params = theta_next
-                version += 1
-                if cfg.fallback_visibility == IMMEDIATE:
-                    fallback, fallback_version = theta_next, version
-                else:
-                    fallback, fallback_version = prev, version - 1
+                fallback = theta_next if cfg.fallback_visibility == IMMEDIATE else prev
                 y_hat = y_adapted
                 tick_adapted.append(i)
                 tick_c.append(c)
-                tick_versions.append(version)
             elif single:
                 y_hat = rng.integers(0, num_classes, size=batch.size)
-                tick_versions.append(NO_SNAPSHOT)
             else:
                 y_hat = fb_pred
-                tick_versions.append(fallback_version)
 
             sizes.append(batch.size)
             wrong = y_hat != batch.labels
@@ -329,14 +320,14 @@ def _run(
             steps.extend(range(len(sizes)))
             batch_sizes.extend(sizes)
             error_counts.extend(lane_errors)
-            versions.extend(tick_versions)
             adapted.extend(base + i for i in tick_adapted)
             c_values.extend(tick_c)
         adapter.params = adapter.params.lane(-1)
 
     return run_report(
-        domains, steps, batch_sizes, error_counts, versions, adapted, c_values,
-        ACTION_SKIPPED_RANDOM if single else ACTION_SKIPPED_FALLBACK, protocol=cfg.protocol,
+        domains, steps, batch_sizes, error_counts, adapted, c_values,
+        ACTION_SKIPPED_RANDOM if single else ACTION_SKIPPED_FALLBACK,
+        lag=int(cfg.fallback_visibility == DELAYED), protocol=cfg.protocol,
         adapter=adapter.name, eta=clock.eta, seed=cfg.seed, fingerprints=fingerprints,
     )
 

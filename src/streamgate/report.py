@@ -131,11 +131,11 @@ def run_report(
     step: Sequence[int] | np.ndarray,
     batch_size: Sequence[int] | np.ndarray,
     error_count: Sequence[int] | np.ndarray,
-    params_version: Sequence[int] | np.ndarray,
     adapted: Sequence[int] | np.ndarray,
     c_value: Sequence[int] | np.ndarray,
     skipped: str,
     *,
+    lag: int = 0,
     protocol: str,
     adapter: str,
     eta: float,
@@ -151,10 +151,12 @@ def run_report(
     (domain_id, index of the row's first step) for each row in order; a row
     ends where the next one starts.  A caller splits rows wherever the domain
     changes and at every segment boundary.  The run's mean C is exact, as a row's is.
+    Each segment's ``step`` counts from 0.  A fallback step is predicted by the snapshot
+    ``lag`` adapted steps behind the latest: 0 under immediate visibility, 1 under delayed.
     """
-    step, batch_size, error_count, params_version, adapted, c_value = (
+    step, batch_size, error_count, adapted, c_value = (
         np.asarray(column, dtype=np.int64)
-        for column in (step, batch_size, error_count, params_version, adapted, c_value)
+        for column in (step, batch_size, error_count, adapted, c_value)
     )
     per_domain = collapse(domains, batch_size, error_count, adapted, c_value)
     return RunReport(
@@ -168,8 +170,8 @@ def run_report(
         avg_error=_mean_error(per_domain),
         mean_c=int(c_value.sum()) / len(adapted) if len(adapted) else None,
         adapted_fraction=len(adapted) / len(step),
-        schedule=partial(_schedule, step, batch_size, error_count, params_version, adapted,
-                         c_value, skipped),
+        schedule=partial(_schedule, step, batch_size, error_count, adapted, c_value, skipped,
+                         lag),
         fingerprints=fingerprints,
         notes=list(notes),
     )
@@ -179,16 +181,24 @@ def _schedule(
     step: np.ndarray,
     batch_size: np.ndarray,
     error_count: np.ndarray,
-    params_version: np.ndarray,
     adapted: np.ndarray,
     c_value: np.ndarray,
     skipped: str,
+    lag: int,
 ) -> list[ScheduleRecord]:
-    """A run's per-step records from its columns (see ``run_report``)."""
+    """A run's per-step records from its columns (see ``run_report``), with each step's
+    ``params_version``: within a segment, which starts where ``step`` is 0, the count of the
+    segment's adapted steps up to and including the step, less ``lag`` on a fallback step;
+    ``NO_SNAPSHOT`` on a random one."""
     action, c_of = [skipped] * len(step), [None] * len(step)
     for i, c in zip(adapted.tolist(), c_value.tolist()):
         action[i], c_of[i] = ACTION_ADAPTED, c
-    return list(map(ScheduleRecord, step.tolist(), action, c_of, params_version.tolist(),
+    starts = np.flatnonzero(step == 0)
+    count = np.searchsorted(adapted, np.arange(len(step)), side="right") - np.repeat(
+        np.searchsorted(adapted, starts), np.diff(starts, append=len(step)))
+    version = np.full(len(step), NO_SNAPSHOT) if skipped == ACTION_SKIPPED_RANDOM else count - lag
+    version[adapted] = count[adapted]
+    return list(map(ScheduleRecord, step.tolist(), action, c_of, version.tolist(),
                     error_count.tolist(), batch_size.tolist()))
 
 

@@ -163,10 +163,8 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
     c_value = np.diff(adapted, append=t)  # each adapted step's busy window
     error_count = batch_size - correct_fallback
     error_count[adapted] = batch_size[adapted] - correct_adapted[adapted]
-    ticks = np.arange(n)
-    params_version = np.searchsorted(adapted, ticks, side="right")  # adapted steps up to t
     return run_report(
-        domains, ticks, batch_size, error_count, params_version, adapted, c_value,
+        domains, np.arange(n), batch_size, error_count, adapted, c_value,
         ACTION_SKIPPED_FALLBACK, protocol="online", adapter="trace", eta=clock.eta, seed=0,
         scenario="replay", notes=[FALLBACK_APPROXIMATION_NOTE],
     )

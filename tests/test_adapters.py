@@ -98,15 +98,17 @@ def test_stochastic_latency_deterministic_sequence(mini_pretrained):
     (lambda: PerSample(1e308, 1e308), "per_sample + base must be positive and finite"),
     (lambda: Stochastic(1.0, 1.0), "jitter must be below mean 1.0, got 1.0"),
     (lambda: Stochastic(1.0, 5.0), "jitter must be below mean 1.0, got 5.0"),
+    (lambda: Stochastic(1.7e308, 1e308), "mean + jitter must be finite, got 1.7e+308 + 1e+308"),
 ])
 def test_a_latency_model_that_could_charge_no_positive_finite_cost_is_rejected(make, message):
-    # Each model's rule keeps every draw on a batch of one sample or more positive.
+    # Each model's rule keeps every draw on a batch of one sample or more positive and finite.
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
 
 
 def test_a_cost_below_zero_fails_the_draw_on_a_batch_of_no_samples():
-    with pytest.raises(ValueError, match="latency model cost must be positive, got -0.5"):
+    with pytest.raises(ValueError,
+                       match="latency model cost must be positive and finite, got -0.5"):
         sample_latency(PerSample(0.5, 0.5), -2)
 
 

@@ -244,6 +244,15 @@ def test_malformed_numeric_config_values_exit_2(tmp_path, capsys):
         ("adapter.latency.kind=per_sample\n", "adapter.latency.per_sample"),
         ("adapter.latency.kind=per_sample\nadapter.latency.per_sample=-1\n"
          "adapter.latency.base=40\n", "adapter.latency.per_sample"),
+        # A cost that overflows on a batch of 32, or at the largest draw.
+        ("adapter.latency.kind=per_sample\nadapter.latency.seconds=\n"
+         "adapter.latency.per_sample=1e308\n",
+         "adapter.latency.per_sample, adapter.latency.base: "
+         "latency model cost must be positive and finite, got inf"),
+        ("adapter.latency.kind=stochastic\nadapter.latency.mean=1.7e308\n"
+         "adapter.latency.jitter=1e308\n",
+         "adapter.latency.mean, adapter.latency.jitter, adapter.latency.seed: "
+         "mean + jitter must be finite, got 1.7e+308 + 1e+308"),
     ],
 )
 def test_bad_latency_config_exits_2_naming_the_key(tmp_path, capsys, lines, key):
@@ -417,9 +426,9 @@ def test_fallback_error_rate_is_a_fraction_checked_as_a_flag(tmp_path, capsys):
     assert run_cli("replay", "--trace", str(path), "--fallback-error-rate", "nan") == 2
     err = capsys.readouterr().err
     assert "--fallback-error-rate" in err and "e.csv" not in err
-    # The rate is shown as it was written.
+    # The rate is shown as the number it parses to.
     assert run_cli("replay", "--trace", str(path), "--fallback-error-rate", "3/2") == 2
-    assert "--fallback-error-rate: must be in [0, 1], got '3/2'" in capsys.readouterr().err
+    assert "--fallback-error-rate: rate must be in [0, 1], got 1.5" in capsys.readouterr().err
 
 
 def test_replay_missing_file_exits_2(tmp_path):

@@ -250,6 +250,20 @@ def test_immediate_vs_delayed_fallback_visibility():
     assert imm_errors != dly_errors  # the shifted snapshots predict differently
 
 
+@pytest.mark.parametrize("cfg,versions", [
+    (ON, [1, 1, 1, 2, 2] * 2),
+    (replace(ON, fallback_visibility="delayed"), [1, 0, 0, 2, 1] * 2),
+    (replace(ON, protocol="single_model"), [1, -1, -1, 2, -1] * 2),
+])
+def test_versions_restart_at_every_segment_with_or_without_a_reset(cfg, versions):
+    # Each segment adapts at its steps 0 and 3; the second continues the first's state.
+    params = tiny_params(seed=3)
+    segments = [StreamSegment(reset=True, batches=tiny_stream(5, seed=1)),
+                StreamSegment(reset=False, batches=tiny_stream(5, seed=2))]
+    report = run_segments(segments, BetaShiftAdapter(params, latency=Constant(3.0)), params, cfg)
+    assert [r.params_version for r in report.schedule] == versions
+
+
 def test_alpha_one_preserves_parameters():
     params = tiny_params(seed=1)
     stream = tiny_stream(8, seed=2)
@@ -471,19 +485,30 @@ def test_measured_traced_run_wall_clocks_every_step():
     assert all(0 < record.latency < 1000.0 for record in trace)
 
 
+class InfiniteCostAdapter(BetaShiftAdapter):
+    """Charges an infinite cost of its own, past every latency model's rule."""
+
+    def _adapt(self, batch):
+        outcome = super()._adapt(batch)
+        outcome.cost = float("inf")
+        return outcome
+
+
 @pytest.mark.parametrize(
-    "adapter_kwargs,cause",
+    "cls,adapter_kwargs,cause",
     [
-        (dict(step=float("nan")), "beta contains non-finite values"),  # blend validation
+        (BetaShiftAdapter, dict(step=float("nan")), "beta contains non-finite values"),  # blend
         # 1e308 s a sample overflows to an infinite cost on a batch of 4.
-        (dict(latency=PerSample(1e308)), "elapsed must be positive and finite"),
+        (BetaShiftAdapter, dict(latency=PerSample(1e308)),
+         "latency model cost must be positive and finite, got inf"),
+        (InfiniteCostAdapter, {}, "elapsed must be positive and finite"),  # the clock's check
     ],
 )
-def test_invalid_adapter_output_aborts_naming_adapter_and_step(adapter_kwargs, cause):
+def test_invalid_adapter_output_aborts_naming_adapter_and_step(cls, adapter_kwargs, cause):
     params = tiny_params()
     stream = tiny_stream(4)
     with pytest.raises(ProtocolError, match=f"adapter 'beta_shift' failed at step 0: {cause}"):
-        run_stream(stream, BetaShiftAdapter(params, **adapter_kwargs), params, OFF)
+        run_stream(stream, cls(params, **adapter_kwargs), params, OFF)
 
 
 def test_runner_protocol_field_is_validated():

@@ -125,7 +125,7 @@ def report_of(rows):
     adapted = [start + i for start, (_, cs) in zip(starts, rows) for i in range(len(cs))]
     n = starts[-1]
     return run_report([(d, start) for d, start in enumerate(starts[:-1])], range(n), [4] * n,
-                      [0] * n, [0] * n, adapted, [c for _, cs in rows for c in cs],
+                      [0] * n, adapted, [c for _, cs in rows for c in cs],
                       ACTION_SKIPPED_FALLBACK, protocol="online", adapter="x", eta=1.0, seed=0)
 
 
@@ -162,10 +162,11 @@ def test_schedule_record_validation():
 def test_run_report_rows_follow_the_given_domain_starts():
     # Domain 0, then domain 1, then domain 1 again behind a segment boundary.
     schedule = [rec(0, errors=2), rec(1, ACTION_SKIPPED_FALLBACK, errors=4),
-                rec(2, c=3, errors=1), rec(3, ACTION_SKIPPED_FALLBACK, errors=5),
+                rec(2, c=3, errors=1, version=2),
+                rec(3, ACTION_SKIPPED_FALLBACK, errors=5, version=2),
                 rec(0, c=2, errors=0), rec(1, ACTION_SKIPPED_FALLBACK, errors=10)]
     report = run_report([(0, 0), (1, 2), (1, 4)], [0, 1, 2, 3, 0, 1], [10] * 6,
-                        [2, 4, 1, 5, 0, 10], [1] * 6, [0, 2, 4], [1, 3, 2],
+                        [2, 4, 1, 5, 0, 10], [0, 2, 4], [1, 3, 2],
                         ACTION_SKIPPED_FALLBACK, protocol="online", adapter="x", eta=0.5,
                         seed=3, fingerprints=["a", "b", "c"])
     assert [d.domain_id for d in report.per_domain] == [0, 1, 1]

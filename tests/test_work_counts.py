@@ -1,8 +1,8 @@
-"""Exact work counts of two fixed workloads, each bounded by its count when the bound was set.
+"""Exact work counts of three fixed workloads, each bounded by its count when the bound was set.
 
-The workloads are a one-seed ``run`` of ``configs/benchmark.cfg`` and one traced online run
-each of ``entropy_min`` at ``Constant(12.0)`` and of ``rejection_entropy`` at its defaults, on
-the continual benchmark stream of seed 0.  A change that does more work fails here; one that
+The workloads are a one-seed ``run`` and a one-seed ``sweep`` of ``configs/benchmark.cfg``, and
+one traced online run each of ``entropy_min`` at ``Constant(12.0)`` and of ``rejection_entropy``
+at its defaults, on the continual benchmark stream of seed 0.  A change that does more work fails here; one that
 does less lowers the bound it beat.  Each counted function is replaced at every name a
 streamgate module binds it to, methods on their class.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from streamgate import adapters, cli, model
+from streamgate import adapters, cli, model, stream
 from streamgate.adapters import Adapter, Constant, make_adapter
 from streamgate.model import ModelParams
 from streamgate.protocol import ONLINE, ProtocolConfig, run_segments
@@ -32,6 +32,20 @@ RUN_BOUNDS = {
     "adapt entropy_min": 104,
     "forward": 416,
     "ModelParams.copy": 530,
+    "ModelParams.stack": 4,
+    "sample_domain": 15,
+    "clone_adapter": 0,
+    "TraceRecord": 0,
+}
+SWEEP_BOUNDS = {
+    "execute_run": 5,  # one computed run per eta of the default grid
+    "adapt source": 78,
+    "adapt norm_stat": 78,
+    "adapt entropy_min": 143,
+    "forward": 533,
+    "ModelParams.copy": 609,
+    "ModelParams.stack": 5,
+    "sample_domain": 15,
     "clone_adapter": 0,
     "TraceRecord": 0,
 }
@@ -40,6 +54,8 @@ TRACE_BOUNDS = {
     "adapt rejection_entropy": 417,  # README: 417 at the default 3 s and 1 s
     "forward": 1044,
     "ModelParams.copy": 1050,
+    "ModelParams.stack": 520,
+    "sample_domain": 16,
     "clone_adapter": 520,
     "TraceRecord": 2 * 1248,
 }
@@ -73,6 +89,8 @@ def counts(monkeypatch, source_spec, pretrained):
     count(model, "forward", lambda *args: "forward")
     count(adapters, "clone_adapter", lambda *args: "clone_adapter")
     count(ModelParams, "copy", lambda *args: "ModelParams.copy")
+    count(ModelParams, "stack", lambda *args: "ModelParams.stack")
+    count(stream, "sample_domain", lambda *args: "sample_domain")
     count(Adapter, "adapt", lambda adapter, *args: f"adapt {adapter.name}")
     count(TraceRecord, "__post_init__", lambda *args: "TraceRecord")
     return counted
@@ -89,6 +107,13 @@ def test_a_one_seed_benchmark_run_does_no_more_work(counts, tmp_path, monkeypatc
     assert cli.main(["run", "--config", str(CONFIG), "--seeds", "0",
                      "--out", str(tmp_path)]) == 0
     _within(counts, RUN_BOUNDS)
+
+
+def test_a_one_seed_benchmark_sweep_does_no_more_work(counts, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("STREAMGATE_OUT", raising=False)
+    assert cli.main(["sweep", "--config", str(CONFIG), "--seeds", "0",
+                     "--out", str(tmp_path)]) == 0
+    _within(counts, SWEEP_BOUNDS)
 
 
 def test_two_traced_continual_runs_do_no_more_work(counts, source_spec, pretrained):

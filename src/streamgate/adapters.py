@@ -86,7 +86,7 @@ def sample_latency(
     if isinstance(model, Constant):
         value = model.seconds
     elif isinstance(model, PerSample):
-        value = model.per_sample * batch_size + model.base
+        value = model.per_sample * float(batch_size) + model.base
     elif isinstance(model, Stochastic):
         if rng is None:
             rng = np.random.default_rng(model.seed)

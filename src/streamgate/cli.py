@@ -469,13 +469,18 @@ def _write_sweep_csv(path: Path, reports: list[RunReport]) -> None:
 def cmd_replay(args: argparse.Namespace) -> int:
     with _named("--interval"):
         interval = check_real(_number(args.interval), "interval", "positive and finite")
-        clock = StreamClock(base_rate=1.0 / interval)
     with _named("--eta"):
-        clock = replace(clock, eta=_number(args.eta))
-        # The clock's 1 / (eta * rate) can round below L / eta; step the rate down
-        # until it does not.
-        while clock.effective_interval < interval / clock.eta:
-            clock = replace(clock, base_rate=math.nextafter(clock.base_rate, 0.0))
+        eta = check_real(_number(args.eta), "eta", "in (0, 1]")
+    # The clock's rate 1 / L overflows for L alone, its 1 / (eta * rate) ~ L / eta for the pair;
+    # that can round below L / eta, so the rate steps down until it does not.
+    with _named("--interval" if eta == 1 or math.isinf(1 / interval) else "--interval, --eta"):
+        try:
+            clock = StreamClock(base_rate=1.0 / interval, eta=eta)
+            while clock.effective_interval < interval / eta:
+                clock = replace(clock, base_rate=math.nextafter(clock.base_rate, 0.0))
+        except ValueError:
+            raise ValueError("1 / interval and interval / eta must be finite, "
+                             f"got interval={interval!r} at eta={eta!r}") from None
     with _named("--fallback-error-rate"):
         text = args.fallback_error_rate
         rate = None if text is None else check_real(_number(text), "rate", "in [0, 1]")

@@ -97,24 +97,20 @@ class RunReport:
 
 
 def collapse(domains: Sequence[tuple[int, int]], batch_size: np.ndarray, error_count: np.ndarray,
-             adapted: np.ndarray, c_value: np.ndarray) -> list[DomainReport]:
+             adapted: np.ndarray, c_value: Sequence[int]) -> list[DomainReport]:
     """A run's per-domain rows from its columns: ``batch_size`` and ``error_count``
-    per step, the ascending indices of the ``adapted`` steps and their ``c_value``;
-    ``domains`` as in ``run_report``.  Sums are exact, so rates and mean Cs equal
-    ``int / int``; a row's mean C is None if it adapted nowhere."""
+    per step, the ascending indices of the ``adapted`` steps and their ``c_value``,
+    Python ints of any size; ``domains`` as in ``run_report``.  Sums are exact, so rates
+    and mean Cs equal ``int / int``; a row's mean C is None if it adapted nowhere."""
     starts = np.array([start for _, start in domains], dtype=np.int64)
     n_batches = np.diff(starts, append=len(batch_size))
     if (n_batches < 1).any():
         raise ValueError("domain has no schedule records")
     rates = (np.add.reduceat(error_count, starts) / np.add.reduceat(batch_size, starts)).tolist()
-    cuts = np.searchsorted(adapted, starts)
-    # An appended 0 keeps each cut an index; a row that adapted nowhere discards its sum.
-    c_sums = np.add.reduceat(np.append(c_value, 0), cuts).tolist()
-    cuts = [*cuts.tolist(), len(adapted)]
+    cuts = [*np.searchsorted(adapted, starts).tolist(), len(adapted)]
     return [
-        DomainReport(domain_id, n, b - a, rate, c_sum / (b - a) if b > a else None)
-        for (domain_id, _), n, rate, c_sum, a, b
-        in zip(domains, n_batches.tolist(), rates, c_sums, cuts, cuts[1:])
+        DomainReport(domain_id, n, b - a, rate, sum(c_value[a:b]) / (b - a) if b > a else None)
+        for (domain_id, _), n, rate, a, b in zip(domains, n_batches.tolist(), rates, cuts, cuts[1:])
     ]
 
 
@@ -132,7 +128,7 @@ def run_report(
     batch_size: Sequence[int] | np.ndarray,
     error_count: Sequence[int] | np.ndarray,
     adapted: Sequence[int] | np.ndarray,
-    c_value: Sequence[int] | np.ndarray,
+    c_value: Sequence[int],
     skipped: str,
     *,
     lag: int = 0,
@@ -146,17 +142,16 @@ def run_report(
 ) -> RunReport:
     """A run's report from its step columns, which also build its schedule on first read.
 
-    ``adapted`` holds the ascending indices of the adapted steps, ``c_value``
-    their C; every other step took the action ``skipped``.  ``domains`` holds
-    (domain_id, index of the row's first step) for each row in order; a row
-    ends where the next one starts.  A caller splits rows wherever the domain
-    changes and at every segment boundary.  The run's mean C is exact, as a row's is.
+    ``adapted`` holds the ascending indices of the adapted steps, ``c_value`` their C
+    as the clock's Python ints, of any size; every other step took the action ``skipped``.
+    ``domains`` holds (domain_id, index of the row's first step) for each row in order; a
+    row ends where the next one starts.  A caller splits rows wherever the domain changes
+    and at every segment boundary.  The run's mean C is exact, as a row's is.
     Each segment's ``step`` counts from 0.  A fallback step is predicted by the snapshot
     ``lag`` adapted steps behind the latest: 0 under immediate visibility, 1 under delayed.
     """
-    step, batch_size, error_count, adapted, c_value = (
-        np.asarray(column, dtype=np.int64)
-        for column in (step, batch_size, error_count, adapted, c_value)
+    step, batch_size, error_count, adapted = (
+        np.asarray(column, dtype=np.int64) for column in (step, batch_size, error_count, adapted)
     )
     per_domain = collapse(domains, batch_size, error_count, adapted, c_value)
     return RunReport(
@@ -168,7 +163,7 @@ def run_report(
         seed=seed,
         per_domain=per_domain,
         avg_error=_mean_error(per_domain),
-        mean_c=int(c_value.sum()) / len(adapted) if len(adapted) else None,
+        mean_c=sum(c_value) / len(adapted) if len(adapted) else None,
         adapted_fraction=len(adapted) / len(step),
         schedule=partial(_schedule, step, batch_size, error_count, adapted, c_value, skipped,
                          lag),
@@ -182,7 +177,7 @@ def _schedule(
     batch_size: np.ndarray,
     error_count: np.ndarray,
     adapted: np.ndarray,
-    c_value: np.ndarray,
+    c_value: list[int],
     skipped: str,
     lag: int,
 ) -> list[ScheduleRecord]:
@@ -191,7 +186,7 @@ def _schedule(
     segment's adapted steps up to and including the step, less ``lag`` on a fallback step;
     ``NO_SNAPSHOT`` on a random one."""
     action, c_of = [skipped] * len(step), [None] * len(step)
-    for i, c in zip(adapted.tolist(), c_value.tolist()):
+    for i, c in zip(adapted.tolist(), c_value):
         action[i], c_of[i] = ACTION_ADAPTED, c
     starts = np.flatnonzero(step == 0)
     count = np.searchsorted(adapted, np.arange(len(step)), side="right") - np.repeat(

@@ -5,9 +5,10 @@ would have spent) on that batch and how many predictions would be correct under
 adaptation versus under the fallback snapshot.  Replay applies the run loop's busy-window
 rule to the trace's columns: it takes C once per distinct latency, then jumps from each
 adapted step to ``Worker.busy_until`` through ``Worker.start``, the rule the run loop
-uses.  So a replay costs one ceiling per distinct latency and one walk step per adapted
-step; it hands its step columns to ``report.run_report``, as the run loop does.  Error
-rates at any stream speed come out of one recording with no model reruns.
+uses, and keeps the C that call returns as the step's exact integer.  So a replay costs
+one ceiling per distinct latency and one walk step per adapted step; it hands its step
+columns to ``report.run_report``, as the run loop does.  Error rates at any stream speed
+come out of one recording with no model reruns.
 """
 
 from __future__ import annotations
@@ -147,20 +148,19 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
     """Recompute the online-protocol outcome of a trace under a given clock.
 
     Adapted steps contribute correct_adapted and open a busy window of
-    ceil(latency / interval) ticks; steps inside a window contribute
-    correct_fallback.  Latencies within one interval reproduce the
-    all-adapted (offline) outcome exactly.
+    ceil(latency / interval) ticks, the step's C as the walk takes it;
+    steps inside a window contribute correct_fallback.  Latencies within
+    one interval reproduce the all-adapted (offline) outcome exactly.
     """
     domains, latency, correct_adapted, correct_fallback, batch_size = _columns(trace)
     n, interval = len(latency), clock.effective_interval
     distinct, which = np.unique(latency, return_inverse=True)
     c = [relative_adaptation_speed(interval, elapsed) for elapsed in distinct.tolist()]
-    worker, steps, c_at = Worker(), [], np.take(c, which).tolist()
+    worker, steps, c_value, which = Worker(), [], [], which.tolist()
     while (t := worker.busy_until) < n:
         steps.append(t)
-        worker.start(t, c_at[t])
+        c_value.append(worker.start(t, c[which[t]]))
     adapted = np.array(steps)
-    c_value = np.diff(adapted, append=t)  # each adapted step's busy window
     error_count = batch_size - correct_fallback
     error_count[adapted] = batch_size[adapted] - correct_adapted[adapted]
     return run_report(

@@ -106,10 +106,15 @@ def test_a_latency_model_that_could_charge_no_positive_finite_cost_is_rejected(m
         make()
 
 
-def test_a_cost_below_zero_fails_the_draw_on_a_batch_of_no_samples():
+@pytest.mark.parametrize("batch_size,got", [
+    (-2, "-0.5"),  # a batch of no samples
+    (np.int64(4), "inf"),  # a numpy batch size overflows as a Python one does, unwarned
+])
+def test_a_cost_that_is_not_positive_and_finite_fails_the_draw(batch_size, got):
+    model = PerSample(0.5, 0.5) if batch_size < 0 else PerSample(1e308)
     with pytest.raises(ValueError,
-                       match="latency model cost must be positive and finite, got -0.5"):
-        sample_latency(PerSample(0.5, 0.5), -2)
+                       match=f"^latency model cost must be positive and finite, got {got}$"):
+        sample_latency(model, batch_size)
 
 
 def test_unknown_latency_model_rejected():

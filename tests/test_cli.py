@@ -177,6 +177,13 @@ def test_replay_command(tmp_path):
     slow = json.loads((out_slow / "summary.json").read_text())["runs"][0]
     assert slow["adapted_fraction"] == 1.0  # interval quadrupled, C=1
 
+    out_fast = tmp_path / "replay_fast"
+    assert run_cli("replay", "--trace", str(trace_path), "--out", str(out_fast),
+                   "--interval", "1e-300", "--eta", "1e-10") == 0
+    fast = json.loads((out_fast / "summary.json").read_text())["runs"][0]
+    # C = ceil(4 s / 1e-290 s) is past 2**63 and is summed exactly.
+    assert fast["mean_c"] == fast["per_domain"][0]["mean_c"] == pytest.approx(4e290, rel=1e-15)
+
 
 def test_replay_interval_is_never_rounded_down(tmp_path, capsys):
     # A step costing exactly the clock's interval L / eta takes one tick.
@@ -195,6 +202,21 @@ def test_replay_interval_is_never_rounded_down(tmp_path, capsys):
         assert run_cli("replay", "--trace", str(trace_path), "--out", str(tmp_path / "out"),
                        "--interval", repr(interval), "--eta", repr(eta)) == 0
         assert "adapted 100.0%" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rate", [1.5e18, 1e300])
+def test_a_run_whose_c_passes_int64_reports_its_rows_mean_c(tmp_path, rate):
+    # Each of three domains adapts once at C = ceil(3 s * rate), past 2**63; their
+    # total wrapped in int64 at 1.5e18 and failed the run at 1e300.
+    path = tmp_path / "fast.cfg"
+    path.write_text(BASE_CONFIG + f"clock.rate={rate!r}\nprotocol.mode=online\nseeds=0\n"
+                    "scenario.domains=mean_shift:5:0,gaussian_noise:5:0,mean_shift:3:0\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--out", str(out)) == 0
+    (run,) = json.loads((out / "summary.json").read_text())["runs"]
+    assert [d["n_adapted"] for d in run["per_domain"]] == [1, 1, 1]
+    assert [d["mean_c"] for d in run["per_domain"]] == [run["mean_c"]] * 3
+    assert run["mean_c"] == pytest.approx(3 * rate, rel=1e-15)
 
 
 def test_single_model_and_continual_modes(tmp_path):
@@ -305,6 +327,11 @@ def _write_replay_trace(path):
         (["replay", "--eta", "2"], None, "--eta"),
         (["replay", "--interval", "0"], None, "--interval"),
         (["replay", "--interval", "nan"], None, "--interval"),
+        # 1 / interval overflows for the interval alone, interval / eta for the pair.
+        (["replay", "--interval", "1e-320"], None, "--interval: 1 / interval and interval / eta "
+         "must be finite, got interval=1e-320 at eta=1.0"),
+        (["replay", "--interval", "1e308", "--eta", "1e-10"], None, "--interval, --eta: 1 / "
+         "interval and interval / eta must be finite, got interval=1e+308 at eta=1e-10"),
         (["run"], "seeds=-1\n", "seeds"),
         (["run", "--seeds", "-1"], "", "seeds"),
         (["run"], "source.seed=-1\n", "source.seed"),

@@ -141,13 +141,16 @@ def test_run_report_mean_c_is_the_exact_total_c_over_the_adapted_count():
 
 @pytest.mark.filterwarnings("ignore:domains have unequal sizes")
 @given(st.lists(st.integers(1, 8).flatmap(lambda steps: st.tuples(
-    st.just(steps), st.lists(st.integers(1, 2 ** 40), max_size=steps))), min_size=1, max_size=8))
+    st.just(steps), st.lists(st.integers(1, 2 ** 70), max_size=steps))), min_size=1, max_size=8))
 @example([(23, [2] * 22 + [3]), (6, [2] * 4 + [1] * 2)])
+@example([(3, [4_500_000_000_000_000_000])] * 15)  # the run's C total passes 2**63
 def test_run_report_takes_mean_c_and_adapted_fraction_from_its_columns(rows):
     report = report_of(rows)
     c_values = [c for _, cs in rows for c in cs]
     assert report.adapted_fraction == len(c_values) / sum(steps for steps, _ in rows)
     assert report.mean_c == (sum(c_values) / len(c_values) if c_values else None)
+    assert [d.mean_c for d in report.per_domain] == [sum(cs) / len(cs) if cs else None
+                                                     for _, cs in rows]
 
 
 def test_schedule_record_validation():

@@ -236,6 +236,18 @@ def test_replay_heavy_profile_adapts_once_over_782_steps():
     assert report.mean_c == 810.0
 
 
+def test_replay_keeps_each_c_exact_beyond_int64():
+    # At 2**70 batches a second the walk adapts at steps 0, 1 and 3, at C = 1, 2 and
+    # 3 * 2**70, which no int64 holds; each row's and the run's mean C are exact.
+    trace = make_trace([(2.0 ** -70, 1, 0, 0, 4), (2.0 ** -69, 1, 0, 0, 4),
+                        (3.0, 1, 0, 1, 4), (3.0, 1, 0, 1, 4)])
+    report = replay_online(trace, StreamClock(base_rate=2.0 ** 70))
+    assert [r.c_value for r in report.schedule] == [1, 2, None, 3 * 2 ** 70]
+    assert [d.mean_c for d in report.per_domain] == [3 / 2, 3 * 2 ** 70 / 1]
+    assert report.mean_c == (3 + 3 * 2 ** 70) / 3
+    assert_replay_bits(trace, StreamClock(base_rate=2.0 ** 70))
+
+
 def test_replay_adapted_volume_monotone_in_eta():
     rng = np.random.default_rng(0)
     trace = make_trace([(float(lat), 8, 4, 0, 10) for lat in rng.uniform(0.5, 6.0, size=60)])

@@ -195,10 +195,9 @@ class Adapter:
     """Base adapter: owns working parameters, a pretrained snapshot, a latency model.
 
     An adapter's state is its parameters and one latency rng.  Subclasses rebind
-    ``params`` to a new object and never write into the existing one;
-    ``clone_adapter`` relies on this.
-    Assigning a ``ModelParams`` field writes into that parameter set, so a
-    step assigns fields only on ``self.params.copy()``, never on ``self.params``.
+    ``params`` to a new object and never write into the existing one, which a run
+    holds read-only: a step assigns fields only on ``self.params.copy()``, and one
+    that leaves the parameters as they are returns ``self.params`` as ``theta_hat``.
     """
 
     name = "base"
@@ -257,7 +256,7 @@ class SourceAdapter(Adapter):
 
     def _adapt(self, batch: Batch) -> AdaptOutcome:
         result = forward(self.params, batch.features)
-        return AdaptOutcome(x_hat=batch.features, theta_hat=self.params.copy(),
+        return AdaptOutcome(x_hat=batch.features, theta_hat=self.params,
                             y_hat=result.labels, cost=None, forward=result)
 
 
@@ -375,7 +374,7 @@ class RejectionEntropyAdapter(_DescentAdapter):
         admitted = _entropy(result) <= self.entropy_threshold
         if not admitted.any():
             cost = sample_latency(self.latency_reject, batch.size, self._latency_rng)
-            return AdaptOutcome(batch.features, self.params.copy(), result.labels, cost=cost,
+            return AdaptOutcome(batch.features, self.params, result.labels, cost=cost,
                                 note="all samples rejected: no update", forward=result)
         if admitted.ndim == 1:
             return self._descend(batch, result, *_entropy_gradient(result, admitted))
@@ -413,8 +412,7 @@ class InputRestoreAdapter(Adapter):
             batch_std = np.maximum(batch.features.std(axis=-2), np.sqrt(VAR_FLOOR))
         x_hat = ((batch.features - batch_mu[..., None, :]) / batch_std[..., None, :]
                  * src_std[..., None, :] + src_mu[..., None, :])
-        theta = self.params.copy()
-        return AdaptOutcome(x_hat, theta, forward(theta, x_hat).labels, cost=None)
+        return AdaptOutcome(x_hat, self.params, forward(self.params, x_hat).labels, cost=None)
 
 
 # --------------------------------------------------------------------------
@@ -447,9 +445,9 @@ def clone_adapter(adapter: Adapter) -> Adapter:
     """Throwaway copy for counterfactual what-if steps; the original is untouched.
 
     The copy is shallow except for the latency rng, whose draws advance it in
-    place.  Sharing the parameters is safe because adapters rebind, never
-    mutate in place, them: ``adapt`` on the copy replaces the copy's
-    ``params`` and leaves the original's object as it was.
+    place.  Sharing the parameters is safe because a run holds them read-only:
+    ``adapt`` on the copy rebinds the copy's ``params`` and leaves the
+    original's object as it was.
     """
     ghost = copy.copy(adapter)
     ghost._latency_rng = copy.deepcopy(adapter._latency_rng)

@@ -355,8 +355,9 @@ def _execute_seed(
     reports = []
     for adapter_name, protocol, clock in plan:
         adapter = adapters[adapter_name]
-        key = schedule_class(replace(exp.protocol_cfg, protocol=protocol), adapter, clock,
-                             exp.scenario.batch_size)
+        with _named(_KEY_OF["clock", "base_rate"]):  # a C beyond the float range
+            key = schedule_class(replace(exp.protocol_cfg, protocol=protocol), adapter, clock,
+                                 exp.scenario.batch_size)
         twin = executed.get(key)
         if twin is None:
             report = execute_run(exp, segments, adapter, protocol, seed, clock)
@@ -473,7 +474,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         eta = check_real(_number(args.eta), "eta", "in (0, 1]")
     # The clock's rate 1 / L overflows for L alone, its 1 / (eta * rate) ~ L / eta for the pair;
     # that can round below L / eta, so the rate steps down until it does not.
-    with _named("--interval" if eta == 1 or math.isinf(1 / interval) else "--interval, --eta"):
+    flags = "--interval" if eta == 1 or math.isinf(1 / interval) else "--interval, --eta"
+    with _named(flags):
         try:
             clock = StreamClock(base_rate=1.0 / interval, eta=eta)
             while clock.effective_interval < interval / eta:
@@ -487,7 +489,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     with _named("STREAMGATE_OUT" if os.environ.get("STREAMGATE_OUT") else "--out"):
         out_dir = _directory(args.out or ExperimentConfig.out_dir)
     records = parse_trace(args.trace, fallback_error_rate=rate)
-    report = replay_online(records, clock)
+    with _named(flags):  # a C beyond the float range
+        report = replay_online(records, clock)
     if rate is not None:
         report.notes.append(f"constant fallback error rate {rate} substituted for missing values")
     report.run_id = f"replay-{Path(args.trace).stem}-eta{clock.eta:g}"

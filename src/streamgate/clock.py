@@ -4,6 +4,7 @@ ceiling, and the busy-window rule that simulation and trace replay share."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,21 +43,22 @@ def check_ticks(ticks: Iterable[int], error: type[ValueError] = ValueError) -> N
 
 
 def relative_adaptation_speed(effective_interval: float, elapsed: float) -> int:
-    """Stream ticks one adaptation consumes: ceil(elapsed / interval), min 1.
+    """Stream ticks one adaptation consumes: ceil(elapsed / interval), at least 1.
 
     The ratio is taken in exact integer arithmetic so boundary cases (an
     elapsed time of exactly k intervals) never fall on the wrong side of the
-    ceiling through float rounding.  ``elapsed <= interval`` is an exact float
-    comparison, so the common one-tick case needs no division at all.
+    ceiling through float rounding; a C beyond the float range raises ``ValueError``.
     """
     effective_interval = check_real(effective_interval, "effective_interval", "positive and finite")
     elapsed = check_real(elapsed, "elapsed", "positive and finite")
-    if elapsed <= effective_interval:
-        return 1
     en, ed = elapsed.as_integer_ratio()
     inum, iden = effective_interval.as_integer_ratio()
     # elapsed / interval = (en * iden) / (ed * inum); ceil via floor of the negation.
-    return -(-(en * iden) // (ed * inum))
+    c = -(-(en * iden) // (ed * inum))
+    if c > sys.float_info.max:
+        raise ValueError("elapsed / effective_interval must not exceed the float range, "
+                         f"got {elapsed!r} / {effective_interval!r}")
+    return c
 
 
 class Worker:

@@ -48,7 +48,8 @@ class ModelParams:
 
     The fields are views into one vector, ``flat``.  Assigning a field writes
     into ``flat`` (so assign only on a ``copy()`` you own) and raises
-    ``ValueError`` naming the field unless the value has the field's shape.
+    ``ValueError`` naming the field unless the value has the field's shape, or
+    on a set a run holds, which it ``freeze``s: ``copy()`` is writeable.
     Finiteness and ``var > 0`` are checked on construction and on every
     ``blend_parameters`` result; ``copy()`` does not re-check.  A stacked set
     (``stack``), which only the run loop builds, has a leading lane axis on
@@ -82,6 +83,8 @@ class ModelParams:
         if name not in _FIELD_NAMES:
             raise AttributeError(f"cannot set {name!r}: only the six fields are assignable")
         value, view = np.asarray(value, dtype=np.float64), self.__dict__[name]
+        if not view.flags.writeable:
+            raise ValueError(f"{name}: this parameter set is held by a run; assign on params.copy()")
         if value.shape != view.shape:
             raise ValueError(f"{name} must have shape {view.shape}, got {value.shape}")
         view[...] = value
@@ -107,6 +110,11 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         """An independent vector with the same values; skips ``validate()``."""
         return _bind(object.__new__(ModelParams), self.flat.copy(), *self.W.shape[-2:])
+
+    def freeze(self) -> None:
+        """Make ``flat``, then every field bound anew from it, read-only (older views are not)."""
+        self.flat.flags.writeable = False
+        _bind(self, self.flat, *self.W.shape[-2:])
 
     def stack(self, lanes: int) -> "ModelParams":
         """``lanes`` copies of a 1-D set along a leading axis of every field, each of which

@@ -43,7 +43,7 @@ import numpy as np
 from ._checks import check_integer, check_real
 from .adapters import ADAPTERS, Adapter, Stochastic, clone_adapter, sample_latency
 from .clock import StreamClock, Worker, check_ticks, relative_adaptation_speed
-from .model import ModelParams, blend_parameters, forward, params_fingerprint, predict
+from .model import ModelParams, blend_parameters, forward, params_fingerprint
 from .report import (
     ACTION_SKIPPED_FALLBACK,
     ACTION_SKIPPED_RANDOM,
@@ -224,6 +224,7 @@ def _run(
         if group[0].reset:
             adapter.reset()
             adapter.params = initial.copy() if lanes == 1 else initial.stack(lanes)
+        adapter.params.freeze()  # every set the run holds is read-only
         worker = Worker(_modulo(cfg))
         fallback = adapter.params
         window, window_end = None, -1
@@ -267,8 +268,8 @@ def _run(
                     # adapter (including its latency rng) stays untouched.
                     stepper = adapter if adapt_now else clone_adapter(adapter)
                     if cfg.timing == MEASURED and adapt_now:
-                        # The base model's forward time, re-measured at every adapted step.
-                        interval = _timed(predict, prev, batch.features)[1] / clock.eta
+                        # The wall time of the pass a fallback step runs, at every adapted step.
+                        interval = _timed(lambda: forward(prev, batch.features).labels)[1] / clock.eta
                     outcome, seconds = _timed(stepper.adapt, batch)
                     cost = seconds if cfg.timing == MEASURED else outcome.cost
                     y_adapted, theta_hat = outcome.y_hat, outcome.theta_hat
@@ -276,6 +277,7 @@ def _run(
                     c = worker.start(t, relative_adaptation_speed(interval, cost))
                     # The blend validates the adapter's output.
                     theta_next = blend_parameters(prev, theta_hat, cfg.alpha)
+                    theta_next.freeze()
                 if not laned and (trace_out is not None or not (adapt_now or single)):
                     seen = outcome.forward if stepped else None
                     fb_pred = (seen.labels if seen is not None and seen.params is fallback

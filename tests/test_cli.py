@@ -332,6 +332,11 @@ def _write_replay_trace(path):
          "must be finite, got interval=1e-320 at eta=1.0"),
         (["replay", "--interval", "1e308", "--eta", "1e-10"], None, "--interval, --eta: 1 / "
          "interval and interval / eta must be finite, got interval=1e+308 at eta=1e-10"),
+        # A C beyond the float range: 3 s at 1e308 batches a second, a 4 s trace at 1e-308 s.
+        (["run"], "clock.rate=1e308\n", "clock.rate: elapsed / effective_interval must not "
+         "exceed the float range, got 3.0 / 1e-308"),
+        (["replay", "--interval", "1e-308"], None, "--interval: elapsed / effective_interval "
+         "must not exceed the float range, got 4.0 / 1e-308"),
         (["run"], "seeds=-1\n", "seeds"),
         (["run", "--seeds", "-1"], "", "seeds"),
         (["run"], "source.seed=-1\n", "source.seed"),
@@ -391,6 +396,19 @@ def test_a_mid_stream_failure_exits_1_naming_adapter_and_step(config_path, tmp_p
     assert run_cli("run", "--config", str(config_path), "--out", str(out)) == 1
     assert ("runtime failure: adapter 'failing' failed at step 3: synthetic adapter failure"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_stochastic_c_beyond_the_float_range_exits_1_naming_adapter_and_step(tmp_path, capsys):
+    # A stochastic cost has no schedule class, so its C is first taken at the run's first step.
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG + "clock.rate=1e308\nadapter.latency.kind=stochastic\n"
+                    "adapter.latency.seconds=\nadapter.latency.mean=3\nadapter.latency.jitter=1\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: adapter 'entropy_min' failed at step 0: elapsed / "
+                          "effective_interval must not exceed the float range, got ")
     assert not out.exists()
 
 

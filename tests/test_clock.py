@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from streamgate.clock import StreamClock, Worker, relative_adaptation_speed
 
@@ -38,6 +40,8 @@ def ceil_div_oracle(interval: float, elapsed: float) -> int:
         (1.0, np.int64(3), 3),
         (np.int64(2), 3.0, 2),
         (np.float32(0.5), np.float32(1.5), 3),
+        # The largest C within the float range is exact.
+        (1.0, sys.float_info.max, int(sys.float_info.max)),
     ],
 )
 def test_relative_adaptation_speed_examples(interval, elapsed, expected):
@@ -53,7 +57,7 @@ INF, NAN = float("inf"), float("nan")
     "interval,elapsed",
     [
         (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
-        # Non-finite: an infinite interval would otherwise pass the one-tick fast path.
+        # Non-finite: an infinite interval has no integer ratio to take the ceiling of.
         (INF, 1.0), (1.0, INF), (NAN, 1.0), (1.0, NAN), (-INF, 1.0), (1.0, -INF),
         (1, 0), (Fraction(1), Fraction(0)), (np.float64(1.0), np.float64(NAN)),
         (np.float64(INF), 1.0),
@@ -89,10 +93,25 @@ def test_relative_adaptation_speed_rejects_a_value_that_is_not_a_real_number(ela
         relative_adaptation_speed(elapsed, 1.0)
 
 
+@pytest.mark.parametrize("interval,elapsed", [(1e-308, 3.0), (5e-324, 1.0), (0.5, 1.7e308)])
+def test_relative_adaptation_speed_rejects_a_c_beyond_the_float_range_naming_both(
+    interval, elapsed
+):
+    # Such a C ran, and a report's int / int mean C raised an unnamed OverflowError.
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"elapsed / effective_interval must not exceed the float range, got {elapsed!r} / "
+            f"{interval!r}") + "$"):
+        relative_adaptation_speed(interval, elapsed)
+
+
 @given(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
 )
+# The edges of C = 1: an elapsed time equal to the interval, and the least elapsed
+# time against the largest interval.
+@example(interval=0.1, elapsed=0.1)
+@example(interval=sys.float_info.max, elapsed=5e-324)
 def test_ceiling_matches_integer_oracle(interval, elapsed):
     assert relative_adaptation_speed(interval, elapsed) == ceil_div_oracle(interval, elapsed)
 

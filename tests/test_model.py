@@ -366,3 +366,22 @@ def test_copy_module_and_pickle_give_independent_flat_params(duplicate):
     assert np.array_equal(dup.beta, params.beta + 1.0)
     # The fields are views into dup's own vector, so the flat fingerprint sees the edit.
     assert params_fingerprint(dup) == reference_params_fingerprint(dup)
+
+
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_a_frozen_set_is_read_only_and_names_the_field_a_write_hits(lanes):
+    params = tiny_params(seed=14) if lanes is None else tiny_params(seed=14).stack(lanes)
+    params.freeze()
+    before = params.flat.copy()
+    assert not any(getattr(params, name).flags.writeable for name in ("flat", *FIELDS))
+    assert not params.lane(0).flat.flags.writeable and not params.lane(0).W.flags.writeable
+    for name in FIELDS:
+        with pytest.raises(ValueError, match=f"^{name}: this parameter set is held by a run; "
+                                             r"assign on params\.copy\(\)$"):
+            setattr(params, name, getattr(params, name))
+    assert np.array_equal(params.flat, before)
+    # What a step builds from a frozen set is its own and writeable.
+    one = params.lane(0)
+    for fresh in (params.copy(), one.stack(2), blend_parameters(one, one, 0.5),
+                  blend_parameters(one, one, 0.0), copy.deepcopy(one)):
+        assert all(getattr(fresh, name).flags.writeable for name in ("flat", *FIELDS))

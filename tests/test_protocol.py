@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from streamgate import model
+from streamgate import model, protocol
 from streamgate.adapters import (
     ADAPTERS,
     Constant,
@@ -52,6 +52,7 @@ from streamgate.report import (
 )
 from streamgate.stream import StreamSegment, compose_stream, default_scenario
 from doubles import (
+    FIELDS,
     REFERENCE_ADAPTERS,
     BetaShiftAdapter,
     FailingAdapter,
@@ -768,12 +769,28 @@ def test_busy_window_spanning_whole_domains_reports_zero_adaptation():
     assert report.adapted_fraction == pytest.approx(1 / 12)
 
 
-def test_measured_timing_runs_and_stays_positive():
+def test_measured_timing_runs_and_stays_positive(monkeypatch):
+    # The interval is timed on the loop's own forward pass.  It was timed on model.predict,
+    # a second entry point that finished the softmax the fallback pass skips.
+    def refuse(*args):
+        raise AssertionError("the run loop called model.predict")
+
+    monkeypatch.setattr(protocol, "predict", refuse, raising=False)
     params = tiny_params()
     stream = tiny_stream(6)
     cfg = replace(ON, timing="measured")
     report = run_stream(stream, SourceAdapter(params, latency=Constant(9.0)), params, cfg)
     assert all(r.c_value >= 1 for r in report.schedule if r.action == ACTION_ADAPTED)
+
+
+def test_a_c_beyond_the_float_range_fails_the_run_naming_adapter_and_step():
+    # The run completed and its report's int / int mean C raised an unnamed OverflowError.
+    params = tiny_params()
+    with pytest.raises(ProtocolError, match=r"^adapter 'source' failed at step 0: elapsed / "
+                       r"effective_interval must not exceed the float range, got 3\.0 / 1e-308 "
+                       r"\(domain 0\)$"):
+        run_stream(tiny_stream(3), SourceAdapter(params, latency=Constant(3.0)), params, ON,
+                   StreamClock(base_rate=1e308))
 
 
 def test_run_builds_no_schedule_record_until_the_schedule_is_read(monkeypatch):
@@ -1040,3 +1057,40 @@ def test_built_in_runs_leave_the_composed_stream_unchanged(mode, mini_pretrained
         run_segments(segments, adapter, mini_pretrained, ON,
                      trace_out=[] if mode == "continual" else None)
     assert digest() == before
+
+
+class InPlaceAdapter(EntropyMinAdapter):
+    """Steps by assigning its new affine scale on ``self.params``, not on a copy."""
+
+    name = "in_place"
+
+    def _adapt(self, batch):
+        outcome = super()._adapt(batch)
+        self.params.gamma = outcome.theta_hat.gamma
+        return outcome
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_an_adapter_that_writes_into_its_parameters_fails_at_its_first_step(
+    traced, mini_pretrained, mini_spec
+):
+    # Every set a run holds is read-only.  The write ran silently, and since a throwaway
+    # copy shares the live set, a traced run's avg_error differed from its untraced one's.
+    segments = compose_stream(default_scenario(mode="continual", batch_size=16), mini_spec, 64)
+    with pytest.raises(ProtocolError, match=r"^adapter 'in_place' failed at step 0: gamma: this "
+                       r"parameter set is held by a run; assign on params\.copy\(\) \(domain 0\)$"):
+        run_segments(segments, InPlaceAdapter(mini_pretrained), mini_pretrained, ON,
+                     trace_out=[] if traced else None)
+
+
+@pytest.mark.parametrize("mode", ["episodic", "continual"])
+def test_every_set_a_built_in_run_holds_is_read_only(mode, mini_pretrained, mini_spec):
+    segments = compose_stream(default_scenario(mode=mode, batch_size=16), mini_spec, 64)
+    for name in sorted(ADAPTERS):
+        adapter = make_adapter(name, mini_pretrained, latency=Constant(2.5))
+        run_segments(segments, adapter, mini_pretrained, ON,
+                     trace_out=[] if mode == "continual" else None)
+        held = adapter.params
+        assert not any(getattr(held, field).flags.writeable for field in ("flat", *FIELDS))
+        # The run froze its own copies: the initial set and a copy of the held one stay writeable.
+        assert mini_pretrained.flat.flags.writeable and held.copy().flat.flags.writeable

@@ -31,7 +31,7 @@ RUN_BOUNDS = {
     "adapt norm_stat": 78,
     "adapt entropy_min": 104,
     "forward": 416,
-    "ModelParams.copy": 530,
+    "ModelParams.copy": 452,
     "ModelParams.stack": 4,
     "sample_domain": 15,
     "clone_adapter": 0,
@@ -43,7 +43,7 @@ SWEEP_BOUNDS = {
     "adapt norm_stat": 78,
     "adapt entropy_min": 143,
     "forward": 533,
-    "ModelParams.copy": 609,
+    "ModelParams.copy": 531,
     "ModelParams.stack": 5,
     "sample_domain": 15,
     "clone_adapter": 0,

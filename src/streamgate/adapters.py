@@ -195,15 +195,16 @@ class Adapter:
     """Base adapter: owns working parameters, a pretrained snapshot, a latency model.
 
     An adapter's state is its parameters and one latency rng.  Subclasses rebind
-    ``params`` to a new object and never write into the existing one, which a run
-    holds read-only: a step assigns fields only on ``self.params.copy()``, and one
-    that leaves the parameters as they are returns ``self.params`` as ``theta_hat``.
+    ``params`` to a new object and never write into it or into ``pretrained``, both held
+    read-only: a step assigns fields only on ``self.params.copy()``, and one that leaves
+    the parameters as they are returns ``self.params`` as ``theta_hat``.
     """
 
     name = "base"
 
     def __init__(self, pretrained: ModelParams, latency: LatencyModel):
         self.pretrained = pretrained.copy()
+        self.pretrained.freeze()  # every run of the adapter starts from it
         self.params = pretrained.copy()
         self.latency = latency
         self._latency_rng = self._fresh_latency_rng()

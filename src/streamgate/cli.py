@@ -310,8 +310,10 @@ def build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
 
 @functools.cache
 def _pretrained(source: SourceSpec, train: TrainSpec) -> ModelParams:
-    features, labels = make_source_dataset(source)
-    return pretrain_source_model(features, labels, train)
+    """The source model, read-only: every adapter of an invocation starts from this one set."""
+    params = pretrain_source_model(*make_source_dataset(source), train)
+    params.freeze()
+    return params
 
 
 def execute_run(

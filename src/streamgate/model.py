@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -52,8 +53,8 @@ class ModelParams:
     on a set a run holds, which it ``freeze``s: ``copy()`` is writeable.
     Finiteness and ``var > 0`` are checked on construction and on every
     ``blend_parameters`` result; ``copy()`` does not re-check.  A stacked set
-    (``stack``), which only the run loop builds, has a leading lane axis on
-    ``flat`` and on every field.
+    (``ModelParams.stack``), which only the run loop builds from its lanes' own
+    sets, has a leading lane axis on ``flat`` and on every field.
     """
 
     mu: np.ndarray      # (d,) per-feature running mean
@@ -116,11 +117,11 @@ class ModelParams:
         self.flat.flags.writeable = False
         _bind(self, self.flat, *self.W.shape[-2:])
 
-    def stack(self, lanes: int) -> "ModelParams":
-        """``lanes`` copies of a 1-D set along a leading axis of every field, each of which
-        ``forward``, ``blend_parameters`` and the built-in steps treat bit for bit as a
-        1-D set."""
-        return _bind(object.__new__(ModelParams), np.tile(self.flat, (lanes, 1)), *self.W.shape)
+    @staticmethod
+    def stack(sets: Sequence["ModelParams"]) -> "ModelParams":
+        """The 1-D ``sets`` as the lanes of one set, along a leading axis of every field: each
+        lane computes bit for bit as its own set in ``forward``, the blend and the steps."""
+        return _bind(object.__new__(ModelParams), np.stack([p.flat for p in sets]), *sets[0].W.shape)
 
     def lane(self, k: int) -> "ModelParams":
         """Lane ``k`` of a stacked set, as a 1-D view into it; a 1-D set is its own lane 0."""

@@ -11,17 +11,17 @@ every cost within one tick the online protocol degenerates to the offline one
 exactly.  The loop appends each step to the columns that ``report.run_report``
 turns into the report, as replay does, and builds no per-step record.
 
-A traced step both adapts on its batch, live or on a throwaway copy, and
-predicts it with the fallback.  Either way the step adapts through one call and
-is charged alike: the outcome's cost under simulated timing, the call's
-wall-clock seconds under measured timing.  One forward pass serves each
-parameter set and batch: when the fallback is the very parameter set the
-step's forward pass ran on (``AdaptOutcome.forward``), as under immediate
-visibility it is on every step, the fallback prediction is read from that pass.
-The ticks from the one after an adapted step through the next adapted one all
-start from the live state, so a traced run steps them as the lanes of one stacked
-step of a throwaway copy, from which each tick takes its lane's cost and the live
-tick its lane and the latency rng.
+A traced step both adapts on its batch and predicts it with the fallback, and is
+charged the outcome's cost under simulated timing, the adapt call's wall-clock seconds
+under measured timing.  One forward pass serves each parameter set and batch: the
+fallback prediction is read from the step's own pass (``AdaptOutcome.forward``) when the
+fallback is the set it ran on, as under immediate visibility.  A traced run gathers its
+skipped ticks, each with the live set it starts from and its fallback set, and steps
+them on a throwaway copy as the lanes of one stacked step: at a live tick, as the last
+lane, once the stack holds ``_LANES`` lanes, and at the stream's end; under a stochastic
+latency model, whose draws the lanes share only within one busy window, at every live
+tick.  The live tick takes its lane's parameters and the copy's latency rng.  A stack
+that fails steps its ticks one at a time in tick order, so the earliest failing is named.
 
 ``run_stream`` runs one stream from given parameters; ``run_segments`` runs a
 composed scenario, restarting the adapter at every reset marker.  The segments
@@ -34,8 +34,10 @@ their labels, so that a caller computes each such class once.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
+from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +66,7 @@ SIMULATED = "simulated"
 MEASURED = "measured"
 
 _BUILT_IN = frozenset(ADAPTERS.values())  # adapters whose steps take stacked lanes
+_LANES = 12  # the fewest lanes a traced run stacks at a live tick; see README
 
 
 class ProtocolError(RuntimeError):
@@ -133,20 +136,24 @@ def _stack(batches: Sequence[Batch]) -> Batch:
                  labels, -1, batches[0].t)
 
 
-def _window(adapter: Adapter, fallback: ModelParams, batches: Sequence[Batch]):
-    """One step of a throwaway copy of ``adapter`` on the stack of ``batches``: the copy,
-    the outcome, each lane's cost and each lane's fallback labels.  None if the step fails,
-    batches of two sizes included, so that its ticks step one at a time and fail as they would."""
-    try:
-        ghost = clone_adapter(adapter)
-        ghost.params = adapter.params.stack(len(batches))
-        outcome = ghost.adapt(stacked := _stack(batches))
-        seen = outcome.forward
-        fb = (seen.labels if seen is not None and fallback is adapter.params
-              else forward(fallback.stack(len(batches)), stacked.features).labels)
-    except Exception:
-        return None
-    return ghost, outcome, np.full(len(batches), outcome.cost).tolist(), fb
+def _lanes(adapter: Adapter, lanes: Sequence[tuple], measured: bool):
+    """One step of a throwaway copy of ``adapter`` on ``lanes`` of (batch, start set, fallback
+    set), stacked or on the one lane's batch: the copy, the outcome, and per lane its cost
+    (``measured``: the wall time), counts of correct adapted and fallback labels, and
+    fallback labels."""
+    batches, starts, fallbacks = zip(*lanes)
+    one = len(lanes) == 1
+    ghost = clone_adapter(adapter)
+    ghost.params = starts[0] if one else ModelParams.stack(starts)
+    outcome, seconds = _timed(ghost.adapt, batch := batches[0] if one else _stack(batches))
+    seen = outcome.forward
+    fb = (seen.labels if seen is not None and all(map(is_, fallbacks, starts)) else
+          forward(fallbacks[0] if one else ModelParams.stack(fallbacks), batch.features).labels)
+    labels, fb = batch.labels.reshape(len(lanes), -1), fb.reshape(len(lanes), -1)
+    return ghost, outcome, list(zip(
+        np.full(len(lanes), seconds if measured else outcome.cost).tolist(),
+        np.count_nonzero(outcome.y_hat.reshape(labels.shape) == labels, axis=-1).tolist(),
+        np.count_nonzero(fb == labels, axis=-1).tolist(), fb))
 
 
 def schedule_class(
@@ -201,14 +208,12 @@ def _run(
         if trace_out is not None:
             raise ValueError("trace collection is defined for dual-model runs only")
     interval = clock.effective_interval  # re-measured at every adapted step under measured timing
+    measured = cfg.timing == MEASURED
     windows = trace_out is not None and _stacks(cfg, adapter, window=True)
-    steps: list[int] = []
-    batch_sizes: list[int] = []
-    error_counts: list[int] = []
-    adapted: list[int] = []
-    c_values: list[int] = []
-    domains: list[tuple[int, int]] = []
-    fingerprints: list[str] = []
+    by_window = windows and any(isinstance(m, Stochastic) for m in adapter._latency_models())
+    # The run's columns, as ``report.run_report`` takes them.
+    steps, batch_sizes, error_counts, adapted, c_values, domains, fingerprints = (
+        [] for _ in range(7))
     # One generator per run, so each domain's busy steps draw fresh predictions.
     rng = np.random.default_rng(cfg.seed)
 
@@ -223,16 +228,48 @@ def _run(
                 raise ValueError("initial parameters do not match the stream's feature dimension")
         if group[0].reset:
             adapter.reset()
-            adapter.params = initial.copy() if lanes == 1 else initial.stack(lanes)
+            adapter.params = initial.copy() if lanes == 1 else ModelParams.stack([initial] * lanes)
         adapter.params.freeze()  # every set the run holds is read-only
         worker = Worker(_modulo(cfg))
         fallback = adapter.params
-        window, window_end = None, -1
+        batches = group[0].batches
         # Per lane: the current domain and its rows (domain, tick, fingerprint).
         current, rows = [None] * lanes, [[] for _ in range(lanes)]
-        # Per tick, alike in every lane but the errors: the batch size, adapted
-        # ticks and their C, and each lane's error count.
-        sizes, tick_adapted, tick_c, errors = [], [], [], []
+        # Per tick, alike in every lane but the errors: the batch size, adapted ticks and their
+        # C; filled in when the tick steps: each lane's error count, prediction and record.
+        sizes, tick_adapted, tick_c = [b.size for b in batches], [], []
+        errors, predicted, records = ([None] * len(batches) for _ in range(3))
+        gathered = []  # a traced run's skipped ticks not yet stepped: (tick, start, fallback)
+
+        def failed(u: int, exc: Exception) -> ProtocolError:
+            """The run's error at tick ``u``; the outputs hold the ticks before it."""
+            if trace_out is not None:
+                trace_out.extend(records[:u])
+            if predictions_out is not None:
+                predictions_out.extend(predicted[:u])
+            return ProtocolError(f"adapter {adapter.name!r} failed at step {u}: {exc} "
+                                 f"(domain {batches[u].domain_id})")
+
+        def settle(ticks, live=()):
+            """Step and clear the gathered ``ticks``, with the ``live`` lane last, as one stack;
+            if it fails, the ticks one at a time in tick order, for a result of None."""
+            stack, laned = [(batches[u], start, fb) for u, start, fb in ticks], None
+            if len(stack) + len(live) > 1:  # a single lane steps once, below
+                with contextlib.suppress(Exception):
+                    laned = _lanes(adapter, [*stack, *live], measured)
+            for j, (u, _, _) in enumerate(ticks):
+                try:
+                    cost, right, fb_right, fb = (laned[2][j] if laned else
+                                                 _lanes(adapter, [stack[j]], measured)[2][0])
+                    records[u] = TraceRecord(u, cost, right, fb_right, batches[u].domain_id,
+                                             batches[u].size)
+                    errors[u] = batches[u].size - fb_right
+                    if predictions_out is not None:
+                        predicted[u] = fb.copy()
+                except Exception as exc:
+                    raise failed(u, exc) from exc
+            ticks.clear()
+            return laned
 
         for i, ticks in enumerate(zip(*(segment.batches for segment in group))):
             batch, t = ticks[0], i  # check_ticks: tick i is t = i
@@ -242,61 +279,52 @@ def _run(
                     rows[k].append((current[k], i, params_fingerprint(adapter.params.lane(k))))
 
             adapt_now = t >= worker.busy_until
-            stepped = adapt_now or trace_out is not None
+            prev = adapter.params
+            if trace_out is not None and not adapt_now:
+                # A counterfactual step, on a throwaway copy: later, as a lane of a stack.
+                gathered.append((t, prev, fallback))
+                if not windows:
+                    settle(gathered)
+                continue
+            laned = (settle(gathered, [(batch, prev, fallback)])
+                     if gathered and (by_window or len(gathered) + 1 >= _LANES) else None)
 
-            # Every call of the step, adapter or fallback, live or counterfactual,
-            # fails as one.
+            # Every call of the step, adapter or fallback, fails as one.
             try:
                 batch = _stack(ticks) if lanes > 1 else batch
-                if windows and not adapt_now and t > window_end:
-                    # The ticks through the next adapted one, cut at the stream's end, all
-                    # start from the live state: they step as the lanes of one window.
-                    window_start = t
-                    window_end = worker.busy_until
-                    window = _window(adapter, fallback, group[0].batches[t:window_end + 1])
-                laned = window is not None and t <= window_end
-                prev = adapter.params
-                if laned:
-                    ghost, outcome, costs, fb = window
-                    j = t - window_start
-                    cost, y_adapted, fb_pred = costs[j], outcome.y_hat[j], fb[j]
-                    if adapt_now:  # the live tick commits what its own step would
-                        theta_hat = adapter.params = outcome.theta_hat.lane(j)
-                        adapter._latency_rng = ghost._latency_rng
-                elif stepped:
-                    # A counterfactual step adapts a throwaway copy; the live
-                    # adapter (including its latency rng) stays untouched.
-                    stepper = adapter if adapt_now else clone_adapter(adapter)
-                    if cfg.timing == MEASURED and adapt_now:
+                if laned is not None:  # the live tick commits what its own step would
+                    ghost, outcome, per_lane = laned
+                    (cost, _, _, fb_pred), y_adapted = per_lane[-1], outcome.y_hat[-1]
+                    theta_hat = adapter.params = outcome.theta_hat.lane(-1)
+                    adapter._latency_rng = ghost._latency_rng
+                elif adapt_now:
+                    if measured:
                         # The wall time of the pass a fallback step runs, at every adapted step.
                         interval = _timed(lambda: forward(prev, batch.features).labels)[1] / clock.eta
-                    outcome, seconds = _timed(stepper.adapt, batch)
-                    cost = seconds if cfg.timing == MEASURED else outcome.cost
+                    outcome, seconds = _timed(adapter.adapt, batch)
+                    cost = seconds if measured else outcome.cost
                     y_adapted, theta_hat = outcome.y_hat, outcome.theta_hat
                 if adapt_now:
                     c = worker.start(t, relative_adaptation_speed(interval, cost))
                     # The blend validates the adapter's output.
                     theta_next = blend_parameters(prev, theta_hat, cfg.alpha)
                     theta_next.freeze()
-                if not laned and (trace_out is not None or not (adapt_now or single)):
-                    seen = outcome.forward if stepped else None
+                if laned is None and (trace_out is not None or not (adapt_now or single)):
+                    seen = outcome.forward if adapt_now else None
                     fb_pred = (seen.labels if seen is not None and seen.params is fallback
                                else forward(fallback, batch.features).labels)
                 if trace_out is not None:
-                    trace_out.append(TraceRecord(
-                        step=t, latency=cost,
-                        correct_adapted=int(np.count_nonzero(y_adapted == batch.labels)),
-                        correct_fallback=int(np.count_nonzero(fb_pred == batch.labels)),
-                        domain_id=batch.domain_id, batch_size=batch.size))
+                    records[i] = TraceRecord(
+                        t, cost, int(np.count_nonzero(y_adapted == batch.labels)),
+                        int(np.count_nonzero(fb_pred == batch.labels)), batch.domain_id, batch.size)
             except Exception as exc:
                 if lanes > 1:
                     # Rerun one segment at a time, which raises the sequential run's error.
                     return _run(segments, 1, adapter, initial, cfg, clock, num_classes,
                                 predictions_out, trace_out)
-                raise ProtocolError(
-                    f"adapter {adapter.name!r} failed at step {t}: {exc} "
-                    f"(domain {batch.domain_id})"
-                ) from exc
+                if gathered:  # a gathered tick that fails is the earlier one
+                    settle(gathered)
+                raise failed(t, exc) from exc
 
             if adapt_now:
                 adapter.params = theta_next
@@ -309,12 +337,17 @@ def _run(
             else:
                 y_hat = fb_pred
 
-            sizes.append(batch.size)
             wrong = y_hat != batch.labels
-            errors.append(np.count_nonzero(wrong) if lanes == 1 else wrong.sum(axis=-1))
+            errors[i] = np.count_nonzero(wrong) if lanes == 1 else wrong.sum(axis=-1)
             if predictions_out is not None:
-                predictions_out.append(np.asarray(y_hat).copy())
+                predicted[i] = np.asarray(y_hat).copy()
 
+        if gathered:
+            settle(gathered)
+        if trace_out is not None:
+            trace_out.extend(records)
+        if predictions_out is not None:
+            predictions_out.extend(predicted)
         for lane_rows, lane_errors in zip(rows, np.reshape(errors, (-1, lanes)).T.tolist()):
             base = len(steps)
             domains.extend((domain_id, base + i) for domain_id, i, _ in lane_rows)

@@ -14,7 +14,7 @@ from streamgate import adapters as adapters_mod
 from streamgate import cli
 from streamgate.cli import main, parse_config_text, build_experiment, ConfigError
 from streamgate.report import RunReport, ScheduleRecord
-from streamgate.stream import compose_stream
+from streamgate.stream import TrainSpec, compose_stream
 from streamgate.trace import TraceRecord, write_trace
 from doubles import FailingAdapter
 
@@ -81,6 +81,17 @@ def test_run_emits_expected_artifacts(config_path, tmp_path):
         assert d["delta"] == d["online_error"] - d["offline_error"]
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 1 + 6 * 2  # header + per-domain rows
+
+
+def test_the_cached_pretrained_set_is_read_only(mini_spec, mini_pretrained):
+    # Every adapter of an invocation starts from this one set; a write would reach them all.
+    train = TrainSpec(iterations=150)
+    params = cli._pretrained(mini_spec, train)
+    assert params is cli._pretrained(mini_spec, train)
+    assert not params.flat.flags.writeable and not params.gamma.flags.writeable
+    assert params.flat.tobytes() == mini_pretrained.flat.tobytes()
+    with pytest.raises(ValueError, match="^gamma: this parameter set is held by a run"):
+        params.gamma = params.gamma
 
 
 def test_run_is_byte_deterministic(config_path, tmp_path):

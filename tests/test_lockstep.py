@@ -5,11 +5,12 @@ Episodic runs step their reset segments in lockstep.  The oracle stitches
 time, and compares every report field, the adapter's final parameters and its
 latency rng with the run over all segments at once.
 
-Traced runs step the ticks from one adapted step to the next as one window.  The
-oracle runs the same adapter through a trivial subclass, which the lane gate sends
-one tick at a time, and compares the traces as well.  rejection_entropy's windows
-step as lanes unless a latency model is stochastic; a window in which a lane admits
-exactly one row steps its ticks one at a time.
+Traced runs gather their skipped ticks and step them, each from its own start set, as
+the lanes of one stack at a live tick once it holds 12 lanes; under a stochastic latency
+model a stack holds the ticks of one busy window.  The oracle runs the same adapter
+through a trivial subclass, which the lane gate sends one tick at a time, and compares
+the traces as well.  rejection_entropy's ticks stack unless a latency model is
+stochastic; a stack in which a lane admits exactly one row steps its ticks one at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from streamgate.adapters import (
     make_adapter,
 )
 from streamgate.clock import StreamClock
-from streamgate.model import forward, params_fingerprint
+from streamgate.model import ModelParams, forward, params_fingerprint
 from streamgate.protocol import (
     DELAYED,
     IMMEDIATE,
@@ -46,6 +47,7 @@ from streamgate.protocol import (
     ProtocolConfig,
     ProtocolError,
     run_segments,
+    run_stream,
 )
 from streamgate.report import ACTION_ADAPTED
 from streamgate.stream import (
@@ -185,7 +187,7 @@ def test_rejection_entropy_steps_one_segment_at_a_time(latencies, protocol):
                   learning_rate=0.5)
     params = tiny_params(seed=2)
     probe = RejectionEntropyAdapter(params, **kwargs)
-    result = forward(params.stack(4), np.stack([s.batches[0].features for s in segments]))
+    result = forward(ModelParams.stack([params] * 4), np.stack([s.batches[0].features for s in segments]))
     entropy = -(result.p * result.logp).sum(axis=-1)
     assert list((entropy <= probe.entropy_threshold).any(axis=-1)) == [True, False, True, False]
     cfg = ProtocolConfig(protocol=protocol, alpha=0.5, seed=1)
@@ -245,7 +247,7 @@ TRACED_LATENCIES = {
 
 
 def traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params):
-    """A traced run steps its windows as lanes, bit for bit as one tick at a time: the
+    """A traced run steps its ticks as lanes, bit for bit as one tick at a time: the
     laned adapter, with its steps counted, and the run's report."""
     segments = [StreamSegment(reset=True, batches=batches)]
     laned = make_adapter(name, params, **kwargs)
@@ -263,22 +265,31 @@ def traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params):
     return laned, report
 
 
-def window_calls(report):
-    """The adapt calls of a traced run whose every window steps as lanes: one per
-    adapted step, and one more for a window cut at the end."""
-    actions = [record.action for record in report.schedule]
-    return actions.count(ACTION_ADAPTED) + (actions[-1] != ACTION_ADAPTED)
+def stacks(report, by_window=False):
+    """The lane count of each adapt call of a traced run whose every stack steps: a live
+    tick steps last in a stack of the skipped ticks gathered before it once the stack holds
+    12 lanes, or any under a stochastic model (``by_window``), and alone otherwise; the
+    ticks still gathered at the end step as one stack."""
+    calls, gathered = [], 0
+    for record in report.schedule:
+        if record.action != ACTION_ADAPTED:
+            gathered += 1
+        elif gathered and (by_window or gathered + 1 >= 12):
+            calls.append(gathered + 1)
+            gathered = 0
+        else:
+            calls.append(1)
+    return calls + [gathered] * bool(gathered)
 
 
 def assert_traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params):
-    """A traced run steps its windows as lanes, bit for bit as one tick at a time; it
-    makes one adapt call per adapted step, and one more for a window cut at the end."""
+    """A traced run steps its ticks as lanes, bit for bit as one tick at a time, in the
+    stacks that ``stacks`` counts."""
     laned, report = traced_windows_equal_ticks(name, kwargs, batches, cfg, clock, params)
-    assert sum(laned.steps) == len(batches)
     if name == "rejection_entropy":  # a stochastic latency model: one tick at a time
         assert laned.steps == [1] * len(batches)
     else:
-        assert len(laned.steps) == window_calls(report)
+        assert laned.steps == stacks(report, isinstance(kwargs["latency"], Stochastic))
     return report
 
 
@@ -298,8 +309,9 @@ def test_counting_leaves_a_traced_run_as_it_is(cls):
     expected = traced(plain)
     with counting(counted):
         assert traced(counted) == expected
-    # C = 3: four adapted steps and a window cut at the end, or one step a tick.
-    assert len(counted.steps) == (5 if cls is EntropyMinAdapter else 12)
+    # C = 3: four adapted steps alone, then the eight gathered ticks as one stack at the
+    # end; or one step a tick.
+    assert counted.steps == ([1] * 4 + [8] if cls is EntropyMinAdapter else [1] * 12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -310,7 +322,7 @@ def test_counting_leaves_a_traced_run_as_it_is(cls):
     alpha=st.sampled_from([0.0, 0.5]),
     visibility=st.sampled_from([IMMEDIATE, DELAYED]),
     eta=st.sampled_from([1.0, 0.5, 0.25]),
-    n_batches=st.integers(1, 30),
+    n_batches=st.integers(1, 60),
     batch_size=st.integers(1, 5),
     seed=st.integers(0, 5),
 )
@@ -325,6 +337,14 @@ def test_counting_leaves_a_traced_run_as_it_is(cls):
          visibility=IMMEDIATE, eta=0.5, n_batches=30, batch_size=4, seed=1)
 @example(name="norm_stat", latency="three_ticks", modulo=4, alpha=0.5,
          visibility=DELAYED, eta=0.25, n_batches=30, batch_size=3, seed=2)
+# Stacks of 12 and 13 lanes, of the skipped ticks of 11 and 6 busy windows and a live
+# tick, each lane predicted by its own fallback set.
+@example(name="entropy_min", latency="one_tick", modulo=2, alpha=0.5,
+         visibility=DELAYED, eta=1.0, n_batches=45, batch_size=4, seed=3)
+@example(name="pseudo_label", latency="three_ticks", modulo=3, alpha=0.5,
+         visibility=DELAYED, eta=0.5, n_batches=60, batch_size=4, seed=4)
+@example(name="norm_stat", latency="one_tick", modulo=3, alpha=0.5,
+         visibility=DELAYED, eta=1.0, n_batches=40, batch_size=2, seed=5)
 def test_a_traced_run_steps_its_windows_as_lanes_bit_for_bit(
     name, latency, modulo, alpha, visibility, eta, n_batches, batch_size, seed
 ):
@@ -380,9 +400,9 @@ REJECTING_LATENCIES = {  # (update, rejection), in seconds for a batch of 4
 
 def assert_rejecting_windows_equal_ticks(latencies, threshold, batches, cfg, clock):
     """A traced rejection_entropy run equals its run one tick at a time, and steps its
-    windows as lanes but for a stochastic model, or for a window in which a lane admits
-    one row: that window's stacked step fails, and its ticks step one at a time.  Each
-    lane's count of admitted rows, by stacked step."""
+    ticks as lanes in the stacks that ``stacks`` counts, but for a stochastic model, or
+    for a stack in which a lane admits one row: that stack's step fails, and its ticks step
+    one at a time.  Each lane's count of admitted rows, by stacked step."""
     kwargs = dict(latency=REJECTING_LATENCIES[latencies][0], learning_rate=0.5,
                   latency_reject=REJECTING_LATENCIES[latencies][1],
                   entropy_threshold=threshold * np.log(3))
@@ -392,9 +412,12 @@ def assert_rejecting_windows_equal_ticks(latencies, threshold, batches, cfg, clo
     if latencies == "stochastic":
         assert laned.steps == [1] * len(batches)
     else:
-        fallen = [len(counts) for counts in admitted if 1 in counts]
-        assert len(laned.steps) == window_calls(report) + sum(fallen)
-        assert sum(laned.steps) == len(batches) + sum(fallen)
+        logged, expected = iter(admitted), []
+        for lanes in stacks(report):
+            fallen = lanes > 1 and 1 in next(logged)
+            expected += [lanes] + [1] * lanes if fallen else [lanes]
+        assert next(logged, None) is None
+        assert laned.steps == expected
     return admitted
 
 
@@ -430,31 +453,34 @@ def test_rejection_entropy_steps_its_windows_as_lanes_bit_for_bit(
 def test_rejecting_windows_hold_lanes_of_no_one_and_many_admitted_rows(latencies):
     cfg = ProtocolConfig(protocol=ONLINE, alpha=0.5)
     # A 2 s tick: an update spans two ticks, a rejection one.
-    admitted = assert_rejecting_windows_equal_ticks(latencies, 0.05, tiny_stream(30, seed=0),
+    admitted = assert_rejecting_windows_equal_ticks(latencies, 0.05, tiny_stream(40, seed=2),
                                                     cfg, StreamClock(eta=0.5))
-    assert [0, 1] in admitted  # a window that steps one tick at a time
-    assert [2, 0] in admitted  # a lane that updates beside one that rejects all
-    assert [2, 2] in admitted
+    assert len(admitted) == 2
+    assert 1 in admitted[0]  # a stack that steps one tick at a time
+    # A stack of lanes that update beside lanes that reject all.
+    assert 0 in admitted[1] and 1 not in admitted[1] and max(admitted[1]) >= 2
 
 
 def test_a_traced_rejection_entropy_run_with_constant_costs_steps_its_windows_as_lanes(
     mini_spec, mini_pretrained
 ):
-    # Every row admitted and C = 3 over two domains of 10 ticks: a live step at tick 0,
-    # six windows of three ticks, and one cut to tick 19.
+    # Every row admitted and C = 3 over two domains of 10 ticks: the live steps at ticks 0
+    # to 15 alone, the 12 ticks gathered in six busy windows and tick 18 as one stack, and
+    # tick 19 at the end.
     adapter = make_adapter("rejection_entropy", mini_pretrained, latency=Constant(2.5),
                            latency_reject=Constant(1.0), entropy_threshold=10.0)
     with counting(adapter):
         run_segments(two_domain_stream(mini_spec), adapter, mini_pretrained,
                      ProtocolConfig(protocol=ONLINE), trace_out=[])
-    assert adapter.steps == [1] + [3] * 6 + [1]
+    assert adapter.steps == [1] * 6 + [13] + [1]
 
 
 def test_a_traced_rejection_entropy_run_on_the_benchmark_stream_steps_in_lanes(
     source_spec, pretrained
 ):
     # The continual benchmark stream at seed 0: every step admits many rows and costs
-    # 3 s, so a window of three ticks is one adapt call, 417 in all against 1,248.
+    # 3 s, so six busy windows of two skipped ticks and a live tick make a stack of 13
+    # lanes; one adapt call per live tick and one at the end, 417 in all against 1,248.
     batches = compose_stream(default_scenario(mode="continual", append_clean=True),
                              source_spec, seed=0)[0].batches
     adapter = make_adapter("rejection_entropy", pretrained)
@@ -462,7 +488,9 @@ def test_a_traced_rejection_entropy_run_on_the_benchmark_stream_steps_in_lanes(
         report = run_segments([StreamSegment(reset=True, batches=batches)], adapter,
                               pretrained, ProtocolConfig(protocol=ONLINE), trace_out=[])
     assert len(batches) == sum(adapter.steps) == 1248
-    assert len(adapter.steps) == window_calls(report) == 417
+    assert adapter.steps == stacks(report)
+    assert len(adapter.steps) == 417
+    assert adapter.steps.count(13) == 69
 
 
 def test_lockstep_keeps_the_bits_at_two_blas_threads():
@@ -604,6 +632,64 @@ def test_a_failing_window_fails_as_its_ticks_one_at_a_time(step):
     assert alone.steps == [1] * (step + 1)
     assert laned.steps == ([1, 12] + [1] * step if step <= 12 else
                            [1, 12, 7] + [1] * (step - 12))
+
+
+EVERY_THIRD = ProtocolConfig(protocol=ONLINE, alpha=0.5, fallback_visibility=DELAYED,
+                             schedule_mode=FixedModulo(3))
+
+
+def test_a_stack_gathers_the_skipped_ticks_of_several_busy_windows():
+    # Live ticks 0, 3, ..., 39, each busy window two skipped ticks: the live ticks to 15 step
+    # alone; the ticks of six windows and the live tick 18 make a stack of 13, and so do
+    # those of tick 36; the two ticks after 39 step at the end.  Under delayed visibility
+    # the lanes of a stack fall back on the sets of six adapted steps.
+    laned, report = traced_windows_equal_ticks("entropy_min", {"latency": Constant(1.0)},
+                                               tiny_stream(40, seed=3), EVERY_THIRD,
+                                               StreamClock(), tiny_params(seed=2))
+    assert laned.steps == [1] * 6 + [13] + [1] * 5 + [13] + [1] + [2]
+
+
+def test_a_stochastic_models_stacks_each_hold_one_busy_window():
+    # C from 6 to 18: each live tick but the first steps with the ticks of the busy window
+    # before it, which drew from the live rng as it stood, however few they are.
+    laned, report = traced_windows_equal_ticks(
+        "entropy_min", {"latency": Stochastic(12.0, 6.0, seed=4)}, tiny_stream(60, seed=3),
+        ProtocolConfig(protocol=ONLINE, alpha=0.5), StreamClock(), tiny_params(seed=2))
+    cs = [record.c_value for record in report.schedule if record.c_value is not None]
+    assert min(cs) < 12 < max(cs)
+    assert laned.steps == [1] + cs[:-1] + [60 - sum(cs[:-1]) - 1]
+
+
+# Tick 13 is gathered two busy windows before the live tick 18 of its stack.  Tick 6 is
+# a live tick that steps alone, after the gathered tick 4.
+@pytest.mark.parametrize("poison,named,steps", [
+    ((13,), 13, [1] * 6 + [13] + [1] * 9),
+    ((4, 6), 4, [1] * 3 + [4] + [1] * 3),
+])
+def test_the_earliest_failing_tick_of_a_stack_is_named(poison, named, steps):
+    params = tiny_params(seed=2)
+    batches = tiny_stream(40, seed=3)
+    for t in poison:
+        batches[t] = replace(batches[t], features=np.full_like(batches[t].features, np.nan))
+    laned = EntropyMinAdapter(params, latency=Constant(1.0))
+    alone = ONE_TICK_AT_A_TIME["entropy_min"](params, latency=Constant(1.0))
+    failures, traces, predictions = [], [], []
+    with counting(laned, alone):
+        for adapter in (laned, alone):
+            traces.append([])
+            predictions.append([])
+            with pytest.raises(ProtocolError) as failure:
+                run_stream(batches, adapter, params, EVERY_THIRD, trace_out=traces[-1],
+                           predictions_out=predictions[-1])
+            failures.append(failure.value)
+    assert str(failures[0]) == str(failures[1])
+    assert str(failures[0]).endswith(
+        f"failed at step {named}: features contain non-finite values (domain 0)")
+    assert traces[0] == traces[1] and [r.step for r in traces[0]] == list(range(named))
+    assert len(predictions[0]) == len(predictions[1]) == named
+    assert all(map(np.array_equal, *predictions))
+    assert alone.steps == [1] * (named + 1)
+    assert laned.steps == steps
 
 
 def test_a_window_of_two_batch_sizes_steps_one_tick_at_a_time():

@@ -94,11 +94,11 @@ def test_predict_rejects_wrong_width():
 
 def test_stacked_lanes_compute_each_lane_bit_for_bit_as_alone():
     lanes = [tiny_params(dim=5, num_classes=4, seed=s) for s in range(3)]
-    stacked = lanes[0].stack(3)
-    stacked.flat[1:] = [p.flat for p in lanes[1:]]
+    stacked = ModelParams.stack(lanes)
+    assert np.array_equal(stacked.flat, [p.flat for p in lanes])
     features = np.random.default_rng(1).normal(size=(3, 7, 5))
     result = forward(stacked, features)
-    blended = blend_parameters(stacked, lanes[2].stack(3), 0.3)
+    blended = blend_parameters(stacked, ModelParams.stack([lanes[2]] * 3), 0.3)
     for k, params in enumerate(lanes):
         alone = forward(params, features[k])
         assert np.shares_memory(stacked.lane(k).flat, stacked.flat)
@@ -153,7 +153,7 @@ def test_labels_logp_and_p_match_the_reference_pass(
              for k in range(max(lanes, 1))]
     params, features = cases[0]
     if lanes:
-        params = params.stack(lanes)
+        params = ModelParams.stack([params] * lanes)
         params.flat[:] = [lane.flat for lane, _ in cases]
         features = np.stack([x for _, x in cases])
     with np.errstate(all="ignore"):
@@ -177,7 +177,7 @@ def test_features_must_carry_the_parameters_lane_axis():
     with pytest.raises(ValueError, match=re.escape("shape (B, 5), got (2, 3, 5)")):
         forward(params, np.zeros((2, 3, 5)))
     with pytest.raises(ValueError, match=re.escape("shape (S, B, 5), got (3, 5)")):
-        forward(params.stack(2), np.zeros((3, 5)))
+        forward(ModelParams.stack([params] * 2), np.zeros((3, 5)))
 
 
 def test_blend_alpha_zero_returns_adapted_exactly():
@@ -370,7 +370,9 @@ def test_copy_module_and_pickle_give_independent_flat_params(duplicate):
 
 @pytest.mark.parametrize("lanes", [None, 3])
 def test_a_frozen_set_is_read_only_and_names_the_field_a_write_hits(lanes):
-    params = tiny_params(seed=14) if lanes is None else tiny_params(seed=14).stack(lanes)
+    params = tiny_params(seed=14)
+    if lanes is not None:
+        params = ModelParams.stack([params] * lanes)
     params.freeze()
     before = params.flat.copy()
     assert not any(getattr(params, name).flags.writeable for name in ("flat", *FIELDS))
@@ -382,6 +384,6 @@ def test_a_frozen_set_is_read_only_and_names_the_field_a_write_hits(lanes):
     assert np.array_equal(params.flat, before)
     # What a step builds from a frozen set is its own and writeable.
     one = params.lane(0)
-    for fresh in (params.copy(), one.stack(2), blend_parameters(one, one, 0.5),
+    for fresh in (params.copy(), ModelParams.stack([one] * 2), blend_parameters(one, one, 0.5),
                   blend_parameters(one, one, 0.0), copy.deepcopy(one)):
         assert all(getattr(fresh, name).flags.writeable for name in ("flat", *FIELDS))

@@ -1083,6 +1083,37 @@ def test_an_adapter_that_writes_into_its_parameters_fails_at_its_first_step(
                      trace_out=[] if traced else None)
 
 
+class PretrainedWriter(EntropyMinAdapter):
+    """Steps by assigning its new affine scale on ``self.pretrained``, which every later
+    reset starts from."""
+
+    name = "pretrained_writer"
+
+    def _adapt(self, batch):
+        outcome = super()._adapt(batch)
+        self.pretrained.gamma = outcome.theta_hat.gamma
+        return outcome
+
+
+@pytest.mark.parametrize("mode", ["episodic", "continual"])
+def test_an_adapter_that_writes_into_its_pretrained_set_fails_at_its_first_step(
+    mode, mini_pretrained, mini_spec
+):
+    # The write ran silently and carried into the next episodic segment's start state.
+    segments = compose_stream(default_scenario(mode=mode, batch_size=16), mini_spec, 64)
+    adapter = PretrainedWriter(mini_pretrained)
+    with pytest.raises(ProtocolError, match=r"^adapter 'pretrained_writer' failed at step 0: "
+                       r"gamma: this parameter set is held by a run; assign on "
+                       r"params\.copy\(\) \(domain 0\)$"):
+        run_segments(segments, adapter, adapter.pretrained, ON,
+                     trace_out=[] if mode == "continual" else None)
+    assert not adapter.pretrained.flat.flags.writeable
+    # What a run starts from is a writeable copy.
+    adapter.reset()
+    assert adapter.params.flat.flags.writeable and adapter.pretrained.copy().flat.flags.writeable
+    assert params_fingerprint(adapter.params) == params_fingerprint(mini_pretrained)
+
+
 @pytest.mark.parametrize("mode", ["episodic", "continual"])
 def test_every_set_a_built_in_run_holds_is_read_only(mode, mini_pretrained, mini_spec):
     segments = compose_stream(default_scenario(mode=mode, batch_size=16), mini_spec, 64)

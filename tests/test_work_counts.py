@@ -24,12 +24,14 @@ from streamgate.trace import TraceRecord
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 
-# "forward" counts calls of model.forward: a stacked call is one, whatever its lanes.
+# "forward" counts calls of model.forward: a stacked call is one, whatever its lanes.  "adapt
+# lanes" counts the lanes of every adapt call, one for a batch of one lane.
 RUN_BOUNDS = {
     "execute_run": 4,  # README: `run` computes 4 of every seed's 6 runs
     "adapt source": 78,
     "adapt norm_stat": 78,
     "adapt entropy_min": 104,
+    "adapt lanes": 3900,
     "forward": 416,
     "ModelParams.copy": 452,
     "ModelParams.stack": 4,
@@ -42,6 +44,7 @@ SWEEP_BOUNDS = {
     "adapt source": 78,
     "adapt norm_stat": 78,
     "adapt entropy_min": 143,
+    "adapt lanes": 4485,
     "forward": 533,
     "ModelParams.copy": 531,
     "ModelParams.stack": 5,
@@ -52,11 +55,12 @@ SWEEP_BOUNDS = {
 TRACE_BOUNDS = {
     "adapt entropy_min": 105,  # README: 105 adapter steps at Constant(12.0)
     "adapt rejection_entropy": 417,  # README: 417 at the default 3 s and 1 s
+    "adapt lanes": 2 * 1248,  # exact: each tick of each run steps once
     "forward": 1044,
     "ModelParams.copy": 1050,
-    "ModelParams.stack": 520,
+    "ModelParams.stack": 174,  # README: 104 and 70 stacks
     "sample_domain": 16,
-    "clone_adapter": 520,
+    "clone_adapter": 174,
     "TraceRecord": 2 * 1248,
 }
 
@@ -70,11 +74,11 @@ def counts(monkeypatch, source_spec, pretrained):
     monkeypatch.setattr(cli, "_pretrained", lambda source, train: pretrained)
     counted = Counter()
 
-    def count(owner, attr, key):
+    def count(owner, attr, key, weight=lambda *args: 1):
         original = vars(owner)[attr]
 
         def counting(*args, **kwargs):
-            counted[key(*args)] += 1
+            counted[key(*args)] += weight(*args)
             return original(*args, **kwargs)
 
         if isinstance(owner, type):
@@ -92,6 +96,8 @@ def counts(monkeypatch, source_spec, pretrained):
     count(ModelParams, "stack", lambda *args: "ModelParams.stack")
     count(stream, "sample_domain", lambda *args: "sample_domain")
     count(Adapter, "adapt", lambda adapter, *args: f"adapt {adapter.name}")
+    count(Adapter, "adapt", lambda *args: "adapt lanes",
+          lambda adapter, batch: batch.labels.size // batch.size)
     count(TraceRecord, "__post_init__", lambda *args: "TraceRecord")
     return counted
 
@@ -125,3 +131,4 @@ def test_two_traced_continual_runs_do_no_more_work(counts, source_spec, pretrain
         run_segments(segments, adapter, pretrained, ProtocolConfig(protocol=ONLINE),
                      trace_out=[])
     _within(counts, TRACE_BOUNDS)
+    assert counts["adapt lanes"] == TRACE_BOUNDS["adapt lanes"]

@@ -144,10 +144,11 @@ def _lanes(adapter: Adapter, lanes: Sequence[tuple], measured: bool):
     batches, starts, fallbacks = zip(*lanes)
     one = len(lanes) == 1
     ghost = clone_adapter(adapter)
-    ghost.params = starts[0] if one else ModelParams.stack(starts)
+    ghost.params = start = starts[0] if one else ModelParams.stack(starts)
     outcome, seconds = _timed(ghost.adapt, batch := batches[0] if one else _stack(batches))
     seen = outcome.forward
-    fb = (seen.labels if seen is not None and all(map(is_, fallbacks, starts)) else
+    fb = (seen.labels if seen is not None and seen.params is start
+          and all(map(is_, fallbacks, starts)) else
           forward(fallbacks[0] if one else ModelParams.stack(fallbacks), batch.features).labels)
     labels, fb = batch.labels.reshape(len(lanes), -1), fb.reshape(len(lanes), -1)
     return ghost, outcome, list(zip(

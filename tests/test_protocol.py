@@ -1004,6 +1004,35 @@ def test_an_all_rejected_traced_step_runs_one_forward_pass(
     assert passes == len(trace)
 
 
+class ForeignPass(EntropyMinAdapter):
+    """Carries out a forward pass of another parameter set than the one it steps from,
+    or none."""
+
+    name = "foreign_pass"
+
+    def __init__(self, pretrained, other):
+        super().__init__(pretrained, latency=Constant(2.5))
+        self.other = other
+
+    def _adapt(self, batch):
+        outcome = super()._adapt(batch)
+        return replace(outcome, forward=None if self.other is None
+                       else model.forward(self.other, batch.features))
+
+
+def test_a_traced_run_reads_fallbacks_only_from_a_pass_of_the_fallback_set(
+    mini_pretrained, mini_spec
+):
+    other = mini_pretrained.copy()
+    other.W = -other.W  # other labels on every batch
+    traces = []
+    for carried in (other, None):
+        traces.append([])
+        run_segments(two_domain_stream(mini_spec), ForeignPass(mini_pretrained, carried),
+                     mini_pretrained, ON, trace_out=traces[-1])
+    assert traces[0] == traces[1]
+
+
 @pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("name", DESCENT)
 def test_a_run_keeps_no_domain_array_alive(name, traced, mini_pretrained, mini_spec):

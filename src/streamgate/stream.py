@@ -6,12 +6,15 @@ source distribution at integer severities 1..5, composed into episodic
 (one domain per stream, reset between) or continual (one concatenated stream)
 scenarios.  Every generator is a pure function of its spec and seed, computed with
 numpy alone: the rotation's matrix exponential comes from numpy's Hermitian
-eigendecomposition, on the same LAPACK as every other product here.
+eigendecomposition, on the same LAPACK as every other product here.  The one thread
+besides the caller's is ``compose_stream``'s helper, which only fills buffers with
+standard normals, each from the one generator that owns them, so it cannot move a bit.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,21 +301,20 @@ def sample_domain(
     corruption: CorruptionSpec | None,
     n: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n fresh labeled samples from one (possibly corrupted) domain.
+    helper: Executor,
+) -> tuple[np.ndarray, Future]:
+    """Start drawing n fresh labeled samples from one (possibly corrupted) domain.
 
     The draw is keyed by the corruption identity rather than its position in a
-    scenario, so reordering domains permutes batches without changing them.
+    scenario, so reordering domains permutes batches without changing them.  The
+    labels are drawn here; ``helper`` then fills a new ``(n, dim)`` buffer with the
+    same generator's standard normals, which the returned future holds.
     """
     key = ([len(CORRUPTION_KINDS), 0, 0] if corruption is None  # clean segment
            else [CORRUPTION_KINDS.index(corruption.kind), corruption.severity, corruption.seed])
     rng = np.random.default_rng([seed, *key])
-    means = class_means(source)
     labels = rng.integers(0, source.num_classes, size=n)
-    features = means[labels] + rng.standard_normal((n, source.dim))
-    if corruption is not None:
-        features = apply_corruption(features, corruption)
-    return features, labels
+    return labels, helper.submit(rng.standard_normal, out=np.empty((n, source.dim)))
 
 
 def compose_stream(
@@ -327,6 +329,13 @@ def compose_stream(
     domain, continual mode one for all domains in order.  A batch's tick ``t``
     is its index in its segment.  A final partial batch is dropped so every
     batch has exactly ``batch_size`` rows, in read-only arrays.
+
+    One helper thread, joined before this returns or raises, fills each domain's
+    standard normals one domain ahead: while this thread finishes domain k, the
+    helper fills domain k+1's buffer, and allocates and runs nothing else.  Every
+    other draw, the class means, each corruption and each batch stay on this thread,
+    in domain order.  Each domain's normals come from its own generator, after its
+    labels, so the stream's bits do not depend on when the helper runs.
     """
     check_integer(samples_per_domain, "samples_per_domain", 1)
     check_integer(seed, "seed")
@@ -338,14 +347,24 @@ def compose_stream(
     bs = scenario.batch_size
     starts = range(0, samples_per_domain - bs + 1, bs)
     segments: list[StreamSegment] = []
-    for domain_id, corruption in enumerate(domains):
-        features, labels = sample_domain(source, corruption, samples_per_domain, seed)
-        features.flags.writeable = labels.flags.writeable = False
-        if scenario.mode == EPISODIC or not segments:
-            segments.append(StreamSegment(reset=True))
-        batches = segments[-1].batches
-        batches.extend(Batch(features[s:s + bs], labels[s:s + bs], domain_id, t)
-                       for t, s in enumerate(starts, len(batches)))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = sample_domain(source, domains[0], samples_per_domain, seed, helper)
+        means = class_means(source)
+        for domain_id, corruption in enumerate(domains):
+            labels, normals = drawn  # drops the last domain's future and its raw buffer
+            if domain_id + 1 < len(domains):
+                drawn = sample_domain(source, domains[domain_id + 1], samples_per_domain,
+                                      seed, helper)
+            features = normals.result()
+            features += means[labels]  # addition commutes: means[labels] + normals, bit for bit
+            if corruption is not None:
+                features = apply_corruption(features, corruption)
+            features.flags.writeable = labels.flags.writeable = False
+            if scenario.mode == EPISODIC or not segments:
+                segments.append(StreamSegment(reset=True))
+            batches = segments[-1].batches
+            batches.extend(Batch(features[s:s + bs], labels[s:s + bs], domain_id, t)
+                           for t, s in enumerate(starts, len(batches)))
     return segments
 
 

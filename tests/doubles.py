@@ -185,7 +185,8 @@ def rotation_matrix(spec: CorruptionSpec, dim: int) -> np.ndarray:
 
 def _reference_sample_domain(source: SourceSpec, corruption: CorruptionSpec | None,
                              n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """stream.sample_domain with the clean and the corrupted domain's key in two branches."""
+    """One domain's samples as stream.compose_stream draws them, on one thread, with the
+    clean and the corrupted domain's key in two branches."""
     if corruption is None:  # clean segment
         key = [len(CORRUPTION_KINDS), 0, 0]
     else:

@@ -26,9 +26,10 @@ from streamgate.adapters import (
     sample_latency,
 )
 from streamgate.model import params_fingerprint, predict
-from streamgate.stream import Batch, CorruptionSpec, SourceSpec, apply_corruption, sample_domain
+from streamgate.stream import Batch, CorruptionSpec, SourceSpec, apply_corruption
 from doubles import (
     BetaShiftAdapter,
+    _reference_sample_domain,
     reference_log_probabilities,
     reference_params_equal,
     tiny_params,
@@ -41,7 +42,7 @@ def make_batch(features, labels, t=0, domain_id=0):
 
 
 def domain_batch(source_spec, corruption, n=256, seed=0):
-    features, labels = sample_domain(source_spec, corruption, n, seed=seed)
+    features, labels = _reference_sample_domain(source_spec, corruption, n, seed=seed)
     return make_batch(features, labels)
 
 

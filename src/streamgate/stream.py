@@ -331,8 +331,7 @@ def compose_stream(
     batch has exactly ``batch_size`` rows, in read-only arrays.
 
     One helper thread, joined before this returns or raises, fills each domain's
-    standard normals one domain ahead: while this thread finishes domain k, the
-    helper fills domain k+1's buffer, and allocates and runs nothing else.  Every
+    standard normals one domain ahead, and allocates and runs nothing else.  Every
     other draw, the class means, each corruption and each batch stay on this thread,
     in domain order.  Each domain's normals come from its own generator, after its
     labels, so the stream's bits do not depend on when the helper runs.

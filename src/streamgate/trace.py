@@ -7,8 +7,12 @@ rule to the trace's columns: it takes C once per distinct latency, then jumps fr
 adapted step to ``Worker.busy_until`` through ``Worker.start``, the rule the run loop
 uses, and keeps the C that call returns as the step's exact integer.  So a replay costs
 one ceiling per distinct latency and one walk step per adapted step; it hands its step
-columns to ``report.run_report``, as the run loop does.  Error rates at any stream speed
-come out of one recording with no model reruns.
+columns to ``report.run_report``, as the run loop does.
+
+Both correctness columns come from the recorded run's parameters, so a replay at the
+recording's clock is the recorded run, and at another clock re-mixes those two columns:
+it is not the run at that clock, which adapts along another trajectory.  ``sweep`` runs
+each schedule class for the exact error; replay serves measured costs no rerun can charge.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from .report import (
 
 TRACE_COLUMNS = ["step", "latency", "correct_adapted", "correct_fallback", "domain_id", "batch_size"]
 
-FALLBACK_APPROXIMATION_NOTE = (
-    "fallback correctness is taken from the trace's recorded snapshot, not re-simulated"
+RECORDED_RUN_NOTE = (
+    "correct_adapted and correct_fallback both come from the recorded run's parameters: "
+    "exact at the recording's clock, a re-mix of the two columns at any other"
 )
 
 
@@ -145,12 +150,12 @@ def _columns(trace: Sequence[TraceRecord]) -> tuple:
 
 
 def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock()) -> RunReport:
-    """Recompute the online-protocol outcome of a trace under a given clock.
+    """Reschedule a trace's recorded columns under a given clock.
 
     Adapted steps contribute correct_adapted and open a busy window of
     ceil(latency / interval) ticks, the step's C as the walk takes it;
-    steps inside a window contribute correct_fallback.  Latencies within
-    one interval reproduce the all-adapted (offline) outcome exactly.
+    steps inside a window contribute correct_fallback.  At the recording's
+    clock this is the recorded run; at any other, not that clock's run.
     """
     domains, latency, correct_adapted, correct_fallback, batch_size = _columns(trace)
     n, interval = len(latency), clock.effective_interval
@@ -166,16 +171,16 @@ def replay_online(trace: Sequence[TraceRecord], clock: StreamClock = StreamClock
     return run_report(
         domains, np.arange(n), batch_size, error_count, adapted, c_value,
         ACTION_SKIPPED_FALLBACK, protocol="online", adapter="trace", eta=clock.eta, seed=0,
-        scenario="replay", notes=[FALLBACK_APPROXIMATION_NOTE],
+        scenario="replay", notes=[RECORDED_RUN_NOTE],
     )
 
 
 def adapted_only_error(trace: Sequence[TraceRecord]) -> float:
     """The ``avg_error`` of a replay at any clock under which every step adapts.
 
-    The error rates under adaptation, collapsed per run of consecutive steps in
-    one domain exactly as ``replay_online`` collapses them, so the two agree
-    bit for bit.
+    The recorded trajectory's error rates under adaptation, collapsed per run of
+    consecutive steps in one domain exactly as ``replay_online`` collapses them, bit
+    for bit.  It is the offline run's error only if every recorded step adapted.
     """
     domains, _, correct_adapted, _, batch_size = _columns(trace)
     none = np.array([], dtype=np.int64)

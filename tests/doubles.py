@@ -47,7 +47,7 @@ from streamgate.stream import (
     class_means,
     compose_stream,
 )
-from streamgate.trace import FALLBACK_APPROXIMATION_NOTE, TraceFormatError, TraceRecord
+from streamgate.trace import RECORDED_RUN_NOTE, TraceFormatError, TraceRecord
 
 
 FIELDS = ("mu", "var", "gamma", "beta", "W", "b")
@@ -358,7 +358,7 @@ def reference_replay(trace: list[TraceRecord], clock: StreamClock = StreamClock(
                   for (domain_id, start), end in zip(domains, ends)]
     return RunReport(
         run_id="", protocol="online", scenario="replay", adapter="trace", eta=clock.eta,
-        seed=0, per_domain=per_domain, schedule=records, notes=[FALLBACK_APPROXIMATION_NOTE],
+        seed=0, per_domain=per_domain, schedule=records, notes=[RECORDED_RUN_NOTE],
         **reference_run_numbers(per_domain, records),
     )
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from streamgate import stream
 from streamgate._checks import check_real
 from streamgate.adapters import Constant, NormStatAdapter, Stochastic
 from streamgate.clock import StreamClock, relative_adaptation_speed
@@ -35,6 +37,7 @@ from streamgate.stream import (
     class_means,
     compose_stream,
     default_corruption_suite,
+    default_scenario,
     make_source_dataset,
     pretrain_source_model,
 )
@@ -537,6 +540,61 @@ def test_append_clean_adds_uncorrupted_final_domain(source_spec):
     labels = np.concatenate([b.labels for b in batches if b.domain_id == 1])
     # Clean segment matches the source distribution: the oracle stays accurate.
     assert nearest_mean_error(class_means(source_spec), clean, labels) < 0.15
+
+
+def test_compose_stream_joins_its_helper_when_it_returns_and_when_it_raises(
+        source_spec, monkeypatch):
+    threads = threading.active_count()
+    compose_stream(three_domain_scenario(EPISODIC), source_spec, 640, seed=0)
+    assert threading.active_count() == threads
+    corrupted = []
+
+    def third_domain_fails(features, spec):
+        corrupted.append(spec)
+        if len(corrupted) == 3:
+            raise RuntimeError("third domain")
+        return apply_corruption(features, spec)
+
+    # Domain 4's fill is queued when domain 3 raises: the helper finishes it and is joined.
+    monkeypatch.setattr(stream, "apply_corruption", third_domain_fails)
+    with pytest.raises(RuntimeError, match="third domain"):
+        compose_stream(default_scenario(), source_spec, 640, seed=0)
+    assert len(corrupted) == 3 and threading.active_count() == threads
+
+
+class _RecordedGenerator:
+    """A generator whose buffer fills (``standard_normal(out=...)``) record their thread,
+    and raise if ``failing`` is set."""
+
+    def __init__(self, generator, fills: list, failing: bool) -> None:
+        self.generator, self.fills, self.failing = generator, fills, failing
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+    def standard_normal(self, *args, **kwargs):
+        if "out" in kwargs:
+            self.fills.append(threading.current_thread())
+            if self.failing:
+                raise FloatingPointError("no normals")
+        return self.generator.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["fills", "raises"])
+def test_one_helper_thread_fills_every_domain_and_its_error_reaches_the_caller(
+        source_spec, monkeypatch, failing):
+    default_rng, fills = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: _RecordedGenerator(
+        default_rng(*args, **kwargs), fills, failing))
+    threads = threading.active_count()
+    if failing:
+        with pytest.raises(FloatingPointError, match="no normals"):
+            compose_stream(three_domain_scenario(CONTINUAL), source_spec, 640, seed=0)
+    else:
+        compose_stream(three_domain_scenario(CONTINUAL), source_spec, 640, seed=0)
+        assert len(fills) == 3
+    assert threading.active_count() == threads
+    assert len(set(fills)) == 1 and fills[0] is not threading.main_thread()
 
 
 def test_scenario_validation():

@@ -286,9 +286,34 @@ def test_replay_empty_trace_rejected():
         replay_online([], StreamClock())
 
 
-def test_replay_carries_approximation_note():
+def test_replay_notes_that_both_columns_come_from_the_recorded_run():
     trace = make_trace([(1.0, 5, 5, 0, 10)])
-    assert any("not re-simulated" in note for note in replay_online(trace).notes)
+    assert any("correct_adapted and correct_fallback both come from the recorded run" in note
+               and "exact at the recording's clock" in note
+               for note in replay_online(trace).notes)
+
+
+def test_a_replay_at_another_clock_is_not_the_run_at_that_clock(mini_pretrained, mini_spec):
+    # README "Trace replay": an eta-1 trace replayed where every step adapts gives the
+    # recorded trajectory's all-adapted error; the run at that clock is the offline run.
+    segments = two_domain_stream(mini_spec)
+    slow = StreamClock(eta=0.25)  # a 4 s interval: a 2.5 s step takes one tick
+
+    def run(protocol, clock, trace_out=None):
+        adapter = make_adapter("pseudo_label", mini_pretrained, latency=Constant(2.5))
+        return run_segments(segments, adapter, mini_pretrained,
+                            ProtocolConfig(protocol=protocol, seed=0), clock, trace_out=trace_out)
+
+    trace = []
+    recorded = run("online", StreamClock(), trace)
+    assert recorded.adapted_fraction < 1.0
+    assert replay_online(trace, StreamClock()).avg_error == recorded.avg_error
+    replay = replay_online(trace, slow)
+    assert replay.adapted_fraction == 1.0 and replay.avg_error == adapted_only_error(trace)
+    rerun = run("online", slow)
+    assert rerun.adapted_fraction == 1.0
+    assert rerun.avg_error == run("offline", StreamClock()).avg_error
+    assert rerun.avg_error != replay.avg_error
 
 
 def test_per_domain_grouping_in_replay():

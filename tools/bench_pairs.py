@@ -21,7 +21,8 @@ came from the speed factor, not from wall time.
 
 After each workload's end-to-end pairs, a per-layer round runs the same command with
 ``--trace 1``, LAYER_PAIRS pairs, and summarizes every per-layer metric of
-BENCHMARK.json the same way; it names the metrics that read 0 on both sides and those
+BENCHMARK.json, whose times are not scaled, and the two unscaled figures the same way;
+it names the metrics that read 0 on both sides and those
 that time a whole stack of lanes per call rather than one step.  ``--change PARENT`` is
 a null check: two checkouts of one commit.  ``--json`` also writes all of it to a file.
 The checkouts are removed on exit; nothing in this checkout is written but that file.
@@ -174,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             report(workload, {**summary, **unscaled})
             command[-1] = "1"
             layer_block, values = run_pairs(workload, checkouts, command, LAYER_PAIRS)
-            layers = summarize(values, benchmark["per_layer"])
+            layers = summarize(values, benchmark["per_layer"] + UNSCALED)
             report(workload, layers)
             zero = [name for name, s in layers.items()
                     if not any(s[side][k] for side in SIDES for k in ("q1", "median", "q3"))]

@@ -286,7 +286,7 @@ def test_replay_empty_trace_rejected():
         replay_online([], StreamClock())
 
 
-def test_replay_notes_that_both_columns_come_from_the_recorded_run():
+def test_replay_carries_approximation_note():
     trace = make_trace([(1.0, 5, 5, 0, 10)])
     assert any("correct_adapted and correct_fallback both come from the recorded run" in note
                and "exact at the recording's clock" in note

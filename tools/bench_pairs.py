@@ -22,17 +22,17 @@ came from the speed factor, not from wall time.
 After each workload's end-to-end pairs, a per-layer round runs the same command with
 ``--trace 1``, LAYER_PAIRS pairs, and summarizes every per-layer metric of
 BENCHMARK.json, whose times are not scaled, and the two unscaled figures the same way;
-it names the metrics that read 0 on both sides and those
-that time a whole stack of lanes per call rather than one step.  ``--change PARENT`` is
-a null check: two checkouts of one commit.  ``--json`` also writes all of it to a file.
-The checkouts are removed on exit; nothing in this checkout is written but that file.
+it names the metrics that read 0 on both sides and those that time a whole stack of
+lanes per call rather than one step.  ``--change PARENT`` is a null check: two checkouts
+of one commit.  ``--json`` also writes all of it to a file.  The checkouts are removed
+on exit; nothing in this checkout is written but that file.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import fnmatch
+import json
 import math
 import re
 import statistics
